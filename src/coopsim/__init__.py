@@ -38,7 +38,6 @@ from .trust import (
     TramPolicy,
     TrustStore,
     clamp_level,
-    expectation,
     level_from_history,
 )
 from .appraisal import (
@@ -62,7 +61,7 @@ from .agents import (
     on_outcome,
     on_task_request,
 )
-from .reputation import lor_update, reputation_distribution, survey_reinit
+from .reputation import lor_update, survey_reinit
 from .engine import (
     InterleavingStrategy,
     RunResult,

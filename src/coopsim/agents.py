@@ -1,12 +1,13 @@
 """Per-agent behavior: prepared programs, imposition handling, trust rules.
 
 The reasoning an agent applies when it receives an adequacy promise, a task
-imposition, or an outcome observation is driven entirely by its current
-trust levels:
+imposition, or an outcome observation is driven by its current trust
+levels:
 
-* adequacy promise: positive trust prepares the program, non-positive trust
-  refuses the install; strong distrust in a sole promiser unloads an already
-  prepared program.
+* adequacy promise: a matching attribute rule installs or refuses
+  regardless of trust; otherwise positive trust prepares the program,
+  non-positive trust refuses the install, and strong distrust in a sole
+  promiser unloads an already prepared program.
 * task request: a single prepared program is used at non-negative trust; at
   trust -1 only if it was used before; with several candidates the program
   promised by the most trusted agent wins (ties broken by per-program trust
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .lifecycle import LifecycleRecord, LifecycleState
+from .appraisal import InstallVerdict
+from .lifecycle import LifecycleState
 from .statements import DirectionalKind, Statement
 from .trust import (
     AppreciationKey,
@@ -36,7 +38,6 @@ from .trust import (
 __all__ = [
     "ActionKind",
     "Action",
-    "TrustDelta",
     "AdequacyTagError",
     "PreparedEntry",
     "PendingWarning",
@@ -90,13 +91,6 @@ class Action:
         if self.target is not None:
             parts.append(f"target={self.target}")
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class TrustDelta:
-    target: str
-    outcome: Outcome
-    level: int
 
 
 @dataclass
@@ -156,27 +150,41 @@ class AgentState:
                 del self.adequacy_index[(program, task)]
 
 
-def on_adequacy_promise(state: AgentState, promise: Statement, now: int) -> list:
-    """React to a received adequacy promise (rules 1, 2, and the unload rule)."""
+def on_adequacy_promise(
+    state: AgentState,
+    promise: Statement,
+    now: int,
+    verdict: InstallVerdict = InstallVerdict.NO_RULE,
+) -> list:
+    """React to a received adequacy promise (rules 1, 2, and the unload rule).
+
+    ``verdict`` is the attribute rule table's decision for the promised
+    program and task; only when no rule matched does promiser trust decide.
+    The promise is indexed whatever the outcome.
+    """
     program, task = parse_adequacy_tag(promise.type_tag)
     issued = promise.issue_time if promise.issue_time is not None else now
     state.adequacy_index.setdefault((program, task), []).append(
         (promise.promiser, issued)
     )
-    level = state.trust_in(promise.promiser)
-    if level > 0:
-        if (program, task) not in state.prepared:
-            state.prepared[(program, task)] = PreparedEntry(since=now)
-            return [Action(ActionKind.PREPARE, program=program, task=task)]
+    if verdict is InstallVerdict.NO_RULE:
+        level = state.trust_in(promise.promiser)
+        if (
+            level == -2
+            and (program, task) in state.prepared
+            and state.promisers_for(program, task) == {promise.promiser}
+        ):
+            del state.prepared[(program, task)]
+            return [Action(ActionKind.UNLOAD, program=program, task=task)]
+        verdict = (
+            InstallVerdict.INSTALL if level > 0 else InstallVerdict.REFUSE_INSTALL
+        )
+    if verdict is InstallVerdict.REFUSE_INSTALL:
+        return [Action(ActionKind.REFUSE_INSTALL, program=program, task=task)]
+    if (program, task) in state.prepared:
         return []
-    if (
-        level == -2
-        and (program, task) in state.prepared
-        and state.promisers_for(program, task) == {promise.promiser}
-    ):
-        del state.prepared[(program, task)]
-        return [Action(ActionKind.UNLOAD, program=program, task=task)]
-    return [Action(ActionKind.REFUSE_INSTALL, program=program, task=task)]
+    state.prepared[(program, task)] = PreparedEntry(since=now)
+    return [Action(ActionKind.PREPARE, program=program, task=task)]
 
 
 def apply_unload_rule(state: AgentState) -> list:
@@ -295,19 +303,20 @@ def on_outcome(
     policy: TramPolicy = TramPolicy.INCREMENTAL,
 ) -> list:
     """Assess all active adequacy fragments matching the observed outcome and
-    update trust in each promiser.  Returns the applied trust deltas."""
-    records = state.active_adequacy_records(program, task)
-    deltas = []
-    for rec in sorted(records, key=lambda r: r.token):
+    update trust in each promiser.  Returns the assessed records sorted by
+    token; an outcome that matches no active fragment changes nothing."""
+    records = sorted(
+        state.active_adequacy_records(program, task), key=lambda r: r.token
+    )
+    if not records:
+        return records
+    for rec in records:
         rec.assess(result, now)
         key = AppreciationKey(
             AppreciationKind.GENERAL_TRUST, state.id, rec.fragment.promiser
         )
-        level = state.trust.record_assessment(key, result, now, policy)
-        deltas.append(
-            TrustDelta(target=rec.fragment.promiser, outcome=result, level=level)
-        )
+        state.trust.record_assessment(key, result, now, policy)
     if (program, task) in state.prepared:
         state.prepared[(program, task)].used_before = True
     state.prune_adequacy_index()
-    return deltas
+    return records

@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario file (.coop)")
         p.add_argument("--tram", choices=["incremental", "recency-history"],
                        help="override the trust assessment policy")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--interleave", choices=["file-order", "round-robin"],
                        help="override within-tick event ordering")
         p.add_argument("--quiet", action="store_true",
@@ -69,8 +68,6 @@ def _overrides(args) -> dict:
             if args.tram == "recency-history"
             else TramPolicy.INCREMENTAL
         )
-    if args.seed is not None:
-        out["seed"] = args.seed
     if args.interleave is not None:
         out["interleave"] = engine.InterleavingStrategy(args.interleave)
     return out

@@ -11,7 +11,7 @@ the identity on the text.
 
 from __future__ import annotations
 
-from .statements import Statement, parse
+from .statements import parse
 
 __all__ = ["CORPUS_TEXTS", "corpus"]
 

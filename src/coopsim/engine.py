@@ -15,8 +15,7 @@ globally terminated statements.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -24,17 +23,16 @@ from typing import Optional
 from . import agents as agent_rules
 from .agents import (
     Action,
-    ActionKind,
     AdequacyTagError,
     AgentState,
     parse_adequacy_tag,
 )
 from .appraisal import (
+    ATTRIBUTE_CATALOG,
     DEFAULT_GATE_FLOOR,
     DISCARD_FAST_MULTIPLIER,
     AttributeVector,
     ConsultantProfile,
-    InstallVerdict,
     Route,
     attribute_install_decision,
     credibility_gate,
@@ -44,7 +42,6 @@ from .appraisal import (
 from .lifecycle import LifecycleError, LifecycleRecord, LifecycleState
 from .reputation import (
     DEFAULT_RECENT_WINDOW,
-    LorExchange,
     LorResponse,
     lor_update,
     survey_reinit,
@@ -56,6 +53,7 @@ from .statements import (
     FragmentCounter,
     Statement,
     StatementError,
+    _fmt_fraction,
     equivalent,
     fragment_on_issue,
     parse as parse_statement,
@@ -113,7 +111,6 @@ class PolicyHeader:
     gate_floor: Fraction = DEFAULT_GATE_FLOOR
     fade_span: int = 100
     fade_threshold: Fraction = Fraction(1, 20)
-    seed: int = 0
     interleave: InterleavingStrategy = InterleavingStrategy.FILE_ORDER
     penalize_incredible: bool = False
     recent_window: int = DEFAULT_RECENT_WINDOW
@@ -138,10 +135,6 @@ class Scenario:
     initial: list
     events: list
 
-    @property
-    def directives(self):
-        return self.initial + self.events
-
 
 def _parse_bool(value: str, line: int) -> bool:
     if value in ("true", "1", "yes"):
@@ -151,11 +144,15 @@ def _parse_bool(value: str, line: int) -> bool:
     raise ScenarioError(f"expected boolean, got {value!r}", line)
 
 
-def _parse_level(value: str, line: int) -> int:
+def _parse_int(value: str, what: str, line: int) -> int:
     try:
-        level = int(value)
+        return int(value)
     except ValueError:
-        raise ScenarioError(f"expected trust level, got {value!r}", line)
+        raise ScenarioError(f"expected {what}, got {value!r}", line)
+
+
+def _parse_level(value: str, line: int) -> int:
+    level = _parse_int(value, "trust level", line)
     if not -2 <= level <= 2:
         raise ScenarioError(f"level {level} outside [-2,2]", line)
     return level
@@ -179,8 +176,6 @@ def _apply_policy_tokens(header: PolicyHeader, tokens, line: int):
                 header.fade_span = int(value)
             elif key == "fade-threshold":
                 header.fade_threshold = Fraction(value)
-            elif key == "seed":
-                header.seed = int(value)
             elif key == "interleave":
                 header.interleave = InterleavingStrategy(value)
             elif key == "penalize-incredible":
@@ -189,6 +184,7 @@ def _apply_policy_tokens(header: PolicyHeader, tokens, line: int):
                 header.recent_window = int(value)
             else:
                 raise ScenarioError(f"unknown policy setting {key!r}", line)
+            header.default_fade  # FadeSpec validates span and threshold
         except (ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, ScenarioError):
                 raise
@@ -210,10 +206,7 @@ def load(text: str) -> Scenario:
         if name == "tick":
             if len(tokens) != 2:
                 raise ScenarioError("tick takes one argument", line_no)
-            try:
-                tick = int(tokens[1])
-            except ValueError:
-                raise ScenarioError(f"bad tick {tokens[1]!r}", line_no)
+            tick = _parse_int(tokens[1], "tick", line_no)
             if tick < 0 or (current_tick is not None and tick <= current_tick):
                 raise ScenarioError(
                     f"tick {tick} not after previous tick {current_tick}", line_no
@@ -270,6 +263,8 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
         body = tokens[1:]
         if len(body) != 4 or body[2] != "=" or "=" not in body[1]:
             raise ScenarioError("usage: attr <name> <entity>=<id> = <level>", line_no)
+        if body[0] not in ATTRIBUTE_CATALOG:
+            raise ScenarioError(f"unknown attribute {body[0]!r}", line_no)
         entity_kind, entity_id = body[1].split("=", 1)
         args = (body[0], entity_kind, entity_id, _parse_level(body[3], line_no))
     elif name == "profile":
@@ -297,10 +292,22 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
             )
         strength = None
         if len(tokens) == 5 and tokens[4].startswith("strength="):
-            strength = int(tokens[4].split("=", 1)[1])
+            strength = _parse_int(tokens[4].split("=", 1)[1], "strength", line_no)
         elif len(tokens) > 4:
             raise ScenarioError("malformed impose directive", line_no)
-        args = (tokens[1], tokens[2], tokens[3].split("=", 1)[1], strength)
+        imposer, target, task = tokens[1], tokens[2], tokens[3].split("=", 1)[1]
+        try:
+            statement = Statement(
+                kind=DirectionalKind.IMPOSITION,
+                promiser=imposer,
+                promisee=target,
+                type_tag=f"perform({task})",
+                body=Body(text=f"perform task {task}"),
+                strength=strength,
+            )
+        except StatementError as exc:
+            raise ScenarioError(f"bad imposition: {exc}", line_no)
+        args = (imposer, target, task)
     elif name == "outcome":
         kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
         if len(tokens) != 5 or set(kv) != {"program", "task", "result"}:
@@ -328,8 +335,13 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
                 "usage: survey <surveyor> group=<a,b> about=<target> [window=<n>]",
                 line_no,
             )
-        window = int(kv["window"]) if "window" in kv else None
-        args = (tokens[1], tuple(kv["group"].split(",")), kv["about"], window)
+        group = tuple(kv["group"].split(","))
+        if not all(group):
+            raise ScenarioError("survey group has an empty member", line_no)
+        window = (
+            _parse_int(kv["window"], "window", line_no) if "window" in kv else None
+        )
+        args = (tokens[1], group, kv["about"], window)
     elif name == "reply":
         if len(tokens) != 4 or tokens[3] not in ("proceed", "withdraw"):
             raise ScenarioError("usage: reply <from> <to> proceed|withdraw", line_no)
@@ -365,13 +377,6 @@ class RunResult:
         return "".join(line + "\n" for line in self.trace)
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    s = f"{float(x):.10f}".rstrip("0").rstrip(".")
-    return s if s else "0"
-
-
 _SOURCE_ARG = 0  # every event directive names its source agent first
 
 
@@ -387,8 +392,6 @@ class _Engine:
         self.profiles: dict = {}
         self.records_by_token: dict = {}
         self.announced_tokens: set = set()
-        # reserved for optional drift/fuzz switches; core semantics use none
-        self.rng = random.Random(self.header.seed)
 
     # -- helpers -----------------------------------------------------------
 
@@ -477,16 +480,10 @@ class _Engine:
 
     def apply_initial(self, directive: Directive):
         if directive.name == "trust":
-            subject, target, program, task, level = directive.args
-            key = self.trust_key(subject, target, program, task)
-            self.agent(subject).trust.set(key, level)
-            self.agent(target)
-            self.emit_trust(0, subject, target, key.kind.value, level, "init")
+            self.on_trust_event(directive)
         elif directive.name == "attr":
             name, _entity_kind, entity_id, level = directive.args
-            vector = self.attrs.setdefault(entity_id, {})
-            AttributeVector({name: level})  # validates name and level
-            vector[name] = level
+            self.attrs.setdefault(entity_id, {})[name] = level
         elif directive.name == "profile":
             agent_id, settings = directive.args
             self.profiles[agent_id] = self.build_profile(agent_id, dict(settings))
@@ -540,6 +537,7 @@ class _Engine:
         subject, target, program, task, level = directive.args
         key = self.trust_key(subject, target, program, task)
         self.agent(subject).trust.set(key, level)
+        self.agent(target)
         self.emit_trust(
             directive.tick, subject, target, key.kind.value, level, "init"
         )
@@ -605,40 +603,12 @@ class _Engine:
         except AdequacyTagError:
             return
         verdict = attribute_install_decision(self.merged_attrs(program, task))
-        if verdict is InstallVerdict.NO_RULE:
-            actions = agent_rules.on_adequacy_promise(state, fragment, tick)
-        else:
-            issued = fragment.issue_time if fragment.issue_time is not None else tick
-            state.adequacy_index.setdefault((program, task), []).append(
-                (fragment.promiser, issued)
-            )
-            if verdict is InstallVerdict.REFUSE_INSTALL:
-                actions = [
-                    Action(ActionKind.REFUSE_INSTALL, program=program, task=task)
-                ]
-            else:
-                actions = []
-                if (program, task) not in state.prepared:
-                    state.prepared[(program, task)] = agent_rules.PreparedEntry(
-                        since=tick
-                    )
-                    actions.append(
-                        Action(ActionKind.PREPARE, program=program, task=task)
-                    )
-        for action in actions:
+        for action in agent_rules.on_adequacy_promise(state, fragment, tick, verdict):
             self.emit_action(tick, state.id, action)
 
     def on_impose(self, directive: Directive):
-        imposer, target, task, strength = directive.args
-        stmt = Statement(
-            kind=DirectionalKind.IMPOSITION,
-            promiser=imposer,
-            promisee=target,
-            type_tag=f"perform({task})",
-            body=Body(text=f"perform task {task}"),
-            strength=strength,
-        )
-        self.deliver(stmt, directive.tick)
+        imposer, target, task = directive.args
+        self.deliver(directive.statement, directive.tick)
         state = self.agent(target)
         for action in agent_rules.on_imposition(state, imposer, task):
             self.emit_action(directive.tick, target, action)
@@ -646,19 +616,17 @@ class _Engine:
     def on_outcome(self, directive: Directive):
         agent_id, program, task, result = directive.args
         state = self.agent(agent_id)
-        records = state.active_adequacy_records(program, task)
-        if not records:
+        outcome = Outcome.KEPT if result == "success" else Outcome.BROKEN
+        assessed = agent_rules.on_outcome(
+            state, program, task, outcome, directive.tick, self.header.tram
+        )
+        if not assessed:
             self.emit(
                 f"t={directive.tick} warning agent={agent_id} "
                 f"detail=no-matching-fragment,program={program},task={task}"
             )
             return
-        outcome = Outcome.KEPT if result == "success" else Outcome.BROKEN
-        ordered = sorted(records, key=lambda r: r.token)
-        agent_rules.on_outcome(
-            state, program, task, outcome, directive.tick, self.header.tram
-        )
-        for rec in ordered:
+        for rec in assessed:
             self.emit_lifecycle(directive.tick, rec)
             promiser = rec.fragment.promiser
             level = state.trust.get(self.general_key(agent_id, promiser))
@@ -697,10 +665,6 @@ class _Engine:
         new_level = lor_update(self.agent(asker).trust_in(about), peer_level)
         response = (
             LorResponse.REFUSED if new_level is None else LorResponse.COMMUNICATED
-        )
-        LorExchange(
-            asker=asker, peer=peer, about=about,
-            peer_level=peer_level, response=response,
         )
         self.emit(
             f"t={directive.tick} reputation kind=lor asker={asker} peer={peer} "
@@ -743,8 +707,9 @@ class _Engine:
             self.emit_action(directive.tick, receiver, action)
 
     def check_expectation(self, directive: Directive):
-        subject, target, _program, _task, expected = directive.args
-        actual = self.agent(subject).trust_in(target)
+        subject, target, program, task, expected = directive.args
+        key = self.trust_key(subject, target, program, task)
+        actual = self.agent(subject).trust.get(key)
         self.expects.append(
             ExpectResult(
                 tick=directive.tick,
@@ -785,8 +750,9 @@ class _Engine:
 def run(scenario: Scenario, **overrides) -> RunResult:
     """Run a scenario deterministically.
 
-    ``overrides`` may replace header fields (tram, seed, interleave, ...)
-    without editing the scenario, mirroring the CLI flags.
+    ``overrides`` may replace header fields (tram, interleave, ...) without
+    editing the scenario, mirroring the CLI flags ``--tram`` and
+    ``--interleave``.
     """
     if overrides:
         header = PolicyHeader(**{**scenario.header.__dict__, **overrides})

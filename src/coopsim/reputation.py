@@ -11,27 +11,16 @@ below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
-from .trust import (
-    LEVELS,
-    AppreciationKey,
-    AppreciationKind,
-    TrustKeyError,
-    clamp_level,
-)
+from .trust import LEVELS, TrustKeyError, clamp_level
 
 __all__ = [
     "LorResponse",
-    "LorExchange",
-    "SurveyResult",
     "DEFAULT_RECENT_WINDOW",
     "lor_update",
     "survey_reinit",
-    "reputation_distribution",
 ]
 
 DEFAULT_RECENT_WINDOW = 50
@@ -40,32 +29,6 @@ DEFAULT_RECENT_WINDOW = 50
 class LorResponse(Enum):
     COMMUNICATED = "communicated"
     REFUSED = "refused"
-
-
-@dataclass(frozen=True)
-class LorExchange:
-    asker: str
-    peer: str
-    about: str
-    peer_level: int
-    response: LorResponse
-
-    def __post_init__(self):
-        refused = self.peer_level in (-1, 0)
-        if refused != (self.response is LorResponse.REFUSED):
-            raise ValueError("peer refuses exactly at levels -1 and 0")
-
-
-@dataclass(frozen=True)
-class SurveyResult:
-    surveyor: str
-    group: frozenset
-    about: str
-    average: Fraction
-
-    def __post_init__(self):
-        if not self.group:
-            raise ValueError("survey group must be non-empty")
 
 
 def lor_update(asker_level: int, peer_level: int) -> Optional[int]:
@@ -96,18 +59,3 @@ def survey_reinit(
         return member_level
     return clamp_level(math.floor(average))
 
-
-def reputation_distribution(community, stores, about: str) -> dict:
-    """Histogram of the community's trust levels toward ``about``.
-
-    ``stores`` maps each member to its TrustStore; counts sum to the size of
-    the community.
-    """
-    if not community:
-        raise ValueError("community must be non-empty")
-    histogram: dict = {}
-    for member in community:
-        key = AppreciationKey(AppreciationKind.GENERAL_TRUST, member, about)
-        level = stores[member].get(key)
-        histogram[level] = histogram.get(level, 0) + 1
-    return histogram

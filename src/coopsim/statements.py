@@ -110,10 +110,6 @@ class Body:
         if not self.text:
             raise StatementError("body text must be non-empty")
 
-    @property
-    def normalized(self) -> str:
-        return _norm_text(self.text)
-
 
 def normalize(body: Body) -> Body:
     """Canonical body: lower-case, whitespace runs collapsed, trimmed."""
@@ -138,7 +134,6 @@ class ValidityWindow:
 @dataclass(frozen=True)
 class FragmentIdentity:
     token: str
-    public_tag: Optional[str] = None
 
     def __post_init__(self):
         if not self.token:
@@ -384,8 +379,10 @@ def parse(text: str) -> Statement:
 
 
 def _fmt_fraction(x: Fraction) -> str:
-    f = float(x)
-    s = f"{f:.10f}".rstrip("0").rstrip(".")
+    """Shortest decimal text of ``x`` to ten places; integers stay exact."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    s = f"{float(x):.10f}".rstrip("0").rstrip(".")
     return s if s else "0"
 
 

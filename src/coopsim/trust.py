@@ -6,8 +6,8 @@ that were never written.  Two update policies are supported:
 
 * ``incremental`` -- each kept/broken assessment moves the level one step,
   saturating at the scale bounds.
-* ``recency-history`` -- the level is a pure function of the ordered
-  experience list (most recent outcomes dominate).
+* ``recency-history`` -- the level is a pure function of the two most
+  recent outcomes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "TrustKeyError",
     "clamp_level",
     "level_from_history",
-    "expectation",
 ]
 
 SCALE_MIN = -2
@@ -122,37 +121,33 @@ def clamp_level(value: int) -> int:
 
 
 def level_from_history(outcomes) -> int:
-    """Level implied by an ordered experience list (oldest first).
+    """Level implied by an ordered outcome sequence (oldest first).
 
-    No experience is neutral.  A positive most recent experience gives 1, or
-    2 when the one before was also positive.  A negative most recent
-    experience gives -1, or -2 when there are at least two negatives and the
-    two most recent are both negative.
+    Only the two most recent outcomes count.  No experience is neutral.  A
+    positive most recent outcome gives 1, or 2 when the one before was also
+    positive; a negative one gives -1, or -2 when the one before was also
+    negative.
     """
-    outcomes = list(outcomes)
     if not outcomes:
         return 0
     last = outcomes[-1]
     prev = outcomes[-2] if len(outcomes) >= 2 else None
     if last is Outcome.KEPT:
         return 2 if prev is Outcome.KEPT else 1
-    negatives = sum(1 for o in outcomes if o is Outcome.BROKEN)
-    if negatives >= 2 and prev is Outcome.BROKEN:
-        return -2
-    return -1
+    return -2 if prev is Outcome.BROKEN else -1
 
 
 class TrustStore:
-    """Appreciation levels plus the per-key experience history of one agent.
+    """Appreciation levels plus the recent experience of one agent.
 
-    Absent keys read as neutral (0).  Experience lists are kept in tick
-    order; under the recency policy the level is re-derived from the list on
-    every assessment, so it is replay-independent.
+    Absent keys read as neutral (0).  Per key only the tick of the last
+    assessment and the last two outcomes are kept: that is all the survey
+    recency check and the recency policy read.
     """
 
     def __init__(self):
         self._levels: dict = {}
-        self._experience: dict = {}
+        self._recent: dict = {}  # key -> (last tick, last two outcomes)
 
     def get(self, key: AppreciationKey) -> int:
         return self._levels.get(key, 0)
@@ -162,12 +157,9 @@ class TrustStore:
             raise TrustKeyError(f"level {level} outside scale")
         self._levels[key] = level
 
-    def experience(self, key: AppreciationKey):
-        return tuple(o for _, o in self._experience.get(key, ()))
-
     def last_experience_tick(self, key: AppreciationKey) -> Optional[int]:
-        history = self._experience.get(key)
-        return history[-1][0] if history else None
+        recent = self._recent.get(key)
+        return recent[0] if recent else None
 
     def record_assessment(
         self,
@@ -176,29 +168,18 @@ class TrustStore:
         tick: int,
         policy: TramPolicy = TramPolicy.INCREMENTAL,
     ) -> int:
-        """Append an outcome and return the updated level."""
+        """Record an outcome and return the updated level."""
         if key.kind not in TRUST_KINDS:
             raise TrustKeyError(f"{key.kind.value} is not a trust kind")
-        history = self._experience.setdefault(key, [])
-        if history and tick < history[-1][0]:
+        last_tick, outcomes = self._recent.get(key, (None, ()))
+        if last_tick is not None and tick < last_tick:
             raise TrustKeyError("experience ticks must be non-decreasing")
-        history.append((tick, outcome))
+        outcomes = outcomes[-1:] + (outcome,)
+        self._recent[key] = (tick, outcomes)
         if policy is TramPolicy.INCREMENTAL:
             delta = 1 if outcome is Outcome.KEPT else -1
             level = clamp_level(self.get(key) + delta)
         else:
-            level = level_from_history(o for _, o in history)
+            level = level_from_history(outcomes)
         self._levels[key] = level
         return level
-
-    def snapshot(self) -> dict:
-        return dict(self._levels)
-
-
-def expectation(credibility, trust: int):
-    """Expected keeping of a directional: credibility weighted by trust."""
-    if not 0 <= credibility <= 1:
-        raise ValueError("credibility must be in [0,1]")
-    if trust not in LEVELS:
-        raise TrustKeyError(f"trust level {trust} outside scale")
-    return credibility * PTRUST[trust]

@@ -218,10 +218,10 @@ def test_reply_resolution():
 def test_outcome_updates_trust_and_terminates_records():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    deltas = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
-    assert [d.level for d in deltas] == [0]
+    assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
+    assert assessed == state.fragments
     assert state.trust_in("p") == 0
-    assert all(r.state is LifecycleState.BROKEN for r in state.fragments)
+    assert all(r.state is LifecycleState.BROKEN for r in assessed)
     assert state.prepared[("P", "U")].used_before
     # the promiser's broken promise no longer backs the program
     assert state.promisers_for("P", "U") == set()

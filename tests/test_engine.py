@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from coopsim import engine
+from coopsim import cli, engine
 from coopsim.engine import InterleavingStrategy, ScenarioError, load, run
 from coopsim.trust import TramPolicy
 
@@ -56,15 +56,47 @@ def test_load_rejects_bad_statement_with_line_number():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "tick 1\nimpose s q task=U strength=x",
+        "tick 1\nimpose s q task=U strength=99",
+        "tick 1\nsurvey w group=a,b about=p window=x",
+        "tick 1\nsurvey w group= about=p",
+        "tick 1\nsurvey w group=a,,b about=p",
+        "attr program-quality program=P = 1\nattr bogus program=P = 1",
+    ],
+    ids=[
+        "strength-not-int",
+        "strength-out-of-range",
+        "window-not-int",
+        "empty-group",
+        "empty-group-member",
+        "unknown-attribute",
+    ],
+)
+def test_load_fails_closed_with_line_number(lines, tmp_path):
+    text = f"trust q p = 1\n{lines}\n"  # the last line is the bad one
+    with pytest.raises(ScenarioError) as exc:
+        load(text)
+    assert exc.value.line == 3
+    bad = tmp_path / "bad.coop"
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", str(bad)])
+    assert exit_.value.code == 2
+
+
 def test_policy_parsing():
     scenario = load(
-        "policy tram=recency-history gate=0.75 seed=9 interleave=round-robin\n"
+        "policy tram=recency-history gate=0.75 interleave=round-robin\n"
     )
     assert scenario.header.tram is TramPolicy.RECENCY
-    assert scenario.header.seed == 9
     assert scenario.header.interleave is InterleavingStrategy.ROUND_ROBIN
-    with pytest.raises(ScenarioError):
-        load("policy warp=1\n")
+    for bad in ("warp=1", "fade-span=0", "fade-threshold=3", "seed=0"):
+        with pytest.raises(ScenarioError) as exc:
+            load(f"# header\npolicy {bad}\n")
+        assert exc.value.line == 2
 
 
 def test_thread1_actions_and_trust():
@@ -196,6 +228,16 @@ def test_no_matching_fragment_outcome_warns():
     result = run(load(text))
     assert any("warning" in line and "no-matching-fragment" in line for line in result.trace)
     assert result.agents["q"].trust_in("p") == 1
+
+
+def test_expect_trust_reads_the_qualified_key():
+    text = (
+        "tick 1\n"
+        "trust q p program=P = 1\n"
+        "expect-trust q p program=P = 1\n"
+        "expect-trust q p = 0\n"
+    )
+    assert engine.expect_check(load(text)) == []
 
 
 def test_expect_check_reports_failures():

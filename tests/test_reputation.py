@@ -3,21 +3,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from coopsim.reputation import (
-    LorExchange,
-    LorResponse,
-    SurveyResult,
-    lor_update,
-    reputation_distribution,
-    survey_reinit,
-)
-from coopsim.trust import (
-    LEVELS,
-    AppreciationKey,
-    AppreciationKind,
-    TrustKeyError,
-    TrustStore,
-)
+from coopsim.reputation import lor_update, survey_reinit
+from coopsim.trust import LEVELS, TrustKeyError
 
 
 @pytest.mark.parametrize(
@@ -43,20 +30,6 @@ def test_lor_rejects_off_scale_levels():
         lor_update(3, 0)
     with pytest.raises(TrustKeyError):
         lor_update(0, -3)
-
-
-def test_lor_exchange_consistency():
-    LorExchange("a", "b", "p", peer_level=2, response=LorResponse.COMMUNICATED)
-    LorExchange("a", "b", "p", peer_level=0, response=LorResponse.REFUSED)
-    with pytest.raises(ValueError):
-        LorExchange("a", "b", "p", peer_level=0, response=LorResponse.COMMUNICATED)
-    with pytest.raises(ValueError):
-        LorExchange("a", "b", "p", peer_level=2, response=LorResponse.REFUSED)
-
-
-def test_survey_result_needs_group():
-    with pytest.raises(ValueError):
-        SurveyResult("w", frozenset(), "p", Fraction(0))
 
 
 def test_survey_reinit_floors_average():
@@ -85,19 +58,3 @@ def test_survey_approximates_from_below(member, levels):
     out = survey_reinit(member, average, False)
     assert out <= average
     assert -2 <= out <= 2
-
-
-def test_reputation_distribution_counts():
-    stores = {}
-    for name, level in (("a", 1), ("b", 1), ("c", -2)):
-        store = TrustStore()
-        store.set(
-            AppreciationKey(AppreciationKind.GENERAL_TRUST, name, "p"), level
-        )
-        stores[name] = store
-    stores["d"] = TrustStore()  # never judged p: neutral
-    hist = reputation_distribution(["a", "b", "c", "d"], stores, "p")
-    assert hist == {1: 2, -2: 1, 0: 1}
-    assert sum(hist.values()) == 4
-    with pytest.raises(ValueError):
-        reputation_distribution([], stores, "p")

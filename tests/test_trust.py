@@ -13,7 +13,6 @@ from coopsim.trust import (
     TrustKeyError,
     TrustStore,
     clamp_level,
-    expectation,
     level_from_history,
 )
 
@@ -28,15 +27,6 @@ def test_scale_and_ptrust():
     assert PTRUST[2] == 1 - PTRUST[-2]
     assert PTRUST[1] == 1 - PTRUST[-1]
     assert all(0 < PTRUST[v] < 1 for v in LEVELS)
-
-
-def test_expectation_weighting():
-    assert expectation(Fraction(1, 2), 2) == Fraction(19, 40)
-    assert expectation(1, 0) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        expectation(Fraction(3, 2), 0)
-    with pytest.raises(TrustKeyError):
-        expectation(Fraction(1, 2), 3)
 
 
 def test_key_field_requirements():
@@ -88,7 +78,6 @@ def test_experience_and_last_tick():
     assert store.last_experience_tick(key) is None
     store.record_assessment(key, Outcome.KEPT, 3)
     store.record_assessment(key, Outcome.BROKEN, 9)
-    assert store.experience(key) == (Outcome.KEPT, Outcome.BROKEN)
     assert store.last_experience_tick(key) == 9
 
 

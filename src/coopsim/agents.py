@@ -301,17 +301,19 @@ def on_outcome(
     result: Outcome,
     now: int,
     policy: TramPolicy = TramPolicy.INCREMENTAL,
+    fade_to: Optional[int] = None,
 ) -> list:
     """Assess all active adequacy fragments matching the observed outcome and
     update trust in each promiser.  Returns the assessed records sorted by
-    token; an outcome that matches no active fragment changes nothing."""
+    token; an outcome that matches no active fragment changes nothing.
+    ``fade_to`` is passed on to ``LifecycleRecord.assess``."""
     records = sorted(
         state.active_adequacy_records(program, task), key=lambda r: r.token
     )
     if not records:
         return records
     for rec in records:
-        rec.assess(result, now)
+        rec.assess(result, now, fade_to)
         key = AppreciationKey(
             AppreciationKind.GENERAL_TRUST, state.id, rec.fragment.promiser
         )

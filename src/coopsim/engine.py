@@ -9,8 +9,19 @@ Per tick the engine (1) injects the scripted directives, (2) fragments and
 delivers issued statements to every agent in effective scope plus the
 promisee, (3) lets receiving agents gate on credibility and react by their
 trust rules in lexicographic order, (4) applies outcome assessments and
-trust updates, (5) advances fading for all active fragments, and (6) detects
-globally terminated statements.
+trust updates, (5) fades the fragments whose fade deadline has come, and
+(6) announces globally terminated statements.
+
+Fading is event-driven, so the cost of a run is linear in its ticks.  A
+fragment's fade deadline is known when it is issued or refreshed, and it goes
+into a deadline queue (``lifecycle.FadeQueue``); step (5) pops only the
+fragments due by this tick, in agent then token order, and prunes the
+adequacy index of only those agents that had a fragment fade or be withdrawn
+this tick.  Lifecycle lines of kept, broken and withdrawn fragments show the
+fade level as of the last tick fading ran at, and at the end of the run every
+fragment still active is stepped to the last tick.  Step (6) keeps a count of
+active fragments per token and announces, in token order, the tokens whose
+count reached zero this tick.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import LifecycleError, LifecycleRecord, LifecycleState
+from .lifecycle import FadeQueue, LifecycleError, LifecycleRecord, LifecycleState
 from .reputation import (
     DEFAULT_RECENT_WINDOW,
     LorResponse,
@@ -54,7 +65,7 @@ from .statements import (
     Statement,
     StatementError,
     _fmt_fraction,
-    equivalent,
+    equivalence_key,
     fragment_on_issue,
     parse as parse_statement,
 )
@@ -172,6 +183,8 @@ def _apply_policy_tokens(header: PolicyHeader, tokens, line: int):
                 )
             elif key == "gate":
                 header.gate_floor = Fraction(value)
+                if not 0 <= header.gate_floor <= 1:
+                    raise ScenarioError(f"gate {value} outside [0,1]", line)
             elif key == "fade-span":
                 header.fade_span = int(value)
             elif key == "fade-threshold":
@@ -391,7 +404,13 @@ class _Engine:
         self.attrs: dict = {}
         self.profiles: dict = {}
         self.records_by_token: dict = {}
-        self.announced_tokens: set = set()
+        # fading, refresh and termination state; see the module docstring
+        self.fading = FadeQueue()
+        self.fade_tick: Optional[int] = None  # last tick fading ran at
+        self.refreshable: dict = {}  # (agent, equivalence key) -> latest record
+        self.active_count: dict = {}  # token -> active records
+        self.to_prune: set = set()  # agents that lost a record this tick
+        self.terminated: set = set()  # tokens whose count reached 0 this tick
 
     # -- helpers -----------------------------------------------------------
 
@@ -455,6 +474,8 @@ class _Engine:
                 self.apply_event(directive)
             self.fade_step(tick)
             self.termination_step(tick)
+        if self.fade_tick is not None:
+            self.fading.settle(self.fade_tick)
         return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
 
     def order_within_tick(self, directives):
@@ -550,6 +571,7 @@ class _Engine:
             stmt, tick, self.counter, default_fade=self.header.default_fade
         )
         token = fragments[0].identity.token
+        key = equivalence_key(stmt)
         self.emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
@@ -558,7 +580,7 @@ class _Engine:
             subject = fragment.subject
             self.emit(f"t={tick} deliver token={token} subject={subject}")
             state = self.agent(subject)
-            refreshed = self.try_refresh(state, stmt, tick)
+            refreshed = self.try_refresh(subject, key, stmt, tick)
             if refreshed is not None:
                 self.emit_lifecycle(tick, refreshed)
                 continue
@@ -573,6 +595,9 @@ class _Engine:
             )
             holder.append(rec)
             self.records_by_token.setdefault(token, []).append(rec)
+            self.active_count[token] = self.active_count.get(token, 0) + 1
+            self.refreshable[subject, key] = rec
+            self.fading.push(rec)
             if route is Route.DISCARD_FAST:
                 self.emit_lifecycle(tick, rec)
                 if self.header.penalize_incredible and subject != stmt.promiser:
@@ -589,13 +614,16 @@ class _Engine:
             if subject == stmt.promisee and stmt.kind is DirectionalKind.PROMISE:
                 self.react_to_promise(state, fragment, tick)
 
-    def try_refresh(self, state: AgentState, stmt: Statement, tick: int):
+    def try_refresh(self, subject: str, key: tuple, stmt: Statement, tick: int):
         """Repetition of an equivalent statement refreshes fading instead of
-        piling up duplicate fragments; trust is unaffected."""
-        for rec in state.fragments + state.portfolio:
-            if rec.state is LifecycleState.ACTIVE and equivalent(rec.fragment, stmt):
-                return rec.refresh_on_repetition(stmt, tick)
-        return None
+        piling up duplicate fragments; trust is unaffected.  An agent holds at
+        most one active record per equivalence key, its latest one."""
+        rec = self.refreshable.get((subject, key))
+        if rec is None or rec.terminal:
+            return None
+        rec.refresh_on_repetition(stmt, tick)
+        self.fading.push(rec)
+        return rec
 
     def react_to_promise(self, state: AgentState, fragment: Statement, tick: int):
         try:
@@ -618,7 +646,8 @@ class _Engine:
         state = self.agent(agent_id)
         outcome = Outcome.KEPT if result == "success" else Outcome.BROKEN
         assessed = agent_rules.on_outcome(
-            state, program, task, outcome, directive.tick, self.header.tram
+            state, program, task, outcome, directive.tick, self.header.tram,
+            self.fade_tick,
         )
         if not assessed:
             self.emit(
@@ -628,6 +657,7 @@ class _Engine:
             return
         for rec in assessed:
             self.emit_lifecycle(directive.tick, rec)
+            self.retire(rec)
             promiser = rec.fragment.promiser
             level = state.trust.get(self.general_key(agent_id, promiser))
             self.emit_trust(
@@ -644,7 +674,7 @@ class _Engine:
         for rec in records:
             if rec.state is LifecycleState.ACTIVE:
                 try:
-                    rec.withdraw(promiser, directive.tick)
+                    rec.withdraw(promiser, directive.tick, self.fade_tick)
                 except LifecycleError as exc:
                     self.emit(
                         f"t={directive.tick} warning agent={promiser} "
@@ -652,6 +682,8 @@ class _Engine:
                     )
                     return
                 self.emit_lifecycle(directive.tick, rec)
+                self.retire(rec)
+                self.to_prune.add(rec.fragment.subject)
                 touched = True
         if not touched:
             self.emit(
@@ -723,28 +755,29 @@ class _Engine:
 
     # -- per-tick closing steps -------------------------------------------
 
+    def retire(self, rec: LifecycleRecord):
+        """Count a record's terminal transition against its token."""
+        self.active_count[rec.token] -= 1
+        if not self.active_count[rec.token]:
+            self.terminated.add(rec.token)
+
     def fade_step(self, tick: int):
-        for agent_id in sorted(self.agents):
-            state = self.agents[agent_id]
-            records = sorted(
-                state.fragments + state.portfolio, key=lambda r: r.token
-            )
-            for rec in records:
-                if rec.state is not LifecycleState.ACTIVE:
-                    continue
-                rec.step_fade(tick)
-                if rec.state is LifecycleState.FADED:
-                    self.emit_lifecycle(tick, rec)
-            state.prune_adequacy_index()
+        faded = self.fading.fade_due(tick)
+        faded.sort(key=lambda r: (r.fragment.subject, r.token))
+        for rec in faded:
+            self.emit_lifecycle(tick, rec)
+            self.retire(rec)
+            self.to_prune.add(rec.fragment.subject)
+        # Pruned only now: later directives of the tick saw the full index.
+        for agent_id in self.to_prune:
+            self.agents[agent_id].prune_adequacy_index()
+        self.to_prune.clear()
+        self.fade_tick = tick
 
     def termination_step(self, tick: int):
-        for token in sorted(self.records_by_token):
-            if token in self.announced_tokens:
-                continue
-            records = self.records_by_token[token]
-            if records and all(r.terminal for r in records):
-                self.announced_tokens.add(token)
-                self.emit(f"t={tick} terminated token={token}")
+        for token in sorted(self.terminated):
+            self.emit(f"t={tick} terminated token={token}")
+        self.terminated.clear()
 
 
 def run(scenario: Scenario, **overrides) -> RunResult:

@@ -43,6 +43,7 @@ __all__ = [
     "parse",
     "render",
     "normalize",
+    "equivalence_key",
     "equivalent",
     "fragment_on_issue",
 ]
@@ -428,17 +429,16 @@ def render(s: Statement) -> str:
     return "".join(parts)
 
 
+def equivalence_key(s: Statement) -> tuple:
+    """What two issuings must share to convey the same promise: keeping one
+    implies keeping the other.  Times, subject, identity, fade, and scope are
+    irrelevant."""
+    return (s.kind, s.promiser, s.promisee, s.type_tag, normalize(s.body), s.window)
+
+
 def equivalent(a: Statement, b: Statement) -> bool:
-    """Two issuings convey the same promise: keeping one implies keeping the
-    other.  Times, subject, identity, fade, and scope are irrelevant."""
-    return (
-        a.kind == b.kind
-        and a.promiser == b.promiser
-        and a.promisee == b.promisee
-        and a.type_tag == b.type_tag
-        and normalize(a.body) == normalize(b.body)
-        and a.window == b.window
-    )
+    """Two issuings convey the same promise (equal ``equivalence_key``)."""
+    return equivalence_key(a) == equivalence_key(b)
 
 
 class FragmentCounter:

@@ -65,6 +65,7 @@ def test_load_rejects_bad_statement_with_line_number():
         "tick 1\nsurvey w group= about=p",
         "tick 1\nsurvey w group=a,,b about=p",
         "attr program-quality program=P = 1\nattr bogus program=P = 1",
+        "policy gate=0.5\npolicy gate=2",
     ],
     ids=[
         "strength-not-int",
@@ -73,6 +74,7 @@ def test_load_rejects_bad_statement_with_line_number():
         "empty-group",
         "empty-group-member",
         "unknown-attribute",
+        "gate-out-of-range",
     ],
 )
 def test_load_fails_closed_with_line_number(lines, tmp_path):

@@ -1,7 +1,15 @@
+from itertools import accumulate
+
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from coopsim.lifecycle import LifecycleError, LifecycleRecord, LifecycleState
+from coopsim.lifecycle import (
+    FadeQueue,
+    LifecycleError,
+    LifecycleRecord,
+    LifecycleState,
+)
 from coopsim.statements import (
     FadeSpec,
     FragmentCounter,
@@ -11,11 +19,13 @@ from coopsim.statements import (
 from coopsim.trust import Outcome
 
 
-def fresh(fade=FadeSpec(span=100, threshold=Fraction(1, 20))):
+def fresh(fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1):
     stmt = parse('p[pi:"b"/{q}]q')
-    frag = fragment_on_issue(stmt, 0, FragmentCounter(), default_fade=fade)[1]
+    frag = fragment_on_issue(stmt, origin, FragmentCounter(), default_fade=fade)[1]
     assert frag.subject == "q"
-    return LifecycleRecord(fragment=frag, last_update=0)
+    return LifecycleRecord(
+        fragment=frag, last_update=origin, fade_rate_multiplier=Fraction(rate)
+    )
 
 
 def test_record_requires_subject_and_fade():
@@ -68,6 +78,23 @@ def test_fade_cannot_run_backwards():
         rec.step_fade(9)
 
 
+def test_terminal_transition_shows_the_level_at_the_last_fade_tick():
+    kept, withdrawn, fresh_this_tick = fresh(), fresh(), fresh(origin=30)
+    kept.assess(Outcome.KEPT, 30, fade_to=25)
+    withdrawn.withdraw("p", 30, fade_to=25)
+    fresh_this_tick.withdraw("p", 30, fade_to=25)  # issued after tick 25
+    for rec in (kept, withdrawn):
+        assert (rec.fade_level, rec.last_update) == (Fraction(3, 4), 30)
+    assert fresh_this_tick.fade_level == 1
+
+
+def test_rejected_withdraw_leaves_the_level_alone():
+    rec = fresh()
+    with pytest.raises(LifecycleError):
+        rec.withdraw("q", 30, fade_to=25)
+    assert (rec.fade_level, rec.last_update) == (1, 0)
+
+
 def test_assessment_outcomes():
     rec = fresh()
     rec.assess(Outcome.KEPT, 5)
@@ -113,3 +140,64 @@ def test_refresh_requires_equivalence():
     other = parse('p[pi:"something else"]q')
     with pytest.raises(LifecycleError):
         rec.refresh_on_repetition(other, 1)
+
+
+@st.composite
+def fading_runs(draw):
+    """A fade spec, a rate, an origin, strictly increasing sparse fade ticks
+    from the origin on, and the index of the tick (if any) whose directives
+    refresh the record."""
+    spec = FadeSpec(
+        span=draw(st.integers(1, 60)),
+        threshold=draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=40).filter(
+                lambda t: 0 < t < 1
+            )
+        ),
+    )
+    rate = draw(st.sampled_from([1, 4]))
+    origin = draw(st.integers(0, 50))
+    gaps = draw(st.lists(st.integers(1, 15), max_size=30))
+    ticks = list(accumulate(gaps, initial=origin))
+    refresh_at = draw(st.none() | st.integers(0, len(ticks) - 1))
+    return spec, rate, origin, ticks, refresh_at
+
+
+@settings(max_examples=400, deadline=None)
+@given(fading_runs())
+def test_fade_queue_equals_stepping_at_every_tick(run):
+    spec, rate, origin, ticks, refresh_at = run
+    dense = fresh(spec, origin, rate)
+    while dense.state is LifecycleState.ACTIVE:
+        dense.step_fade(dense.last_update + 1)
+    assert dense.last_update == fresh(spec, origin, rate).fade_deadline()
+
+    ref, fast = fresh(spec, origin, rate), fresh(spec, origin, rate)
+    queue = FadeQueue()
+    queue.push(fast)
+    for index, tick in enumerate(ticks):
+        if index == refresh_at and not ref.terminal:
+            ref.refresh_on_repetition(ref.fragment, tick)
+            fast.refresh_on_repetition(fast.fragment, tick)
+            queue.push(fast)
+        if not ref.terminal:
+            ref.step_fade(tick)
+        faded = queue.fade_due(tick)
+        if ref.state is LifecycleState.FADED and ref.last_update == tick:
+            assert len(faded) == 1 and faded[0] is fast
+        else:
+            assert faded == []
+        assert fast.state is ref.state
+        if ref.terminal:
+            assert (fast.fade_level, fast.last_update) == (
+                ref.fade_level,
+                ref.last_update,
+            )
+        else:  # the level a kept, broken or withdrawn line would show
+            assert fast.fade_at(tick) == ref.fade_level
+    queue.settle(ticks[-1])
+    assert (fast.state, fast.fade_level, fast.last_update) == (
+        ref.state,
+        ref.fade_level,
+        ref.last_update,
+    )

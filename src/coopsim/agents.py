@@ -116,11 +116,20 @@ class AgentState:
     prepared: dict = field(default_factory=dict)
     adequacy_index: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
+    general_keys: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def general_key(self, target: str) -> AppreciationKey:
+        """This agent's general-trust key for ``target``, built once."""
+        key = self.general_keys.get(target)
+        if key is None:
+            key = AppreciationKey(AppreciationKind.GENERAL_TRUST, self.id, target)
+            self.general_keys[target] = key
+        return key
 
     def trust_in(self, target: str) -> int:
-        return self.trust.get(
-            AppreciationKey(AppreciationKind.GENERAL_TRUST, self.id, target)
-        )
+        return self.trust.get(self.general_key(target))
 
     def promisers_for(self, program: str, task: str):
         """Distinct agents with an indexed adequacy promise for (program, task)."""
@@ -137,13 +146,23 @@ class AgentState:
         ]
 
     def prune_adequacy_index(self):
-        """Drop index entries whose promiser no longer has an active fragment."""
+        """Drop index entries whose promiser no longer has an active fragment.
+
+        One pass over the fragments collects the active (type tag, promiser)
+        pairs, so the cost does not grow with the number of index keys; an
+        empty index (an agent that only saw other statements) costs nothing.
+        """
+        if not self.adequacy_index:
+            return
+        active = {
+            (rec.fragment.type_tag, rec.fragment.promiser)
+            for rec in self.fragments
+            if rec.state is LifecycleState.ACTIVE
+            and rec.fragment.kind is DirectionalKind.PROMISE
+        }
         for (program, task), entries in list(self.adequacy_index.items()):
-            active = {
-                rec.fragment.promiser
-                for rec in self.active_adequacy_records(program, task)
-            }
-            kept = [e for e in entries if e[0] in active]
+            tag = f"adequacy({program},{task})"
+            kept = [e for e in entries if (tag, e[0]) in active]
             if kept:
                 self.adequacy_index[(program, task)] = kept
             else:
@@ -314,10 +333,9 @@ def on_outcome(
         return records
     for rec in records:
         rec.assess(result, now, fade_to)
-        key = AppreciationKey(
-            AppreciationKind.GENERAL_TRUST, state.id, rec.fragment.promiser
+        state.trust.record_assessment(
+            state.general_key(rec.fragment.promiser), result, now, policy
         )
-        state.trust.record_assessment(key, result, now, policy)
     if (program, task) in state.prepared:
         state.prepared[(program, task)].used_before = True
     state.prune_adequacy_index()

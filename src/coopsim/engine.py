@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import agents as agent_rules
 from .agents import (
@@ -65,6 +65,7 @@ from .statements import (
     Statement,
     StatementError,
     _fmt_fraction,
+    check_agent_id,
     equivalence_key,
     fragment_on_issue,
     parse as parse_statement,
@@ -131,8 +132,10 @@ class PolicyHeader:
         return FadeSpec(span=self.fade_span, threshold=self.fade_threshold)
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
+    """One scenario line.  A named tuple: ``load`` builds one per line, and a
+    frozen dataclass costs about twice as much to build."""
+
     tick: int
     line: int
     name: str
@@ -210,6 +213,7 @@ def load(text: str) -> Scenario:
     initial: list = []
     events: list = []
     current_tick: Optional[int] = None
+    agent_ids: set = set()  # ids already checked by this load
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -234,12 +238,16 @@ def load(text: str) -> Scenario:
             if name == "policy":
                 _apply_policy_tokens(header, tokens[1:], line_no)
                 continue
-            initial.append(_parse_directive(name, tokens, stripped, 0, line_no))
+            initial.append(
+                _parse_directive(name, tokens, stripped, 0, line_no, agent_ids)
+            )
             continue
         if name not in _EVENT_NAMES:
             raise ScenarioError(f"unknown directive {name!r}", line_no)
         events.append(
-            _parse_directive(name, tokens, stripped, current_tick, line_no)
+            _parse_directive(
+                name, tokens, stripped, current_tick, line_no, agent_ids
+            )
         )
     return Scenario(header=header, initial=initial, events=events)
 
@@ -249,7 +257,20 @@ def load_path(path) -> Scenario:
         return load(handle.read())
 
 
-def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
+def _check_agent_ids(ids, checked: set, line: int):
+    """Validate agent ids, each distinct id once per ``load``."""
+    if checked.issuperset(ids):
+        return
+    for agent_id in ids:
+        if agent_id not in checked:
+            try:
+                check_agent_id(agent_id)
+            except StatementError as exc:
+                raise ScenarioError(str(exc), line)
+            checked.add(agent_id)
+
+
+def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Directive:
     statement = None
     if name == "issue":
         text = stripped[len("issue") :].strip()
@@ -266,11 +287,15 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
             raise ScenarioError(f"malformed {name} directive", line_no)
         level = _parse_level(body[-1], line_no)
         subject, target = body[0], body[1]
-        extras = dict(
-            t.split("=", 1) for t in body[2:-2] if "=" in t
-        )
-        if len(extras) != len(body) - 4:
-            raise ScenarioError(f"malformed {name} directive", line_no)
+        _check_agent_ids((subject, target), agent_ids, line_no)
+        extras = {}
+        for token in body[2:-2]:
+            key, eq, value = token.partition("=")
+            if not eq or key not in ("program", "task") or key in extras:
+                raise ScenarioError(f"malformed {name} directive", line_no)
+            if not value:
+                raise ScenarioError(f"empty {key}= value", line_no)
+            extras[key] = value
         args = (subject, target, extras.get("program"), extras.get("task"), level)
     elif name == "attr":
         body = tokens[1:]
@@ -278,11 +303,16 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
             raise ScenarioError("usage: attr <name> <entity>=<id> = <level>", line_no)
         if body[0] not in ATTRIBUTE_CATALOG:
             raise ScenarioError(f"unknown attribute {body[0]!r}", line_no)
-        entity_kind, entity_id = body[1].split("=", 1)
+        entity_kind, _, entity_id = body[1].partition("=")
+        if entity_kind not in ("program", "task"):
+            raise ScenarioError("attr entity must be program= or task=", line_no)
+        if not entity_id:
+            raise ScenarioError(f"empty {entity_kind}= value", line_no)
         args = (body[0], entity_kind, entity_id, _parse_level(body[3], line_no))
     elif name == "profile":
         if len(tokens) < 2:
             raise ScenarioError("profile requires an agent", line_no)
+        _check_agent_ids(tokens[1:2], agent_ids, line_no)
         settings = {}
         for token in tokens[2:]:
             if "=" not in token:
@@ -296,7 +326,9 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
                 "affiliated",
             ):
                 raise ScenarioError(f"unknown profile setting {key!r}", line_no)
-            settings[key] = value
+            settings[key] = (
+                _parse_bool(value, line_no) if key == "independent" else value
+            )
         args = (tokens[1], tuple(sorted(settings.items())))
     elif name == "impose":
         if len(tokens) < 4 or not tokens[3].startswith("task="):
@@ -330,20 +362,29 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
             )
         if kv["result"] not in ("success", "failure"):
             raise ScenarioError(f"bad result {kv['result']!r}", line_no)
+        _check_agent_ids(tokens[1:2], agent_ids, line_no)
         args = (tokens[1], kv["program"], kv["task"], kv["result"])
     elif name == "withdraw":
         if len(tokens) != 3 or not tokens[2].startswith("token="):
             raise ScenarioError("usage: withdraw <promiser> token=<id>", line_no)
+        _check_agent_ids(tokens[1:2], agent_ids, line_no)
         args = (tokens[1], tokens[2].split("=", 1)[1])
     elif name == "lor-request":
         if len(tokens) != 4 or not tokens[3].startswith("about="):
             raise ScenarioError(
                 "usage: lor-request <asker> <peer> about=<target>", line_no
             )
-        args = (tokens[1], tokens[2], tokens[3].split("=", 1)[1])
+        about = tokens[3][len("about=") :]
+        _check_agent_ids((tokens[1], tokens[2], about), agent_ids, line_no)
+        args = (tokens[1], tokens[2], about)
     elif name == "survey":
         kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
-        if len(tokens) < 4 or "group" not in kv or "about" not in kv:
+        if (
+            len(kv) != len(tokens) - 2
+            or "group" not in kv
+            or "about" not in kv
+            or not kv.keys() <= {"group", "about", "window"}
+        ):
             raise ScenarioError(
                 "usage: survey <surveyor> group=<a,b> about=<target> [window=<n>]",
                 line_no,
@@ -351,13 +392,16 @@ def _parse_directive(name, tokens, stripped, tick, line_no) -> Directive:
         group = tuple(kv["group"].split(","))
         if not all(group):
             raise ScenarioError("survey group has an empty member", line_no)
+        about = kv["about"]
+        _check_agent_ids((tokens[1], about, *group), agent_ids, line_no)
         window = (
             _parse_int(kv["window"], "window", line_no) if "window" in kv else None
         )
-        args = (tokens[1], group, kv["about"], window)
+        args = (tokens[1], group, about, window)
     elif name == "reply":
         if len(tokens) != 4 or tokens[3] not in ("proceed", "withdraw"):
             raise ScenarioError("usage: reply <from> <to> proceed|withdraw", line_no)
+        _check_agent_ids(tokens[1:3], agent_ids, line_no)
         args = (tokens[1], tokens[2], tokens[3])
     else:
         raise ScenarioError(f"unknown directive {name!r}", line_no)
@@ -401,7 +445,7 @@ class _Engine:
         self.counter = FragmentCounter()
         self.trace: list = []
         self.expects: list = []
-        self.attrs: dict = {}
+        self.attrs: dict = {}  # (entity kind, entity id) -> {name: level}
         self.profiles: dict = {}
         self.records_by_token: dict = {}
         # fading, refresh and termination state; see the module docstring
@@ -441,12 +485,9 @@ class _Engine:
             f"detail={action.detail()}"
         )
 
-    def general_key(self, subject, target) -> AppreciationKey:
-        return AppreciationKey(AppreciationKind.GENERAL_TRUST, subject, target)
-
     def merged_attrs(self, program, task) -> AttributeVector:
         merged = AttributeVector()
-        for entity in (program, task):
+        for entity in (("program", program), ("task", task)):
             for name, value in self.attrs.get(entity, {}).items():
                 merged[name] = value
         return merged
@@ -503,8 +544,8 @@ class _Engine:
         if directive.name == "trust":
             self.on_trust_event(directive)
         elif directive.name == "attr":
-            name, _entity_kind, entity_id, level = directive.args
-            self.attrs.setdefault(entity_id, {})[name] = level
+            name, entity_kind, entity_id, level = directive.args
+            self.attrs.setdefault((entity_kind, entity_id), {})[name] = level
         elif directive.name == "profile":
             agent_id, settings = directive.args
             self.profiles[agent_id] = self.build_profile(agent_id, dict(settings))
@@ -513,16 +554,16 @@ class _Engine:
         else:  # pragma: no cover - guarded by load()
             raise AssertionError(directive.name)
 
-    def trust_key(self, subject, target, program, task) -> AppreciationKey:
-        if program and task:
-            kind = AppreciationKind.CONFIDENCE
-        elif task:
+    def trust_key(self, state, target, program, task) -> AppreciationKey:
+        if program is None and task is None:
+            return state.general_key(target)
+        if program is None:
             kind = AppreciationKind.TASK_TRUST
-        elif program:
+        elif task is None:
             kind = AppreciationKind.PROGRAM_TRUST
         else:
-            kind = AppreciationKind.GENERAL_TRUST
-        return AppreciationKey(kind, subject, target, program=program, task=task)
+            kind = AppreciationKind.CONFIDENCE
+        return AppreciationKey(kind, state.id, target, program=program, task=task)
 
     def build_profile(self, agent_id, settings) -> ConsultantProfile:
         def ids(key):
@@ -531,7 +572,7 @@ class _Engine:
 
         return ConsultantProfile(
             agent=agent_id,
-            independent=settings.get("independent", "true") in ("true", "1", "yes"),
+            independent=settings.get("independent", True),
             experienced_with=ids("experienced"),
             consulted_range=ids("range"),
             recognized_reputation=ids("reputation"),
@@ -556,8 +597,9 @@ class _Engine:
 
     def on_trust_event(self, directive: Directive):
         subject, target, program, task, level = directive.args
-        key = self.trust_key(subject, target, program, task)
-        self.agent(subject).trust.set(key, level)
+        state = self.agent(subject)
+        key = self.trust_key(state, target, program, task)
+        state.trust.set(key, level)
         self.agent(target)
         self.emit_trust(
             directive.tick, subject, target, key.kind.value, level, "init"
@@ -602,7 +644,7 @@ class _Engine:
                 self.emit_lifecycle(tick, rec)
                 if self.header.penalize_incredible and subject != stmt.promiser:
                     level = state.trust.record_assessment(
-                        self.general_key(subject, stmt.promiser),
+                        state.general_key(stmt.promiser),
                         Outcome.BROKEN,
                         tick,
                         self.header.tram,
@@ -659,7 +701,7 @@ class _Engine:
             self.emit_lifecycle(directive.tick, rec)
             self.retire(rec)
             promiser = rec.fragment.promiser
-            level = state.trust.get(self.general_key(agent_id, promiser))
+            level = state.trust_in(promiser)
             self.emit_trust(
                 directive.tick, agent_id, promiser, "general-trust", level,
                 outcome.value,
@@ -694,7 +736,8 @@ class _Engine:
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
         peer_level = self.agent(peer).trust_in(about)
-        new_level = lor_update(self.agent(asker).trust_in(about), peer_level)
+        state = self.agent(asker)
+        new_level = lor_update(state.trust_in(about), peer_level)
         response = (
             LorResponse.REFUSED if new_level is None else LorResponse.COMMUNICATED
         )
@@ -703,7 +746,7 @@ class _Engine:
             f"about={about} peer-level={peer_level} response={response.value}"
         )
         if new_level is not None:
-            self.agent(asker).trust.set(self.general_key(asker, about), new_level)
+            state.trust.set(state.general_key(about), new_level)
             self.emit_trust(
                 directive.tick, asker, about, "general-trust", new_level, "lor"
             )
@@ -711,20 +754,22 @@ class _Engine:
     def on_survey(self, directive: Directive):
         surveyor, group, about, window = directive.args
         window = window if window is not None else self.header.recent_window
-        levels = {m: self.agent(m).trust_in(about) for m in group}
-        average = Fraction(sum(levels.values()), len(levels))
+        states = {member: self.agent(member) for member in group}
+        average = Fraction(
+            sum(state.trust_in(about) for state in states.values()), len(states)
+        )
         self.emit(
             f"t={directive.tick} reputation kind=survey surveyor={surveyor} "
             f"about={about} group={','.join(sorted(group))} "
             f"average={_fmt_fraction(average)}"
         )
+        new_level = survey_reinit(average)
         for member in sorted(group):
-            key = self.general_key(member, about)
-            last = self.agent(member).trust.last_experience_tick(key)
-            recent = last is not None and directive.tick - last <= window
-            new_level = survey_reinit(levels[member], average, recent)
-            if not recent:
-                self.agent(member).trust.set(key, new_level)
+            state = states[member]
+            key = state.general_key(about)
+            last = state.trust.last_experience_tick(key)
+            if last is None or directive.tick - last > window:
+                state.trust.set(key, new_level)
                 self.emit_trust(
                     directive.tick, member, about, "general-trust", new_level,
                     "survey",
@@ -740,8 +785,8 @@ class _Engine:
 
     def check_expectation(self, directive: Directive):
         subject, target, program, task, expected = directive.args
-        key = self.trust_key(subject, target, program, task)
-        actual = self.agent(subject).trust.get(key)
+        state = self.agent(subject)
+        actual = state.trust.get(self.trust_key(state, target, program, task))
         self.expects.append(
             ExpectResult(
                 tick=directive.tick,

@@ -48,14 +48,11 @@ def lor_update(asker_level: int, peer_level: int) -> Optional[int]:
     return 1
 
 
-def survey_reinit(
-    member_level: int, average, has_recent_observations: bool
-) -> int:
-    """Reinitialize a member's level from a surveyed average, approximating
-    it from below; members with recent own observations keep their level."""
+def survey_reinit(average) -> int:
+    """The level a surveyed average reinitializes members to, approximating
+    it from below.  It is the same for every member; members with recent own
+    observations are not reinitialized and keep their level."""
     if not -2 <= average <= 2:
         raise ValueError("average outside the trust scale")
-    if has_recent_observations:
-        return member_level
     return clamp_level(math.floor(average))
 

@@ -86,6 +86,10 @@ _KIND_FIELDS = {
 
 @dataclass(frozen=True)
 class AppreciationKey:
+    """One appreciation level's address.  Validated and hashed once, when
+    built; agents keep their general-trust keys (``AgentState.general_key``)
+    so the hot trust reads build none."""
+
     kind: AppreciationKind
     subject: str
     target: str
@@ -95,6 +99,8 @@ class AppreciationKey:
     def __post_init__(self):
         if not self.subject or not self.target:
             raise TrustKeyError("subject and target must be non-empty")
+        if self.program == "" or self.task == "":
+            raise TrustKeyError("program and task, when given, must be non-empty")
         need_task, need_program = _KIND_FIELDS[self.kind]
         if need_task != (self.task is not None):
             raise TrustKeyError(
@@ -104,6 +110,14 @@ class AppreciationKey:
             raise TrustKeyError(
                 f"{self.kind.value} {'requires' if need_program else 'forbids'} a program"
             )
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.kind, self.subject, self.target, self.program, self.task)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Outcome(Enum):

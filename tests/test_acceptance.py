@@ -314,9 +314,15 @@ def test_criterion_10_survey_property():
     for _ in range(1000):
         levels = [rng.choice(LEVELS) for _ in range(rng.randint(1, 12))]
         average = Fraction(sum(levels), len(levels))
-        member = rng.choice(LEVELS)
-        out = survey_reinit(member, average, False)
+        out = survey_reinit(average)
         assert out <= average
         assert -2 <= out <= 2
-        assert survey_reinit(member, average, True) == member
+    # the engine reinitializes only members without recent own observations
+    result = run_file("survey.coop")
+    assert [(e.subject, e.actual) for e in result.expects] == [
+        ("qx", 2),
+        ("qy", 0),
+        ("qz", 0),
+    ]
+    assert extract_trust(result, "qx", "p") == [1, 2]
     print("\nPASS criterion 10: 1000 surveys reinitialize below the mean, on scale")

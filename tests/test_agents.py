@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coopsim.agents import (
     Action,
@@ -225,3 +226,68 @@ def test_outcome_updates_trust_and_terminates_records():
     assert state.prepared[("P", "U")].used_before
     # the promiser's broken promise no longer backs the program
     assert state.promisers_for("P", "U") == set()
+
+
+def agent_with_records(records, index):
+    """An AgentState ``q`` holding one record per ``(promiser, kind tag,
+    type tag, state)`` and the adequacy index ``{(program, task): [(promiser,
+    issued), ...]}``, built directly rather than through promise delivery."""
+    state = AgentState(id="q")
+    counter = FragmentCounter()
+    for promiser, kind_tag, type_tag, record_state in records:
+        stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
+        frag = next(
+            f for f in fragment_on_issue(stmt, 0, counter) if f.subject == "q"
+        )
+        state.fragments.append(
+            LifecycleRecord(fragment=frag, last_update=0, state=record_state)
+        )
+    state.adequacy_index = {key: list(entries) for key, entries in index.items()}
+    return state
+
+
+def prune_per_key(state):
+    """The reference prune: one ``active_adequacy_records`` scan per key."""
+    for (program, task), entries in list(state.adequacy_index.items()):
+        active = {
+            rec.fragment.promiser
+            for rec in state.active_adequacy_records(program, task)
+        }
+        kept = [e for e in entries if e[0] in active]
+        if kept:
+            state.adequacy_index[(program, task)] = kept
+        else:
+            del state.adequacy_index[(program, task)]
+
+
+promisers = st.sampled_from(["a", "b", "c"])
+programs = st.sampled_from(["P", "R"])
+tasks = st.sampled_from(["U", "V"])
+adequacy_tags = st.builds("adequacy({},{})".format, programs, tasks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            promisers,
+            st.sampled_from(["", "suggest!", "warn!"]),
+            adequacy_tags | st.just("note"),
+            st.sampled_from(LifecycleState),
+        ),
+        max_size=12,
+    ),
+    index=st.dictionaries(
+        st.tuples(programs, tasks),
+        st.lists(st.tuples(promisers, st.integers(0, 5)), min_size=1, max_size=4),
+        max_size=4,
+    ),
+)
+def test_one_pass_prune_equals_per_key_prune(records, index):
+    state = agent_with_records(records, index)
+    reference = agent_with_records(records, index)
+    state.prune_adequacy_index()
+    prune_per_key(reference)
+    assert list(state.adequacy_index.items()) == list(
+        reference.adequacy_index.items()
+    )

@@ -66,6 +66,23 @@ def test_load_rejects_bad_statement_with_line_number():
         "tick 1\nsurvey w group=a,,b about=p",
         "attr program-quality program=P = 1\nattr bogus program=P = 1",
         "policy gate=0.5\npolicy gate=2",
+        "tick 1\nsurvey s group=a about=",
+        "tick 1\nlor-request q p about=",
+        "trust q r = 0\ntrust q p task= = 1",
+        "trust q r = 0\ntrust q p program= = 1",
+        "trust q r = 0\ntrust q p foo=bar = 1",
+        "profile q independent=no\nprofile p independent=maybe",
+        "attr program-quality program=P = 1\nattr program-quality agent=P = 1",
+        "attr program-quality program=P = 1\nattr program-quality task= = 1",
+        "tick 1\nsurvey w group=a,b about=p bogus=1",
+        "trust q r = 0\ntrust q p! = 1",
+        "tick 1\nlor-request q! p about=r",
+        "tick 1\nsurvey w group=a,b! about=p",
+        "tick 1\nsurvey w group=a about=p/",
+        "tick 1\noutcome q! program=P task=U result=success",
+        "tick 1\nwithdraw p@ token=1-0",
+        "tick 1\nreply s q. proceed",
+        "profile q\nprofile p% independent=true",
     ],
     ids=[
         "strength-not-int",
@@ -75,6 +92,23 @@ def test_load_rejects_bad_statement_with_line_number():
         "empty-group-member",
         "unknown-attribute",
         "gate-out-of-range",
+        "empty-survey-about",
+        "empty-lor-about",
+        "empty-trust-task",
+        "empty-trust-program",
+        "unknown-trust-qualifier",
+        "profile-not-boolean",
+        "attr-unknown-entity-kind",
+        "attr-empty-entity",
+        "survey-unknown-setting",
+        "bad-id-trust",
+        "bad-id-lor",
+        "bad-id-survey-member",
+        "bad-id-survey-about",
+        "bad-id-outcome",
+        "bad-id-withdraw",
+        "bad-id-reply",
+        "bad-id-profile",
     ],
 )
 def test_load_fails_closed_with_line_number(lines, tmp_path):
@@ -247,3 +281,20 @@ def test_expect_check_reports_failures():
     failures = engine.expect_check(load(text))
     assert len(failures) == 1
     assert (failures[0].expected, failures[0].actual) == (2, 1)
+
+
+def test_attr_applies_to_its_entity_kind_only():
+    """An attribute given for task P does not describe program P."""
+    text = (
+        "trust q a = -1\n"
+        "attr program-quality {kind}=P = 1\n"
+        "attr program-dependability {kind}=P = 1\n"
+        "attr program-user-base-size {kind}=P = 1\n"
+        "tick 1\n"
+        'issue a[adequacy(P,U):"p is adequate for task u"]q\n'
+    )
+    verdicts = {
+        kind: [a for _, a, _ in actions(run(load(text.format(kind=kind))))]
+        for kind in ("program", "task")
+    }
+    assert verdicts == {"program": ["prepare"], "task": ["refuse-install"]}

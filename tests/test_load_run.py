@@ -1,0 +1,149 @@
+"""Load/run property: a scenario drawn from the directive grammar, with empty
+values, malformed agent ids and out-of-range numbers mixed in, either fails
+to load with ``ScenarioError`` or runs to completion, and then every agent
+the run knows has a well-formed id."""
+
+from hypothesis import given, settings, strategies as st
+
+from coopsim.engine import InterleavingStrategy, ScenarioError, load, run
+from coopsim.statements import check_agent_id
+from coopsim.trust import TramPolicy
+
+agents = st.sampled_from(["p", "q", "r", "s", "", "q!", "a-b"])
+names = st.sampled_from(["P", "U", "V", ""])
+levels = st.sampled_from(["-3", "-2", "-1", "0", "1", "2", "3", "x", ""])
+numbers = st.sampled_from(["-1", "0", "1", "5", "11", "99", "x", ""])
+fractions = st.sampled_from(["0", "1/2", "1", "2", "-1", "1/0", "x", ""])
+
+
+def opt(strategy):
+    return st.one_of(st.just(""), strategy.map(lambda s: " " + s))
+
+
+def line(template, **parts):
+    return st.builds(template.format, **parts)
+
+
+trust_line = line(
+    "{name} {s} {t}{qualifiers} = {level}",
+    name=st.sampled_from(["trust", "expect-trust"]),
+    s=agents,
+    t=agents,
+    qualifiers=st.lists(
+        st.builds(
+            "{}={}".format, st.sampled_from(["program", "task", "foo"]), names
+        ),
+        max_size=2,
+    ).map(lambda qs: "".join(" " + q for q in qs)),
+    level=levels,
+)
+policy_line = line(
+    "policy {key}={value}",
+    key=st.sampled_from(
+        [
+            "tram",
+            "gate",
+            "fade-span",
+            "fade-threshold",
+            "interleave",
+            "penalize-incredible",
+            "recent-window",
+            "seed",
+        ]
+    ),
+    value=st.sampled_from(
+        ["recency", "incremental", "round-robin", "true", "maybe"]
+    )
+    | fractions
+    | numbers,
+)
+attr_line = line(
+    "attr {name} {kind}={entity} = {level}",
+    name=st.sampled_from(["program-quality", "provider-size", "task-ubiquity", "x"]),
+    kind=st.sampled_from(["program", "task", "agent"]),
+    entity=names,
+    level=levels,
+)
+profile_line = line(
+    "profile {agent}{settings}",
+    agent=agents,
+    settings=st.lists(
+        st.builds(
+            "{}={}".format,
+            st.sampled_from(
+                ["independent", "experienced", "range", "affiliated", "bogus"]
+            ),
+            st.sampled_from(["true", "no", "maybe", "P", "P,U", ""]),
+        ),
+        max_size=3,
+    ).map(lambda ss: "".join(" " + s for s in ss)),
+)
+issue_line = line(
+    'issue {p}[{kind}{tag}:"{body}"{scope}]{q}',
+    p=agents,
+    kind=st.sampled_from(["", "suggest!", "impose!"]),
+    tag=st.sampled_from(["adequacy(P,U)", "adequacy(V,U)", "note", "adequacy(,U)"]),
+    body=st.sampled_from(["p is adequate", ""]),
+    scope=st.sampled_from(["", "/{r}", "/{r,s}", "/{}"]),
+    q=agents,
+)
+event_lines = st.one_of(
+    issue_line,
+    line(
+        "impose {s} {q} task={task}{strength}",
+        s=agents,
+        q=agents,
+        task=names,
+        strength=opt(numbers.map("strength={}".format)),
+    ),
+    line(
+        "outcome {q} program={program} task={task} result={result}",
+        q=agents,
+        program=names,
+        task=names,
+        result=st.sampled_from(["success", "failure", "maybe"]),
+    ),
+    line(
+        "withdraw {p} token={token}",
+        p=agents,
+        token=st.sampled_from(["1-0", "2-1", "", "x"]),
+    ),
+    line("lor-request {a} {b} about={c}", a=agents, b=agents, c=agents),
+    line(
+        "survey {w} group={group} about={c}{window}",
+        w=agents,
+        group=st.lists(agents, min_size=1, max_size=3).map(",".join),
+        c=agents,
+        window=opt(numbers.map("window={}".format)),
+    ),
+    line(
+        "reply {a} {b} {decision}",
+        a=agents,
+        b=agents,
+        decision=st.sampled_from(["proceed", "withdraw", "maybe"]),
+    ),
+    trust_line,
+)
+header_lines = st.one_of(trust_line, policy_line, attr_line, profile_line)
+scenarios = st.builds(
+    lambda header, ticks: "\n".join(
+        header
+        + [f"tick {t}\n" + "\n".join(lines) for t, lines in enumerate(ticks, 1)]
+    ),
+    st.lists(header_lines, max_size=6),
+    st.lists(st.lists(event_lines, min_size=1, max_size=4), max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=scenarios)
+def test_load_rejects_or_run_completes(text):
+    try:
+        scenario = load(text)
+    except ScenarioError:
+        return
+    for tram in TramPolicy:
+        for interleave in InterleavingStrategy:
+            result = run(scenario, tram=tram, interleave=interleave)
+            for agent_id in result.agents:
+                check_agent_id(agent_id)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from coopsim.engine import load, run
 from coopsim.reputation import lor_update, survey_reinit
 from coopsim.trust import LEVELS, TrustKeyError
 
@@ -33,28 +34,45 @@ def test_lor_rejects_off_scale_levels():
 
 
 def test_survey_reinit_floors_average():
-    assert survey_reinit(2, Fraction(2, 3), False) == 0
-    assert survey_reinit(-2, Fraction(5, 3), False) == 1
-    assert survey_reinit(0, Fraction(-1, 2), False) == -1
-    assert survey_reinit(0, Fraction(2), False) == 2
+    assert survey_reinit(Fraction(2, 3)) == 0
+    assert survey_reinit(Fraction(5, 3)) == 1
+    assert survey_reinit(Fraction(-1, 2)) == -1
+    assert survey_reinit(Fraction(2)) == 2
+
+
+SURVEY_AFTER_OBSERVATION = """\
+policy recent-window=5
+trust q p = 1
+trust r p = 1
+trust s p = -2
+tick 1
+issue p[adequacy(P,U):"adequate"]q
+tick 2
+outcome q program=P task=U result=success
+tick {tick}
+survey w group=q,r,s about=p
+"""
 
 
 def test_survey_keeps_recently_observed_members():
-    assert survey_reinit(2, Fraction(-2), True) == 2
+    """q last observed p at tick 2: a survey within the window of 5 ticks
+    leaves its level alone, one tick later reinitializes it to the floor of
+    the group average, (2 + 1 - 2) / 3."""
+    for tick, q_level in ((7, 2), (8, 0)):
+        result = run(load(SURVEY_AFTER_OBSERVATION.format(tick=tick)))
+        levels = {s: result.agents[s].trust_in("p") for s in "qrs"}
+        assert levels == {"q": q_level, "r": 0, "s": 0}
 
 
 def test_survey_rejects_off_scale_average():
     with pytest.raises(ValueError):
-        survey_reinit(0, Fraction(5, 2), False)
+        survey_reinit(Fraction(5, 2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    member=st.sampled_from(LEVELS),
-    levels=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=10),
-)
-def test_survey_approximates_from_below(member, levels):
+@given(levels=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=10))
+def test_survey_approximates_from_below(levels):
     average = Fraction(sum(levels), len(levels))
-    out = survey_reinit(member, average, False)
+    out = survey_reinit(average)
     assert out <= average
     assert -2 <= out <= 2

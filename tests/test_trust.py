@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from coopsim.agents import AgentState
 from coopsim.trust import (
     LEVELS,
     PTRUST,
@@ -39,6 +40,8 @@ def test_key_field_requirements():
         AppreciationKey(AppreciationKind.TASK_TRUST, "q", "p")
     with pytest.raises(TrustKeyError):
         AppreciationKey(AppreciationKind.GENERAL_TRUST, "", "p")
+    with pytest.raises(TrustKeyError):
+        AppreciationKey(AppreciationKind.PROGRAM_TRUST, "q", "p", program="")
 
 
 def test_unwritten_keys_read_neutral():
@@ -136,3 +139,59 @@ def test_clamp():
     assert clamp_level(7) == 2
     assert clamp_level(-7) == -2
     assert clamp_level(1) == 1
+
+
+# kind -> (task required, program required), restated as the reference for
+# the property below
+KEY_FIELDS = {
+    AppreciationKind.GENERAL_TRUST: (False, False),
+    AppreciationKind.TASK_TRUST: (True, False),
+    AppreciationKind.PROGRAM_TRUST: (False, True),
+    AppreciationKind.TASK_CREDIBILITY: (True, False),
+    AppreciationKind.PROGRAM_CREDIBILITY: (False, True),
+    AppreciationKind.CONFIDENCE: (True, True),
+    AppreciationKind.MATCHING_CREDIBILITY: (True, True),
+    AppreciationKind.DEPENDABILITY: (True, True),
+}
+
+names = st.sampled_from(["", "p", "q", "P", "U"])
+key_fields = st.tuples(
+    st.sampled_from(AppreciationKind), names, names, st.none() | names,
+    st.none() | names,
+)
+
+
+def well_formed(kind, subject, target, program, task):
+    need_task, need_program = KEY_FIELDS[kind]
+    return (
+        bool(subject and target)
+        and program != ""
+        and task != ""
+        and need_task == (task is not None)
+        and need_program == (program is not None)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(fields=key_fields, other=key_fields, level=st.sampled_from(LEVELS))
+def test_interned_keys_match_fresh_keys(fields, other, level):
+    """Keys hash once yet compare and hash as their fields do; an agent's
+    interned general-trust key reads what a freshly built key wrote; a
+    malformed key still raises."""
+    if not well_formed(*fields):
+        with pytest.raises(TrustKeyError):
+            AppreciationKey(*fields)
+        return
+    key = AppreciationKey(*fields)
+    fresh = AppreciationKey(*fields)
+    assert key == fresh and hash(key) == hash(fresh)
+    if well_formed(*other):
+        assert (AppreciationKey(*other) == key) == (other == fields)
+    kind, subject, target, _, _ = fields
+    if kind is AppreciationKind.GENERAL_TRUST:
+        state = AgentState(id=subject)
+        interned = state.general_key(target)
+        assert interned == fresh and hash(interned) == hash(fresh)
+        assert state.general_key(target) is interned
+        state.trust.set(fresh, level)  # the trust directive's path
+        assert state.trust_in(target) == level

@@ -67,7 +67,6 @@ from .engine import (
     RunResult,
     Scenario,
     ScenarioError,
-    expect_check,
     load,
     load_path,
     run,

@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Optional
 
 from .appraisal import InstallVerdict
-from .lifecycle import LifecycleState
 from .statements import DirectionalKind, Statement
 from .trust import (
     AppreciationKey,
@@ -111,8 +110,7 @@ class PendingWarning:
 class AgentState:
     id: str
     trust: TrustStore = field(default_factory=TrustStore)
-    fragments: list = field(default_factory=list)
-    portfolio: list = field(default_factory=list)
+    fragments: list = field(default_factory=list)  # live records, every kind
     prepared: dict = field(default_factory=dict)
     adequacy_index: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
@@ -128,6 +126,14 @@ class AgentState:
             self.general_keys[target] = key
         return key
 
+    def hold(self, rec):
+        """Hold a new record until ``release``."""
+        self.fragments.append(rec)
+
+    def release(self, rec):
+        """Let go of a record that has ended: only live records are held."""
+        self.fragments.remove(rec)
+
     def trust_in(self, target: str) -> int:
         return self.trust.get(self.general_key(target))
 
@@ -140,8 +146,7 @@ class AgentState:
         return [
             rec
             for rec in self.fragments
-            if rec.state is LifecycleState.ACTIVE
-            and rec.fragment.kind is DirectionalKind.PROMISE
+            if rec.fragment.kind is DirectionalKind.PROMISE
             and rec.fragment.type_tag == tag
         ]
 
@@ -157,8 +162,7 @@ class AgentState:
         active = {
             (rec.fragment.type_tag, rec.fragment.promiser)
             for rec in self.fragments
-            if rec.state is LifecycleState.ACTIVE
-            and rec.fragment.kind is DirectionalKind.PROMISE
+            if rec.fragment.kind is DirectionalKind.PROMISE
         }
         for (program, task), entries in list(self.adequacy_index.items()):
             tag = f"adequacy({program},{task})"
@@ -322,10 +326,10 @@ def on_outcome(
     policy: TramPolicy = TramPolicy.INCREMENTAL,
     fade_to: Optional[int] = None,
 ) -> list:
-    """Assess all active adequacy fragments matching the observed outcome and
-    update trust in each promiser.  Returns the assessed records sorted by
-    token; an outcome that matches no active fragment changes nothing.
-    ``fade_to`` is passed on to ``LifecycleRecord.assess``."""
+    """Assess all active adequacy fragments matching the observed outcome,
+    release them and update trust in each promiser.  Returns the assessed
+    records sorted by token; an outcome that matches no active fragment
+    changes nothing.  ``fade_to`` is passed on to ``LifecycleRecord.assess``."""
     records = sorted(
         state.active_adequacy_records(program, task), key=lambda r: r.token
     )
@@ -333,6 +337,7 @@ def on_outcome(
         return records
     for rec in records:
         rec.assess(result, now, fade_to)
+        state.release(rec)
         state.trust.record_assessment(
             state.general_key(rec.fragment.promiser), result, now, policy
         )

@@ -19,9 +19,9 @@ fragments due by this tick, in agent then token order, and prunes the
 adequacy index of only those agents that had a fragment fade or be withdrawn
 this tick.  Lifecycle lines of kept, broken and withdrawn fragments show the
 fade level as of the last tick fading ran at, and at the end of the run every
-fragment still active is stepped to the last tick.  Step (6) keeps a count of
-active fragments per token and announces, in token order, the tokens whose
-count reached zero this tick.
+fragment still active is stepped to the last tick.  Only live fragments are
+held: one that ends leaves its agent, its token and the refresh map at once.
+Step (6) announces, in token order, the tokens whose last fragment ended.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import FadeQueue, LifecycleError, LifecycleRecord, LifecycleState
+from .lifecycle import FadeQueue, LifecycleError, LifecycleRecord
 from .reputation import (
     DEFAULT_RECENT_WINDOW,
     LorResponse,
@@ -88,7 +88,6 @@ __all__ = [
     "load",
     "load_path",
     "run",
-    "expect_check",
 ]
 
 
@@ -198,6 +197,8 @@ def _apply_policy_tokens(header: PolicyHeader, tokens, line: int):
                 header.penalize_incredible = _parse_bool(value, line)
             elif key == "recent-window":
                 header.recent_window = int(value)
+                if header.recent_window < 0:
+                    raise ScenarioError(f"negative recent-window {value}", line)
             else:
                 raise ScenarioError(f"unknown policy setting {key!r}", line)
             header.default_fade  # FadeSpec validates span and threshold
@@ -341,6 +342,8 @@ def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Direct
         elif len(tokens) > 4:
             raise ScenarioError("malformed impose directive", line_no)
         imposer, target, task = tokens[1], tokens[2], tokens[3].split("=", 1)[1]
+        if not task:
+            raise ScenarioError("empty task= value", line_no)
         try:
             statement = Statement(
                 kind=DirectionalKind.IMPOSITION,
@@ -362,11 +365,16 @@ def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Direct
             )
         if kv["result"] not in ("success", "failure"):
             raise ScenarioError(f"bad result {kv['result']!r}", line_no)
+        for key in ("program", "task"):
+            if not kv[key]:
+                raise ScenarioError(f"empty {key}= value", line_no)
         _check_agent_ids(tokens[1:2], agent_ids, line_no)
         args = (tokens[1], kv["program"], kv["task"], kv["result"])
     elif name == "withdraw":
         if len(tokens) != 3 or not tokens[2].startswith("token="):
             raise ScenarioError("usage: withdraw <promiser> token=<id>", line_no)
+        if tokens[2] == "token=":
+            raise ScenarioError("empty token= value", line_no)
         _check_agent_ids(tokens[1:2], agent_ids, line_no)
         args = (tokens[1], tokens[2].split("=", 1)[1])
     elif name == "lor-request":
@@ -392,11 +400,15 @@ def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Direct
         group = tuple(kv["group"].split(","))
         if not all(group):
             raise ScenarioError("survey group has an empty member", line_no)
+        if len(set(group)) != len(group):
+            raise ScenarioError("survey group repeats a member", line_no)
         about = kv["about"]
         _check_agent_ids((tokens[1], about, *group), agent_ids, line_no)
         window = (
             _parse_int(kv["window"], "window", line_no) if "window" in kv else None
         )
+        if window is not None and window < 0:
+            raise ScenarioError(f"negative window {window}", line_no)
         args = (tokens[1], group, about, window)
     elif name == "reply":
         if len(tokens) != 4 or tokens[3] not in ("proceed", "withdraw"):
@@ -447,14 +459,13 @@ class _Engine:
         self.expects: list = []
         self.attrs: dict = {}  # (entity kind, entity id) -> {name: level}
         self.profiles: dict = {}
-        self.records_by_token: dict = {}
         # fading, refresh and termination state; see the module docstring
         self.fading = FadeQueue()
         self.fade_tick: Optional[int] = None  # last tick fading ran at
-        self.refreshable: dict = {}  # (agent, equivalence key) -> latest record
-        self.active_count: dict = {}  # token -> active records
+        self.live: dict = {}  # token -> (equivalence key, its live records)
+        self.refreshable: dict = {}  # (agent, equivalence key) -> live record
         self.to_prune: set = set()  # agents that lost a record this tick
-        self.terminated: set = set()  # tokens whose count reached 0 this tick
+        self.terminated: set = set()  # tokens whose last record ended this tick
 
     # -- helpers -----------------------------------------------------------
 
@@ -630,14 +641,8 @@ class _Engine:
             route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
             if route is Route.DISCARD_FAST:
                 rec.fade_rate_multiplier = Fraction(DISCARD_FAST_MULTIPLIER)
-            holder = (
-                state.portfolio
-                if stmt.kind is DirectionalKind.IMPOSITION
-                else state.fragments
-            )
-            holder.append(rec)
-            self.records_by_token.setdefault(token, []).append(rec)
-            self.active_count[token] = self.active_count.get(token, 0) + 1
+            state.hold(rec)
+            self.live.setdefault(token, (key, []))[1].append(rec)
             self.refreshable[subject, key] = rec
             self.fading.push(rec)
             if route is Route.DISCARD_FAST:
@@ -659,12 +664,11 @@ class _Engine:
     def try_refresh(self, subject: str, key: tuple, stmt: Statement, tick: int):
         """Repetition of an equivalent statement refreshes fading instead of
         piling up duplicate fragments; trust is unaffected.  An agent holds at
-        most one active record per equivalence key, its latest one."""
+        most one live record per equivalence key."""
         rec = self.refreshable.get((subject, key))
-        if rec is None or rec.terminal:
-            return None
-        rec.refresh_on_repetition(stmt, tick)
-        self.fading.push(rec)
+        if rec is not None:
+            rec.refresh_on_repetition(stmt, tick)
+            self.fading.push(rec)
         return rec
 
     def react_to_promise(self, state: AgentState, fragment: Statement, tick: int):
@@ -711,27 +715,25 @@ class _Engine:
 
     def on_withdraw(self, directive: Directive):
         promiser, token = directive.args
-        records = self.records_by_token.get(token, [])
-        touched = False
-        for rec in records:
-            if rec.state is LifecycleState.ACTIVE:
-                try:
-                    rec.withdraw(promiser, directive.tick, self.fade_tick)
-                except LifecycleError as exc:
-                    self.emit(
-                        f"t={directive.tick} warning agent={promiser} "
-                        f"detail=withdraw-rejected,token={token},reason={exc}"
-                    )
-                    return
-                self.emit_lifecycle(directive.tick, rec)
-                self.retire(rec)
-                self.to_prune.add(rec.fragment.subject)
-                touched = True
-        if not touched:
+        if token not in self.live:
             self.emit(
                 f"t={directive.tick} warning agent={promiser} "
                 f"detail=withdraw-no-active-fragment,token={token}"
             )
+            return
+        for rec in list(self.live[token][1]):
+            try:
+                rec.withdraw(promiser, directive.tick, self.fade_tick)
+            except LifecycleError as exc:
+                self.emit(
+                    f"t={directive.tick} warning agent={promiser} "
+                    f"detail=withdraw-rejected,token={token},reason={exc}"
+                )
+                return
+            self.emit_lifecycle(directive.tick, rec)
+            self.agents[rec.fragment.subject].release(rec)
+            self.retire(rec)
+            self.to_prune.add(rec.fragment.subject)
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
@@ -801,16 +803,21 @@ class _Engine:
     # -- per-tick closing steps -------------------------------------------
 
     def retire(self, rec: LifecycleRecord):
-        """Count a record's terminal transition against its token."""
-        self.active_count[rec.token] -= 1
-        if not self.active_count[rec.token]:
+        """Forget an ended record: its token terminates with its last live
+        record, and an equivalent reissue no longer refreshes it."""
+        key, live = self.live[rec.token]
+        live.remove(rec)
+        if not live:
+            del self.live[rec.token]
             self.terminated.add(rec.token)
+        del self.refreshable[rec.fragment.subject, key]
 
     def fade_step(self, tick: int):
         faded = self.fading.fade_due(tick)
         faded.sort(key=lambda r: (r.fragment.subject, r.token))
         for rec in faded:
             self.emit_lifecycle(tick, rec)
+            self.agents[rec.fragment.subject].release(rec)
             self.retire(rec)
             self.to_prune.add(rec.fragment.subject)
         # Pruned only now: later directives of the tick saw the full index.
@@ -838,10 +845,3 @@ def run(scenario: Scenario, **overrides) -> RunResult:
             header=header, initial=scenario.initial, events=scenario.events
         )
     return _Engine(scenario).run()
-
-
-def expect_check(scenario: Scenario, result: Optional[RunResult] = None):
-    """Evaluate the scenario's expect-trust assertions; returns the failures."""
-    if result is None:
-        result = run(scenario)
-    return [e for e in result.expects if not e.passed]

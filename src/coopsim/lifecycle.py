@@ -23,7 +23,6 @@ from .trust import Outcome
 
 __all__ = [
     "LifecycleState",
-    "TERMINAL_STATES",
     "LifecycleError",
     "LifecycleRecord",
     "FadeQueue",
@@ -38,21 +37,11 @@ class LifecycleState(Enum):
     FADED = "faded"
 
 
-TERMINAL_STATES = frozenset(
-    {
-        LifecycleState.KEPT,
-        LifecycleState.BROKEN,
-        LifecycleState.WITHDRAWN,
-        LifecycleState.FADED,
-    }
-)
-
-
 class LifecycleError(RuntimeError):
     """Illegal operation on a life-cycle record (e.g. mutating a terminal)."""
 
 
-@dataclass
+@dataclass(eq=False)  # by identity: removing a record compares no fields
 class LifecycleRecord:
     fragment: Statement
     last_update: int
@@ -66,7 +55,7 @@ class LifecycleRecord:
 
     @property
     def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
+        return self.state is not LifecycleState.ACTIVE
 
     @property
     def token(self) -> str:

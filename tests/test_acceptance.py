@@ -145,7 +145,7 @@ def test_criterion_05_imposition_balancing_table():
         state.adequacy_index[("P", "U")] = [("p", 0)]
         stmt = parse('p[adequacy(P,U):"adequate"]q')
         frag = fragment_on_issue(stmt, 0, FragmentCounter())[1]
-        state.fragments.append(LifecycleRecord(fragment=frag, last_update=0))
+        state.hold(LifecycleRecord(fragment=frag, last_update=0))
         (action,) = on_imposition(state, "s", "U")
         return action.kind
 

@@ -39,7 +39,7 @@ def adequacy(promiser, program, task, counter, now=0):
 
 def give_promise(state, promiser, program, task, counter, now=0):
     frag = adequacy(promiser, program, task, counter, now)
-    state.fragments.append(LifecycleRecord(fragment=frag, last_update=now))
+    state.hold(LifecycleRecord(fragment=frag, last_update=now))
     return on_adequacy_promise(state, frag, now)
 
 
@@ -219,8 +219,10 @@ def test_reply_resolution():
 def test_outcome_updates_trust_and_terminates_records():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
+    (held,) = state.fragments
     assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
-    assert assessed == state.fragments
+    assert len(assessed) == 1 and assessed[0] is held  # returned ...
+    assert state.fragments == []  # ... and no longer held
     assert state.trust_in("p") == 0
     assert all(r.state is LifecycleState.BROKEN for r in assessed)
     assert state.prepared[("P", "U")].used_before
@@ -229,9 +231,10 @@ def test_outcome_updates_trust_and_terminates_records():
 
 
 def agent_with_records(records, index):
-    """An AgentState ``q`` holding one record per ``(promiser, kind tag,
-    type tag, state)`` and the adequacy index ``{(program, task): [(promiser,
-    issued), ...]}``, built directly rather than through promise delivery."""
+    """An AgentState ``q`` and the adequacy index ``{(program, task):
+    [(promiser, issued), ...]}``, built directly rather than through promise
+    delivery.  Of the ``(promiser, kind tag, type tag, state)`` records only
+    the active ones are held, as the engine holds only live records."""
     state = AgentState(id="q")
     counter = FragmentCounter()
     for promiser, kind_tag, type_tag, record_state in records:
@@ -239,9 +242,8 @@ def agent_with_records(records, index):
         frag = next(
             f for f in fragment_on_issue(stmt, 0, counter) if f.subject == "q"
         )
-        state.fragments.append(
-            LifecycleRecord(fragment=frag, last_update=0, state=record_state)
-        )
+        if record_state is LifecycleState.ACTIVE:
+            state.hold(LifecycleRecord(fragment=frag, last_update=0))
     state.adequacy_index = {key: list(entries) for key, entries in index.items()}
     return state
 

@@ -83,6 +83,13 @@ def test_load_rejects_bad_statement_with_line_number():
         "tick 1\nwithdraw p@ token=1-0",
         "tick 1\nreply s q. proceed",
         "profile q\nprofile p% independent=true",
+        "tick 1\nsurvey w group=a,a,b about=p",
+        "tick 1\nimpose s q task=",
+        "tick 1\noutcome q program= task=U result=success",
+        "tick 1\noutcome q program=P task= result=success",
+        "tick 1\nwithdraw p token=",
+        "tick 1\nsurvey w group=a,b about=p window=-3",
+        "policy gate=0.5\npolicy recent-window=-4",
     ],
     ids=[
         "strength-not-int",
@@ -109,6 +116,13 @@ def test_load_rejects_bad_statement_with_line_number():
         "bad-id-withdraw",
         "bad-id-reply",
         "bad-id-profile",
+        "survey-repeated-member",
+        "empty-impose-task",
+        "empty-outcome-program",
+        "empty-outcome-task",
+        "empty-withdraw-token",
+        "negative-survey-window",
+        "negative-recent-window",
     ],
 )
 def test_load_fails_closed_with_line_number(lines, tmp_path):
@@ -225,6 +239,37 @@ def test_withdraw_terminates_everywhere():
     assert result.agents["q"].promisers_for("P", "U") == set()
 
 
+@pytest.mark.parametrize(
+    "ending,state",
+    [
+        ("outcome q program=P task=U result=success", "kept"),
+        ("withdraw p token=1-0", "withdrawn"),
+        ("expect-trust q p = 1", "faded"),  # a scripted tick lets it fade
+    ],
+    ids=["outcome", "withdraw", "fade"],
+)
+def test_ended_record_is_not_held_and_not_refreshed(ending, state):
+    ended = (
+        "policy fade-span=2 fade-threshold=0.6\n"
+        "trust q p = 1\n"
+        "tick 1\n"
+        'issue p[adequacy(P,U):"p is adequate for task u"]q\n'
+        f"tick 2\n{ending}\n"
+    )
+    result = run(load(ended))
+    assert any(
+        line.startswith(f"t=2 lifecycle token=1-0 subject=q state={state}")
+        for line in result.trace
+    )
+    assert result.agents["q"].fragments == []
+    # an equivalent re-issue now creates a new record instead of a refresh
+    result = run(
+        load(ended + 'tick 3\nissue p[adequacy(P,U):"p is adequate for task u"]q\n')
+    )
+    assert [rec.token for rec in result.agents["q"].fragments] == ["3-1"]
+    assert not any(line.startswith("t=3 lifecycle token=1-0") for line in result.trace)
+
+
 def test_withdraw_by_stranger_is_rejected_as_warning():
     text = (
         "trust q p = 1\n"
@@ -273,12 +318,12 @@ def test_expect_trust_reads_the_qualified_key():
         "expect-trust q p program=P = 1\n"
         "expect-trust q p = 0\n"
     )
-    assert engine.expect_check(load(text)) == []
+    assert [e for e in run(load(text)).expects if not e.passed] == []
 
 
 def test_expect_check_reports_failures():
     text = "trust q p = 1\ntick 1\nexpect-trust q p = 2\n"
-    failures = engine.expect_check(load(text))
+    failures = [e for e in run(load(text)).expects if not e.passed]
     assert len(failures) == 1
     assert (failures[0].expected, failures[0].actual) == (2, 1)
 

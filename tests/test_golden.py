@@ -1,11 +1,14 @@
 """Golden traces: every shipped scenario under both TRAM policies and both
-interleavings must reproduce its recorded trace byte for byte."""
+interleavings must reproduce its recorded trace byte for byte and end with
+only active records held; its own ``expect-trust`` lines hold under its own
+header."""
 
 from pathlib import Path
 
 import pytest
 
 from coopsim.engine import InterleavingStrategy, load_path, run
+from coopsim.lifecycle import LifecycleState
 from coopsim.trust import TramPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,5 +36,17 @@ def test_every_scenario_has_goldens():
 )
 def test_trace_matches_golden(path, tram, order):
     golden = GOLDEN / f"{path.stem}.{tram.value}.{order.value}.trace"
-    trace = run(load_path(path), tram=tram, interleave=order).trace_text()
-    assert trace.encode() == golden.read_bytes()
+    result = run(load_path(path), tram=tram, interleave=order)
+    assert result.trace_text().encode() == golden.read_bytes()
+    assert all(
+        rec.state is LifecycleState.ACTIVE
+        for state in result.agents.values()
+        for rec in state.fragments
+    )
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_scenario_expectations_hold(path):
+    result = run(load_path(path))
+    assert result.expects
+    assert [e for e in result.expects if not e.passed] == []

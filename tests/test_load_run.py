@@ -1,11 +1,12 @@
 """Load/run property: a scenario drawn from the directive grammar, with empty
 values, malformed agent ids and out-of-range numbers mixed in, either fails
 to load with ``ScenarioError`` or runs to completion, and then every agent
-the run knows has a well-formed id."""
+the run knows has a well-formed id and holds only active records."""
 
 from hypothesis import given, settings, strategies as st
 
 from coopsim.engine import InterleavingStrategy, ScenarioError, load, run
+from coopsim.lifecycle import LifecycleState
 from coopsim.statements import check_agent_id
 from coopsim.trust import TramPolicy
 
@@ -145,5 +146,8 @@ def test_load_rejects_or_run_completes(text):
     for tram in TramPolicy:
         for interleave in InterleavingStrategy:
             result = run(scenario, tram=tram, interleave=interleave)
-            for agent_id in result.agents:
+            for agent_id, state in result.agents.items():
                 check_agent_id(agent_id)
+                assert all(
+                    rec.state is LifecycleState.ACTIVE for rec in state.fragments
+                )

@@ -2,10 +2,10 @@
 
 Modules:
 
-* statements  - grammar, parser, canonical printer, fragmentation
+* statements  - grammar, parser, canonical printer, equivalence
 * trust       - five-level appreciation stores and assessment policies
 * appraisal   - consultant credibility, gating, attribute install rules
-* lifecycle   - fragment life-cycle with linear fading
+* lifecycle   - fragments (statement, subject, token) and their linear fading
 * agents      - trust-driven behavior rules of a single agent
 * reputation  - letter-of-recommendation flow and survey averaging
 * engine      - tick-driven scenario runner with byte-stable traces
@@ -25,7 +25,6 @@ from .statements import (
     ValidityWindow,
     WindowOrderError,
     equivalent,
-    fragment_on_issue,
     normalize,
     parse,
     render,

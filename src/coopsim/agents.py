@@ -146,8 +146,8 @@ class AgentState:
         return [
             rec
             for rec in self.fragments
-            if rec.fragment.kind is DirectionalKind.PROMISE
-            and rec.fragment.type_tag == tag
+            if rec.statement.kind is DirectionalKind.PROMISE
+            and rec.statement.type_tag == tag
         ]
 
     def prune_adequacy_index(self):
@@ -160,9 +160,9 @@ class AgentState:
         if not self.adequacy_index:
             return
         active = {
-            (rec.fragment.type_tag, rec.fragment.promiser)
+            (rec.statement.type_tag, rec.statement.promiser)
             for rec in self.fragments
-            if rec.fragment.kind is DirectionalKind.PROMISE
+            if rec.statement.kind is DirectionalKind.PROMISE
         }
         for (program, task), entries in list(self.adequacy_index.items()):
             tag = f"adequacy({program},{task})"
@@ -186,9 +186,8 @@ def on_adequacy_promise(
     The promise is indexed whatever the outcome.
     """
     program, task = parse_adequacy_tag(promise.type_tag)
-    issued = promise.issue_time if promise.issue_time is not None else now
     state.adequacy_index.setdefault((program, task), []).append(
-        (promise.promiser, issued)
+        (promise.promiser, now)
     )
     if verdict is InstallVerdict.NO_RULE:
         level = state.trust_in(promise.promiser)
@@ -339,7 +338,7 @@ def on_outcome(
         rec.assess(result, now, fade_to)
         state.release(rec)
         state.trust.record_assessment(
-            state.general_key(rec.fragment.promiser), result, now, policy
+            state.general_key(rec.statement.promiser), result, now, policy
         )
     if (program, task) in state.prepared:
         state.prepared[(program, task)].used_before = True

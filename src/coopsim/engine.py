@@ -5,12 +5,14 @@ attributes, profiles) followed by tick-ordered event directives.  Running a
 scenario produces a line-oriented trace; the same scenario always produces a
 byte-identical trace.
 
-Per tick the engine (1) injects the scripted directives, (2) fragments and
-delivers issued statements to every agent in effective scope plus the
-promisee, (3) lets receiving agents gate on credibility and react by their
-trust rules in lexicographic order, (4) applies outcome assessments and
-trust updates, (5) fades the fragments whose fade deadline has come, and
-(6) announces globally terminated statements.
+Per tick the engine (1) injects the scripted directives, (2) delivers each
+issued statement under a fresh token to every agent in effective scope plus
+the promisee, as one lifecycle record (a fragment) per recipient, all
+sharing the statement, (3) lets receiving agents gate on credibility and
+react by their trust rules in lexicographic order, (4) applies outcome
+assessments and trust updates, (5) fades the fragments whose fade deadline
+has come, and (6) announces globally terminated statements.  ``load`` has
+validated the statement, so delivery validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is known when it is issued or refreshed, and it goes
@@ -67,7 +69,6 @@ from .statements import (
     _fmt_fraction,
     check_agent_id,
     equivalence_key,
-    fragment_on_issue,
     parse as parse_statement,
 )
 from .trust import (
@@ -281,6 +282,13 @@ def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Direct
             raise ScenarioError(f"bad statement: {exc}", line_no)
         if statement.subject is not None:
             raise ScenarioError("issued statements may not carry a subject", line_no)
+        # the engine stamps the issue tick and keeps no validity window
+        if statement.issue_time is not None:
+            raise ScenarioError("issued statements may not carry u=", line_no)
+        if statement.window is not None:
+            raise ScenarioError(
+                "issued statements may not carry a validity window", line_no
+            )
         args = (text,)
     elif name in ("trust", "expect-trust"):
         body = tokens[1:]
@@ -455,6 +463,7 @@ class _Engine:
         self.scenario = scenario
         self.agents: dict = {}
         self.counter = FragmentCounter()
+        self.fade = self.header.default_fade
         self.trace: list = []
         self.expects: list = []
         self.attrs: dict = {}  # (entity kind, entity id) -> {name: level}
@@ -486,7 +495,7 @@ class _Engine:
     def emit_lifecycle(self, tick, rec: LifecycleRecord):
         rate = _fmt_fraction(rec.fade_rate_multiplier)
         self.emit(
-            f"t={tick} lifecycle token={rec.token} subject={rec.fragment.subject} "
+            f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
             f"state={rec.state.value} fade={_fmt_fraction(rec.fade_level)} rate={rate}"
         )
 
@@ -620,24 +629,20 @@ class _Engine:
         self.deliver(directive.statement, directive.tick)
 
     def deliver(self, stmt: Statement, tick: int):
-        fragments = fragment_on_issue(
-            stmt, tick, self.counter, default_fade=self.header.default_fade
-        )
-        token = fragments[0].identity.token
+        token = self.counter.fresh(tick)
         key = equivalence_key(stmt)
         self.emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
         )
-        for fragment in fragments:
-            subject = fragment.subject
+        for subject in sorted(stmt.recipients):
             self.emit(f"t={tick} deliver token={token} subject={subject}")
             state = self.agent(subject)
             refreshed = self.try_refresh(subject, key, stmt, tick)
             if refreshed is not None:
                 self.emit_lifecycle(tick, refreshed)
                 continue
-            rec = LifecycleRecord(fragment=fragment, last_update=tick)
+            rec = LifecycleRecord(stmt, subject, token, self.fade, tick)
             route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
             if route is Route.DISCARD_FAST:
                 rec.fade_rate_multiplier = Fraction(DISCARD_FAST_MULTIPLIER)
@@ -659,7 +664,7 @@ class _Engine:
                     )
                 continue
             if subject == stmt.promisee and stmt.kind is DirectionalKind.PROMISE:
-                self.react_to_promise(state, fragment, tick)
+                self.react_to_promise(state, stmt, tick)
 
     def try_refresh(self, subject: str, key: tuple, stmt: Statement, tick: int):
         """Repetition of an equivalent statement refreshes fading instead of
@@ -671,13 +676,13 @@ class _Engine:
             self.fading.push(rec)
         return rec
 
-    def react_to_promise(self, state: AgentState, fragment: Statement, tick: int):
+    def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
         try:
-            program, task = parse_adequacy_tag(fragment.type_tag)
+            program, task = parse_adequacy_tag(promise.type_tag)
         except AdequacyTagError:
             return
         verdict = attribute_install_decision(self.merged_attrs(program, task))
-        for action in agent_rules.on_adequacy_promise(state, fragment, tick, verdict):
+        for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
             self.emit_action(tick, state.id, action)
 
     def on_impose(self, directive: Directive):
@@ -704,7 +709,7 @@ class _Engine:
         for rec in assessed:
             self.emit_lifecycle(directive.tick, rec)
             self.retire(rec)
-            promiser = rec.fragment.promiser
+            promiser = rec.statement.promiser
             level = state.trust_in(promiser)
             self.emit_trust(
                 directive.tick, agent_id, promiser, "general-trust", level,
@@ -731,9 +736,9 @@ class _Engine:
                 )
                 return
             self.emit_lifecycle(directive.tick, rec)
-            self.agents[rec.fragment.subject].release(rec)
+            self.agents[rec.subject].release(rec)
             self.retire(rec)
-            self.to_prune.add(rec.fragment.subject)
+            self.to_prune.add(rec.subject)
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
@@ -810,16 +815,16 @@ class _Engine:
         if not live:
             del self.live[rec.token]
             self.terminated.add(rec.token)
-        del self.refreshable[rec.fragment.subject, key]
+        del self.refreshable[rec.subject, key]
 
     def fade_step(self, tick: int):
         faded = self.fading.fade_due(tick)
-        faded.sort(key=lambda r: (r.fragment.subject, r.token))
+        faded.sort(key=lambda r: (r.subject, r.token))
         for rec in faded:
             self.emit_lifecycle(tick, rec)
-            self.agents[rec.fragment.subject].release(rec)
+            self.agents[rec.subject].release(rec)
             self.retire(rec)
-            self.to_prune.add(rec.fragment.subject)
+            self.to_prune.add(rec.subject)
         # Pruned only now: later directives of the tick saw the full index.
         for agent_id in self.to_prune:
             self.agents[agent_id].prune_adequacy_index()

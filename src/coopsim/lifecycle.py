@@ -11,14 +11,14 @@ steps a record only when it fades instead of at every tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from typing import Optional
 
-from .statements import Statement, equivalent
+from .statements import FadeSpec, Statement, equivalent
 from .trust import Outcome
 
 __all__ = [
@@ -43,23 +43,21 @@ class LifecycleError(RuntimeError):
 
 @dataclass(eq=False)  # by identity: removing a record compares no fields
 class LifecycleRecord:
-    fragment: Statement
+    """A fragment: the issued ``statement`` as its ``subject`` holds it.
+    Every recipient's record shares the one statement and its ``token``."""
+
+    statement: Statement
+    subject: str
+    token: str
+    fade: FadeSpec
     last_update: int
     state: LifecycleState = LifecycleState.ACTIVE
-    fade_level: Fraction = field(default_factory=lambda: Fraction(1))
-    fade_rate_multiplier: Fraction = field(default_factory=lambda: Fraction(1))
-
-    def __post_init__(self):
-        if self.fragment.subject is None or self.fragment.fade is None:
-            raise LifecycleError("record requires a fragment with subject and fade spec")
+    fade_level: Fraction = Fraction(1)
+    fade_rate_multiplier: Fraction = Fraction(1)
 
     @property
     def terminal(self) -> bool:
         return self.state is not LifecycleState.ACTIVE
-
-    @property
-    def token(self) -> str:
-        return self.fragment.identity.token if self.fragment.identity else ""
 
     def _require_active(self):
         if self.terminal:
@@ -67,8 +65,8 @@ class LifecycleRecord:
 
     def fade_at(self, now: int) -> Fraction:
         """The fade level at ``now`` by linear decay since ``last_update``."""
-        spec = self.fragment.fade
-        decay = self.fade_rate_multiplier * Fraction(now - self.last_update, spec.span)
+        span = self.fade.span
+        decay = self.fade_rate_multiplier * Fraction(now - self.last_update, span)
         return max(Fraction(0), self.fade_level - decay)
 
     def fade_deadline(self) -> int:
@@ -77,8 +75,7 @@ class LifecycleRecord:
         Before it the level stays at or above the threshold, which is above
         0, so one step from ``last_update`` equals any chain of steps.
         """
-        spec = self.fragment.fade
-        slack = (self.fade_level - spec.threshold) * spec.span
+        slack = (self.fade_level - self.fade.threshold) * self.fade.span
         return self.last_update + slack // self.fade_rate_multiplier + 1
 
     def step_fade(self, now: int) -> "LifecycleRecord":
@@ -88,7 +85,7 @@ class LifecycleRecord:
             raise LifecycleError("fading cannot run backwards")
         self.fade_level = self.fade_at(now)
         self.last_update = now
-        if self.fade_level < self.fragment.fade.threshold:
+        if self.fade_level < self.fade.threshold:
             self.state = LifecycleState.FADED
         return self
 
@@ -115,7 +112,7 @@ class LifecycleRecord:
     ) -> "LifecycleRecord":
         """Withdrawal, allowed to the promiser only.  No trust update."""
         self._require_active()
-        if by != self.fragment.promiser:
+        if by != self.statement.promiser:
             raise LifecycleError(f"only the promiser may withdraw (not {by!r})")
         self._fade_to(fade_to)
         self.state = LifecycleState.WITHDRAWN
@@ -126,7 +123,7 @@ class LifecycleRecord:
     def refresh_on_repetition(self, reissue: Statement, now: int) -> "LifecycleRecord":
         """An equivalent reissue resets fading; no trust change."""
         self._require_active()
-        if not equivalent(self.fragment, reissue):
+        if not equivalent(self.statement, reissue):
             raise LifecycleError("reissue is not equivalent to the held fragment")
         self.fade_level = Fraction(1)
         self.last_update = now

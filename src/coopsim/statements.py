@@ -21,7 +21,7 @@ statement.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -38,14 +38,12 @@ __all__ = [
     "ScopeMembershipError",
     "WindowOrderError",
     "FragmentCounter",
-    "DEFAULT_FADE",
     "check_agent_id",
     "parse",
     "render",
     "normalize",
     "equivalence_key",
     "equivalent",
-    "fragment_on_issue",
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_-]+")
@@ -153,9 +151,6 @@ class FadeSpec:
             raise StatementError("fade threshold must be in (0,1)")
 
 
-DEFAULT_FADE = FadeSpec(span=100, threshold=Fraction(1, 20))
-
-
 @dataclass(frozen=True)
 class Statement:
     kind: DirectionalKind
@@ -203,7 +198,8 @@ class Statement:
 
     @property
     def recipients(self) -> frozenset:
-        """Agents holding a fragment after issuing."""
+        """Agents holding a fragment after issuing.  The promisee holds one
+        even outside the declared scope, so that it can react."""
         return self.effective_scope | {self.promisee}
 
 
@@ -455,35 +451,3 @@ class FragmentCounter:
         token = f"{now}-{self._seq}"
         self._seq += 1
         return token
-
-
-def fragment_on_issue(
-    s: Statement,
-    now: int,
-    counter: FragmentCounter,
-    default_fade: FadeSpec = DEFAULT_FADE,
-) -> list:
-    """Split an issued statement into per-subject fragments.
-
-    One fragment per agent in effective scope plus the promisee, sharing a
-    fresh identity token.  The promisee receives a fragment even when outside
-    the declared scope, so that it can react to the statement.
-    """
-    if s.subject is not None:
-        raise StatementError("cannot fragment a statement that already has a subject")
-    if now < 0:
-        raise StatementError("issue tick must be >= 0")
-    token = counter.fresh(now)
-    identity = FragmentIdentity(token=token)
-    fade = s.fade if s.fade is not None else default_fade
-    return [
-        replace(
-            s,
-            subject=agent,
-            issue_time=now,
-            observation_time=now,
-            identity=identity,
-            fade=fade,
-        )
-        for agent in sorted(s.recipients)
-    ]

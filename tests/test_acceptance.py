@@ -21,13 +21,7 @@ from coopsim.agents import (
 from coopsim.corpus import CORPUS_TEXTS, corpus
 from coopsim.lifecycle import LifecycleError, LifecycleRecord, LifecycleState
 from coopsim.reputation import survey_reinit
-from coopsim.statements import (
-    DirectionalKind,
-    FragmentCounter,
-    fragment_on_issue,
-    parse,
-    render,
-)
+from coopsim.statements import DirectionalKind, parse, render
 from coopsim.trust import (
     LEVELS,
     AppreciationKey,
@@ -37,6 +31,8 @@ from coopsim.trust import (
     TrustStore,
 )
 from tests.test_statements import FORM_FIXTURES
+
+FADE = engine.PolicyHeader().default_fade
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -144,8 +140,7 @@ def test_criterion_05_imposition_balancing_table():
         state.prepared[("P", "U")] = PreparedEntry(since=0)
         state.adequacy_index[("P", "U")] = [("p", 0)]
         stmt = parse('p[adequacy(P,U):"adequate"]q')
-        frag = fragment_on_issue(stmt, 0, FragmentCounter())[1]
-        state.hold(LifecycleRecord(fragment=frag, last_update=0))
+        state.hold(LifecycleRecord(stmt, "q", "0-0", FADE, 0))
         (action,) = on_imposition(state, "s", "U")
         return action.kind
 
@@ -231,7 +226,7 @@ def test_criterion_08_lifecycle_small_model():
             ("break", lambda: rec.assess(Outcome.BROKEN, now + 1), now + 1),
             ("withdraw", lambda: rec.withdraw("p", now + 1), now + 1),
             ("withdraw-bad", lambda: rec.withdraw("z", now + 1), now),
-            ("refresh", lambda: rec.refresh_on_repetition(rec.fragment, now + 1), now + 1),
+            ("refresh", lambda: rec.refresh_on_repetition(rec.statement, now + 1), now + 1),
         ]
 
     terminals_seen = set()
@@ -239,8 +234,7 @@ def test_criterion_08_lifecycle_small_model():
     for length in range(6):
         for seq in itertools.product(range(7), repeat=length):
             stmt = parse('p[pi:"b"]q')
-            frag = fragment_on_issue(stmt, 0, FragmentCounter())[1]
-            rec = LifecycleRecord(fragment=frag, last_update=0)
+            rec = LifecycleRecord(stmt, "q", "0-0", FADE, 0)
             now = 0
             first_terminal = None
             for op_index in seq:

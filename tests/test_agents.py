@@ -15,11 +15,12 @@ from coopsim.agents import (
     parse_adequacy_tag,
     resolve_reply,
 )
+from coopsim.engine import PolicyHeader
 from coopsim.lifecycle import LifecycleRecord, LifecycleState
-from coopsim.statements import FragmentCounter, fragment_on_issue, parse
+from coopsim.statements import FragmentCounter, parse
 from coopsim.trust import AppreciationKey, AppreciationKind, Outcome, TramPolicy
 
-COUNTER = None
+FADE = PolicyHeader().default_fade
 
 
 def make_agent(name="q", **trust):
@@ -31,16 +32,14 @@ def make_agent(name="q", **trust):
     return state
 
 
-def adequacy(promiser, program, task, counter, now=0):
-    stmt = parse(f'{promiser}[adequacy({program},{task}):"adequate"/{{q}}]q')
-    frags = fragment_on_issue(stmt, now, counter)
-    return next(f for f in frags if f.subject == "q")
+def adequacy(promiser, program, task):
+    return parse(f'{promiser}[adequacy({program},{task}):"adequate"/{{q}}]q')
 
 
 def give_promise(state, promiser, program, task, counter, now=0):
-    frag = adequacy(promiser, program, task, counter, now)
-    state.hold(LifecycleRecord(fragment=frag, last_update=now))
-    return on_adequacy_promise(state, frag, now)
+    promise = adequacy(promiser, program, task)
+    state.hold(LifecycleRecord(promise, "q", counter.fresh(now), FADE, now))
+    return on_adequacy_promise(state, promise, now)
 
 
 def test_adequacy_tag_parsing():
@@ -239,11 +238,9 @@ def agent_with_records(records, index):
     counter = FragmentCounter()
     for promiser, kind_tag, type_tag, record_state in records:
         stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
-        frag = next(
-            f for f in fragment_on_issue(stmt, 0, counter) if f.subject == "q"
-        )
+        token = counter.fresh(0)
         if record_state is LifecycleState.ACTIVE:
-            state.hold(LifecycleRecord(fragment=frag, last_update=0))
+            state.hold(LifecycleRecord(stmt, "q", token, FADE, 0))
     state.adequacy_index = {key: list(entries) for key, entries in index.items()}
     return state
 
@@ -252,7 +249,7 @@ def prune_per_key(state):
     """The reference prune: one ``active_adequacy_records`` scan per key."""
     for (program, task), entries in list(state.adequacy_index.items()):
         active = {
-            rec.fragment.promiser
+            rec.statement.promiser
             for rec in state.active_adequacy_records(program, task)
         }
         kept = [e for e in entries if e[0] in active]

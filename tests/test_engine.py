@@ -2,8 +2,14 @@ from pathlib import Path
 
 import pytest
 
-from coopsim import cli, engine
-from coopsim.engine import InterleavingStrategy, ScenarioError, load, run
+from coopsim import cli, engine, statements
+from coopsim.engine import (
+    InterleavingStrategy,
+    PolicyHeader,
+    ScenarioError,
+    load,
+    run,
+)
 from coopsim.trust import TramPolicy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -90,6 +96,10 @@ def test_load_rejects_bad_statement_with_line_number():
         "tick 1\nwithdraw p token=",
         "tick 1\nsurvey w group=a,b about=p window=-3",
         "policy gate=0.5\npolicy recent-window=-4",
+        'tick 1\nissue p[w=1,q/pi:"b"]q',
+        'tick 1\nissue p[u=1,pi:"b"]q',
+        'tick 1\nissue p[pi:(1,"b",3)]q',
+        'tick 1\nissue p[pi:(1,"b"if"c",3)]q',
     ],
     ids=[
         "strength-not-int",
@@ -123,6 +133,10 @@ def test_load_rejects_bad_statement_with_line_number():
         "empty-withdraw-token",
         "negative-survey-window",
         "negative-recent-window",
+        "issue-subject",
+        "issue-time",
+        "issue-window",
+        "issue-window-condition",
     ],
 )
 def test_load_fails_closed_with_line_number(lines, tmp_path):
@@ -343,3 +357,41 @@ def test_attr_applies_to_its_entity_kind_only():
         for kind in ("program", "task")
     }
     assert verdicts == {"program": ["prepare"], "task": ["refuse-install"]}
+
+
+def test_issue_holds_one_shared_statement_per_recipient():
+    scenario = load('tick 7\nissue p[pi:"b"/{q,r}]q\nissue p[pi:"c"]q\n')
+    result = run(scenario)
+    first = scenario.events[0].statement
+    held = {
+        agent_id: [rec for rec in state.fragments if rec.token == "7-0"]
+        for agent_id, state in result.agents.items()
+    }
+    assert sorted(held) == ["p", "q", "r"]
+    for agent_id, (rec,) in held.items():
+        assert rec.statement is first
+        assert rec.subject == agent_id
+        assert rec.fade == PolicyHeader().default_fade and rec.last_update == 7
+    assert [rec.token for rec in result.agents["q"].fragments] == ["7-0", "7-1"]
+    issued = [line.split("token=")[1] for line in result.trace if " issue " in line]
+    assert issued == ["7-0", "7-1"]
+
+
+def test_run_checks_no_agent_id(monkeypatch):
+    """``load`` checks every agent id; delivery re-checks none, however
+    wide the scope."""
+    scope = ",".join(f"a{i}" for i in range(16))
+    scenarios = [engine.load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
+    scenarios.append(load(f'tick 1\nissue p[pi:"b"/{{{scope}}}]q\n'))
+    checked = []
+    real = statements.check_agent_id
+
+    def counting(name):
+        checked.append(name)
+        return real(name)
+
+    monkeypatch.setattr(statements, "check_agent_id", counting)
+    monkeypatch.setattr(engine, "check_agent_id", counting)
+    for scenario in scenarios:
+        run(scenario)
+    assert checked == []

@@ -10,27 +10,15 @@ from coopsim.lifecycle import (
     LifecycleRecord,
     LifecycleState,
 )
-from coopsim.statements import (
-    FadeSpec,
-    FragmentCounter,
-    fragment_on_issue,
-    parse,
-)
+from coopsim.statements import FadeSpec, parse
 from coopsim.trust import Outcome
 
 
 def fresh(fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1):
     stmt = parse('p[pi:"b"/{q}]q')
-    frag = fragment_on_issue(stmt, origin, FragmentCounter(), default_fade=fade)[1]
-    assert frag.subject == "q"
     return LifecycleRecord(
-        fragment=frag, last_update=origin, fade_rate_multiplier=Fraction(rate)
+        stmt, "q", f"{origin}-0", fade, origin, fade_rate_multiplier=Fraction(rate)
     )
-
-
-def test_record_requires_subject_and_fade():
-    with pytest.raises(LifecycleError):
-        LifecycleRecord(fragment=parse('p[pi:"b"]q'), last_update=0)
 
 
 def test_linear_fade_values():
@@ -119,7 +107,7 @@ def test_terminal_states_absorb():
         lambda: rec.step_fade(2),
         lambda: rec.assess(Outcome.BROKEN, 2),
         lambda: rec.withdraw("p", 2),
-        lambda: rec.refresh_on_repetition(rec.fragment, 2),
+        lambda: rec.refresh_on_repetition(rec.statement, 2),
     ):
         with pytest.raises(LifecycleError):
             op()
@@ -177,8 +165,8 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
     queue.push(fast)
     for index, tick in enumerate(ticks):
         if index == refresh_at and not ref.terminal:
-            ref.refresh_on_repetition(ref.fragment, tick)
-            fast.refresh_on_repetition(fast.fragment, tick)
+            ref.refresh_on_repetition(ref.statement, tick)
+            fast.refresh_on_repetition(fast.statement, tick)
             queue.push(fast)
         if not ref.terminal:
             ref.step_fade(tick)

@@ -1,7 +1,12 @@
 """Load/run property: a scenario drawn from the directive grammar, with empty
 values, malformed agent ids and out-of-range numbers mixed in, either fails
 to load with ``ScenarioError`` or runs to completion, and then every agent
-the run knows has a well-formed id and holds only active records."""
+the run knows has a well-formed id and holds only active records, no token
+terminates twice and no lifecycle line follows its token's termination.
+
+So that records end, well-formed lines are drawn too: adequacy issues,
+outcomes that match them, withdraws of the tokens a run allots
+(``<tick>-<seq>``) and fade spans of 1 to 3 ticks."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -125,15 +130,82 @@ event_lines = st.one_of(
     ),
     trust_line,
 )
-header_lines = st.one_of(trust_line, policy_line, attr_line, profile_line)
-scenarios = st.builds(
-    lambda header, ticks: "\n".join(
-        header
-        + [f"tick {t}\n" + "\n".join(lines) for t, lines in enumerate(ticks, 1)]
+live_agents = st.sampled_from(["p", "q", "r", "s"])
+promisers = st.sampled_from(["p", "q"])
+adequacy_pairs = st.sampled_from([("P", "U"), ("V", "U")])
+ending_lines = st.one_of(
+    st.builds(
+        lambda p, pair, scope, q: (
+            f'issue {p}[adequacy({pair[0]},{pair[1]}):"adequate"{scope}]{q}'
+        ),
+        promisers,
+        adequacy_pairs,
+        st.sampled_from(["", "/{r}", "/{q,s}"]),
+        live_agents,
     ),
-    st.lists(header_lines, max_size=6),
-    st.lists(st.lists(event_lines, min_size=1, max_size=4), max_size=5),
+    st.builds(
+        lambda q, pair, result: (
+            f"outcome {q} program={pair[0]} task={pair[1]} result={result}"
+        ),
+        live_agents,
+        adequacy_pairs,
+        st.sampled_from(["success", "failure"]),
+    ),
+    line(
+        "withdraw {p} token={tick}-{seq}",
+        p=promisers,
+        tick=st.integers(1, 5),
+        seq=st.integers(0, 9),
+    ),
 )
+fade_span_line = line("policy fade-span={span}", span=st.integers(1, 3))
+header_lines = st.one_of(
+    trust_line, policy_line, attr_line, profile_line, fade_span_line
+)
+ending_headers = st.builds(
+    lambda fade, trusts: [fade] + trusts,
+    fade_span_line,
+    st.lists(
+        line(
+            "trust {s} {t} = {level}",
+            s=live_agents,
+            t=live_agents,
+            level=st.integers(-2, 2),
+        ),
+        max_size=4,
+    ),
+)
+
+
+def scenario_texts(headers, event_lines):
+    return st.builds(
+        lambda header, ticks: "\n".join(
+            header
+            + [f"tick {t}\n" + "\n".join(lines) for t, lines in enumerate(ticks, 1)]
+        ),
+        headers,
+        st.lists(st.lists(event_lines, min_size=1, max_size=4), max_size=5),
+    )
+
+
+# Half the scenarios mix every line kind; the other half draw only
+# well-formed lines with a short fade span, so most of them end records.
+scenarios = scenario_texts(
+    st.lists(header_lines, max_size=6), st.one_of(event_lines, ending_lines)
+) | scenario_texts(ending_headers, ending_lines)
+
+
+def check_terminations(trace):
+    """Each token terminates at most once, and no lifecycle line of a token
+    follows its ``terminated`` line."""
+    terminated = set()
+    for text in trace:
+        _, kind, first = text.split()[:3]
+        if kind in ("lifecycle", "terminated"):
+            token = first[len("token="):]
+            assert token not in terminated, text
+            if kind == "terminated":
+                terminated.add(token)
 
 
 @settings(max_examples=400, deadline=None)
@@ -151,3 +223,4 @@ def test_load_rejects_or_run_completes(text):
                 assert all(
                     rec.state is LifecycleState.ACTIVE for rec in state.fragments
                 )
+            check_terminations(result.trace)

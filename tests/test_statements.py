@@ -4,11 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from coopsim.statements import (
-    DEFAULT_FADE,
     Body,
     DirectionalKind,
     FadeSpec,
-    FragmentCounter,
     ScopeMembershipError,
     Statement,
     StatementError,
@@ -16,7 +14,6 @@ from coopsim.statements import (
     ValidityWindow,
     WindowOrderError,
     equivalent,
-    fragment_on_issue,
     normalize,
     parse,
     render,
@@ -153,32 +150,10 @@ def test_normalize_and_equivalence():
     assert not equivalent(a, d)
 
 
-def test_fragment_on_issue_layout():
-    s = parse('p[pi:"b"/{q,r}]q')
-    frags = fragment_on_issue(s, 7, FragmentCounter())
-    assert [f.subject for f in frags] == ["p", "q", "r"]
-    assert len({f.identity.token for f in frags}) == 1
-    assert all(f.issue_time == 7 and f.observation_time == 7 for f in frags)
-    assert all(f.fade == DEFAULT_FADE for f in frags)
-
-
-def test_fragment_tokens_never_collide():
-    counter = FragmentCounter()
-    s = parse('p[pi:"b"]q')
-    t1 = fragment_on_issue(s, 3, counter)[0].identity.token
-    t2 = fragment_on_issue(s, 3, counter)[0].identity.token
-    assert t1 != t2
-
-
-def test_fragmenting_a_fragment_rejected():
-    s = parse('p[w=9,q/pi:"b"]q')
-    with pytest.raises(StatementError):
-        fragment_on_issue(s, 9, FragmentCounter())
-
-
 def test_render_requires_observation_with_subject():
-    s = parse('p[pi:"b"]q')
-    frag = fragment_on_issue(s, 2, FragmentCounter())[0]
+    text = 'p[w=2,p(2-0),fade(100,0.05)/u=2,pi:"b"]q'  # p's fragment of 2-0
+    frag = parse(text)
+    assert render(frag) == text
     assert parse(render(frag)) == frag
 
 

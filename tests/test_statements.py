@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from coopsim.engine import PolicyHeader, load, run
 from coopsim.statements import (
     Body,
     DirectionalKind,
@@ -148,6 +149,23 @@ def test_normalize_and_equivalence():
     assert not equivalent(a, c)
     d = parse('q[pi:"keep the promise"]p')
     assert not equivalent(a, d)
+
+
+def test_fragment_on_issue_layout():
+    result = run(load('tick 7\nissue p[pi:"b"/{q,r}]q\n'))
+    frags = [rec for state in result.agents.values() for rec in state.fragments]
+    assert sorted(f.subject for f in frags) == ["p", "q", "r"]
+    assert len({f.token for f in frags}) == 1
+    assert all(f.last_update == 7 for f in frags)
+    assert all(f.fade == PolicyHeader().default_fade for f in frags)
+
+
+def test_fragment_tokens_never_collide():
+    """The same statement issued twice in one tick gets two tokens (the
+    second issue refreshes the held record rather than adding one)."""
+    result = run(load('tick 3\nissue p[pi:"b"]q\nissue p[pi:"b"]q\n'))
+    issued = [line.split("token=")[1] for line in result.trace if " issue " in line]
+    assert issued == ["3-0", "3-1"]
 
 
 def test_render_requires_observation_with_subject():

@@ -8,20 +8,23 @@ byte-identical trace.
 Per tick the engine (1) injects the scripted directives, (2) delivers each
 issued statement under a fresh token to every agent in effective scope plus
 the promisee, as one lifecycle record (a fragment) per recipient, all
-sharing the statement, (3) lets receiving agents gate on credibility and
-react by their trust rules in lexicographic order, (4) applies outcome
-assessments and trust updates, (5) fades the fragments whose fade deadline
-has come, and (6) announces globally terminated statements.  ``load`` has
-validated the statement, so delivery validates nothing again.
+sharing the statement, (3) gates the statement on credibility once, and
+lets receiving agents react by their trust rules in lexicographic order,
+(4) applies outcome assessments and trust updates, (5) fades the fragments
+whose fade deadline has come, and (6) announces globally terminated
+statements.  ``load`` has validated the statement, so delivery validates
+nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
-fragment's fade deadline is known when it is issued or refreshed, and it goes
-into a deadline queue (``lifecycle.FadeQueue``); step (5) pops only the
-fragments due by this tick, in agent then token order, and prunes the
-adequacy index of only those agents that had a fragment fade or be withdrawn
-this tick.  Lifecycle lines of kept, broken and withdrawn fragments show the
+fragment's fade deadline is an integer tick known when it is issued or
+refreshed (``lifecycle.LifecycleRecord``), and it goes into a deadline queue
+(``lifecycle.FadeQueue``); step (5) pops only the fragments due by this tick,
+in agent then token order, and prunes the adequacy index of only those agents
+that had a fragment fade or be withdrawn this tick.  Lifecycle lines of kept, broken and withdrawn fragments show the
 fade level as of the last tick fading ran at, and at the end of the run every
-fragment still active is stepped to the last tick.  Only live fragments are
+fragment still active is stepped to the last tick.  A lifecycle line's
+``fade=... rate=...`` text depends only on the rate and the ticks faded, so
+it is formatted once per distinct pair in a run.  Only live fragments are
 held: one that ends leaves its agent, its token and the refresh map at once.
 Step (6) announces, in token order, the tokens whose last fragment ended.
 """
@@ -475,6 +478,18 @@ class _Engine:
         self.refreshable: dict = {}  # (agent, equivalence key) -> live record
         self.to_prune: set = set()  # agents that lost a record this tick
         self.terminated: set = set()  # tokens whose last record ended this tick
+        self.fade_texts: dict = {}  # (rate, fading ticks) -> "fade=... rate=..."
+        self.handlers = {
+            "issue": self.on_issue,
+            "impose": self.on_impose,
+            "outcome": self.on_outcome,
+            "withdraw": self.on_withdraw,
+            "lor-request": self.on_lor_request,
+            "survey": self.on_survey,
+            "reply": self.on_reply,
+            "expect-trust": self.check_expectation,
+            "trust": self.on_trust_event,
+        }
 
     # -- helpers -----------------------------------------------------------
 
@@ -493,10 +508,17 @@ class _Engine:
         )
 
     def emit_lifecycle(self, tick, rec: LifecycleRecord):
-        rate = _fmt_fraction(rec.fade_rate_multiplier)
+        # the run has one fade spec, so the text depends on these two only
+        key = (rec.fade_rate_multiplier, rec.fading_ticks)
+        fade = self.fade_texts.get(key)
+        if fade is None:
+            fade = self.fade_texts[key] = (
+                f"fade={_fmt_fraction(rec.fade_level)} "
+                f"rate={_fmt_fraction(rec.fade_rate_multiplier)}"
+            )
         self.emit(
             f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
-            f"state={rec.state.value} fade={_fmt_fraction(rec.fade_level)} rate={rate}"
+            f"state={rec.state.value} {fade}"
         )
 
     def emit_action(self, tick, agent_id, action: Action):
@@ -602,18 +624,7 @@ class _Engine:
     # -- events ------------------------------------------------------------
 
     def apply_event(self, directive: Directive):
-        handler = {
-            "issue": self.on_issue,
-            "impose": self.on_impose,
-            "outcome": self.on_outcome,
-            "withdraw": self.on_withdraw,
-            "lor-request": self.on_lor_request,
-            "survey": self.on_survey,
-            "reply": self.on_reply,
-            "expect-trust": self.check_expectation,
-            "trust": self.on_trust_event,
-        }[directive.name]
-        handler(directive)
+        self.handlers[directive.name](directive)
 
     def on_trust_event(self, directive: Directive):
         subject, target, program, task, level = directive.args
@@ -631,6 +642,8 @@ class _Engine:
     def deliver(self, stmt: Statement, tick: int):
         token = self.counter.fresh(tick)
         key = equivalence_key(stmt)
+        route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
+        rate = DISCARD_FAST_MULTIPLIER if route is Route.DISCARD_FAST else 1
         self.emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
@@ -642,10 +655,9 @@ class _Engine:
             if refreshed is not None:
                 self.emit_lifecycle(tick, refreshed)
                 continue
-            rec = LifecycleRecord(stmt, subject, token, self.fade, tick)
-            route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
-            if route is Route.DISCARD_FAST:
-                rec.fade_rate_multiplier = Fraction(DISCARD_FAST_MULTIPLIER)
+            rec = LifecycleRecord(
+                stmt, subject, token, self.fade, tick, fade_rate_multiplier=rate
+            )
             state.hold(rec)
             self.live.setdefault(token, (key, []))[1].append(rec)
             self.refreshable[subject, key] = rec

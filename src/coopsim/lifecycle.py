@@ -4,14 +4,19 @@ Terminal states are absorbing.  While active, the fragment's vividness
 (``fade_level``) decays linearly from 1 toward 0; once it drops below the
 fragment's fading threshold the fragment terminates locally as faded.
 
-Linear decay makes the tick at which a record fades known as soon as it is
-issued or refreshed (``LifecycleRecord.fade_deadline``), so ``FadeQueue``
-steps a record only when it fades instead of at every tick.
+A refresh resets the level to 1 and the rate is fixed, so the level is
+``max(0, 1 - rate*(t - origin)/span)`` with ``origin`` the tick of issue or
+last refresh.  A record therefore keeps whole ticks only; its ``Fraction``
+level is built when read.  A record at ``rate`` stays active for
+``FadeSpec.life(rate)`` ticks, so the tick at which it fades
+(``LifecycleRecord.fade_deadline``) is known as soon as it is issued or
+refreshed, and ``FadeQueue`` steps a record only when it fades instead of at
+every tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -44,7 +49,11 @@ class LifecycleError(RuntimeError):
 @dataclass(eq=False)  # by identity: removing a record compares no fields
 class LifecycleRecord:
     """A fragment: the issued ``statement`` as its ``subject`` holds it.
-    Every recipient's record shares the one statement and its ``token``."""
+    Every recipient's record shares the one statement and its ``token``.
+
+    Fading is kept in whole ticks: ``origin`` is the tick of issue or of the
+    last refresh and ``shown_at`` the tick the shown level is taken at.
+    ``fade_level`` is built from them only when it is read."""
 
     statement: Statement
     subject: str
@@ -52,8 +61,12 @@ class LifecycleRecord:
     fade: FadeSpec
     last_update: int
     state: LifecycleState = LifecycleState.ACTIVE
-    fade_level: Fraction = Fraction(1)
-    fade_rate_multiplier: Fraction = Fraction(1)
+    fade_rate_multiplier: int = 1
+    origin: int = field(init=False)
+    shown_at: int = field(init=False)
+
+    def __post_init__(self):
+        self.origin = self.shown_at = self.last_update
 
     @property
     def terminal(self) -> bool:
@@ -63,36 +76,44 @@ class LifecycleRecord:
         if self.terminal:
             raise LifecycleError(f"record is terminal ({self.state.value})")
 
+    @property
+    def fading_ticks(self) -> int:
+        """Ticks of fading behind the shown level, up to where it reaches 0."""
+        rate, span = self.fade_rate_multiplier, self.fade.span
+        return min(self.shown_at - self.origin, -(-span // rate))
+
+    def _level(self, ticks: int) -> Fraction:
+        decay = Fraction(self.fade_rate_multiplier * ticks, self.fade.span)
+        return max(Fraction(0), 1 - decay)
+
+    @property
+    def fade_level(self) -> Fraction:
+        """The shown level: 1 less ``rate/span`` per tick, never below 0."""
+        return self._level(self.fading_ticks)
+
     def fade_at(self, now: int) -> Fraction:
-        """The fade level at ``now`` by linear decay since ``last_update``."""
-        span = self.fade.span
-        decay = self.fade_rate_multiplier * Fraction(now - self.last_update, span)
-        return max(Fraction(0), self.fade_level - decay)
+        """The fade level at ``now`` by linear decay since ``origin``."""
+        return self._level(now - self.origin)
 
     def fade_deadline(self) -> int:
-        """The first tick at which ``step_fade`` makes the record faded.
-
-        Before it the level stays at or above the threshold, which is above
-        0, so one step from ``last_update`` equals any chain of steps.
-        """
-        slack = (self.fade_level - self.fade.threshold) * self.fade.span
-        return self.last_update + slack // self.fade_rate_multiplier + 1
+        """The first tick at which ``step_fade`` makes the record faded: the
+        level stays at or above the threshold for ``fade.life`` ticks."""
+        return self.origin + self.fade.life(self.fade_rate_multiplier)
 
     def step_fade(self, now: int) -> "LifecycleRecord":
         """Advance fading to ``now``; becomes faded below the threshold."""
         self._require_active()
         if now < self.last_update:
             raise LifecycleError("fading cannot run backwards")
-        self.fade_level = self.fade_at(now)
-        self.last_update = now
-        if self.fade_level < self.fade.threshold:
+        self.last_update = self.shown_at = now
+        if now >= self.fade_deadline():
             self.state = LifecycleState.FADED
         return self
 
     def _fade_to(self, tick: Optional[int]):
         """Show the level as of ``tick``, the last tick fading ran at."""
         if tick is not None and tick > self.last_update:
-            self.fade_level = self.fade_at(tick)
+            self.shown_at = tick
 
     def assess(
         self, verdict: Outcome, now: int, fade_to: Optional[int] = None
@@ -125,8 +146,7 @@ class LifecycleRecord:
         self._require_active()
         if not equivalent(self.statement, reissue):
             raise LifecycleError("reissue is not equivalent to the held fragment")
-        self.fade_level = Fraction(1)
-        self.last_update = now
+        self.origin = self.shown_at = self.last_update = now
         return self
 
 
@@ -134,9 +154,9 @@ class FadeQueue:
     """Fade deadlines of records, earliest first: a pending-event set.
 
     ``push`` files a record under its ``fade_deadline`` together with its
-    ``last_update`` at that time.  The entry goes stale once the record is
-    terminal or is refreshed (its ``last_update`` moves on; the refresh pushes
-    a new entry), and a stale entry is dropped when it comes due.  A record is
+    ``origin`` at that time.  The entry goes stale once the record is
+    terminal or is refreshed (its ``origin`` moves on; the refresh pushes a
+    new entry), and a stale entry is dropped when it comes due.  A record is
     stepped only when it fades, or by ``settle``.
     """
 
@@ -146,7 +166,7 @@ class FadeQueue:
 
     def push(self, rec: LifecycleRecord):
         heappush(
-            self._heap, (rec.fade_deadline(), next(self._seq), rec.last_update, rec)
+            self._heap, (rec.fade_deadline(), next(self._seq), rec.origin, rec)
         )
 
     def fade_due(self, now: int) -> list:
@@ -156,7 +176,7 @@ class FadeQueue:
         heap = self._heap
         while heap and heap[0][0] <= now:
             _, _, origin, rec = heappop(heap)
-            if rec.terminal or rec.last_update != origin:
+            if rec.terminal or rec.origin != origin:
                 continue
             faded.append(rec.step_fade(now))
         return faded

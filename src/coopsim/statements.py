@@ -149,6 +149,15 @@ class FadeSpec:
             raise StatementError("fade span must be >= 1")
         if not (0 < self.threshold < 1):
             raise StatementError("fade threshold must be in (0,1)")
+        object.__setattr__(self, "_lives", {})  # rate -> life, filled on use
+
+    def life(self, rate: int) -> int:
+        """Ticks a fragment fading at ``rate`` stays active: its level
+        ``1 - rate*k/span`` stays at or above the threshold for ``k < life``."""
+        life = self._lives.get(rate)
+        if life is None:
+            life = self._lives[rate] = (1 - self.threshold) * self.span // rate + 1
+        return life
 
 
 @dataclass(frozen=True)

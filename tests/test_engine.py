@@ -217,7 +217,8 @@ def test_incredible_promiser_is_fast_discarded():
     )
     result = run(load(text))
     assert ("P", "U") not in result.agents["q"].prepared
-    assert result.agents["q"].fragments[0].fade_rate_multiplier == 4
+    rate = result.agents["q"].fragments[0].fade_rate_multiplier
+    assert rate == 4 and type(rate) is int
     assert any("rate=4" in line for line in result.trace)
     # penalization counts as a broken experience
     assert result.agents["q"].trust_in("p") == 0
@@ -395,3 +396,24 @@ def test_run_checks_no_agent_id(monkeypatch):
     for scenario in scenarios:
         run(scenario)
     assert checked == []
+
+
+def test_credibility_is_gated_once_per_delivery(monkeypatch):
+    """The gate depends on the statement and the header only, so a delivery
+    gates once, however many recipients it has."""
+    scope = ",".join(f"a{i}" for i in range(16))
+    scenarios = [load(f'tick 1\nissue p[pi:"b"/{{{scope}}}]q\n')]
+    scenarios += [engine.load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
+    gated = []
+    real = engine.credibility_gate
+
+    def counting(score, floor):
+        gated.append(score)
+        return real(score, floor)
+
+    monkeypatch.setattr(engine, "credibility_gate", counting)
+    for scenario in scenarios:
+        gated.clear()
+        result = run(scenario)
+        deliveries = sum(" issue " in line for line in result.trace)
+        assert len(gated) <= deliveries

@@ -4,20 +4,21 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from coopsim.engine import _Engine, load
 from coopsim.lifecycle import (
     FadeQueue,
     LifecycleError,
     LifecycleRecord,
     LifecycleState,
 )
-from coopsim.statements import FadeSpec, parse
+from coopsim.statements import FadeSpec, _fmt_fraction, parse
 from coopsim.trust import Outcome
 
 
 def fresh(fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1):
     stmt = parse('p[pi:"b"/{q}]q')
     return LifecycleRecord(
-        stmt, "q", f"{origin}-0", fade, origin, fade_rate_multiplier=Fraction(rate)
+        stmt, "q", f"{origin}-0", fade, origin, fade_rate_multiplier=rate
     )
 
 
@@ -189,3 +190,43 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
         ref.fade_level,
         ref.last_update,
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(fading_runs())
+def test_integer_fade_clock_equals_the_fraction_recurrence(run):
+    """Reference: the level is a ``Fraction`` stepped at each fade tick by
+    ``level <- max(0, level - rate*(now - last)/span)``, the record fades once
+    the level is below the threshold, and a refresh sets the level to 1."""
+    spec, rate, origin, ticks, refresh_at = run
+    engine = _Engine(
+        load(f"policy fade-span={spec.span} fade-threshold={spec.threshold}")
+    )
+    rec = fresh(engine.fade, origin, rate)
+    level, last, faded = Fraction(1), origin, False
+
+    def step(level, last, now):
+        return max(Fraction(0), level - rate * Fraction(now - last, spec.span))
+
+    def first_faded_tick(level, last):
+        while level >= spec.threshold:
+            level, last = step(level, last, last + 1), last + 1
+        return last
+
+    deadline = first_faded_tick(level, last)
+    for index, tick in enumerate(ticks):
+        if index == refresh_at and not faded:
+            rec.refresh_on_repetition(rec.statement, tick)
+            level, last = Fraction(1), tick
+            deadline = first_faded_tick(level, last)
+        if not faded:
+            assert rec.fade_deadline() == deadline
+            rec.step_fade(tick)
+            level, last = step(level, last, tick), tick
+            faded = level < spec.threshold
+        assert rec.state is (LifecycleState.FADED if faded else LifecycleState.ACTIVE)
+        assert rec.fade_level == level
+        engine.emit_lifecycle(tick, rec)
+        assert engine.trace[-1].endswith(
+            f" fade={_fmt_fraction(level)} rate={_fmt_fraction(Fraction(rate))}"
+        )

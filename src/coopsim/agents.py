@@ -38,7 +38,6 @@ __all__ = [
     "ActionKind",
     "Action",
     "AdequacyTagError",
-    "PreparedEntry",
     "PendingWarning",
     "AgentState",
     "parse_adequacy_tag",
@@ -92,12 +91,6 @@ class Action:
         return ",".join(parts)
 
 
-@dataclass
-class PreparedEntry:
-    since: int
-    used_before: bool = False
-
-
 @dataclass(frozen=True)
 class PendingWarning:
     imposer: str
@@ -111,9 +104,13 @@ class AgentState:
     id: str
     trust: TrustStore = field(default_factory=TrustStore)
     fragments: list = field(default_factory=list)  # live records, every kind
-    prepared: dict = field(default_factory=dict)
+    promises: dict = field(default_factory=dict)  # type tag -> live promises
+    prepared: dict = field(default_factory=dict)  # (program, task) -> used before
+    # (program, task) -> {promiser: tick of its last engaged adequacy promise}
     adequacy_index: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
+    # (type tag, promiser) of the promises released since the last prune
+    lapsed: set = field(default_factory=set, init=False, repr=False, compare=False)
     general_keys: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -127,50 +124,51 @@ class AgentState:
         return key
 
     def hold(self, rec):
-        """Hold a new record until ``release``."""
+        """Hold a new record until ``release``, a promise also by its tag."""
         self.fragments.append(rec)
+        stmt = rec.statement
+        if stmt.kind is DirectionalKind.PROMISE:
+            self.promises.setdefault(stmt.type_tag, []).append(rec)
 
     def release(self, rec):
-        """Let go of a record that has ended: only live records are held."""
+        """Let go of a record that has ended: only live records are held.  A
+        released promise's pair is noted for ``prune_adequacy_index``."""
         self.fragments.remove(rec)
+        stmt = rec.statement
+        if stmt.kind is DirectionalKind.PROMISE:
+            live = self.promises[stmt.type_tag]
+            live.remove(rec)
+            if not live:
+                del self.promises[stmt.type_tag]
+            self.lapsed.add((stmt.type_tag, stmt.promiser))
 
     def trust_in(self, target: str) -> int:
         return self.trust.get(self.general_key(target))
 
     def promisers_for(self, program: str, task: str):
         """Distinct agents with an indexed adequacy promise for (program, task)."""
-        return {p for p, _ in self.adequacy_index.get((program, task), ())}
+        return self.adequacy_index.get((program, task), {}).keys()
 
     def active_adequacy_records(self, program: str, task: str):
-        tag = f"adequacy({program},{task})"
-        return [
-            rec
-            for rec in self.fragments
-            if rec.statement.kind is DirectionalKind.PROMISE
-            and rec.statement.type_tag == tag
-        ]
+        """The live adequacy promises for (program, task), in hold order."""
+        return list(self.promises.get(f"adequacy({program},{task})", ()))
 
     def prune_adequacy_index(self):
-        """Drop index entries whose promiser no longer has an active fragment.
+        """Drop index entries whose promiser no longer has a live promise.
 
-        One pass over the fragments collects the active (type tag, promiser)
-        pairs, so the cost does not grow with the number of index keys; an
-        empty index (an agent that only saw other statements) costs nothing.
+        An entry is added only after its promise is held, and a pair loses
+        its last live promise only through ``release``, which records it in
+        ``lapsed``; so only the lapsed pairs need a look.
         """
-        if not self.adequacy_index:
-            return
-        active = {
-            (rec.statement.type_tag, rec.statement.promiser)
-            for rec in self.fragments
-            if rec.statement.kind is DirectionalKind.PROMISE
-        }
-        for (program, task), entries in list(self.adequacy_index.items()):
-            tag = f"adequacy({program},{task})"
-            kept = [e for e in entries if (tag, e[0]) in active]
-            if kept:
-                self.adequacy_index[(program, task)] = kept
-            else:
-                del self.adequacy_index[(program, task)]
+        for tag, promiser in self.lapsed:
+            match = _ADEQUACY_RE.fullmatch(tag)
+            live = self.promises.get(tag, ())
+            if match and all(rec.statement.promiser != promiser for rec in live):
+                entries = self.adequacy_index.get(match.groups(), {})
+                entries.pop(promiser, None)
+                if not entries:
+                    self.adequacy_index.pop(match.groups(), None)
+        self.lapsed.clear()
 
 
 def on_adequacy_promise(
@@ -186,9 +184,7 @@ def on_adequacy_promise(
     The promise is indexed whatever the outcome.
     """
     program, task = parse_adequacy_tag(promise.type_tag)
-    state.adequacy_index.setdefault((program, task), []).append(
-        (promise.promiser, now)
-    )
+    state.adequacy_index.setdefault((program, task), {})[promise.promiser] = now
     if verdict is InstallVerdict.NO_RULE:
         level = state.trust_in(promise.promiser)
         if (
@@ -205,7 +201,7 @@ def on_adequacy_promise(
         return [Action(ActionKind.REFUSE_INSTALL, program=program, task=task)]
     if (program, task) in state.prepared:
         return []
-    state.prepared[(program, task)] = PreparedEntry(since=now)
+    state.prepared[(program, task)] = False
     return [Action(ActionKind.PREPARE, program=program, task=task)]
 
 
@@ -226,12 +222,11 @@ def _select_candidate(state: AgentState, candidates: list, task: str) -> str:
     lexicographic program id."""
     stats = {}
     for program in candidates:
-        entries = state.adequacy_index.get((program, task), ())
-        promisers = sorted({p for p, _ in entries})
-        trusts = {p: state.trust_in(p) for p in promisers}
+        latest = state.adequacy_index[(program, task)]
+        trusts = {p: state.trust_in(p) for p in latest}
         top = max(trusts.values())
         total = sum(trusts.values())
-        recent = max(t for p, t in entries if trusts[p] == top)
+        recent = max(t for p, t in latest.items() if trusts[p] == top)
         stats[program] = (top, total, recent)
     best_top = max(s[0] for s in stats.values())
     pool = [c for c in candidates if stats[c][0] == best_top]
@@ -260,7 +255,7 @@ def on_task_request(state: AgentState, task: str) -> Action:
             if level >= 0:
                 return Action(ActionKind.USE, program=program, task=task)
             if level == -1:
-                if state.prepared[(program, task)].used_before:
+                if state.prepared[(program, task)]:
                     return Action(ActionKind.USE, program=program, task=task)
                 return Action(ActionKind.FAIL, task=task)
             return Action(ActionKind.FAIL, task=task)
@@ -341,6 +336,6 @@ def on_outcome(
             state.general_key(rec.statement.promiser), result, now, policy
         )
     if (program, task) in state.prepared:
-        state.prepared[(program, task)].used_before = True
+        state.prepared[(program, task)] = True
     state.prune_adequacy_index()
     return records

@@ -475,7 +475,7 @@ class _Engine:
         self.fading = FadeQueue()
         self.fade_tick: Optional[int] = None  # last tick fading ran at
         self.live: dict = {}  # token -> (equivalence key, its live records)
-        self.refreshable: dict = {}  # (agent, equivalence key) -> live record
+        self.refreshable: dict = {}  # equivalence key -> {agent: live record}
         self.to_prune: set = set()  # agents that lost a record this tick
         self.terminated: set = set()  # tokens whose last record ended this tick
         self.fade_texts: dict = {}  # (rate, fading ticks) -> "fade=... rate=..."
@@ -644,6 +644,7 @@ class _Engine:
         key = equivalence_key(stmt)
         route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
         rate = DISCARD_FAST_MULTIPLIER if route is Route.DISCARD_FAST else 1
+        holders = self.refreshable.setdefault(key, {})
         self.emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
@@ -651,7 +652,7 @@ class _Engine:
         for subject in sorted(stmt.recipients):
             self.emit(f"t={tick} deliver token={token} subject={subject}")
             state = self.agent(subject)
-            refreshed = self.try_refresh(subject, key, stmt, tick)
+            refreshed = self.try_refresh(holders.get(subject), stmt, tick)
             if refreshed is not None:
                 self.emit_lifecycle(tick, refreshed)
                 continue
@@ -660,7 +661,7 @@ class _Engine:
             )
             state.hold(rec)
             self.live.setdefault(token, (key, []))[1].append(rec)
-            self.refreshable[subject, key] = rec
+            holders[subject] = rec
             self.fading.push(rec)
             if route is Route.DISCARD_FAST:
                 self.emit_lifecycle(tick, rec)
@@ -678,11 +679,10 @@ class _Engine:
             if subject == stmt.promisee and stmt.kind is DirectionalKind.PROMISE:
                 self.react_to_promise(state, stmt, tick)
 
-    def try_refresh(self, subject: str, key: tuple, stmt: Statement, tick: int):
-        """Repetition of an equivalent statement refreshes fading instead of
-        piling up duplicate fragments; trust is unaffected.  An agent holds at
-        most one live record per equivalence key."""
-        rec = self.refreshable.get((subject, key))
+    def try_refresh(self, rec, stmt: Statement, tick: int):
+        """A repeated statement refreshes the fading of the recipient's live
+        equivalent record ``rec``, if any, instead of piling up a duplicate;
+        trust is unaffected.  An agent holds one record per equivalence key."""
         if rec is not None:
             rec.refresh_on_repetition(stmt, tick)
             self.fading.push(rec)
@@ -827,7 +827,10 @@ class _Engine:
         if not live:
             del self.live[rec.token]
             self.terminated.add(rec.token)
-        del self.refreshable[rec.subject, key]
+        holders = self.refreshable[key]
+        del holders[rec.subject]
+        if not holders:
+            del self.refreshable[key]
 
     def fade_step(self, tick: int):
         faded = self.fading.fade_due(tick)

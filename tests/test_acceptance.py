@@ -14,7 +14,6 @@ from coopsim import engine
 from coopsim.agents import (
     ActionKind,
     AgentState,
-    PreparedEntry,
     on_imposition,
     on_task_request,
 )
@@ -137,8 +136,8 @@ def test_criterion_05_imposition_balancing_table():
         gkey = lambda t: AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", t)
         state.trust.set(gkey("s"), trust_s)
         state.trust.set(gkey("p"), trust_p)
-        state.prepared[("P", "U")] = PreparedEntry(since=0)
-        state.adequacy_index[("P", "U")] = [("p", 0)]
+        state.prepared[("P", "U")] = False
+        state.adequacy_index[("P", "U")] = {"p": 0}
         stmt = parse('p[adequacy(P,U):"adequate"]q')
         state.hold(LifecycleRecord(stmt, "q", "0-0", FADE, 0))
         (action,) = on_imposition(state, "s", "U")
@@ -159,8 +158,8 @@ def _agent_with(programs):
     """programs: {program: [(promiser, trust, issue_tick), ...]}"""
     state = AgentState(id="q")
     for program, entries in programs.items():
-        state.prepared[(program, "U")] = PreparedEntry(since=0)
-        state.adequacy_index[(program, "U")] = [(p, t) for p, _, t in entries]
+        state.prepared[(program, "U")] = False
+        state.adequacy_index[(program, "U")] = {p: t for p, _, t in entries}
         for promiser, trust, _ in entries:
             state.trust.set(
                 AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", promiser),
@@ -176,7 +175,7 @@ def test_criterion_06_rule_engine_decision_table():
     # one candidate: every (trust, used-before) cell
     for trust, used in itertools.product(LEVELS, (False, True)):
         state = _agent_with({"P": [("p", trust, 0)]})
-        state.prepared[("P", "U")].used_before = used
+        state.prepared[("P", "U")] = used
         assert on_task_request(state, "U").kind in defined
     # two candidates: every promiser trust pair
     for ta, tb in itertools.product(LEVELS, repeat=2):

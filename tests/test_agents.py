@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,6 @@ from coopsim.agents import (
     ActionKind,
     AdequacyTagError,
     AgentState,
-    PreparedEntry,
     apply_unload_rule,
     on_adequacy_promise,
     on_imposition,
@@ -17,7 +18,7 @@ from coopsim.agents import (
 )
 from coopsim.engine import PolicyHeader
 from coopsim.lifecycle import LifecycleRecord, LifecycleState
-from coopsim.statements import FragmentCounter, parse
+from coopsim.statements import DirectionalKind, FragmentCounter, parse
 from coopsim.trust import AppreciationKey, AppreciationKind, Outcome, TramPolicy
 
 FADE = PolicyHeader().default_fade
@@ -125,7 +126,7 @@ def test_task_request_no_candidate_fails():
 def test_single_candidate_trust_rules(level, used_before, expected):
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    state.prepared[("P", "U")].used_before = used_before
+    state.prepared[("P", "U")] = used_before
     state.trust.set(
         AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p"), level
     )
@@ -224,69 +225,78 @@ def test_outcome_updates_trust_and_terminates_records():
     assert state.fragments == []  # ... and no longer held
     assert state.trust_in("p") == 0
     assert all(r.state is LifecycleState.BROKEN for r in assessed)
-    assert state.prepared[("P", "U")].used_before
+    assert state.prepared[("P", "U")] is True  # used before
     # the promiser's broken promise no longer backs the program
     assert state.promisers_for("P", "U") == set()
 
 
-def agent_with_records(records, index):
-    """An AgentState ``q`` and the adequacy index ``{(program, task):
-    [(promiser, issued), ...]}``, built directly rather than through promise
-    delivery.  Of the ``(promiser, kind tag, type tag, state)`` records only
-    the active ones are held, as the engine holds only live records."""
-    state = AgentState(id="q")
-    counter = FragmentCounter()
-    for promiser, kind_tag, type_tag, record_state in records:
-        stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
-        token = counter.fresh(0)
-        if record_state is LifecycleState.ACTIVE:
-            state.hold(LifecycleRecord(stmt, "q", token, FADE, 0))
-    state.adequacy_index = {key: list(entries) for key, entries in index.items()}
-    return state
-
-
-def prune_per_key(state):
-    """The reference prune: one ``active_adequacy_records`` scan per key."""
-    for (program, task), entries in list(state.adequacy_index.items()):
-        active = {
-            rec.statement.promiser
-            for rec in state.active_adequacy_records(program, task)
-        }
-        kept = [e for e in entries if e[0] in active]
+def rescan_prune(index, fragments):
+    """The reference prune: one pass over every live record finds the
+    (type tag, promiser) pairs with a live promise, and an index entry stays
+    only while its pair has one."""
+    live = {
+        (rec.statement.type_tag, rec.statement.promiser)
+        for rec in fragments
+        if rec.statement.kind is DirectionalKind.PROMISE
+    }
+    pruned = {}
+    for (program, task), entries in index.items():
+        tag = f"adequacy({program},{task})"
+        kept = {p: t for p, t in entries.items() if (tag, p) in live}
         if kept:
-            state.adequacy_index[(program, task)] = kept
-        else:
-            del state.adequacy_index[(program, task)]
+            pruned[program, task] = kept
+    return pruned
 
 
-promisers = st.sampled_from(["a", "b", "c"])
-programs = st.sampled_from(["P", "R"])
-tasks = st.sampled_from(["U", "V"])
-adequacy_tags = st.builds("adequacy({},{})".format, programs, tasks)
+KEYS = list(itertools.product(["P", "R"], ["U", "V"]))
+holders = st.sampled_from(["q", "r"])
+steps = st.one_of(
+    st.tuples(
+        st.just("hold"),
+        holders,
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["", "suggest!", "warn!"]),
+        st.sampled_from([f"adequacy({p},{t})" for p, t in KEYS] + ["note"]),
+        st.booleans(),
+    ),
+    st.tuples(st.just("release"), holders, st.integers(0, 11)),
+    st.tuples(st.just("prune"), holders),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    records=st.lists(
-        st.tuples(
-            promisers,
-            st.sampled_from(["", "suggest!", "warn!"]),
-            adequacy_tags | st.just("note"),
-            st.sampled_from(LifecycleState),
-        ),
-        max_size=12,
-    ),
-    index=st.dictionaries(
-        st.tuples(programs, tasks),
-        st.lists(st.tuples(promisers, st.integers(0, 5)), min_size=1, max_size=4),
-        max_size=4,
-    ),
-)
-def test_one_pass_prune_equals_per_key_prune(records, index):
-    state = agent_with_records(records, index)
-    reference = agent_with_records(records, index)
-    state.prune_adequacy_index()
-    prune_per_key(reference)
-    assert list(state.adequacy_index.items()) == list(
-        reference.adequacy_index.items()
-    )
+@given(st.lists(steps, max_size=30))
+def test_incremental_prune_equals_full_rescan(script):
+    """Random holds (of any kind and tag; adequacy promises optionally
+    indexed, as the engine indexes what the promisee engages), releases and
+    prunes on two agents: after every step each index equals a reference
+    index that applies the same additions and, at each prune, the full
+    rescan of the agent's live records."""
+    states = {name: AgentState(id=name) for name in ("q", "r")}
+    reference = {name: {} for name in states}
+    counter = FragmentCounter()
+    for tick, (op, name, *args) in enumerate(script):
+        state = states[name]
+        if op == "hold":
+            promiser, kind_tag, type_tag, indexed = args
+            stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
+            state.hold(LifecycleRecord(stmt, name, counter.fresh(tick), FADE, tick))
+            if indexed and stmt.kind is DirectionalKind.PROMISE and type_tag != "note":
+                on_adequacy_promise(state, stmt, tick)
+                key = parse_adequacy_tag(type_tag)
+                reference[name].setdefault(key, {})[promiser] = tick
+        elif op == "release" and state.fragments:
+            state.release(state.fragments[args[0] % len(state.fragments)])
+        elif op == "prune":
+            state.prune_adequacy_index()
+            reference[name] = rescan_prune(reference[name], state.fragments)
+        for other in states.values():
+            assert other.adequacy_index == reference[other.id]
+            for program, task in KEYS:
+                tag = f"adequacy({program},{task})"
+                assert other.active_adequacy_records(program, task) == [
+                    rec
+                    for rec in other.fragments
+                    if rec.statement.kind is DirectionalKind.PROMISE
+                    and rec.statement.type_tag == tag
+                ]

@@ -8,25 +8,29 @@ byte-identical trace.
 Per tick the engine (1) injects the scripted directives, (2) delivers each
 issued statement under a fresh token to every agent in effective scope plus
 the promisee, as one lifecycle record (a fragment) per recipient, all
-sharing the statement, (3) gates the statement on credibility once, and
-lets receiving agents react by their trust rules in lexicographic order,
-(4) applies outcome assessments and trust updates, (5) fades the fragments
-whose fade deadline has come, and (6) announces globally terminated
-statements.  ``load`` has validated the statement, so delivery validates
-nothing again.
+sharing the statement, and files the fresh fragments as one fade-queue
+entry, (3) gates the statement on credibility once, and lets receiving
+agents react by their trust rules in lexicographic order, with one attribute
+install verdict per (program, task) in a run, (4) applies outcome
+assessments and trust updates, (5) fades the fragments whose fade deadline
+has come, and (6) announces globally terminated statements.  ``load`` has
+validated the statement, so delivery validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
 refreshed (``lifecycle.LifecycleRecord``), and it goes into a deadline queue
-(``lifecycle.FadeQueue``); step (5) pops only the fragments due by this tick,
-in agent then token order, and prunes the adequacy index of only those agents
-that had a fragment fade or be withdrawn this tick.  Lifecycle lines of kept, broken and withdrawn fragments show the
-fade level as of the last tick fading ran at, and at the end of the run every
-fragment still active is stepped to the last tick.  A lifecycle line's
-``fade=... rate=...`` text depends only on the rate and the ticks faded, so
-it is formatted once per distinct pair in a run.  Only live fragments are
-held: one that ends leaves its agent, its token and the refresh map at once.
-Step (6) announces, in token order, the tokens whose last fragment ended.
+(``lifecycle.FadeQueue``), one entry per delivery and one per refresh; step
+(5) pops only the entries due by this tick, skips their members that ended
+or were refreshed since, fades the rest in agent then token order, and
+prunes the adequacy index of only those agents that had a fragment fade or
+be withdrawn this tick.  Lifecycle lines of kept, broken and withdrawn
+fragments show the fade level as of the last tick fading ran at, and at the
+end of the run every fragment still active is stepped to the last tick.  A
+lifecycle line's ``fade=... rate=...`` text depends only on the rate and the
+ticks faded, so it is formatted once per distinct pair in a run.  Only live
+fragments are held: one that ends leaves its agent, its token and the
+refresh map at once.  Step (6) announces, in token order, the tokens whose
+last fragment ended.
 """
 
 from __future__ import annotations
@@ -454,7 +458,7 @@ class RunResult:
     agents: dict
 
     def trace_text(self) -> str:
-        return "".join(line + "\n" for line in self.trace)
+        return "\n".join(self.trace) + "\n" if self.trace else ""
 
 
 _SOURCE_ARG = 0  # every event directive names its source agent first
@@ -474,11 +478,13 @@ class _Engine:
         # fading, refresh and termination state; see the module docstring
         self.fading = FadeQueue()
         self.fade_tick: Optional[int] = None  # last tick fading ran at
-        self.live: dict = {}  # token -> (equivalence key, its live records)
+        # token -> (equivalence key, its refreshable map, its live records)
+        self.live: dict = {}
         self.refreshable: dict = {}  # equivalence key -> {agent: live record}
         self.to_prune: set = set()  # agents that lost a record this tick
         self.terminated: set = set()  # tokens whose last record ended this tick
         self.fade_texts: dict = {}  # (rate, fading ticks) -> "fade=... rate=..."
+        self.verdicts: dict = {}  # (program, task) -> attribute install verdict
         self.handlers = {
             "issue": self.on_issue,
             "impose": self.on_impose,
@@ -643,29 +649,33 @@ class _Engine:
         token = self.counter.fresh(tick)
         key = equivalence_key(stmt)
         route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
-        rate = DISCARD_FAST_MULTIPLIER if route is Route.DISCARD_FAST else 1
+        discard = route is Route.DISCARD_FAST
+        rate = DISCARD_FAST_MULTIPLIER if discard else 1
+        penalize = discard and self.header.penalize_incredible
+        reactor = stmt.promisee if stmt.kind is DirectionalKind.PROMISE else None
         holders = self.refreshable.setdefault(key, {})
         self.emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
         )
+        head = f"t={tick} deliver token={token} subject="
+        fresh = []  # one origin, rate and fade spec: one fade-queue cohort
         for subject in sorted(stmt.recipients):
-            self.emit(f"t={tick} deliver token={token} subject={subject}")
+            self.emit(head + subject)
             state = self.agent(subject)
-            refreshed = self.try_refresh(holders.get(subject), stmt, tick)
-            if refreshed is not None:
-                self.emit_lifecycle(tick, refreshed)
+            rec = holders.get(subject)
+            if rec is not None:
+                self.refresh(rec, stmt, tick)
                 continue
             rec = LifecycleRecord(
                 stmt, subject, token, self.fade, tick, fade_rate_multiplier=rate
             )
             state.hold(rec)
-            self.live.setdefault(token, (key, []))[1].append(rec)
+            fresh.append(rec)
             holders[subject] = rec
-            self.fading.push(rec)
-            if route is Route.DISCARD_FAST:
+            if discard:
                 self.emit_lifecycle(tick, rec)
-                if self.header.penalize_incredible and subject != stmt.promiser:
+                if penalize and subject != stmt.promiser:
                     level = state.trust.record_assessment(
                         state.general_key(stmt.promiser),
                         Outcome.BROKEN,
@@ -675,25 +685,30 @@ class _Engine:
                     self.emit_trust(
                         tick, subject, stmt.promiser, "general-trust", level, "broken"
                     )
-                continue
-            if subject == stmt.promisee and stmt.kind is DirectionalKind.PROMISE:
+            elif subject == reactor:
                 self.react_to_promise(state, stmt, tick)
+        if fresh:
+            self.live[token] = (key, holders, fresh[:])  # retire shrinks it
+            self.fading.push_cohort(fresh)
 
-    def try_refresh(self, rec, stmt: Statement, tick: int):
+    def refresh(self, rec: LifecycleRecord, stmt: Statement, tick: int):
         """A repeated statement refreshes the fading of the recipient's live
-        equivalent record ``rec``, if any, instead of piling up a duplicate;
-        trust is unaffected.  An agent holds one record per equivalence key."""
-        if rec is not None:
-            rec.refresh_on_repetition(stmt, tick)
-            self.fading.push(rec)
-        return rec
+        equivalent record ``rec`` instead of piling up a duplicate; trust is
+        unaffected.  An agent holds one record per equivalence key."""
+        rec.refresh_on_repetition(stmt, tick)
+        self.fading.push(rec)
+        self.emit_lifecycle(tick, rec)
 
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
         try:
             program, task = parse_adequacy_tag(promise.type_tag)
         except AdequacyTagError:
             return
-        verdict = attribute_install_decision(self.merged_attrs(program, task))
+        verdict = self.verdicts.get((program, task))
+        if verdict is None:  # attrs are fixed once the initial block ran
+            verdict = self.verdicts[program, task] = attribute_install_decision(
+                self.merged_attrs(program, task)
+            )
         for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
             self.emit_action(tick, state.id, action)
 
@@ -738,7 +753,7 @@ class _Engine:
                 f"detail=withdraw-no-active-fragment,token={token}"
             )
             return
-        for rec in list(self.live[token][1]):
+        for rec in list(self.live[token][2]):
             try:
                 rec.withdraw(promiser, directive.tick, self.fade_tick)
             except LifecycleError as exc:
@@ -773,26 +788,29 @@ class _Engine:
     def on_survey(self, directive: Directive):
         surveyor, group, about, window = directive.args
         window = window if window is not None else self.header.recent_window
-        states = {member: self.agent(member) for member in group}
-        average = Fraction(
-            sum(state.trust_in(about) for state in states.values()), len(states)
-        )
+        # members register in group order; each one's key is looked up once
+        views = {}
+        total = 0
+        for member in group:
+            state = self.agent(member)
+            trust, key = views[member] = state.trust, state.general_key(about)
+            total += trust.get(key)
+        members = sorted(group)
+        average = Fraction(total, len(members))
         self.emit(
             f"t={directive.tick} reputation kind=survey surveyor={surveyor} "
-            f"about={about} group={','.join(sorted(group))} "
+            f"about={about} group={','.join(members)} "
             f"average={_fmt_fraction(average)}"
         )
         new_level = survey_reinit(average)
-        for member in sorted(group):
-            state = states[member]
-            key = state.general_key(about)
-            last = state.trust.last_experience_tick(key)
+        head = f"t={directive.tick} trust subject="
+        tail = f" target={about} kind=general-trust level={new_level} cause=survey"
+        for member in members:
+            trust, key = views[member]
+            last = trust.last_experience_tick(key)
             if last is None or directive.tick - last > window:
-                state.trust.set(key, new_level)
-                self.emit_trust(
-                    directive.tick, member, about, "general-trust", new_level,
-                    "survey",
-                )
+                trust.set(key, new_level)
+                self.emit(head + member + tail)
 
     def on_reply(self, directive: Directive):
         sender, receiver, decision = directive.args
@@ -822,14 +840,13 @@ class _Engine:
     def retire(self, rec: LifecycleRecord):
         """Forget an ended record: its token terminates with its last live
         record, and an equivalent reissue no longer refreshes it."""
-        key, live = self.live[rec.token]
+        key, holders, live = self.live[rec.token]
         live.remove(rec)
         if not live:
             del self.live[rec.token]
             self.terminated.add(rec.token)
-        holders = self.refreshable[key]
         del holders[rec.subject]
-        if not holders:
+        if not holders:  # only now hash the key: it holds a Body and an enum
             del self.refreshable[key]
 
     def fade_step(self, tick: int):

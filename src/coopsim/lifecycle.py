@@ -11,7 +11,8 @@ level is built when read.  A record at ``rate`` stays active for
 ``FadeSpec.life(rate)`` ticks, so the tick at which it fades
 (``LifecycleRecord.fade_deadline``) is known as soon as it is issued or
 refreshed, and ``FadeQueue`` steps a record only when it fades instead of at
-every tick.
+every tick.  The fresh records of one delivery share that tick, so they go
+into the queue as one entry.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class LifecycleError(RuntimeError):
     """Illegal operation on a life-cycle record (e.g. mutating a terminal)."""
 
 
-@dataclass(eq=False)  # by identity: removing a record compares no fields
+@dataclass(eq=False, slots=True)  # by identity: removal compares no fields
 class LifecycleRecord:
     """A fragment: the issued ``statement`` as its ``subject`` holds it.
     Every recipient's record shares the one statement and its ``token``.
@@ -153,21 +154,29 @@ class LifecycleRecord:
 class FadeQueue:
     """Fade deadlines of records, earliest first: a pending-event set.
 
-    ``push`` files a record under its ``fade_deadline`` together with its
-    ``origin`` at that time.  The entry goes stale once the record is
-    terminal or is refreshed (its ``origin`` moves on; the refresh pushes a
-    new entry), and a stale entry is dropped when it comes due.  A record is
-    stepped only when it fades, or by ``settle``.
+    An entry is a cohort: records that share their ``origin``, rate and fade
+    spec, and so one ``fade_deadline``, filed together with that ``origin``.
+    ``deliver`` files the fresh records of one statement as one cohort, and a
+    refresh files its record alone.  A member goes stale once it is terminal
+    or refreshed (its ``origin`` moves on; the refresh files it anew), and a
+    stale member is skipped when its cohort comes due.  A record is stepped
+    only when it fades, or by ``settle``.
     """
 
     def __init__(self):
         self._heap: list = []
         self._seq = count()  # ties on the deadline never compare records
 
-    def push(self, rec: LifecycleRecord):
+    def push_cohort(self, recs):
+        """File ``recs``, which must share ``origin``, rate and fade spec, as
+        one entry under their common deadline."""
+        first = recs[0]
         heappush(
-            self._heap, (rec.fade_deadline(), next(self._seq), rec.origin, rec)
+            self._heap, (first.fade_deadline(), next(self._seq), first.origin, recs)
         )
+
+    def push(self, rec: LifecycleRecord):
+        self.push_cohort((rec,))
 
     def fade_due(self, now: int) -> list:
         """Fade every record whose deadline is at or before ``now``; returns
@@ -175,16 +184,18 @@ class FadeQueue:
         faded = []
         heap = self._heap
         while heap and heap[0][0] <= now:
-            _, _, origin, rec = heappop(heap)
-            if rec.terminal or rec.origin != origin:
-                continue
-            faded.append(rec.step_fade(now))
+            _, _, origin, recs = heappop(heap)
+            for rec in recs:
+                if rec.terminal or rec.origin != origin:
+                    continue
+                faded.append(rec.step_fade(now))
         return faded
 
     def settle(self, now: int):
         """Step every record still active to ``now``, which must precede its
         deadline; the queue is spent afterwards."""
-        for _, _, _, rec in self._heap:
-            if not rec.terminal and rec.last_update < now:
-                rec.step_fade(now)
+        for _, _, _, recs in self._heap:
+            for rec in recs:
+                if not rec.terminal and rec.last_update < now:
+                    rec.step_fade(now)
         self._heap.clear()

@@ -8,7 +8,7 @@ The concrete syntax is bracket-based::
     frag     := "w=" int "," agent ("(" token ")")? ("," "fade(" int "," decimal ")")? "/"
     issue    := "u=" int ","
     kindtag  := ("promise"|"impose"|"suggest"|"warn"|"propose"|"predict") "!"
-    type     := token
+    type     := token ("(" token ("," token)* ")")?
     bodycore := qstring | "(" int "," qstring ("if" qstring)? "," int ")"
     strength := "@" int                      # 1..10, impositions only
     scope    := "/" "{" agent ("," agent)* "}"
@@ -16,6 +16,15 @@ The concrete syntax is bracket-based::
 ``render`` produces the canonical form: fixed clause order, scope sorted,
 no redundant whitespace.  ``parse(render(s)) == s`` for every valid
 statement.
+
+``parse`` takes two paths to the same result.  It first tries one compiled
+pattern of the whole grammar (``_STATEMENT_RE``) and builds the statement
+from its groups.  Text that the pattern does not match, or whose strength is
+on a non-imposition or outside 1..10, goes to the clause-by-clause scanner
+(``_scan``), the only source of ``StatementSyntaxError`` columns and
+messages.  The grammar is LL(1): a clause is chosen by its first characters
+(``w=``, ``u=``, ``<keyword>!``, ``(``, ``@``, ``/``), so backtracking in
+the pattern finds no parse that the scanner would reject.
 """
 
 from __future__ import annotations
@@ -46,7 +55,10 @@ __all__ = [
     "equivalent",
 ]
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_-]+")
+_TOKEN = r"[A-Za-z0-9_-]+"
+_TOKEN_RE = re.compile(_TOKEN)
+_INTEGER_RE = re.compile(r"\d+")
+_DECIMAL_RE = re.compile(r"\d+(\.\d+)?")
 
 
 class StatementError(ValueError):
@@ -244,14 +256,14 @@ class _Scanner:
         return m.group()
 
     def integer(self, what: str = "integer") -> int:
-        m = re.compile(r"\d+").match(self.text, self.pos)
+        m = _INTEGER_RE.match(self.text, self.pos)
         if not m:
             self.fail(f"expected {what}")
         self.pos = m.end()
         return int(m.group())
 
     def decimal(self) -> Fraction:
-        m = re.compile(r"\d+(\.\d+)?").match(self.text, self.pos)
+        m = _DECIMAL_RE.match(self.text, self.pos)
         if not m:
             self.fail("expected decimal")
         self.pos = m.end()
@@ -282,9 +294,75 @@ def _parse_type_tag(sc: _Scanner) -> str:
     return base
 
 
+# The grammar of the module docstring as one pattern, for ``parse``.
+_STATEMENT_RE = re.compile(
+    rf"(?P<promiser>{_TOKEN})\["
+    rf"(?:w=(?P<observed>\d+),(?P<subject>{_TOKEN})(?:\((?P<identity>{_TOKEN})\))?"
+    rf"(?:,fade\((?P<span>\d+),(?P<threshold>\d+(?:\.\d+)?)\))?/)?"
+    rf"(?:u=(?P<issued>\d+),)?"
+    rf"(?:(?P<keyword>{'|'.join(_KEYWORD_KIND)})!)?"
+    rf"(?P<type>{_TOKEN}(?:\({_TOKEN}(?:,{_TOKEN})*\))?):"
+    rf'(?:\((?P<start>\d+),"(?P<episode>[^"]+)"(?:if"(?P<condition>[^"]+)")?,'
+    rf'(?P<end>\d+)\)|"(?P<text>[^"]+)")'
+    rf"(?:@(?P<strength>\d+))?"
+    rf"(?:/\{{(?P<scope>{_TOKEN}(?:,{_TOKEN})*)\}})?"
+    rf"\](?P<promisee>{_TOKEN})"
+)
+
+
 def parse(text: str) -> Statement:
     """Parse a single statement.  Raises StatementSyntaxError (with 1-based
-    column), ScopeMembershipError, or WindowOrderError."""
+    column), ScopeMembershipError, or WindowOrderError.
+
+    Text the one-pattern match takes is built from its groups, in the
+    scanner's order of conversions and checks; all other text, and a
+    strength the scanner rejects, goes to ``_scan``."""
+    text = text.strip()
+    m = _STATEMENT_RE.fullmatch(text)
+    if m is None:
+        return _scan(text)
+    (
+        promiser, observed, subject, identity, span, threshold, issued, keyword,
+        type_tag, start, episode, condition, end, body_text, strength, scope,
+        promisee,
+    ) = m.groups()
+    observation_time = fade = None
+    if observed is not None:
+        observation_time = int(observed)
+        if identity is not None:
+            identity = FragmentIdentity(token=identity)
+        if span is not None:
+            fade = FadeSpec(span=int(span), threshold=Fraction(threshold))
+    issue_time = int(issued) if issued is not None else None
+    kind = DirectionalKind.PROMISE if keyword is None else _KEYWORD_KIND[keyword]
+    window = None
+    if body_text is None:
+        window = ValidityWindow(start=int(start), end=int(end))
+        body_text = episode
+    body = Body(text=body_text, condition=condition)
+    if strength is not None:
+        strength = int(strength)
+        if kind is not DirectionalKind.IMPOSITION or not 1 <= strength <= 10:
+            return _scan(text)
+    return Statement(
+        kind=kind,
+        promiser=promiser,
+        promisee=promisee,
+        type_tag=type_tag,
+        body=body,
+        window=window,
+        scope=frozenset() if scope is None else frozenset(scope.split(",")),
+        issue_time=issue_time,
+        observation_time=observation_time,
+        subject=subject,
+        identity=identity,
+        fade=fade,
+        strength=strength,
+    )
+
+
+def _scan(text: str) -> Statement:
+    """``parse`` clause by clause, reporting the column of a syntax error."""
     sc = _Scanner(text.strip())
     promiser = sc.token("promiser")
     sc.expect("[")

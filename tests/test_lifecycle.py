@@ -230,3 +230,66 @@ def test_integer_fade_clock_equals_the_fraction_recurrence(run):
         assert engine.trace[-1].endswith(
             f" fade={_fmt_fraction(level)} rate={_fmt_fraction(Fraction(rate))}"
         )
+
+
+@st.composite
+def cohort_runs(draw):
+    """A fading run as above and, for each of k records filed as one cohort,
+    what happens to it: nothing, or a refresh, a kept assessment or a
+    withdrawal at one of the fade ticks."""
+    spec, rate, origin, ticks, _ = draw(fading_runs())
+    events = draw(
+        st.lists(
+            st.none()
+            | st.tuples(
+                st.sampled_from(["refresh", "assess", "withdraw"]),
+                st.integers(0, len(ticks) - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return spec, rate, origin, ticks, events
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort_runs())
+def test_fade_queue_cohort_equals_stepping_each_record(run):
+    spec, rate, origin, ticks, events = run
+    refs = [fresh(spec, origin, rate) for _ in events]
+    recs = [fresh(spec, origin, rate) for _ in events]
+    queue = FadeQueue()
+    queue.push_cohort(recs)
+    for index, tick in enumerate(ticks):
+        last_fade_tick = ticks[index - 1] if index else None
+        for ref, rec, event in zip(refs, recs, events):
+            if event is None or event[1] != index or ref.terminal:
+                continue
+            for r in (ref, rec):
+                if event[0] == "refresh":
+                    r.refresh_on_repetition(r.statement, tick)
+                elif event[0] == "assess":
+                    r.assess(Outcome.KEPT, tick, fade_to=last_fade_tick)
+                else:
+                    r.withdraw("p", tick, fade_to=last_fade_tick)
+            if event[0] == "refresh":
+                queue.push(rec)  # a refreshed member is filed alone
+        expected = []
+        for ref, rec in zip(refs, recs):
+            if not ref.terminal:
+                ref.step_fade(tick)
+                if ref.state is LifecycleState.FADED:
+                    expected.append(rec)
+        faded = queue.fade_due(tick)
+        assert sorted(map(id, faded)) == sorted(map(id, expected))
+        for rec in faded:  # at the first fade tick at or after its deadline
+            assert rec.state is LifecycleState.FADED
+            assert rec.fade_deadline() <= tick
+            assert index == 0 or last_fade_tick < rec.fade_deadline()
+    queue.settle(ticks[-1])
+    for ref, rec in zip(refs, recs):
+        assert (rec.state, rec.fade_level, rec.last_update) == (
+            ref.state,
+            ref.fade_level,
+            ref.last_update,
+        )

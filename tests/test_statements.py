@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coopsim.engine import PolicyHeader, load, run
 from coopsim.statements import (
@@ -14,6 +14,7 @@ from coopsim.statements import (
     StatementSyntaxError,
     ValidityWindow,
     WindowOrderError,
+    _scan,
     equivalent,
     normalize,
     parse,
@@ -244,3 +245,52 @@ def statements(draw):
 @given(statements())
 def test_parse_inverts_render(s):
     assert parse(render(s)) == s
+
+
+# Edits that reach every clause: punctuation of the grammar, digits and the
+# openers of optional clauses, besides strength clauses "@0" to "@12".
+_PIECES = (
+    list('[]{}()/,:"!@=.')
+    + list("0123456789")
+    + ["impose!", "suggest!", "promise!", "warn", "w=", "u=", "if", 'if"c"']
+    + ["fade(", ",fade(3,0.5)", "/{p}", "adequacy(a,b)"]
+)
+
+
+@st.composite
+def rendered_and_mutated(draw):
+    """The rendering of a drawn statement, and that text after one to three
+    edits: insert, delete or replace, at a random place or where clauses
+    meet."""
+    rendered = text = render(draw(statements()))
+    for _ in range(draw(st.integers(1, 3))):
+        # clauses start after "[", after a closing '"' or ")", and at "]"
+        seams = [i + 1 for i, c in enumerate(text) if c in '[")'] + [text.rfind("]")]
+        pos = draw(st.sampled_from(seams) | st.integers(0, len(text)))
+        piece = draw(st.sampled_from(_PIECES) | st.integers(0, 12).map("@{}".format))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            text = text[:pos] + piece + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1 :]
+        else:
+            text = text[:pos] + piece + text[pos + 1 :]
+    return rendered, text
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_and_mutated())
+@example(('p[pi:"b"]q', 'p[suggest!pi:"b"@5]q'))  # refused: not an imposition
+@example(('s[impose!pi:"b"/{q}]q', 's[impose!pi:"b"@11/{q}]q'))  # refused: > 10
+def test_one_pattern_parse_equals_the_scanner(texts):
+    """The one-pattern path of ``parse`` gives the scanner's statement, or
+    its exception type and message, column included."""
+    for text in texts:
+        assert _outcome(parse, text) == _outcome(_scan, text)

@@ -24,7 +24,6 @@ from .statements import (
     StatementSyntaxError,
     ValidityWindow,
     WindowOrderError,
-    equivalent,
     normalize,
     parse,
     render,
@@ -70,6 +69,6 @@ from .engine import (
     load_path,
     run,
 )
-from .corpus import CORPUS_TEXTS, corpus
+from .corpus import CORPUS_TEXTS
 
 __version__ = "0.1.0"

@@ -11,9 +11,7 @@ the identity on the text.
 
 from __future__ import annotations
 
-from .statements import parse
-
-__all__ = ["CORPUS_TEXTS", "corpus"]
+__all__ = ["CORPUS_TEXTS"]
 
 CORPUS_TEXTS = (
     # sale of goods: offer, acceptance, payment chain
@@ -50,8 +48,3 @@ CORPUS_TEXTS = (
     'Z[predict!exit(P7):"after checkout entry and exit will be normal"]A',
     'Z[propose!assist(P7):"z pushes the stuck barrier if asked"]A',
 )
-
-
-def corpus() -> list:
-    """Parse the whole corpus; returns the statements in listed order."""
-    return [parse(text) for text in CORPUS_TEXTS]

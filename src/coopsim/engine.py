@@ -35,6 +35,7 @@ last fragment ended.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -73,6 +74,7 @@ from .statements import (
     FragmentCounter,
     Statement,
     StatementError,
+    _TOKEN_RE,
     _fmt_fraction,
     check_agent_id,
     equivalence_key,
@@ -105,23 +107,14 @@ class ScenarioError(ValueError):
         self.line = line
 
 
+# A line up to its first "#" outside a quoted string; an open string runs on
+# to the end of the line.
+_CODE_RE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
+
+
 class InterleavingStrategy(Enum):
     FILE_ORDER = "file-order"
     ROUND_ROBIN = "round-robin"
-
-
-_EVENT_NAMES = {
-    "issue",
-    "impose",
-    "outcome",
-    "withdraw",
-    "lor-request",
-    "survey",
-    "reply",
-    "expect-trust",
-    "trust",
-}
-_INITIAL_NAMES = {"policy", "trust", "attr", "profile", "expect-trust"}
 
 
 @dataclass
@@ -179,86 +172,30 @@ def _parse_level(value: str, line: int) -> int:
     return level
 
 
-def _apply_policy_tokens(header: PolicyHeader, tokens, line: int):
-    for token in tokens:
-        if "=" not in token:
-            raise ScenarioError(f"malformed policy setting {token!r}", line)
-        key, value = token.split("=", 1)
-        try:
-            if key == "tram":
-                header.tram = (
-                    TramPolicy.RECENCY
-                    if value in ("recency", "recency-history")
-                    else TramPolicy(value)
-                )
-            elif key == "gate":
-                header.gate_floor = Fraction(value)
-                if not 0 <= header.gate_floor <= 1:
-                    raise ScenarioError(f"gate {value} outside [0,1]", line)
-            elif key == "fade-span":
-                header.fade_span = int(value)
-            elif key == "fade-threshold":
-                header.fade_threshold = Fraction(value)
-            elif key == "interleave":
-                header.interleave = InterleavingStrategy(value)
-            elif key == "penalize-incredible":
-                header.penalize_incredible = _parse_bool(value, line)
-            elif key == "recent-window":
-                header.recent_window = int(value)
-                if header.recent_window < 0:
-                    raise ScenarioError(f"negative recent-window {value}", line)
-            else:
-                raise ScenarioError(f"unknown policy setting {key!r}", line)
-            header.default_fade  # FadeSpec validates span and threshold
-        except (ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"bad policy value {token!r}", line)
-
-
 def load(text: str) -> Scenario:
     """Parse and validate a scenario script."""
-    header = PolicyHeader()
-    initial: list = []
-    events: list = []
-    current_tick: Optional[int] = None
-    agent_ids: set = set()  # ids already checked by this load
+    loader = _Loader()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        if '"' in raw and "#" in raw:  # a "#" inside a quoted string is text
+            stripped = _CODE_RE.match(raw).group().strip()
+        else:
+            stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         tokens = stripped.split()
         name = tokens[0]
-        if name == "tick":
-            if len(tokens) != 2:
-                raise ScenarioError("tick takes one argument", line_no)
-            tick = _parse_int(tokens[1], "tick", line_no)
-            if tick < 0 or (current_tick is not None and tick <= current_tick):
-                raise ScenarioError(
-                    f"tick {tick} not after previous tick {current_tick}", line_no
-                )
-            current_tick = tick
-            continue
-        if current_tick is None:
-            if name not in _INITIAL_NAMES:
+        method, before, after = _DIRECTIVES.get(name, (None, False, False))
+        if loader.now is None:
+            if not before:
                 raise ScenarioError(
                     f"directive {name!r} not allowed before the first tick", line_no
                 )
-            if name == "policy":
-                _apply_policy_tokens(header, tokens[1:], line_no)
-                continue
-            initial.append(
-                _parse_directive(name, tokens, stripped, 0, line_no, agent_ids)
-            )
-            continue
-        if name not in _EVENT_NAMES:
+        elif not after:
             raise ScenarioError(f"unknown directive {name!r}", line_no)
-        events.append(
-            _parse_directive(
-                name, tokens, stripped, current_tick, line_no, agent_ids
-            )
-        )
-    return Scenario(header=header, initial=initial, events=events)
+        loaded = method(loader, tokens, stripped, line_no)
+        if loaded is not None:  # None for a tick or header line
+            loader.directives.append(Directive(loader.now or 0, line_no, name, *loaded))
+    return Scenario(header=loader.header, initial=loader.initial, events=loader.events)
 
 
 def load_path(path) -> Scenario:
@@ -266,99 +203,166 @@ def load_path(path) -> Scenario:
         return load(handle.read())
 
 
-def _check_agent_ids(ids, checked: set, line: int):
-    """Validate agent ids, each distinct id once per ``load``."""
-    if checked.issuperset(ids):
-        return
-    for agent_id in ids:
-        if agent_id not in checked:
+# profile setting -> the ConsultantProfile field that holds its comma list
+_PROFILE_FIELDS = {
+    "experienced": "experienced_with",
+    "range": "consulted_range",
+    "reputation": "recognized_reputation",
+    "affiliated": "producer_affiliation",
+}
+
+
+class _Loader:
+    """The state of one ``load``: the header so far, the current tick and
+    the agent ids it checked.  A method per directive checks the directive's
+    line (its tokens, its text and its number) and returns its args and
+    statement, or None for a line that only sets the tick or the header."""
+
+    def __init__(self):
+        self.header = PolicyHeader()
+        self.now: Optional[int] = None  # None before the first tick
+        self.checked: set = set()
+        self.initial: list = []
+        self.events: list = []
+        self.directives = self.initial  # the list the next directive joins
+
+    def check_agent_ids(self, ids, line: int):
+        """Validate agent ids, each distinct id once per ``load``."""
+        if self.checked.issuperset(ids):
+            return
+        for agent_id in ids:
+            if agent_id not in self.checked:
+                try:
+                    check_agent_id(agent_id)
+                except StatementError as exc:
+                    raise ScenarioError(str(exc), line)
+                self.checked.add(agent_id)
+
+    def tick(self, tokens, stripped, line):
+        if len(tokens) != 2:
+            raise ScenarioError("tick takes one argument", line)
+        tick = _parse_int(tokens[1], "tick", line)
+        if tick < 0 or (self.now is not None and tick <= self.now):
+            raise ScenarioError(f"tick {tick} not after previous tick {self.now}", line)
+        self.now = tick
+        self.directives = self.events
+
+    def policy(self, tokens, stripped, line):
+        for token in tokens[1:]:
+            if "=" not in token:
+                raise ScenarioError(f"malformed policy setting {token!r}", line)
+            key, value = token.split("=", 1)
             try:
-                check_agent_id(agent_id)
-            except StatementError as exc:
-                raise ScenarioError(str(exc), line)
-            checked.add(agent_id)
+                if key == "tram":
+                    self.header.tram = (
+                        TramPolicy.RECENCY
+                        if value in ("recency", "recency-history")
+                        else TramPolicy(value)
+                    )
+                elif key == "gate":
+                    self.header.gate_floor = Fraction(value)
+                    if not 0 <= self.header.gate_floor <= 1:
+                        raise ScenarioError(f"gate {value} outside [0,1]", line)
+                elif key == "fade-span":
+                    self.header.fade_span = int(value)
+                elif key == "fade-threshold":
+                    self.header.fade_threshold = Fraction(value)
+                elif key == "interleave":
+                    self.header.interleave = InterleavingStrategy(value)
+                elif key == "penalize-incredible":
+                    self.header.penalize_incredible = _parse_bool(value, line)
+                elif key == "recent-window":
+                    self.header.recent_window = int(value)
+                    if self.header.recent_window < 0:
+                        raise ScenarioError(f"negative recent-window {value}", line)
+                else:
+                    raise ScenarioError(f"unknown policy setting {key!r}", line)
+                self.header.default_fade  # FadeSpec validates span and threshold
+            except (ValueError, ZeroDivisionError) as exc:
+                if isinstance(exc, ScenarioError):
+                    raise
+                raise ScenarioError(f"bad policy value {token!r}", line)
 
-
-def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Directive:
-    statement = None
-    if name == "issue":
-        text = stripped[len("issue") :].strip()
-        try:
-            statement = parse_statement(text)
-        except StatementError as exc:
-            raise ScenarioError(f"bad statement: {exc}", line_no)
-        if statement.subject is not None:
-            raise ScenarioError("issued statements may not carry a subject", line_no)
-        # the engine stamps the issue tick and keeps no validity window
-        if statement.issue_time is not None:
-            raise ScenarioError("issued statements may not carry u=", line_no)
-        if statement.window is not None:
-            raise ScenarioError(
-                "issued statements may not carry a validity window", line_no
-            )
-        args = (text,)
-    elif name in ("trust", "expect-trust"):
+    def attr(self, tokens, stripped, line):
         body = tokens[1:]
+        if len(body) != 4 or body[2] != "=" or "=" not in body[1]:
+            raise ScenarioError("usage: attr <name> <entity>=<id> = <level>", line)
+        if body[0] not in ATTRIBUTE_CATALOG:
+            raise ScenarioError(f"unknown attribute {body[0]!r}", line)
+        entity_kind, _, entity_id = body[1].partition("=")
+        if entity_kind not in ("program", "task"):
+            raise ScenarioError("attr entity must be program= or task=", line)
+        if not entity_id:
+            raise ScenarioError(f"empty {entity_kind}= value", line)
+        return (body[0], entity_kind, entity_id, _parse_level(body[3], line)), None
+
+    def profile(self, tokens, stripped, line):
+        if len(tokens) < 2:
+            raise ScenarioError("profile requires an agent", line)
+        self.check_agent_ids(tokens[1:2], line)
+        fields = {}
+        for token in tokens[2:]:
+            if "=" not in token:
+                raise ScenarioError(f"malformed profile setting {token!r}", line)
+            key, value = token.split("=", 1)
+            if key == "independent":
+                fields["independent"] = _parse_bool(value, line)
+            elif key in _PROFILE_FIELDS:
+                fields[_PROFILE_FIELDS[key]] = frozenset(value.split(",")) - {""}
+            else:
+                raise ScenarioError(f"unknown profile setting {key!r}", line)
+        return (tokens[1], ConsultantProfile(agent=tokens[1], **fields)), None
+
+    def trust(self, tokens, stripped, line):
+        name, body = tokens[0], tokens[1:]
         if len(body) < 4 or body[-2] != "=":
-            raise ScenarioError(f"malformed {name} directive", line_no)
-        level = _parse_level(body[-1], line_no)
+            raise ScenarioError(f"malformed {name} directive", line)
+        level = _parse_level(body[-1], line)
         subject, target = body[0], body[1]
-        _check_agent_ids((subject, target), agent_ids, line_no)
+        self.check_agent_ids((subject, target), line)
         extras = {}
         for token in body[2:-2]:
             key, eq, value = token.partition("=")
             if not eq or key not in ("program", "task") or key in extras:
-                raise ScenarioError(f"malformed {name} directive", line_no)
+                raise ScenarioError(f"malformed {name} directive", line)
             if not value:
-                raise ScenarioError(f"empty {key}= value", line_no)
+                raise ScenarioError(f"empty {key}= value", line)
             extras[key] = value
-        args = (subject, target, extras.get("program"), extras.get("task"), level)
-    elif name == "attr":
-        body = tokens[1:]
-        if len(body) != 4 or body[2] != "=" or "=" not in body[1]:
-            raise ScenarioError("usage: attr <name> <entity>=<id> = <level>", line_no)
-        if body[0] not in ATTRIBUTE_CATALOG:
-            raise ScenarioError(f"unknown attribute {body[0]!r}", line_no)
-        entity_kind, _, entity_id = body[1].partition("=")
-        if entity_kind not in ("program", "task"):
-            raise ScenarioError("attr entity must be program= or task=", line_no)
-        if not entity_id:
-            raise ScenarioError(f"empty {entity_kind}= value", line_no)
-        args = (body[0], entity_kind, entity_id, _parse_level(body[3], line_no))
-    elif name == "profile":
-        if len(tokens) < 2:
-            raise ScenarioError("profile requires an agent", line_no)
-        _check_agent_ids(tokens[1:2], agent_ids, line_no)
-        settings = {}
-        for token in tokens[2:]:
-            if "=" not in token:
-                raise ScenarioError(f"malformed profile setting {token!r}", line_no)
-            key, value = token.split("=", 1)
-            if key not in (
-                "independent",
-                "experienced",
-                "range",
-                "reputation",
-                "affiliated",
-            ):
-                raise ScenarioError(f"unknown profile setting {key!r}", line_no)
-            settings[key] = (
-                _parse_bool(value, line_no) if key == "independent" else value
+        return (subject, target, extras.get("program"), extras.get("task"), level), None
+
+    def issue(self, tokens, stripped, line):
+        text = stripped[len("issue") :].strip()
+        try:
+            statement = parse_statement(text)
+        except StatementError as exc:
+            raise ScenarioError(f"bad statement: {exc}", line)
+        if statement.subject is not None:
+            raise ScenarioError("issued statements may not carry a subject", line)
+        # the engine stamps the issue tick and keeps no validity window
+        if statement.issue_time is not None:
+            raise ScenarioError("issued statements may not carry u=", line)
+        if statement.window is not None:
+            raise ScenarioError(
+                "issued statements may not carry a validity window", line
             )
-        args = (tokens[1], tuple(sorted(settings.items())))
-    elif name == "impose":
+        return (text,), statement
+
+    def impose(self, tokens, stripped, line):
         if len(tokens) < 4 or not tokens[3].startswith("task="):
             raise ScenarioError(
-                "usage: impose <from> <to> task=<T> [strength=<1..10>]", line_no
+                "usage: impose <from> <to> task=<T> [strength=<1..10>]", line
             )
         strength = None
         if len(tokens) == 5 and tokens[4].startswith("strength="):
-            strength = _parse_int(tokens[4].split("=", 1)[1], "strength", line_no)
+            strength = _parse_int(tokens[4].split("=", 1)[1], "strength", line)
         elif len(tokens) > 4:
-            raise ScenarioError("malformed impose directive", line_no)
+            raise ScenarioError("malformed impose directive", line)
         imposer, target, task = tokens[1], tokens[2], tokens[3].split("=", 1)[1]
         if not task:
-            raise ScenarioError("empty task= value", line_no)
+            raise ScenarioError("empty task= value", line)
+        # the task becomes a type argument, so it must be a token too
+        if not _TOKEN_RE.fullmatch(task):
+            raise ScenarioError(f"bad imposition: invalid task: {task!r}", line)
         try:
             statement = Statement(
                 kind=DirectionalKind.IMPOSITION,
@@ -369,38 +373,42 @@ def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Direct
                 strength=strength,
             )
         except StatementError as exc:
-            raise ScenarioError(f"bad imposition: {exc}", line_no)
-        args = (imposer, target, task)
-    elif name == "outcome":
+            raise ScenarioError(f"bad imposition: {exc}", line)
+        return (imposer, target, task), statement
+
+    def outcome(self, tokens, stripped, line):
         kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
         if len(tokens) != 5 or set(kv) != {"program", "task", "result"}:
             raise ScenarioError(
                 "usage: outcome <agent> program=<P> task=<T> result=success|failure",
-                line_no,
+                line,
             )
         if kv["result"] not in ("success", "failure"):
-            raise ScenarioError(f"bad result {kv['result']!r}", line_no)
+            raise ScenarioError(f"bad result {kv['result']!r}", line)
         for key in ("program", "task"):
             if not kv[key]:
-                raise ScenarioError(f"empty {key}= value", line_no)
-        _check_agent_ids(tokens[1:2], agent_ids, line_no)
-        args = (tokens[1], kv["program"], kv["task"], kv["result"])
-    elif name == "withdraw":
+                raise ScenarioError(f"empty {key}= value", line)
+        self.check_agent_ids(tokens[1:2], line)
+        return (tokens[1], kv["program"], kv["task"], kv["result"]), None
+
+    def withdraw(self, tokens, stripped, line):
         if len(tokens) != 3 or not tokens[2].startswith("token="):
-            raise ScenarioError("usage: withdraw <promiser> token=<id>", line_no)
+            raise ScenarioError("usage: withdraw <promiser> token=<id>", line)
         if tokens[2] == "token=":
-            raise ScenarioError("empty token= value", line_no)
-        _check_agent_ids(tokens[1:2], agent_ids, line_no)
-        args = (tokens[1], tokens[2].split("=", 1)[1])
-    elif name == "lor-request":
+            raise ScenarioError("empty token= value", line)
+        self.check_agent_ids(tokens[1:2], line)
+        return (tokens[1], tokens[2].split("=", 1)[1]), None
+
+    def lor_request(self, tokens, stripped, line):
         if len(tokens) != 4 or not tokens[3].startswith("about="):
             raise ScenarioError(
-                "usage: lor-request <asker> <peer> about=<target>", line_no
+                "usage: lor-request <asker> <peer> about=<target>", line
             )
         about = tokens[3][len("about=") :]
-        _check_agent_ids((tokens[1], tokens[2], about), agent_ids, line_no)
-        args = (tokens[1], tokens[2], about)
-    elif name == "survey":
+        self.check_agent_ids((tokens[1], tokens[2], about), line)
+        return (tokens[1], tokens[2], about), None
+
+    def survey(self, tokens, stripped, line):
         kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
         if (
             len(kv) != len(tokens) - 2
@@ -410,31 +418,43 @@ def _parse_directive(name, tokens, stripped, tick, line_no, agent_ids) -> Direct
         ):
             raise ScenarioError(
                 "usage: survey <surveyor> group=<a,b> about=<target> [window=<n>]",
-                line_no,
+                line,
             )
         group = tuple(kv["group"].split(","))
         if not all(group):
-            raise ScenarioError("survey group has an empty member", line_no)
+            raise ScenarioError("survey group has an empty member", line)
         if len(set(group)) != len(group):
-            raise ScenarioError("survey group repeats a member", line_no)
+            raise ScenarioError("survey group repeats a member", line)
         about = kv["about"]
-        _check_agent_ids((tokens[1], about, *group), agent_ids, line_no)
-        window = (
-            _parse_int(kv["window"], "window", line_no) if "window" in kv else None
-        )
+        self.check_agent_ids((tokens[1], about, *group), line)
+        window = _parse_int(kv["window"], "window", line) if "window" in kv else None
         if window is not None and window < 0:
-            raise ScenarioError(f"negative window {window}", line_no)
-        args = (tokens[1], group, about, window)
-    elif name == "reply":
+            raise ScenarioError(f"negative window {window}", line)
+        return (tokens[1], group, about, window), None
+
+    def reply(self, tokens, stripped, line):
         if len(tokens) != 4 or tokens[3] not in ("proceed", "withdraw"):
-            raise ScenarioError("usage: reply <from> <to> proceed|withdraw", line_no)
-        _check_agent_ids(tokens[1:3], agent_ids, line_no)
-        args = (tokens[1], tokens[2], tokens[3])
-    else:
-        raise ScenarioError(f"unknown directive {name!r}", line_no)
-    return Directive(
-        tick=tick, line=line_no, name=name, args=args, statement=statement
-    )
+            raise ScenarioError("usage: reply <from> <to> proceed|withdraw", line)
+        self.check_agent_ids(tokens[1:3], line)
+        return (tokens[1], tokens[2], tokens[3]), None
+
+
+# name -> (loader, may come before the first tick, may come after it)
+_DIRECTIVES = {
+    "tick": (_Loader.tick, True, True),
+    "policy": (_Loader.policy, True, False),
+    "attr": (_Loader.attr, True, False),
+    "profile": (_Loader.profile, True, False),
+    "trust": (_Loader.trust, True, True),
+    "expect-trust": (_Loader.trust, True, True),
+    "issue": (_Loader.issue, False, True),
+    "impose": (_Loader.impose, False, True),
+    "outcome": (_Loader.outcome, False, True),
+    "withdraw": (_Loader.withdraw, False, True),
+    "lor-request": (_Loader.lor_request, False, True),
+    "survey": (_Loader.survey, False, True),
+    "reply": (_Loader.reply, False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -485,16 +505,10 @@ class _Engine:
         self.terminated: set = set()  # tokens whose last record ended this tick
         self.fade_texts: dict = {}  # (rate, fading ticks) -> "fade=... rate=..."
         self.verdicts: dict = {}  # (program, task) -> attribute install verdict
+        # directive "x-y" goes to on_x_y; tick and policy lines make none
         self.handlers = {
-            "issue": self.on_issue,
-            "impose": self.on_impose,
-            "outcome": self.on_outcome,
-            "withdraw": self.on_withdraw,
-            "lor-request": self.on_lor_request,
-            "survey": self.on_survey,
-            "reply": self.on_reply,
-            "expect-trust": self.check_expectation,
-            "trust": self.on_trust_event,
+            name: getattr(self, "on_" + name.replace("-", "_"))
+            for name in _DIRECTIVES.keys() - {"tick", "policy"}
         }
 
     # -- helpers -----------------------------------------------------------
@@ -550,11 +564,22 @@ class _Engine:
             focus = stmt.type_tag
         return credibility_score(credibility_level(profile, focus))
 
+    def trust_key(self, state, target, program, task) -> AppreciationKey:
+        if program is None and task is None:
+            return state.general_key(target)
+        if program is None:
+            kind = AppreciationKind.TASK_TRUST
+        elif task is None:
+            kind = AppreciationKind.PROGRAM_TRUST
+        else:
+            kind = AppreciationKind.CONFIDENCE
+        return AppreciationKey(kind, state.id, target, program=program, task=task)
+
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> RunResult:
         for directive in self.scenario.initial:
-            self.apply_initial(directive)
+            self.apply_event(directive)
         ticks: dict = {}
         for directive in self.scenario.events:
             ticks.setdefault(directive.tick, []).append(directive)
@@ -586,53 +611,20 @@ class _Engine:
             return directive.statement.promiser
         return directive.args[_SOURCE_ARG]
 
-    # -- initial block -----------------------------------------------------
-
-    def apply_initial(self, directive: Directive):
-        if directive.name == "trust":
-            self.on_trust_event(directive)
-        elif directive.name == "attr":
-            name, entity_kind, entity_id, level = directive.args
-            self.attrs.setdefault((entity_kind, entity_id), {})[name] = level
-        elif directive.name == "profile":
-            agent_id, settings = directive.args
-            self.profiles[agent_id] = self.build_profile(agent_id, dict(settings))
-        elif directive.name == "expect-trust":
-            self.check_expectation(directive)
-        else:  # pragma: no cover - guarded by load()
-            raise AssertionError(directive.name)
-
-    def trust_key(self, state, target, program, task) -> AppreciationKey:
-        if program is None and task is None:
-            return state.general_key(target)
-        if program is None:
-            kind = AppreciationKind.TASK_TRUST
-        elif task is None:
-            kind = AppreciationKind.PROGRAM_TRUST
-        else:
-            kind = AppreciationKind.CONFIDENCE
-        return AppreciationKey(kind, state.id, target, program=program, task=task)
-
-    def build_profile(self, agent_id, settings) -> ConsultantProfile:
-        def ids(key):
-            raw = settings.get(key, "")
-            return frozenset(x for x in raw.split(",") if x)
-
-        return ConsultantProfile(
-            agent=agent_id,
-            independent=settings.get("independent", True),
-            experienced_with=ids("experienced"),
-            consulted_range=ids("range"),
-            recognized_reputation=ids("reputation"),
-            producer_affiliation=ids("affiliated"),
-        )
-
-    # -- events ------------------------------------------------------------
+    # -- directives --------------------------------------------------------
 
     def apply_event(self, directive: Directive):
         self.handlers[directive.name](directive)
 
-    def on_trust_event(self, directive: Directive):
+    def on_attr(self, directive: Directive):
+        name, entity_kind, entity_id, level = directive.args
+        self.attrs.setdefault((entity_kind, entity_id), {})[name] = level
+
+    def on_profile(self, directive: Directive):
+        agent_id, profile = directive.args
+        self.profiles[agent_id] = profile
+
+    def on_trust(self, directive: Directive):
         subject, target, program, task, level = directive.args
         state = self.agent(subject)
         key = self.trust_key(state, target, program, task)
@@ -695,7 +687,7 @@ class _Engine:
         """A repeated statement refreshes the fading of the recipient's live
         equivalent record ``rec`` instead of piling up a duplicate; trust is
         unaffected.  An agent holds one record per equivalence key."""
-        rec.refresh_on_repetition(stmt, tick)
+        rec.refresh_on_repetition(tick)
         self.fading.push(rec)
         self.emit_lifecycle(tick, rec)
 
@@ -820,7 +812,7 @@ class _Engine:
         if action is not None:
             self.emit_action(directive.tick, receiver, action)
 
-    def check_expectation(self, directive: Directive):
+    def on_expect_trust(self, directive: Directive):
         subject, target, program, task, expected = directive.args
         state = self.agent(subject)
         actual = state.trust.get(self.trust_key(state, target, program, task))

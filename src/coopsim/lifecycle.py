@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Optional
 
-from .statements import FadeSpec, Statement, equivalent
+from .statements import FadeSpec, Statement
 from .trust import Outcome
 
 __all__ = [
@@ -83,18 +83,11 @@ class LifecycleRecord:
         rate, span = self.fade_rate_multiplier, self.fade.span
         return min(self.shown_at - self.origin, -(-span // rate))
 
-    def _level(self, ticks: int) -> Fraction:
-        decay = Fraction(self.fade_rate_multiplier * ticks, self.fade.span)
-        return max(Fraction(0), 1 - decay)
-
     @property
     def fade_level(self) -> Fraction:
         """The shown level: 1 less ``rate/span`` per tick, never below 0."""
-        return self._level(self.fading_ticks)
-
-    def fade_at(self, now: int) -> Fraction:
-        """The fade level at ``now`` by linear decay since ``origin``."""
-        return self._level(now - self.origin)
+        decay = Fraction(self.fade_rate_multiplier * self.fading_ticks, self.fade.span)
+        return max(Fraction(0), 1 - decay)
 
     def fade_deadline(self) -> int:
         """The first tick at which ``step_fade`` makes the record faded: the
@@ -142,11 +135,9 @@ class LifecycleRecord:
             self.last_update = now
         return self
 
-    def refresh_on_repetition(self, reissue: Statement, now: int) -> "LifecycleRecord":
-        """An equivalent reissue resets fading; no trust change."""
+    def refresh_on_repetition(self, now: int) -> "LifecycleRecord":
+        """An equivalent reissue at ``now`` resets fading; no trust change."""
         self._require_active()
-        if not equivalent(self.statement, reissue):
-            raise LifecycleError("reissue is not equivalent to the held fragment")
         self.origin = self.shown_at = self.last_update = now
         return self
 

@@ -17,14 +17,15 @@ The concrete syntax is bracket-based::
 no redundant whitespace.  ``parse(render(s)) == s`` for every valid
 statement.
 
-``parse`` takes two paths to the same result.  It first tries one compiled
-pattern of the whole grammar (``_STATEMENT_RE``) and builds the statement
-from its groups.  Text that the pattern does not match, or whose strength is
-on a non-imposition or outside 1..10, goes to the clause-by-clause scanner
-(``_scan``), the only source of ``StatementSyntaxError`` columns and
-messages.  The grammar is LL(1): a clause is chosen by its first characters
-(``w=``, ``u=``, ``<keyword>!``, ``(``, ``@``, ``/``), so backtracking in
-the pattern finds no parse that the scanner would reject.
+The grammar is written once, as the table ``_GRAMMAR``.  A step is a
+``(pattern, what)`` pair, a token list, a quoted string, or an optional
+clause chosen by its opener.  ``parse`` matches valid text with one pattern
+built by joining the table (``_STATEMENT_RE``) and builds the statement from
+its groups.  Text that pattern rejects is walked through the same table,
+step by step, to find the column of the first step that fails and report
+"expected <what>" (``StatementSyntaxError``).  The grammar is LL(1): a
+clause is chosen by its first characters (``w=``, ``u=``, ``<keyword>!``,
+``(``, ``@``, ``/``), so the walk and the pattern accept the same text.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "DirectionalKind",
@@ -52,13 +53,11 @@ __all__ = [
     "render",
     "normalize",
     "equivalence_key",
-    "equivalent",
 ]
 
 _TOKEN = r"[A-Za-z0-9_-]+"
 _TOKEN_RE = re.compile(_TOKEN)
-_INTEGER_RE = re.compile(r"\d+")
-_DECIMAL_RE = re.compile(r"\d+(\.\d+)?")
+_TOKENS = rf"{_TOKEN}(?:,{_TOKEN})*"
 
 
 class StatementError(ValueError):
@@ -224,242 +223,181 @@ class Statement:
         return self.effective_scope | {self.promisee}
 
 
-class _Scanner:
-    """Single-statement scanner with 1-based column error reporting."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise StatementSyntaxError(message, self.pos + 1)
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def lookahead(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    def expect(self, s: str):
-        if not self.lookahead(s):
-            self.fail(f"expected {s!r}")
-        self.pos += len(s)
-
-    def token(self, what: str = "token") -> str:
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if not m:
-            self.fail(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def integer(self, what: str = "integer") -> int:
-        m = _INTEGER_RE.match(self.text, self.pos)
-        if not m:
-            self.fail(f"expected {what}")
-        self.pos = m.end()
-        return int(m.group())
-
-    def decimal(self) -> Fraction:
-        m = _DECIMAL_RE.match(self.text, self.pos)
-        if not m:
-            self.fail("expected decimal")
-        self.pos = m.end()
-        return Fraction(m.group())
-
-    def qstring(self) -> str:
-        self.expect('"')
-        end = self.text.find('"', self.pos)
-        if end < 0:
-            self.fail("unterminated string")
-        s = self.text[self.pos : end]
-        self.pos = end + 1
-        if not s:
-            self.fail("empty body string")
-        return s
+class _List(tuple):
+    """A ``(pattern, what)`` step of ``token ("," token)*``; a "," that no
+    token follows fails it."""
 
 
-def _parse_type_tag(sc: _Scanner) -> str:
-    base = sc.token("type tag")
-    if sc.peek() == "(":
-        sc.expect("(")
-        args = [sc.token("type argument")]
-        while sc.peek() == ",":
-            sc.expect(",")
-            args.append(sc.token("type argument"))
-        sc.expect(")")
-        return base + "(" + ",".join(args) + ")"
-    return base
+class _Quoted(tuple):
+    """A ``(pattern, what)`` step of a quoted string, which fails as
+    "unterminated string" when it is not closed and as "empty body string"
+    when it is empty."""
 
 
-# The grammar of the module docstring as one pattern, for ``parse``.
-_STATEMENT_RE = re.compile(
-    rf"(?P<promiser>{_TOKEN})\["
-    rf"(?:w=(?P<observed>\d+),(?P<subject>{_TOKEN})(?:\((?P<identity>{_TOKEN})\))?"
-    rf"(?:,fade\((?P<span>\d+),(?P<threshold>\d+(?:\.\d+)?)\))?/)?"
-    rf"(?:u=(?P<issued>\d+),)?"
-    rf"(?:(?P<keyword>{'|'.join(_KEYWORD_KIND)})!)?"
-    rf"(?P<type>{_TOKEN}(?:\({_TOKEN}(?:,{_TOKEN})*\))?):"
-    rf'(?:\((?P<start>\d+),"(?P<episode>[^"]+)"(?:if"(?P<condition>[^"]+)")?,'
-    rf'(?P<end>\d+)\)|"(?P<text>[^"]+)")'
-    rf"(?:@(?P<strength>\d+))?"
-    rf"(?:/\{{(?P<scope>{_TOKEN}(?:,{_TOKEN})*)\}})?"
-    rf"\](?P<promisee>{_TOKEN})"
+class _Clause(NamedTuple):
+    """An optional clause: the step ``opener`` and then ``steps`` when the
+    text goes on with a match of ``opener``, else ``otherwise`` (by default
+    nothing)."""
+
+    opener: object
+    steps: tuple
+    otherwise: tuple = ()
+
+
+def _group(name: str, what: str, pattern: str = _TOKEN) -> tuple:
+    return rf"(?P<{name}>{pattern})", what
+
+
+def _quoted(name: str) -> _Quoted:
+    return _Quoted((rf'"(?P<{name}>[^"]+)"', repr('"')))
+
+
+# The grammar of the module docstring.  A step is a ``(pattern, what)`` pair:
+# text that matches ``pattern``, or else the walk reports "expected <what>".
+# A plain string is a step of that literal text, and the groups name the
+# parts of a statement.
+_GRAMMAR = (
+    _group("promiser", "promiser"),
+    "[",
+    _Clause("w=", (
+        _group("observed", "observation time", r"\d+"),
+        ",",
+        _group("subject", "subject"),
+        _Clause("(", (_group("identity", "identity token"), ")")),
+        _Clause(",fade(", (
+            _group("span", "fade span", r"\d+"),
+            ",",
+            _group("threshold", "decimal", r"\d+(?:\.\d+)?"),
+            ")",
+        )),
+        "/",
+    )),
+    _Clause("u=", (_group("issued", "issue time", r"\d+"), ",")),
+    _Clause((rf"(?P<keyword>{'|'.join(_KEYWORD_KIND)})!", "kind keyword"), ()),
+    _group("type", "type tag"),
+    _Clause("(", (_List(_group("arguments", "type argument", _TOKENS)), ")")),
+    ":",
+    _Clause("(", (
+        _group("start", "window start", r"\d+"),
+        ",",
+        _quoted("episode"),
+        _Clause("if", (_quoted("condition"),)),
+        ",",
+        _group("end", "window end", r"\d+"),
+        ")",
+    ), otherwise=(_quoted("text"),)),
+    _Clause("@", (_group("strength", "strength", r"\d+"),)),
+    _Clause("/", ("{", _List(_group("scope", "scope agent", _TOKENS)), "}")),
+    "]",
+    _group("promisee", "promisee"),
 )
+
+
+def _pattern(steps) -> str:
+    """The regular expression of ``steps``."""
+    parts = []
+    for step in steps:
+        if isinstance(step, str):
+            parts.append(re.escape(step))
+        elif not isinstance(step, _Clause):
+            parts.append(step[0])
+        else:  # with no otherwise, the empty alternative makes the clause optional
+            taken = _pattern((step.opener, *step.steps))
+            parts.append(f"(?:{taken}|{_pattern(step.otherwise)})")
+    return "".join(parts)
+
+
+_STATEMENT_RE = re.compile(_pattern(_GRAMMAR))
+
+
+def _clauses(span, threshold, keyword, start, end, strength, strength_end):
+    """The fade spec, kind, validity window and strength from the groups of
+    their clauses (None for an absent clause), converted and checked in the
+    order the grammar meets them.  ``strength_end`` is where the strength
+    group ends in the text."""
+    fade = window = None
+    if span is not None:
+        fade = FadeSpec(span=int(span), threshold=Fraction(threshold))
+    kind = DirectionalKind.PROMISE if keyword is None else _KEYWORD_KIND[keyword]
+    if start is not None:
+        window = ValidityWindow(start=int(start), end=int(end))
+    if strength is not None:
+        strength = int(strength)
+        if kind is not DirectionalKind.IMPOSITION:
+            raise StatementSyntaxError(
+                "strength clause allowed on impositions only", strength_end + 1
+            )
+        if not 1 <= strength <= 10:
+            raise StatementSyntaxError("strength must be in 1..10", strength_end + 1)
+    return fade, kind, window, strength
+
+
+_CHECKED = ("span", "threshold", "keyword", "start", "end", "strength")
 
 
 def parse(text: str) -> Statement:
     """Parse a single statement.  Raises StatementSyntaxError (with 1-based
-    column), ScopeMembershipError, or WindowOrderError.
-
-    Text the one-pattern match takes is built from its groups, in the
-    scanner's order of conversions and checks; all other text, and a
-    strength the scanner rejects, goes to ``_scan``."""
+    column), ScopeMembershipError, or WindowOrderError."""
     text = text.strip()
     m = _STATEMENT_RE.fullmatch(text)
-    if m is None:
-        return _scan(text)
+    if m is None:  # the walk raises the error of the first step that fails
+        found = {}
+        end = _walk(text, 0, _GRAMMAR, found, found)
+        raise StatementSyntaxError("trailing input after statement", end + 1)
     (
         promiser, observed, subject, identity, span, threshold, issued, keyword,
-        type_tag, start, episode, condition, end, body_text, strength, scope,
-        promisee,
+        type_tag, arguments, start, episode, condition, end, body_text, strength,
+        scope, promisee,
     ) = m.groups()
-    observation_time = fade = None
-    if observed is not None:
-        observation_time = int(observed)
-        if identity is not None:
-            identity = FragmentIdentity(token=identity)
-        if span is not None:
-            fade = FadeSpec(span=int(span), threshold=Fraction(threshold))
-    issue_time = int(issued) if issued is not None else None
-    kind = DirectionalKind.PROMISE if keyword is None else _KEYWORD_KIND[keyword]
-    window = None
-    if body_text is None:
-        window = ValidityWindow(start=int(start), end=int(end))
-        body_text = episode
-    body = Body(text=body_text, condition=condition)
-    if strength is not None:
-        strength = int(strength)
-        if kind is not DirectionalKind.IMPOSITION or not 1 <= strength <= 10:
-            return _scan(text)
+    fade, kind, window, strength = _clauses(
+        span, threshold, keyword, start, end, strength, m.end("strength")
+    )
     return Statement(
         kind=kind,
         promiser=promiser,
         promisee=promisee,
-        type_tag=type_tag,
-        body=body,
+        type_tag=type_tag if arguments is None else f"{type_tag}({arguments})",
+        body=Body(text=body_text or episode, condition=condition),
         window=window,
         scope=frozenset() if scope is None else frozenset(scope.split(",")),
-        issue_time=issue_time,
-        observation_time=observation_time,
+        issue_time=None if issued is None else int(issued),
+        observation_time=None if observed is None else int(observed),
         subject=subject,
-        identity=identity,
+        identity=None if identity is None else FragmentIdentity(token=identity),
         fade=fade,
         strength=strength,
     )
 
 
-def _scan(text: str) -> Statement:
-    """``parse`` clause by clause, reporting the column of a syntax error."""
-    sc = _Scanner(text.strip())
-    promiser = sc.token("promiser")
-    sc.expect("[")
-
-    observation_time = subject = identity = fade = None
-    if sc.lookahead("w="):
-        sc.expect("w=")
-        observation_time = sc.integer("observation time")
-        sc.expect(",")
-        subject = sc.token("subject")
-        if sc.peek() == "(":
-            sc.expect("(")
-            identity = FragmentIdentity(token=sc.token("identity token"))
-            sc.expect(")")
-        if sc.lookahead(",fade("):
-            sc.expect(",fade(")
-            span = sc.integer("fade span")
-            sc.expect(",")
-            threshold = sc.decimal()
-            sc.expect(")")
-            fade = FadeSpec(span=span, threshold=threshold)
-        sc.expect("/")
-
-    issue_time = None
-    if sc.lookahead("u="):
-        sc.expect("u=")
-        issue_time = sc.integer("issue time")
-        sc.expect(",")
-
-    kind = DirectionalKind.PROMISE
-    for keyword, k in _KEYWORD_KIND.items():
-        if sc.lookahead(keyword + "!"):
-            sc.expect(keyword + "!")
-            kind = k
-            break
-
-    type_tag = _parse_type_tag(sc)
-    sc.expect(":")
-
-    window = None
-    condition = None
-    if sc.peek() == "(":
-        sc.expect("(")
-        start = sc.integer("window start")
-        sc.expect(",")
-        text_body = sc.qstring()
-        if sc.lookahead("if"):
-            sc.expect("if")
-            condition = sc.qstring()
-        sc.expect(",")
-        end = sc.integer("window end")
-        sc.expect(")")
-        window = ValidityWindow(start=start, end=end)
-    else:
-        text_body = sc.qstring()
-    body = Body(text=text_body, condition=condition)
-
-    strength = None
-    if sc.peek() == "@":
-        sc.expect("@")
-        strength = sc.integer("strength")
-        if kind is not DirectionalKind.IMPOSITION:
-            sc.fail("strength clause allowed on impositions only")
-        if not 1 <= strength <= 10:
-            sc.fail("strength must be in 1..10")
-
-    scope: frozenset = frozenset()
-    if sc.peek() == "/":
-        sc.expect("/")
-        sc.expect("{")
-        agents = [sc.token("scope agent")]
-        while sc.peek() == ",":
-            sc.expect(",")
-            agents.append(sc.token("scope agent"))
-        sc.expect("}")
-        scope = frozenset(agents)
-
-    sc.expect("]")
-    promisee = sc.token("promisee")
-    if not sc.eof():
-        sc.fail("trailing input after statement")
-
-    return Statement(
-        kind=kind,
-        promiser=promiser,
-        promisee=promisee,
-        type_tag=type_tag,
-        body=body,
-        window=window,
-        scope=scope,
-        issue_time=issue_time,
-        observation_time=observation_time,
-        subject=subject,
-        identity=identity,
-        fade=fade,
-        strength=strength,
-    )
+def _walk(text: str, pos: int, steps, found: dict, own: dict) -> int:
+    """Match ``steps`` at ``pos`` one at a time and return where they end;
+    the first step that fails raises its syntax error.  Their groups go
+    into ``own``, except that a clause among them collects its own groups
+    and adds them to ``found`` once it matched whole; then the checks of
+    ``_clauses`` run on ``found``."""
+    for step in steps:
+        if isinstance(step, _Clause):
+            taken = re.compile(_pattern((step.opener,))).match(text, pos)
+            branch = (step.opener, *step.steps) if taken else step.otherwise
+            clause = {}
+            pos = _walk(text, pos, branch, found, clause)
+            found.update(clause)
+            _clauses(*map(found.get, _CHECKED), pos)
+            continue
+        pattern, what = (re.escape(step), repr(step)) if isinstance(step, str) else step
+        m = re.compile(pattern).match(text, pos)
+        if m is None:
+            if isinstance(step, _Quoted) and text.startswith('"', pos):
+                close = text.find('"', pos + 1)
+                if close < 0:
+                    raise StatementSyntaxError("unterminated string", pos + 2)
+                raise StatementSyntaxError("empty body string", close + 2)
+            raise StatementSyntaxError(f"expected {what}", pos + 1)
+        own.update(m.groupdict())
+        pos = m.end()
+        if isinstance(step, _List) and text.startswith(",", pos):
+            raise StatementSyntaxError(f"expected {what}", pos + 2)
+    return pos
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -517,11 +455,6 @@ def equivalence_key(s: Statement) -> tuple:
     implies keeping the other.  Times, subject, identity, fade, and scope are
     irrelevant."""
     return (s.kind, s.promiser, s.promisee, s.type_tag, normalize(s.body), s.window)
-
-
-def equivalent(a: Statement, b: Statement) -> bool:
-    """Two issuings convey the same promise (equal ``equivalence_key``)."""
-    return equivalence_key(a) == equivalence_key(b)
 
 
 class FragmentCounter:

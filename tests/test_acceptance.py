@@ -17,7 +17,7 @@ from coopsim.agents import (
     on_imposition,
     on_task_request,
 )
-from coopsim.corpus import CORPUS_TEXTS, corpus
+from coopsim.corpus import CORPUS_TEXTS
 from coopsim.lifecycle import LifecycleError, LifecycleRecord, LifecycleState
 from coopsim.reputation import survey_reinit
 from coopsim.statements import DirectionalKind, parse, render
@@ -206,7 +206,7 @@ def test_criterion_07_parser_forms_and_corpus():
     assert len(FORM_FIXTURES) == 10
     for text in FORM_FIXTURES.values():
         assert render(parse(text)) == text
-    statements = corpus()
+    statements = [parse(text) for text in CORPUS_TEXTS]
     assert len(statements) >= 22
     assert {s.kind for s in statements} == set(DirectionalKind)
     for text, stmt in zip(CORPUS_TEXTS, statements):
@@ -225,7 +225,7 @@ def test_criterion_08_lifecycle_small_model():
             ("break", lambda: rec.assess(Outcome.BROKEN, now + 1), now + 1),
             ("withdraw", lambda: rec.withdraw("p", now + 1), now + 1),
             ("withdraw-bad", lambda: rec.withdraw("z", now + 1), now),
-            ("refresh", lambda: rec.refresh_on_repetition(rec.statement, now + 1), now + 1),
+            ("refresh", lambda: rec.refresh_on_repetition(now + 1), now + 1),
         ]
 
     terminals_seen = set()

@@ -5,7 +5,8 @@ import pytest
 from coopsim import cli
 from coopsim.corpus import CORPUS_TEXTS
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FIXTURES = Path(__file__).resolve().parent
+SCENARIOS = FIXTURES.parent / "scenarios"
 
 
 def test_corpus_subcommand(capsys):
@@ -73,3 +74,12 @@ def test_tram_override_changes_result(tmp_path):
         )
         == 0
     )
+
+
+def test_parse_errors_match_the_pinned_stderr(capsys):
+    """Line, column and message of every statement error, as ``coopsim
+    parse`` prints them (CI compares the console script's stderr too)."""
+    assert cli.main(["parse", str(FIXTURES / "malformed_statements.txt")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (FIXTURES / "malformed_statements.stderr").read_text()

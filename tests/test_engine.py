@@ -91,6 +91,7 @@ def test_load_rejects_bad_statement_with_line_number():
         "profile q\nprofile p% independent=true",
         "tick 1\nsurvey w group=a,a,b about=p",
         "tick 1\nimpose s q task=",
+        "tick 1\nimpose s q task=U(x",
         "tick 1\noutcome q program= task=U result=success",
         "tick 1\noutcome q program=P task= result=success",
         "tick 1\nwithdraw p token=",
@@ -128,6 +129,7 @@ def test_load_rejects_bad_statement_with_line_number():
         "bad-id-profile",
         "survey-repeated-member",
         "empty-impose-task",
+        "impose-task-not-token",
         "empty-outcome-program",
         "empty-outcome-task",
         "empty-withdraw-token",
@@ -149,6 +151,110 @@ def test_load_fails_closed_with_line_number(lines, tmp_path):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["run", str(bad)])
     assert exit_.value.code == 2
+
+
+# One case per ``raise ScenarioError`` in engine.py: (id, the lines after a
+# leading comment line, the line load() names, its exact message).
+LOAD_MESSAGES = [
+    ("profile-not-boolean", "profile p independent=maybe", 2, "expected boolean, got 'maybe'"),
+    ("tick-not-int", "tick x", 2, "expected tick, got 'x'"),
+    ("level-not-int", "trust q p = x", 2, "expected trust level, got 'x'"),
+    ("survey-window-not-int", "tick 1\nsurvey w group=a,b about=p window=x", 3,
+     "expected window, got 'x'"),
+    ("level-out-of-range", "trust q p = 3", 2, "level 3 outside [-2,2]"),
+    ("policy-malformed", "policy tram", 2, "malformed policy setting 'tram'"),
+    ("policy-gate-range", "policy gate=2", 2, "gate 2 outside [0,1]"),
+    ("policy-negative-recent-window", "policy recent-window=-1", 2,
+     "negative recent-window -1"),
+    ("policy-unknown-setting", "policy seed=0", 2, "unknown policy setting 'seed'"),
+    ("policy-bad-value", "policy fade-span=0", 2, "bad policy value 'fade-span=0'"),
+    ("tick-arity", "tick 1 2", 2, "tick takes one argument"),
+    ("tick-not-after", "tick 2\ntick 2", 3, "tick 2 not after previous tick 2"),
+    ("event-before-tick", "impose s q task=U", 2,
+     "directive 'impose' not allowed before the first tick"),
+    ("unknown-before-tick", "frobnicate a b", 2,
+     "directive 'frobnicate' not allowed before the first tick"),
+    ("unknown-directive", "tick 1\nfrobnicate a b", 3, "unknown directive 'frobnicate'"),
+    ("policy-after-tick", "tick 1\npolicy gate=0.5", 3, "unknown directive 'policy'"),
+    ("attr-after-tick", "tick 1\nattr program-quality program=P = 1", 3,
+     "unknown directive 'attr'"),
+    ("bad-agent-id", "trust q p! = 1", 2, "invalid agent id: 'p!'"),
+    ("bad-statement", 'tick 1\nissue p[pi "b"]q', 3, "bad statement: column 5: expected ':'"),
+    ("issue-subject", 'tick 1\nissue p[w=1,q/pi:"b"]q', 3,
+     "issued statements may not carry a subject"),
+    ("issue-time", 'tick 1\nissue p[u=1,pi:"b"]q', 3, "issued statements may not carry u="),
+    ("issue-window", 'tick 1\nissue p[pi:(1,"b",3)]q', 3,
+     "issued statements may not carry a validity window"),
+    ("trust-arity", "trust q p 1", 2, "malformed trust directive"),
+    ("trust-qualifier", "expect-trust q p foo=bar = 1", 2, "malformed expect-trust directive"),
+    ("trust-empty-qualifier", "trust q p task= = 1", 2, "empty task= value"),
+    ("attr-usage", "attr program-quality program=P 1", 2,
+     "usage: attr <name> <entity>=<id> = <level>"),
+    ("attr-unknown", "attr bogus program=P = 1", 2, "unknown attribute 'bogus'"),
+    ("attr-entity-kind", "attr program-quality agent=P = 1", 2,
+     "attr entity must be program= or task="),
+    ("attr-empty-entity", "attr program-quality task= = 1", 2, "empty task= value"),
+    ("profile-no-agent", "profile", 2, "profile requires an agent"),
+    ("profile-malformed-setting", "profile p independent", 2,
+     "malformed profile setting 'independent'"),
+    ("profile-unknown-setting", "profile p bogus=1", 2, "unknown profile setting 'bogus'"),
+    ("impose-usage", "tick 1\nimpose s q U", 3,
+     "usage: impose <from> <to> task=<T> [strength=<1..10>]"),
+    ("impose-malformed", "tick 1\nimpose s q task=U strength=2 extra", 3,
+     "malformed impose directive"),
+    ("impose-empty-task", "tick 1\nimpose s q task=", 3, "empty task= value"),
+    ("impose-task-not-token", "tick 1\nimpose s q task=U(x", 3,
+     "bad imposition: invalid task: 'U(x'"),
+    ("impose-bad-id", "tick 1\nimpose s! q task=U", 3, "bad imposition: invalid agent id: 's!'"),
+    ("impose-strength-range", "tick 1\nimpose s q task=U strength=11", 3,
+     "bad imposition: imposition strength must be in 1..10"),
+    ("outcome-usage", "tick 1\noutcome q program=P task=U", 3,
+     "usage: outcome <agent> program=<P> task=<T> result=success|failure"),
+    ("outcome-bad-result", "tick 1\noutcome q program=P task=U result=maybe", 3,
+     "bad result 'maybe'"),
+    ("outcome-empty-value", "tick 1\noutcome q program= task=U result=success", 3,
+     "empty program= value"),
+    ("withdraw-usage", "tick 1\nwithdraw p 1-0", 3, "usage: withdraw <promiser> token=<id>"),
+    ("withdraw-empty-token", "tick 1\nwithdraw p token=", 3, "empty token= value"),
+    ("lor-usage", "tick 1\nlor-request q p r", 3,
+     "usage: lor-request <asker> <peer> about=<target>"),
+    ("survey-usage", "tick 1\nsurvey w group=a,b", 3,
+     "usage: survey <surveyor> group=<a,b> about=<target> [window=<n>]"),
+    ("survey-empty-member", "tick 1\nsurvey w group=a,,b about=p", 3,
+     "survey group has an empty member"),
+    ("survey-repeated-member", "tick 1\nsurvey w group=a,a about=p", 3,
+     "survey group repeats a member"),
+    ("survey-negative-window", "tick 1\nsurvey w group=a,b about=p window=-3", 3,
+     "negative window -3"),
+    ("reply-usage", "tick 1\nreply s q maybe", 3, "usage: reply <from> <to> proceed|withdraw"),
+]
+
+
+@pytest.mark.parametrize(
+    "lines,line,message", [case[1:] for case in LOAD_MESSAGES],
+    ids=[case[0] for case in LOAD_MESSAGES],
+)
+def test_load_message_is_pinned(lines, line, message):
+    with pytest.raises(ScenarioError) as exc:
+        load(f"# pinned\n{lines}\n")
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "line,body",
+    [
+        ('issue p[pi:"task #1"]q', "task #1"),
+        ('issue p[pi:"task #1"]q  # a comment with a "quote"', "task #1"),
+        ('issue p[pi:"a"]q # "#" in a comment', "a"),
+    ],
+    ids=["in-body", "body-and-comment", "comment-only"],
+)
+def test_hash_starts_a_comment_only_outside_a_quoted_string(line, body):
+    result = run(load(f"tick 1\n{line}\n"))
+    assert [rec.statement.body.text for rec in result.agents["q"].fragments] == [body]
+    # load reads the body as ``parse`` reads the statement alone
+    assert statements.parse(line[len("issue ") : line.index("]q") + 2]).body.text == body
 
 
 def test_policy_parsing():
@@ -205,6 +311,33 @@ def test_reissue_refreshes_instead_of_duplicating():
         line for line in result.trace if "lifecycle" in line and "t=4" in line
     ]
     assert any("state=active fade=1" in line for line in refresh_lines)
+
+
+@pytest.mark.parametrize(
+    "reissue,refreshed",
+    [
+        ('p[pi:"Keep  The   Promise"]q', True),  # case and whitespace
+        ('p[pi:"keep the promise"/{r}]q', True),  # scope
+        ('p[pi:"keep another promise"]q', False),  # body
+    ],
+    ids=["case-whitespace", "scope", "other-body"],
+)
+def test_reissue_refreshes_by_equivalence_key_alone(reissue, refreshed):
+    """The engine finds the record to refresh by an equal equivalence key:
+    case, whitespace and scope do not matter, the body does."""
+    text = (
+        "policy fade-span=10 fade-threshold=0.5\n"
+        "tick 1\n"
+        'issue p[pi:"keep the promise"]q\n'
+        f"tick 4\nissue {reissue}\n"
+    )
+    result = run(load(text))
+    tokens = sorted(rec.token for rec in result.agents["q"].fragments)
+    assert tokens == (["1-0"] if refreshed else ["1-0", "4-1"])
+    assert any(
+        line.startswith("t=4 lifecycle token=1-0 subject=q state=active fade=1 ")
+        for line in result.trace
+    ) is refreshed
 
 
 def test_incredible_promiser_is_fast_discarded():

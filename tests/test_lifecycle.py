@@ -108,7 +108,7 @@ def test_terminal_states_absorb():
         lambda: rec.step_fade(2),
         lambda: rec.assess(Outcome.BROKEN, 2),
         lambda: rec.withdraw("p", 2),
-        lambda: rec.refresh_on_repetition(rec.statement, 2),
+        lambda: rec.refresh_on_repetition(2),
     ):
         with pytest.raises(LifecycleError):
             op()
@@ -118,17 +118,9 @@ def test_terminal_states_absorb():
 def test_refresh_resets_fading():
     rec = fresh()
     rec.step_fade(50)
-    reissue = parse('p[pi:"B"]q')  # equivalent modulo case and scope
-    rec.refresh_on_repetition(reissue, 60)
+    rec.refresh_on_repetition(60)
     assert rec.fade_level == Fraction(1)
     assert rec.state is LifecycleState.ACTIVE
-
-
-def test_refresh_requires_equivalence():
-    rec = fresh()
-    other = parse('p[pi:"something else"]q')
-    with pytest.raises(LifecycleError):
-        rec.refresh_on_repetition(other, 1)
 
 
 @st.composite
@@ -166,8 +158,8 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
     queue.push(fast)
     for index, tick in enumerate(ticks):
         if index == refresh_at and not ref.terminal:
-            ref.refresh_on_repetition(ref.statement, tick)
-            fast.refresh_on_repetition(fast.statement, tick)
+            ref.refresh_on_repetition(tick)
+            fast.refresh_on_repetition(tick)
             queue.push(fast)
         if not ref.terminal:
             ref.step_fade(tick)
@@ -183,7 +175,8 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
                 ref.last_update,
             )
         else:  # the level a kept, broken or withdrawn line would show
-            assert fast.fade_at(tick) == ref.fade_level
+            decay = Fraction(rate * (tick - fast.origin), spec.span)
+            assert max(Fraction(0), 1 - decay) == ref.fade_level
     queue.settle(ticks[-1])
     assert (fast.state, fast.fade_level, fast.last_update) == (
         ref.state,
@@ -216,7 +209,7 @@ def test_integer_fade_clock_equals_the_fraction_recurrence(run):
     deadline = first_faded_tick(level, last)
     for index, tick in enumerate(ticks):
         if index == refresh_at and not faded:
-            rec.refresh_on_repetition(rec.statement, tick)
+            rec.refresh_on_repetition(tick)
             level, last = Fraction(1), tick
             deadline = first_faded_tick(level, last)
         if not faded:
@@ -267,7 +260,7 @@ def test_fade_queue_cohort_equals_stepping_each_record(run):
                 continue
             for r in (ref, rec):
                 if event[0] == "refresh":
-                    r.refresh_on_repetition(r.statement, tick)
+                    r.refresh_on_repetition(tick)
                 elif event[0] == "assess":
                     r.assess(Outcome.KEPT, tick, fade_to=last_fade_tick)
                 else:

@@ -18,7 +18,7 @@ import sys
 
 from . import engine
 from .corpus import CORPUS_TEXTS
-from .statements import StatementError, parse as parse_statement, render
+from .statements import StatementError, code_lines, parse as parse_statement, render
 from .trust import TramPolicy
 
 __all__ = ["main", "build_parser"]
@@ -120,19 +120,16 @@ def cmd_check(args) -> int:
 
 def cmd_parse(args) -> int:
     if args.file == "-":
-        lines = sys.stdin.read().splitlines()
+        source = sys.stdin.read()
     else:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+                source = handle.read()
         except OSError as exc:
             print(f"coopsim: cannot read {args.file}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     status = EXIT_OK
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
+    for line_no, text in code_lines(source):  # comments as in a scenario
         try:
             print(render(parse_statement(text)))
         except StatementError as exc:

@@ -9,12 +9,13 @@ Per tick the engine (1) injects the scripted directives, (2) delivers each
 issued statement under a fresh token to every agent in effective scope plus
 the promisee, as one lifecycle record (a fragment) per recipient, all
 sharing the statement, and files the fresh fragments as one fade-queue
-entry, (3) gates the statement on credibility once, and lets receiving
+entry, (3) gates once per credibility level in a run, and lets receiving
 agents react by their trust rules in lexicographic order, with one attribute
 install verdict per (program, task) in a run, (4) applies outcome
-assessments and trust updates, (5) fades the fragments whose fade deadline
-has come, and (6) announces globally terminated statements.  ``load`` has
-validated the statement, so delivery validates nothing again.
+assessments and trust updates, with one survey average and reinitialized
+level per (trust sum, group size) in a run, (5) fades the fragments whose
+fade deadline has come, and (6) announces globally terminated statements.
+``load`` has validated the statement, so delivery validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
@@ -35,7 +36,6 @@ last fragment ended.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -77,6 +77,7 @@ from .statements import (
     _TOKEN_RE,
     _fmt_fraction,
     check_agent_id,
+    code_lines,
     equivalence_key,
     parse as parse_statement,
 )
@@ -105,11 +106,6 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-# A line up to its first "#" outside a quoted string (an open string runs on
-# to the end of the line).  Matching every line with it makes load ~8% slower.
-_CODE_RE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
 
 
 class InterleavingStrategy(Enum):
@@ -158,11 +154,21 @@ def _parse_bool(value: str, line: int) -> bool:
     raise ScenarioError(f"expected boolean, got {value!r}", line)
 
 
+def _ascii(value: str) -> str:
+    """``value``, if it is ASCII: ``int`` and ``Fraction`` read any Unicode
+    digit, so ``int("٣")`` is 3."""
+    if not value.isascii():
+        raise ValueError(f"non-ASCII number {value!r}")
+    return value
+
+
 def _parse_int(value: str, what: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"expected {what}, got {value!r}", line)
+    if value.isascii():  # as _ascii checks, without a call per tick and level
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ScenarioError(f"expected {what}, got {value!r}", line)
 
 
 def _parse_level(value: str, line: int) -> int:
@@ -175,13 +181,7 @@ def _parse_level(value: str, line: int) -> int:
 def load(text: str) -> Scenario:
     """Parse and validate a scenario script."""
     loader = _Loader()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if '"' in raw and "#" in raw:  # else the split gives the same text
-            stripped = _CODE_RE.match(raw).group().strip()
-        else:
-            stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for line_no, stripped in code_lines(text):
         tokens = stripped.split()
         name = tokens[0]
         method, before, after = _DIRECTIVES.get(name, (None, False, False))
@@ -238,6 +238,18 @@ class _Loader:
                     raise ScenarioError(str(exc), line)
                 self.checked.add(agent_id)
 
+    def check_qualifiers(self, qualifiers: dict, line: int):
+        """Check ``program=``, ``task=`` and entity values as tokens, each
+        distinct value once per ``load``: no statement can name another.
+        They share ``checked`` with agent ids, which follow the same rule."""
+        for key, value in qualifiers.items():
+            if value not in self.checked:
+                if not value:
+                    raise ScenarioError(f"empty {key}= value", line)
+                if not _TOKEN_RE.fullmatch(value):
+                    raise ScenarioError(f"invalid {key}: {value!r}", line)
+                self.checked.add(value)
+
     def tick(self, tokens, stripped, line):
         if len(tokens) != 2:
             raise ScenarioError("tick takes one argument", line)
@@ -260,19 +272,19 @@ class _Loader:
                         else TramPolicy(value)
                     )
                 elif key == "gate":
-                    self.header.gate_floor = Fraction(value)
+                    self.header.gate_floor = Fraction(_ascii(value))
                     if not 0 <= self.header.gate_floor <= 1:
                         raise ScenarioError(f"gate {value} outside [0,1]", line)
                 elif key == "fade-span":
-                    self.header.fade_span = int(value)
+                    self.header.fade_span = int(_ascii(value))
                 elif key == "fade-threshold":
-                    self.header.fade_threshold = Fraction(value)
+                    self.header.fade_threshold = Fraction(_ascii(value))
                 elif key == "interleave":
                     self.header.interleave = InterleavingStrategy(value)
                 elif key == "penalize-incredible":
                     self.header.penalize_incredible = _parse_bool(value, line)
                 elif key == "recent-window":
-                    self.header.recent_window = int(value)
+                    self.header.recent_window = int(_ascii(value))
                     if self.header.recent_window < 0:
                         raise ScenarioError(f"negative recent-window {value}", line)
                 else:
@@ -292,8 +304,7 @@ class _Loader:
         entity_kind, _, entity_id = body[1].partition("=")
         if entity_kind not in ("program", "task"):
             raise ScenarioError("attr entity must be program= or task=", line)
-        if not entity_id:
-            raise ScenarioError(f"empty {entity_kind}= value", line)
+        self.check_qualifiers({entity_kind: entity_id}, line)
         return (body[0], entity_kind, entity_id, _parse_level(body[3], line)), None
 
     def profile(self, tokens, stripped, line):
@@ -325,9 +336,9 @@ class _Loader:
             key, eq, value = token.partition("=")
             if not eq or key not in ("program", "task") or key in extras:
                 raise ScenarioError(f"malformed {name} directive", line)
-            if not value:
-                raise ScenarioError(f"empty {key}= value", line)
             extras[key] = value
+        if extras:  # most trust lines have none
+            self.check_qualifiers(extras, line)
         return (subject, target, extras.get("program"), extras.get("task"), level), None
 
     def issue(self, tokens, stripped, line):
@@ -385,9 +396,7 @@ class _Loader:
             )
         if kv["result"] not in ("success", "failure"):
             raise ScenarioError(f"bad result {kv['result']!r}", line)
-        for key in ("program", "task"):
-            if not kv[key]:
-                raise ScenarioError(f"empty {key}= value", line)
+        self.check_qualifiers({"program": kv["program"], "task": kv["task"]}, line)
         self.check_agent_ids(tokens[1:2], line)
         return (tokens[1], kv["program"], kv["task"], kv["result"]), None
 
@@ -505,6 +514,8 @@ class _Engine:
         self.terminated: set = set()  # tokens whose last record ended this tick
         self.fade_texts: dict = {}  # (rate, fading ticks) -> "fade=... rate=..."
         self.verdicts: dict = {}  # (program, task) -> attribute install verdict
+        self.routes: dict = {}  # credibility level or None -> Route
+        self.surveyed: dict = {}  # (trust sum, group size) -> (average text, level)
         # directive "x-y" goes to on_x_y; tick and policy lines make none
         self.handlers = {
             name: getattr(self, "on_" + name.replace("-", "_"))
@@ -554,15 +565,22 @@ class _Engine:
                 merged[name] = value
         return merged
 
-    def gate_score(self, stmt: Statement) -> Fraction:
+    def route(self, stmt: Statement) -> Route:
+        """The credibility route of ``stmt``, gated once per credibility level
+        in a run (None: an unprofiled promiser, who scores 1/2)."""
+        level = None
         profile = self.profiles.get(stmt.promiser)
-        if profile is None:
-            return Fraction(1, 2)
-        try:
-            focus = parse_adequacy_tag(stmt.type_tag)[0]
-        except AdequacyTagError:
-            focus = stmt.type_tag
-        return credibility_score(credibility_level(profile, focus))
+        if profile is not None:
+            try:
+                focus = parse_adequacy_tag(stmt.type_tag)[0]
+            except AdequacyTagError:
+                focus = stmt.type_tag
+            level = credibility_level(profile, focus)
+        route = self.routes.get(level)
+        if route is None:
+            score = Fraction(1, 2) if level is None else credibility_score(level)
+            route = self.routes[level] = credibility_gate(score, self.header.gate_floor)
+        return route
 
     def trust_key(self, state, target, program, task) -> AppreciationKey:
         if program is None and task is None:
@@ -640,8 +658,7 @@ class _Engine:
     def deliver(self, stmt: Statement, tick: int):
         token = self.counter.fresh(tick)
         key = equivalence_key(stmt)
-        route = credibility_gate(self.gate_score(stmt), self.header.gate_floor)
-        discard = route is Route.DISCARD_FAST
+        discard = self.route(stmt) is Route.DISCARD_FAST
         rate = DISCARD_FAST_MULTIPLIER if discard else 1
         penalize = discard and self.header.penalize_incredible
         reactor = stmt.promisee if stmt.kind is DirectionalKind.PROMISE else None
@@ -788,13 +805,17 @@ class _Engine:
             trust, key = views[member] = state.trust, state.general_key(about)
             total += trust.get(key)
         members = sorted(group)
-        average = Fraction(total, len(members))
+        outcome = self.surveyed.get((total, len(members)))
+        if outcome is None:
+            average = Fraction(total, len(members))
+            outcome = self.surveyed[total, len(members)] = (
+                _fmt_fraction(average), survey_reinit(average)
+            )
+        average, new_level = outcome
         self.emit(
             f"t={directive.tick} reputation kind=survey surveyor={surveyor} "
-            f"about={about} group={','.join(members)} "
-            f"average={_fmt_fraction(average)}"
+            f"about={about} group={','.join(members)} average={average}"
         )
-        new_level = survey_reinit(average)
         head = f"t={directive.tick} trust subject="
         tail = f" target={about} kind=general-trust level={new_level} cause=survey"
         for member in members:

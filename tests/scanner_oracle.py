@@ -17,8 +17,8 @@ from coopsim.statements import (
 )
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_-]+")
-_INTEGER_RE = re.compile(r"\d+")
-_DECIMAL_RE = re.compile(r"\d+(\.\d+)?")
+_INTEGER_RE = re.compile(r"[0-9]+")
+_DECIMAL_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 class _Scanner:

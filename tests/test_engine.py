@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from coopsim.engine import (
     load,
     run,
 )
-from coopsim.trust import TramPolicy
+from coopsim.trust import PTRUST, TramPolicy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -227,7 +228,36 @@ LOAD_MESSAGES = [
     ("survey-negative-window", "tick 1\nsurvey w group=a,b about=p window=-3", 3,
      "negative window -3"),
     ("reply-usage", "tick 1\nreply s q maybe", 3, "usage: reply <from> <to> proceed|withdraw"),
+    ("trust-task-not-token", "trust q p task=U(x = 2", 2, "invalid task: 'U(x'"),
+    ("expect-trust-program-not-token", "expect-trust q p program=P; = 0", 2,
+     "invalid program: 'P;'"),
+    ("outcome-program-not-token", "tick 1\noutcome q program=P( task=U result=success", 3,
+     "invalid program: 'P('"),
+    ("outcome-task-not-token", "tick 1\noutcome q program=P task=U! result=failure", 3,
+     "invalid task: 'U!'"),
+    ("attr-entity-not-token", "attr program-quality program=P/Q = 1", 2,
+     "invalid program: 'P/Q'"),
 ]
+
+# Every scenario integer and decimal is ASCII: int() and Fraction() would
+# read "٣" (ARABIC-INDIC DIGIT THREE) as 3.
+NON_ASCII_NUMBERS = [
+    ("tick", "tick \u0663", 2, "expected tick, got '\u0663'"),
+    ("trust-level", "trust q p = \u0661", 2, "expected trust level, got '\u0661'"),
+    ("attr-level", "attr program-quality program=P = \u0661", 2,
+     "expected trust level, got '\u0661'"),
+    ("survey-window", "tick 1\nsurvey w group=a,b about=p window=\u0663", 3,
+     "expected window, got '\u0663'"),
+    ("impose-strength", "tick 1\nimpose s q task=U strength=\u0663", 3,
+     "expected strength, got '\u0663'"),
+    ("fade-span", "policy fade-span=\u0663", 2, "bad policy value 'fade-span=\u0663'"),
+    ("recent-window", "policy recent-window=\uff13", 2,
+     "bad policy value 'recent-window=\uff13'"),
+    ("gate", "policy gate=0.\u0665", 2, "bad policy value 'gate=0.\u0665'"),
+    ("fade-threshold", "policy fade-threshold=0.\u0665", 2,
+     "bad policy value 'fade-threshold=0.\u0665'"),
+]
+LOAD_MESSAGES += [("non-ascii-" + case[0], *case[1:]) for case in NON_ASCII_NUMBERS]
 
 
 @pytest.mark.parametrize(
@@ -550,3 +580,113 @@ def test_credibility_is_gated_once_per_delivery(monkeypatch):
         result = run(scenario)
         deliveries = sum(" issue " in line for line in result.trace)
         assert len(gated) <= deliveries
+
+
+# A profile per credibility level of its agent for focus "pi"
+LEVEL_PROFILES = {
+    2: "experienced=pi range=pi reputation=pi",
+    1: "experienced=pi range=pi",
+    0: "experienced=pi",
+    -1: "",
+    -2: "affiliated=pi",
+}
+
+
+@pytest.mark.parametrize("floor", ["0", "1/20", "1/4", "1/2", "19/20", "1"])
+def test_memoized_route_equals_the_gate(floor, monkeypatch):
+    """Each credibility level, and an unprofiled promiser (score 1/2), gates
+    once per run to ``credibility_gate(score, floor)``; every floor but 0
+    and 1 equals a score."""
+    agents = {level: f"c{i}" for i, level in enumerate(LEVEL_PROFILES)}
+    text = f"policy gate={floor}\n" + "".join(
+        f"profile {agents[level]} {fields}\n" for level, fields in LEVEL_PROFILES.items()
+    )
+    text += "tick 1\n" + "".join(
+        f'issue {promiser}[pi:"b"]q\nissue {promiser}[pi:"c"]q\n'
+        for promiser in [*agents.values(), "u"]
+    )
+    gated = []
+    real = engine.credibility_gate
+
+    def counting(score, floor):
+        gated.append(score)
+        return real(score, floor)
+
+    monkeypatch.setattr(engine, "credibility_gate", counting)
+    eng = engine._Engine(load(text))
+    eng.run()
+    scores = {level: PTRUST[level] for level in LEVEL_PROFILES}
+    scores[None] = Fraction(1, 2)
+    assert sorted(gated) == sorted(scores.values())  # once per level
+    assert eng.routes == {
+        level: real(score, Fraction(floor)) for level, score in scores.items()
+    }
+    for directive in eng.scenario.events:
+        promiser = directive.statement.promiser
+        level = next((lv for lv, a in agents.items() if a == promiser), None)
+        assert eng.route(directive.statement) is real(scores[level], Fraction(floor))
+
+
+def test_surveys_with_one_sum_and_size_share_their_outcome(monkeypatch):
+    """Two groups with the same trust sum and size emit the same average and
+    reinitialized level, which the run computes once."""
+    text = (
+        "trust a p = 1\ntrust b p = 0\ntrust c p = 2\ntrust d p = -1\n"
+        "tick 1\n"
+        "survey w group=a,b about=p\n"
+        "survey w group=c,d about=p\n"
+    )
+    reinit = []
+    real = engine.survey_reinit
+    monkeypatch.setattr(
+        engine, "survey_reinit", lambda average: reinit.append(average) or real(average)
+    )
+    result = run(load(text))
+    averages = [line.split("average=")[1] for line in result.trace if "kind=survey" in line]
+    assert averages == ["0.5", "0.5"]
+    assert reinit == [Fraction(1, 2)]
+    assert [trust_levels(result, m, "p")[-1] for m in "abcd"] == [0, 0, 0, 0]
+
+
+def test_load_checks_each_qualifier_value_once(monkeypatch):
+    """``outcome``, ``trust`` and ``attr`` values are checked as tokens once
+    per distinct value in a ``load``."""
+    matched = []
+
+    class Counting:
+        def fullmatch(self, value):
+            matched.append(value)
+            return statements._TOKEN_RE.fullmatch(value)
+
+    monkeypatch.setattr(engine, "_TOKEN_RE", Counting())
+    load(
+        "attr program-quality program=P = 1\n"
+        "trust q p program=P task=U = 1\n"
+        "tick 1\n"
+        + "outcome q program=P task=U result=success\n" * 3
+        + "outcome q program=Q task=U result=failure\n"
+    )
+    assert sorted(matched) == ["P", "Q", "U"]
+
+
+def test_round_robin_queues_expect_trust_under_its_subject():
+    """Under round-robin an ``expect-trust`` queues under its subject, not
+    after the statements listed above it: with the check in the tick of Z's
+    two statements, A (before Z) is checked before Z's statements, which
+    each take A's trust in Z one step down, are delivered."""
+    draft = (SCENARIOS / "parking.coop").read_text().replace(
+        'issue Z[propose!assist(P7):"z pushes the stuck barrier if asked"]A\n',
+        'issue Z[propose!assist(P7):"z pushes the stuck barrier if asked"]A\n'
+        "expect-trust A Z = -2\n",
+    )
+    assert draft.count("expect-trust A Z = -2") == 2
+    scenario = load(draft)
+    checks = {
+        order: [(e.tick, e.actual) for e in run(scenario, interleave=order).expects
+                if e.target == "Z"]
+        for order in InterleavingStrategy
+    }
+    assert checks == {
+        InterleavingStrategy.FILE_ORDER: [(3, -2), (6, -2)],
+        InterleavingStrategy.ROUND_ROBIN: [(3, 0), (6, -2)],
+    }

@@ -14,6 +14,7 @@ from coopsim.statements import (
     StatementSyntaxError,
     ValidityWindow,
     WindowOrderError,
+    check_agent_id,
     equivalence_key,
     normalize,
     parse,
@@ -290,9 +291,57 @@ def _outcome(parser, text):
 @given(rendered_and_mutated())
 @example(('p[pi:"b"]q', 'p[suggest!pi:"b"@5]q'))  # refused: not an imposition
 @example(('s[impose!pi:"b"/{q}]q', 's[impose!pi:"b"@11/{q}]q'))  # refused: > 10
+@example(('p[w=3,q/pi:"b"]q', 'p[w=\u0663,q/pi:"b"]q'))  # refused: not ASCII
 def test_one_pattern_parse_equals_the_scanner(texts):
     """``parse`` (its pattern on valid text, its walk of the grammar table
     on the rest) gives the reference scanner's statement, or its exception
     type and message, column included."""
     for text in texts:
         assert _outcome(parse, text) == _outcome(_scan, text)
+
+
+def test_int_clauses_take_ascii_digits_only():
+    """``\\d`` would take "٣" (ARABIC-INDIC DIGIT THREE) and render it as 3."""
+    with pytest.raises(StatementSyntaxError, match="column 5: expected observation time"):
+        parse('p[w=\u0663,q/pi:"b"]q')
+    assert render(parse('p[w=3,q/pi:"b"]q')) == 'p[w=3,q/pi:"b"]q'
+
+
+# valid, empty, comma-holding, non-ASCII and non-str agent ids
+_any_id = (
+    st.from_regex(r"[A-Za-z0-9_-]{1,3}", fullmatch=True)
+    | st.sampled_from(["", ",", "a,b", "a,", ",b", "q\n", "\u0663", "\u00e9", "a b"])
+    | st.text(max_size=3)
+    | st.sampled_from([None, 0, 7, b"p", 2.5])
+)
+
+
+def _checked_per_id(promiser, promisee, scope):
+    """What the per-id loop raised before the one-call check, or None."""
+    try:
+        for agent_id in (promiser, promisee, *scope):
+            check_agent_id(agent_id)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_id, _any_id, st.frozensets(_any_id, max_size=3))
+@example("a,b", "q", frozenset())  # joins like three valid ids
+@example("p", "q", frozenset({"r,s", "t"}))
+@example(None, "q", frozenset())
+def test_one_call_id_check_raises_what_the_loop_raises(promiser, promisee, scope):
+    try:
+        Statement(
+            kind=DirectionalKind.PROMISE,
+            promiser=promiser,
+            promisee=promisee,
+            type_tag="pi",
+            body=Body(text="b"),
+            scope=scope,
+        )
+        outcome = None
+    except Exception as exc:
+        outcome = type(exc), str(exc)
+    assert outcome == _checked_per_id(promiser, promisee, scope)

@@ -130,17 +130,20 @@ class AgentState:
         if stmt.kind is DirectionalKind.PROMISE:
             self.promises.setdefault(stmt.type_tag, []).append(rec)
 
-    def release(self, rec):
+    def release(self, rec) -> bool:
         """Let go of a record that has ended: only live records are held.  A
-        released promise's pair is noted for ``prune_adequacy_index``."""
+        released promise's pair is noted for ``prune_adequacy_index``; the
+        result says whether there was one."""
         self.fragments.remove(rec)
         stmt = rec.statement
-        if stmt.kind is DirectionalKind.PROMISE:
-            live = self.promises[stmt.type_tag]
-            live.remove(rec)
-            if not live:
-                del self.promises[stmt.type_tag]
-            self.lapsed.add((stmt.type_tag, stmt.promiser))
+        if stmt.kind is not DirectionalKind.PROMISE:
+            return False
+        live = self.promises[stmt.type_tag]
+        live.remove(rec)
+        if not live:
+            del self.promises[stmt.type_tag]
+        self.lapsed.add((stmt.type_tag, stmt.promiser))
+        return True
 
     def trust_in(self, target: str) -> int:
         return self.trust.get(self.general_key(target))

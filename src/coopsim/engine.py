@@ -22,23 +22,28 @@ fragment's fade deadline is an integer tick known when it is issued or
 refreshed (``lifecycle.LifecycleRecord``), and it goes into a deadline queue
 (``lifecycle.FadeQueue``), one entry per delivery and one per refresh; step
 (5) pops only the entries due by this tick, skips their members that ended
-or were refreshed since, fades the rest in agent then token order, and
-prunes the adequacy index of only those agents that had a fragment fade or
-be withdrawn this tick.  Lifecycle lines of kept, broken and withdrawn
-fragments show the fade level as of the last tick fading ran at, and at the
-end of the run every fragment still active is stepped to the last tick.  A
-lifecycle line's ``fade=... rate=...`` text depends only on the rate and the
-ticks faded, so it is formatted once per distinct pair in a run.  Only live
-fragments are held: one that ends leaves its agent, its token and the
-refresh map at once.  Step (6) announces, in token order, the tokens whose
-last fragment ended.
+or were refreshed since, and fades the rest of each entry together, as one
+cohort.  It writes their lifecycle lines in agent then token order, retires
+them token by token, and prunes the adequacy index of only those agents that
+released a promise (faded or withdrawn) this tick.  Lifecycle lines of kept,
+broken and withdrawn fragments show the fade level as of the last tick
+fading ran at, and at the end of the run every fragment still active is
+stepped to the last tick.  A lifecycle line's ``state=... fade=... rate=...``
+text depends only on the state, the rate and the ticks faded, so it is
+formatted once per distinct triple in a run.  Only live fragments are held:
+one that ends leaves its agent, its token and the refresh map in the same
+step; ``retire`` takes the fragments of one token that end together (a fade
+step's or a withdrawal's) with one lookup of the token.  Step (6) announces,
+in token order, the tokens whose last fragment ended.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from . import agents as agent_rules
@@ -74,6 +79,7 @@ from .statements import (
     FragmentCounter,
     Statement,
     StatementError,
+    _INT,
     _TOKEN_RE,
     _fmt_fraction,
     check_agent_id,
@@ -154,21 +160,37 @@ def _parse_bool(value: str, line: int) -> bool:
     raise ScenarioError(f"expected boolean, got {value!r}", line)
 
 
-def _ascii(value: str) -> str:
-    """``value``, if it is ASCII: ``int`` and ``Fraction`` read any Unicode
-    digit, so ``int("٣")`` is 3."""
-    if not value.isascii():
-        raise ValueError(f"non-ASCII number {value!r}")
-    return value
+# Scenario numbers, as the statement grammar spells them: ``int`` and
+# ``Fraction`` also read "+3", "1_0", "1e-1" and any Unicode digit ("٣" is 3).
+# A policy decimal is the grammar's, or a fraction "n/d" as ``str(Fraction)``
+# writes one.
+_DECIMAL_RE = re.compile(rf"{_INT}(?:\.{_INT}|/{_INT})?")
 
 
 def _parse_int(value: str, what: str, line: int) -> int:
-    if value.isascii():  # as _ascii checks, without a call per tick and level
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    """``value`` if it is ``[0-9]+`` after an optional "-", which the range
+    checks then name.  String methods, not a regex: ``load`` reads one per
+    tick and per level."""
+    if (value.isdigit() or value[:1] == "-" and value[1:].isdigit()) and (
+        value.isascii()
+    ):
+        return int(value)
     raise ScenarioError(f"expected {what}, got {value!r}", line)
+
+
+def _int(value: str) -> int:
+    """A ``policy`` integer, read as ``_parse_int`` reads one; a bad one is
+    a ``ValueError``, which ``policy`` reports as a bad value."""
+    try:
+        return _parse_int(value, "integer", 0)
+    except ScenarioError:
+        raise ValueError(f"not an integer: {value!r}") from None
+
+
+def _decimal(value: str) -> Fraction:
+    if not _DECIMAL_RE.fullmatch(value):
+        raise ValueError(f"not a decimal: {value!r}")
+    return Fraction(value)
 
 
 def _parse_level(value: str, line: int) -> int:
@@ -272,19 +294,19 @@ class _Loader:
                         else TramPolicy(value)
                     )
                 elif key == "gate":
-                    self.header.gate_floor = Fraction(_ascii(value))
+                    self.header.gate_floor = _decimal(value)
                     if not 0 <= self.header.gate_floor <= 1:
                         raise ScenarioError(f"gate {value} outside [0,1]", line)
                 elif key == "fade-span":
-                    self.header.fade_span = int(_ascii(value))
+                    self.header.fade_span = _int(value)
                 elif key == "fade-threshold":
-                    self.header.fade_threshold = Fraction(_ascii(value))
+                    self.header.fade_threshold = _decimal(value)
                 elif key == "interleave":
                     self.header.interleave = InterleavingStrategy(value)
                 elif key == "penalize-incredible":
                     self.header.penalize_incredible = _parse_bool(value, line)
                 elif key == "recent-window":
-                    self.header.recent_window = int(_ascii(value))
+                    self.header.recent_window = _int(value)
                     if self.header.recent_window < 0:
                         raise ScenarioError(f"negative recent-window {value}", line)
                 else:
@@ -491,6 +513,7 @@ class RunResult:
 
 
 _SOURCE_ARG = 0  # every event directive names its source agent first
+_BY_SUBJECT_TOKEN = attrgetter("subject", "token")  # fade_step's trace order
 
 
 class _Engine:
@@ -510,9 +533,10 @@ class _Engine:
         # token -> (equivalence key, its refreshable map, its live records)
         self.live: dict = {}
         self.refreshable: dict = {}  # equivalence key -> {agent: live record}
-        self.to_prune: set = set()  # agents that lost a record this tick
+        self.to_prune: set = set()  # agents that released a promise this tick
         self.terminated: set = set()  # tokens whose last record ended this tick
-        self.fade_texts: dict = {}  # (rate, fading ticks) -> "fade=... rate=..."
+        # (state, rate, fading ticks) -> " state=... fade=... rate=..."
+        self.lifecycle_texts: dict = {}
         self.verdicts: dict = {}  # (program, task) -> attribute install verdict
         self.routes: dict = {}  # credibility level or None -> Route
         self.surveyed: dict = {}  # (trust sum, group size) -> (average text, level)
@@ -538,19 +562,19 @@ class _Engine:
             f"kind={kind} level={level} cause={cause}"
         )
 
-    def emit_lifecycle(self, tick, rec: LifecycleRecord):
-        # the run has one fade spec, so the text depends on these two only
-        key = (rec.fade_rate_multiplier, rec.fading_ticks)
-        fade = self.fade_texts.get(key)
-        if fade is None:
-            fade = self.fade_texts[key] = (
-                f"fade={_fmt_fraction(rec.fade_level)} "
+    def lifecycle_line(self, tick, rec: LifecycleRecord) -> str:
+        # the run has one fade spec, so the tail depends on these three only
+        key = (rec.state, rec.fade_rate_multiplier, rec.fading_ticks)
+        tail = self.lifecycle_texts.get(key)
+        if tail is None:
+            tail = self.lifecycle_texts[key] = (
+                f" state={rec.state.value} fade={_fmt_fraction(rec.fade_level)} "
                 f"rate={_fmt_fraction(rec.fade_rate_multiplier)}"
             )
-        self.emit(
-            f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
-            f"state={rec.state.value} {fade}"
-        )
+        return f"t={tick} lifecycle token={rec.token} subject={rec.subject}{tail}"
+
+    def emit_lifecycle(self, tick, rec: LifecycleRecord):
+        self.trace.append(self.lifecycle_line(tick, rec))
 
     def emit_action(self, tick, agent_id, action: Action):
         self.emit(
@@ -663,15 +687,18 @@ class _Engine:
         penalize = discard and self.header.penalize_incredible
         reactor = stmt.promisee if stmt.kind is DirectionalKind.PROMISE else None
         holders = self.refreshable.setdefault(key, {})
-        self.emit(
+        emit, agents = self.trace.append, self.agents
+        emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
         )
         head = f"t={tick} deliver token={token} subject="
         fresh = []  # one origin, rate and fade spec: one fade-queue cohort
         for subject in sorted(stmt.recipients):
-            self.emit(head + subject)
-            state = self.agent(subject)
+            emit(head + subject)
+            state = agents.get(subject)
+            if state is None:
+                state = agents[subject] = AgentState(id=subject)
             rec = holders.get(subject)
             if rec is not None:
                 self.refresh(rec, stmt, tick)
@@ -683,7 +710,7 @@ class _Engine:
             fresh.append(rec)
             holders[subject] = rec
             if discard:
-                self.emit_lifecycle(tick, rec)
+                emit(self.lifecycle_line(tick, rec))
                 if penalize and subject != stmt.promiser:
                     level = state.trust.record_assessment(
                         state.general_key(stmt.promiser),
@@ -744,7 +771,7 @@ class _Engine:
             return
         for rec in assessed:
             self.emit_lifecycle(directive.tick, rec)
-            self.retire(rec)
+            self.retire(rec.token, (rec,))
             promiser = rec.statement.promiser
             level = state.trust_in(promiser)
             self.emit_trust(
@@ -762,7 +789,8 @@ class _Engine:
                 f"detail=withdraw-no-active-fragment,token={token}"
             )
             return
-        for rec in list(self.live[token][2]):
+        withdrawn = []
+        for rec in self.live[token][2]:
             try:
                 rec.withdraw(promiser, directive.tick, self.fade_tick)
             except LifecycleError as exc:
@@ -770,11 +798,13 @@ class _Engine:
                     f"t={directive.tick} warning agent={promiser} "
                     f"detail=withdraw-rejected,token={token},reason={exc}"
                 )
-                return
+                break
             self.emit_lifecycle(directive.tick, rec)
-            self.agents[rec.subject].release(rec)
-            self.retire(rec)
-            self.to_prune.add(rec.subject)
+            if self.agents[rec.subject].release(rec):
+                self.to_prune.add(rec.subject)
+            withdrawn.append(rec)
+        if withdrawn:
+            self.retire(token, withdrawn)
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
@@ -850,26 +880,39 @@ class _Engine:
 
     # -- per-tick closing steps -------------------------------------------
 
-    def retire(self, rec: LifecycleRecord):
-        """Forget an ended record: its token terminates with its last live
-        record, and an equivalent reissue no longer refreshes it."""
-        key, holders, live = self.live[rec.token]
-        live.remove(rec)
-        if not live:
-            del self.live[rec.token]
-            self.terminated.add(rec.token)
-        del holders[rec.subject]
+    def retire(self, token: str, ended):
+        """Forget the ended records ``ended`` of ``token``: the token
+        terminates with its last live record, and an equivalent reissue no
+        longer refreshes them."""
+        key, holders, live = self.live[token]
+        for rec in ended:
+            del holders[rec.subject]
         if not holders:  # only now hash the key: it holds a Body and an enum
             del self.refreshable[key]
+        if len(ended) == len(live):  # ended is a subset of live
+            del self.live[token]
+            self.terminated.add(token)
+        else:
+            for rec in ended:
+                live.remove(rec)
 
     def fade_step(self, tick: int):
         faded = self.fading.fade_due(tick)
-        faded.sort(key=lambda r: (r.subject, r.token))
-        for rec in faded:
-            self.emit_lifecycle(tick, rec)
-            self.agents[rec.subject].release(rec)
-            self.retire(rec)
-            self.to_prune.add(rec.subject)
+        if faded:  # on most ticks of a long-lived workload nothing fades
+            faded.sort(key=_BY_SUBJECT_TOKEN)
+            emit, line, agents = self.trace.append, self.lifecycle_line, self.agents
+            by_token: dict = {}
+            for rec in faded:
+                emit(line(tick, rec))
+                if agents[rec.subject].release(rec):
+                    self.to_prune.add(rec.subject)
+                ended = by_token.get(rec.token)
+                if ended is None:
+                    by_token[rec.token] = [rec]
+                else:
+                    ended.append(rec)
+            for token, ended in by_token.items():  # one lookup per token
+                self.retire(token, ended)
         # Pruned only now: later directives of the tick saw the full index.
         for agent_id in self.to_prune:
             self.agents[agent_id].prune_adequacy_index()

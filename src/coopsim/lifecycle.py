@@ -12,7 +12,11 @@ level is built when read.  A record at ``rate`` stays active for
 (``LifecycleRecord.fade_deadline``) is known as soon as it is issued or
 refreshed, and ``FadeQueue`` steps a record only when it fades instead of at
 every tick.  The fresh records of one delivery share that tick, so they go
-into the queue as one entry.
+into the queue as one entry, a cohort, and fade together: when the entry comes
+due its key is the deadline of every member still active and not refreshed
+since, so ``FadeQueue.fade_due`` makes those members faded in one loop
+without working out a deadline per record.  ``step_fade`` steps one record
+at a time; ``settle`` uses it, and the tests take it as the reference.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ class LifecycleState(Enum):
     BROKEN = "broken"
     WITHDRAWN = "withdrawn"
     FADED = "faded"
+
+
+# Enum members bound once: on CPython 3.11 each read of one off its class
+# costs about 0.1 us, as much as the rest of an empty ``fade_due``.
+_ACTIVE, _FADED = LifecycleState.ACTIVE, LifecycleState.FADED
 
 
 class LifecycleError(RuntimeError):
@@ -86,8 +95,9 @@ class LifecycleRecord:
     @property
     def fade_level(self) -> Fraction:
         """The shown level: 1 less ``rate/span`` per tick, never below 0."""
-        decay = Fraction(self.fade_rate_multiplier * self.fading_ticks, self.fade.span)
-        return max(Fraction(0), 1 - decay)
+        span = self.fade.span
+        left = span - self.fade_rate_multiplier * self.fading_ticks
+        return Fraction(max(0, left), span)
 
     def fade_deadline(self) -> int:
         """The first tick at which ``step_fade`` makes the record faded: the
@@ -150,8 +160,8 @@ class FadeQueue:
     ``deliver`` files the fresh records of one statement as one cohort, and a
     refresh files its record alone.  A member goes stale once it is terminal
     or refreshed (its ``origin`` moves on; the refresh files it anew), and a
-    stale member is skipped when its cohort comes due.  A record is stepped
-    only when it fades, or by ``settle``.
+    stale member is skipped when its cohort comes due, and the others fade
+    together.  A record is touched only when it fades, or by ``settle``.
     """
 
     def __init__(self):
@@ -171,15 +181,21 @@ class FadeQueue:
 
     def fade_due(self, now: int) -> list:
         """Fade every record whose deadline is at or before ``now``; returns
-        them in no particular order."""
+        them in no particular order.  A due entry's key is the deadline of
+        each member that is still active at its filed ``origin``, so each
+        such member fades as ``step_fade(now)`` would make it fade."""
         faded = []
         heap = self._heap
         while heap and heap[0][0] <= now:
             _, _, origin, recs = heappop(heap)
             for rec in recs:
-                if rec.terminal or rec.origin != origin:
+                if rec.state is not _ACTIVE or rec.origin != origin:
                     continue
-                faded.append(rec.step_fade(now))
+                if now < rec.last_update:
+                    raise LifecycleError("fading cannot run backwards")
+                rec.last_update = rec.shown_at = now
+                rec.state = _FADED
+                faded.append(rec)
         return faded
 
     def settle(self, now: int):

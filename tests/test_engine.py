@@ -259,6 +259,58 @@ NON_ASCII_NUMBERS = [
 ]
 LOAD_MESSAGES += [("non-ascii-" + case[0], *case[1:]) for case in NON_ASCII_NUMBERS]
 
+# Python literal forms that int() and Fraction() read but the scenario
+# grammar does not: integers are -?[0-9]+, decimals [0-9]+(.[0-9]+|/[0-9]+)?.
+PYTHON_LITERAL_NUMBERS = [
+    ("tick-underscore", "tick 1_0", 2, "expected tick, got '1_0'"),
+    ("tick-plus", "tick +3", 2, "expected tick, got '+3'"),
+    ("trust-level-plus", "trust q p = +1", 2, "expected trust level, got '+1'"),
+    ("attr-level-plus", "attr program-quality program=P = +1", 2,
+     "expected trust level, got '+1'"),
+    ("gate-exponent", "policy gate=1e-1", 2, "bad policy value 'gate=1e-1'"),
+    ("gate-leading-point", "policy gate=.5", 2, "bad policy value 'gate=.5'"),
+    ("fade-threshold-underscore", "policy fade-threshold=0.0_5", 2,
+     "bad policy value 'fade-threshold=0.0_5'"),
+    ("fade-span-underscore", "policy fade-span=1_0", 2,
+     "bad policy value 'fade-span=1_0'"),
+    ("recent-window-plus", "policy recent-window=+5", 2,
+     "bad policy value 'recent-window=+5'"),
+    ("survey-window-underscore", "tick 1\nsurvey w group=a,b about=p window=0_5", 3,
+     "expected window, got '0_5'"),
+    ("impose-strength-plus", "tick 1\nimpose s q task=U strength=+3", 3,
+     "expected strength, got '+3'"),
+]
+LOAD_MESSAGES += [("literal-" + case[0], *case[1:]) for case in PYTHON_LITERAL_NUMBERS]
+
+
+@pytest.mark.parametrize(
+    "lines,line,message", [case[1:] for case in PYTHON_LITERAL_NUMBERS],
+    ids=[case[0] for case in PYTHON_LITERAL_NUMBERS],
+)
+def test_python_literal_number_exits_2(lines, line, message, tmp_path, capsys):
+    bad = tmp_path / "bad.coop"
+    bad.write_text(f"# pinned\n{lines}\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check", str(bad)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"coopsim: {bad}: line {line}: {message}\n"
+
+
+def test_scenario_numbers_in_grammar_form_load():
+    scenario = load(
+        "policy gate=1/20 fade-span=007 fade-threshold=0.25 recent-window=0\n"
+        "trust q p = -2\n"
+        "tick 0\n"
+        "survey w group=a,b about=p window=10\n"
+        "impose s q task=U strength=10\n"
+    )
+    assert scenario.header.gate_floor == Fraction(1, 20)
+    assert (scenario.header.fade_span, scenario.header.recent_window) == (7, 0)
+    assert scenario.header.fade_threshold == Fraction(1, 4)
+    assert scenario.initial[0].args[-1] == -2
+    assert [d.args[-1] for d in scenario.events] == [10, "U"]
+    assert scenario.events[1].statement.strength == 10
+
 
 @pytest.mark.parametrize(
     "lines,line,message", [case[1:] for case in LOAD_MESSAGES],
@@ -399,6 +451,52 @@ def test_fading_terminates_and_announces_termination():
     faded = [line for line in result.trace if "state=faded" in line]
     assert len(faded) == 2  # one fragment each for p and q
     assert any(line.startswith("t=3 terminated") for line in result.trace)
+
+
+@pytest.mark.parametrize(
+    "later,expected",
+    [
+        (
+            "tick 4\nexpect-trust p r = 0\ntick 5\nexpect-trust p r = 0\n",
+            [
+                "t=4 lifecycle token=1-0 subject=r state=faded fade=0.25 rate=1",
+                "t=4 lifecycle token=1-0 subject=s state=faded fade=0.25 rate=1",
+                "t=5 lifecycle token=1-0 subject=p state=faded fade=0.25 rate=1",
+                "t=5 terminated token=1-0",
+            ],
+        ),
+        (  # both fade-queue entries of the token come due at one fade tick
+            "tick 5\nexpect-trust p r = 0\n",
+            [
+                "t=5 lifecycle token=1-0 subject=p state=faded fade=0.25 rate=1",
+                "t=5 lifecycle token=1-0 subject=r state=faded fade=0 rate=1",
+                "t=5 lifecycle token=1-0 subject=s state=faded fade=0 rate=1",
+                "t=5 terminated token=1-0",
+            ],
+        ),
+    ],
+    ids=["cohort-first", "one-fade-tick"],
+)
+def test_partial_cohort_fades_and_terminates_after_its_last_fragment(later, expected):
+    """A refresh takes one recipient's fragment out of its delivery's
+    cohort: the others fade together at the cohort's deadline, and the token
+    terminates once, only when the refreshed fragment has ended too."""
+    text = (
+        "policy fade-span=4 fade-threshold=0.5\n"  # fades 3 ticks after origin
+        "tick 1\n"
+        'issue p[note:"b"/{r,s}]p\n'  # fragments for p, r and s
+        "tick 2\n"
+        'issue p[note:"b"]p\n'  # equivalent, other scope: refreshes p only
+        + later
+    )
+    eng = engine._Engine(load(text))
+    trace = eng.run().trace
+    assert "t=2 lifecycle token=1-0 subject=p state=active fade=1 rate=1" in trace
+    assert [
+        line for line in trace if line.split()[1] in ("lifecycle", "terminated")
+    ][1:] == expected
+    assert eng.live == {} and eng.refreshable == {}
+    assert all(state.fragments == [] for state in eng.agents.values())
 
 
 def test_withdraw_terminates_everywhere():

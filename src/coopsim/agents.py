@@ -49,6 +49,9 @@ __all__ = [
     "resolve_reply",
 ]
 
+# bound once: ``hold`` and ``release`` run per fragment, and each read of an
+# enum member off its class costs about 0.1 us on CPython 3.11
+_PROMISE = DirectionalKind.PROMISE
 _ADEQUACY_RE = re.compile(r"adequacy\(([A-Za-z0-9_-]+),([A-Za-z0-9_-]+)\)")
 
 
@@ -127,7 +130,7 @@ class AgentState:
         """Hold a new record until ``release``, a promise also by its tag."""
         self.fragments.append(rec)
         stmt = rec.statement
-        if stmt.kind is DirectionalKind.PROMISE:
+        if stmt.kind is _PROMISE:
             self.promises.setdefault(stmt.type_tag, []).append(rec)
 
     def release(self, rec) -> bool:
@@ -136,7 +139,7 @@ class AgentState:
         result says whether there was one."""
         self.fragments.remove(rec)
         stmt = rec.statement
-        if stmt.kind is not DirectionalKind.PROMISE:
+        if stmt.kind is not _PROMISE:
             return False
         live = self.promises[stmt.type_tag]
         live.remove(rec)

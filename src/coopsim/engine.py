@@ -8,33 +8,39 @@ byte-identical trace.
 Per tick the engine (1) injects the scripted directives, (2) delivers each
 issued statement under a fresh token to every agent in effective scope plus
 the promisee, as one lifecycle record (a fragment) per recipient, all
-sharing the statement, and files the fresh fragments as one fade-queue
-entry, (3) gates once per credibility level in a run, and lets receiving
+sharing the statement, works out once per delivery what depends only on the
+statement (route, rate, the reacting promisee and a discarded statement's
+lifecycle text), and files the fresh fragments as one fade-queue entry, a
+cohort, (3) gates once per credibility level in a run, and lets receiving
 agents react by their trust rules in lexicographic order, with one attribute
 install verdict per (program, task) in a run, (4) applies outcome
 assessments and trust updates, with one survey average and reinitialized
 level per (trust sum, group size) in a run, (5) fades the fragments whose
-fade deadline has come, and (6) announces globally terminated statements.
-``load`` has validated the statement, so delivery validates nothing again.
+fade deadline has come, cohort by cohort, and (6) announces globally
+terminated statements.  ``load`` has validated the statement, so delivery
+validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
 refreshed (``lifecycle.LifecycleRecord``), and it goes into a deadline queue
 (``lifecycle.FadeQueue``), one entry per delivery and one per refresh; step
 (5) pops only the entries due by this tick, skips their members that ended
-or were refreshed since, and fades the rest of each entry together, as one
-cohort.  It writes their lifecycle lines in agent then token order, retires
-them token by token, and prunes the adequacy index of only those agents that
-released a promise (faded or withdrawn) this tick.  Lifecycle lines of kept,
-broken and withdrawn fragments show the fade level as of the last tick
-fading ran at, and at the end of the run every fragment still active is
-stepped to the last tick.  A lifecycle line's ``state=... fade=... rate=...``
-text depends only on the state, the rate and the ticks faded, so it is
-formatted once per distinct triple in a run.  Only live fragments are held:
-one that ends leaves its agent, its token and the refresh map in the same
-step; ``retire`` takes the fragments of one token that end together (a fade
-step's or a withdrawal's) with one lookup of the token.  Step (6) announces,
-in token order, the tokens whose last fragment ended.
+or were refreshed since, and gets the rest of each entry back as one faded
+cohort.  A cohort's members share a token, state, rate and ticks faded, so
+step (5) formats one lifecycle text per cohort, writes all lines in agent
+then token order with one sort, retires each cohort with one ``retire``
+(a token refreshed in part ends as two cohorts), and prunes the adequacy
+index of only those agents that released a promise (faded or withdrawn)
+this tick.  Lifecycle lines of kept, broken and withdrawn fragments show
+the fade level as of the last tick fading ran at, and at the end of the run
+every fragment still active is stepped to the last tick.  A lifecycle
+line's ``state=... fade=... rate=...`` text depends only on the state, the
+rate and the ticks faded, so ``lifecycle_text`` formats it once per
+distinct triple in a run, for every lifecycle line.  Only live fragments
+are held: one that ends leaves its agent, its token and the refresh map in
+the same step; ``retire`` takes the fragments of one token that end
+together (a cohort or a withdrawal) with one lookup of the token.  Step (6)
+announces, in token order, the tokens whose last fragment ended.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
+from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from . import agents as agent_rules
@@ -65,7 +71,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import FadeQueue, LifecycleError, LifecycleRecord
+from .lifecycle import FadeQueue, LifecycleError, LifecycleRecord, LifecycleState
 from .reputation import (
     DEFAULT_RECENT_WINDOW,
     LorResponse,
@@ -513,7 +519,6 @@ class RunResult:
 
 
 _SOURCE_ARG = 0  # every event directive names its source agent first
-_BY_SUBJECT_TOKEN = attrgetter("subject", "token")  # fade_step's trace order
 
 
 class _Engine:
@@ -562,15 +567,23 @@ class _Engine:
             f"kind={kind} level={level} cause={cause}"
         )
 
-    def lifecycle_line(self, tick, rec: LifecycleRecord) -> str:
-        # the run has one fade spec, so the tail depends on these three only
-        key = (rec.state, rec.fade_rate_multiplier, rec.fading_ticks)
-        tail = self.lifecycle_texts.get(key)
-        if tail is None:
-            tail = self.lifecycle_texts[key] = (
-                f" state={rec.state.value} fade={_fmt_fraction(rec.fade_level)} "
-                f"rate={_fmt_fraction(rec.fade_rate_multiplier)}"
+    def lifecycle_text(self, state: LifecycleState, rate: int, ticks: int) -> str:
+        """A lifecycle line's `` state=... fade=... rate=...`` tail for
+        ``ticks`` ticks faded, formatted once per triple in a run: the run
+        has one fade spec, so the tail depends on these three only."""
+        key = (state, rate, ticks)
+        text = self.lifecycle_texts.get(key)
+        if text is None:
+            level = self.fade.level(rate, ticks)
+            text = self.lifecycle_texts[key] = (
+                f" state={state.value} fade={_fmt_fraction(level)} "
+                f"rate={_fmt_fraction(rate)}"
             )
+        return text
+
+    def lifecycle_line(self, tick, rec: LifecycleRecord) -> str:
+        rate, ticks = rec.fade_rate_multiplier, rec.fading_ticks
+        tail = self.lifecycle_text(rec.state, rate, ticks)
         return f"t={tick} lifecycle token={rec.token} subject={rec.subject}{tail}"
 
     def emit_lifecycle(self, tick, rec: LifecycleRecord):
@@ -641,12 +654,8 @@ class _Engine:
         for directive in directives:
             by_source.setdefault(self.source_of(directive), []).append(directive)
         queues = [by_source[src] for src in sorted(by_source)]
-        ordered = []
-        while any(queues):
-            for queue in queues:
-                if queue:
-                    ordered.append(queue.pop(0))
-        return ordered
+        # one directive per source in turn; a Directive is never the fill
+        return [d for turn in zip_longest(*queues) for d in turn if d is not None]
 
     def source_of(self, directive: Directive) -> str:
         if directive.name == "issue":
@@ -687,12 +696,15 @@ class _Engine:
         penalize = discard and self.header.penalize_incredible
         reactor = stmt.promisee if stmt.kind is DirectionalKind.PROMISE else None
         holders = self.refreshable.setdefault(key, {})
-        emit, agents = self.trace.append, self.agents
+        emit, agents, fade = self.trace.append, self.agents, self.fade
         emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
         )
         head = f"t={tick} deliver token={token} subject="
+        if discard:  # each fresh fragment's line: active, 0 ticks faded
+            discard_head = f"t={tick} lifecycle token={token} subject="
+            tail = self.lifecycle_text(LifecycleState.ACTIVE, rate, 0)
         fresh = []  # one origin, rate and fade spec: one fade-queue cohort
         for subject in sorted(stmt.recipients):
             emit(head + subject)
@@ -703,14 +715,12 @@ class _Engine:
             if rec is not None:
                 self.refresh(rec, stmt, tick)
                 continue
-            rec = LifecycleRecord(
-                stmt, subject, token, self.fade, tick, fade_rate_multiplier=rate
-            )
+            rec = LifecycleRecord(stmt, subject, token, fade, tick, rate)
             state.hold(rec)
             fresh.append(rec)
             holders[subject] = rec
             if discard:
-                emit(self.lifecycle_line(tick, rec))
+                emit(discard_head + subject + tail)
                 if penalize and subject != stmt.promiser:
                     level = state.trust.record_assessment(
                         state.general_key(stmt.promiser),
@@ -897,22 +907,26 @@ class _Engine:
                 live.remove(rec)
 
     def fade_step(self, tick: int):
-        faded = self.fading.fade_due(tick)
-        if faded:  # on most ticks of a long-lived workload nothing fades
-            faded.sort(key=_BY_SUBJECT_TOKEN)
-            emit, line, agents = self.trace.append, self.lifecycle_line, self.agents
-            by_token: dict = {}
-            for rec in faded:
-                emit(line(tick, rec))
-                if agents[rec.subject].release(rec):
-                    self.to_prune.add(rec.subject)
-                ended = by_token.get(rec.token)
-                if ended is None:
-                    by_token[rec.token] = [rec]
-                else:
-                    ended.append(rec)
-            for token, ended in by_token.items():  # one lookup per token
-                self.retire(token, ended)
+        cohorts = self.fading.fade_due(tick)
+        if cohorts:  # on most ticks of a long-lived workload nothing fades
+            agents, to_prune = self.agents, self.to_prune
+            lines = []  # (subject, token, line): unique, so lines never compare
+            for cohort in cohorts:
+                # one token, state, rate and ticks faded: one text per cohort
+                first = cohort[0]
+                token = first.token
+                head = f"t={tick} lifecycle token={token} subject="
+                tail = self.lifecycle_text(
+                    first.state, first.fade_rate_multiplier, first.fading_ticks
+                )
+                for rec in cohort:
+                    subject = rec.subject
+                    lines.append((subject, token, head + subject + tail))
+                    if agents[subject].release(rec):
+                        to_prune.add(subject)
+                self.retire(token, cohort)
+            lines.sort()
+            self.trace.extend([line for _, _, line in lines])
         # Pruned only now: later directives of the tick saw the full index.
         for agent_id in self.to_prune:
             self.agents[agent_id].prune_adequacy_index()

@@ -15,13 +15,15 @@ every tick.  The fresh records of one delivery share that tick, so they go
 into the queue as one entry, a cohort, and fade together: when the entry comes
 due its key is the deadline of every member still active and not refreshed
 since, so ``FadeQueue.fade_due`` makes those members faded in one loop
-without working out a deadline per record.  ``step_fade`` steps one record
-at a time; ``settle`` uses it, and the tests take it as the reference.
+without working out a deadline per record, and returns them as one list per
+cohort.  The members of a returned cohort share a token, a state, a rate and
+their ticks faded, so the engine formats one lifecycle text per cohort.
+``step_fade`` steps one record at a time; ``settle`` uses it, and the tests
+take it as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -56,34 +58,43 @@ class LifecycleError(RuntimeError):
     """Illegal operation on a life-cycle record (e.g. mutating a terminal)."""
 
 
-@dataclass(eq=False, slots=True)  # by identity: removal compares no fields
 class LifecycleRecord:
     """A fragment: the issued ``statement`` as its ``subject`` holds it.
     Every recipient's record shares the one statement and its ``token``.
 
     Fading is kept in whole ticks: ``origin`` is the tick of issue or of the
     last refresh and ``shown_at`` the tick the shown level is taken at.
-    ``fade_level`` is built from them only when it is read."""
+    ``fade_level`` is built from them only when it is read.  Records compare
+    by identity, so removing one from a list compares no fields."""
 
-    statement: Statement
-    subject: str
-    token: str
-    fade: FadeSpec
-    last_update: int
-    state: LifecycleState = LifecycleState.ACTIVE
-    fade_rate_multiplier: int = 1
-    origin: int = field(init=False)
-    shown_at: int = field(init=False)
+    __slots__ = (
+        "statement", "subject", "token", "fade", "last_update", "state",
+        "fade_rate_multiplier", "origin", "shown_at",
+    )
 
-    def __post_init__(self):
-        self.origin = self.shown_at = self.last_update
+    def __init__(
+        self,
+        statement: Statement,
+        subject: str,
+        token: str,
+        fade: FadeSpec,
+        last_update: int,
+        fade_rate_multiplier: int = 1,
+    ):
+        self.statement = statement
+        self.subject = subject
+        self.token = token
+        self.fade = fade
+        self.origin = self.shown_at = self.last_update = last_update
+        self.state = _ACTIVE
+        self.fade_rate_multiplier = fade_rate_multiplier
 
     @property
     def terminal(self) -> bool:
-        return self.state is not LifecycleState.ACTIVE
+        return self.state is not _ACTIVE
 
     def _require_active(self):
-        if self.terminal:
+        if self.state is not _ACTIVE:
             raise LifecycleError(f"record is terminal ({self.state.value})")
 
     @property
@@ -95,9 +106,7 @@ class LifecycleRecord:
     @property
     def fade_level(self) -> Fraction:
         """The shown level: 1 less ``rate/span`` per tick, never below 0."""
-        span = self.fade.span
-        left = span - self.fade_rate_multiplier * self.fading_ticks
-        return Fraction(max(0, left), span)
+        return self.fade.level(self.fade_rate_multiplier, self.fading_ticks)
 
     def fade_deadline(self) -> int:
         """The first tick at which ``step_fade`` makes the record faded: the
@@ -111,7 +120,7 @@ class LifecycleRecord:
             raise LifecycleError("fading cannot run backwards")
         self.last_update = self.shown_at = now
         if now >= self.fade_deadline():
-            self.state = LifecycleState.FADED
+            self.state = _FADED
         return self
 
     def _fade_to(self, tick: Optional[int]):
@@ -161,7 +170,8 @@ class FadeQueue:
     refresh files its record alone.  A member goes stale once it is terminal
     or refreshed (its ``origin`` moves on; the refresh files it anew), and a
     stale member is skipped when its cohort comes due, and the others fade
-    together.  A record is touched only when it fades, or by ``settle``.
+    together and come back from ``fade_due`` as one list.  A record is
+    touched only when it fades, or by ``settle``.
     """
 
     def __init__(self):
@@ -169,8 +179,8 @@ class FadeQueue:
         self._seq = count()  # ties on the deadline never compare records
 
     def push_cohort(self, recs):
-        """File ``recs``, which must share ``origin``, rate and fade spec, as
-        one entry under their common deadline."""
+        """File ``recs``, which must share token, ``origin``, rate and fade
+        spec, as one entry under their common deadline."""
         first = recs[0]
         heappush(
             self._heap, (first.fade_deadline(), next(self._seq), first.origin, recs)
@@ -180,14 +190,17 @@ class FadeQueue:
         self.push_cohort((rec,))
 
     def fade_due(self, now: int) -> list:
-        """Fade every record whose deadline is at or before ``now``; returns
-        them in no particular order.  A due entry's key is the deadline of
-        each member that is still active at its filed ``origin``, so each
-        such member fades as ``step_fade(now)`` would make it fade."""
-        faded = []
+        """Fade every record whose deadline is at or before ``now``.  Returns
+        the due cohorts, in no particular order, each a list of the members
+        it faded: they share a token, an origin and a rate, and so the state,
+        level and rate a lifecycle line shows.  A due entry's key is the
+        deadline of each member that is still active at its filed ``origin``,
+        so each such member fades as ``step_fade(now)`` would make it fade."""
+        cohorts = []
         heap = self._heap
         while heap and heap[0][0] <= now:
             _, _, origin, recs = heappop(heap)
+            faded = []
             for rec in recs:
                 if rec.state is not _ACTIVE or rec.origin != origin:
                     continue
@@ -196,7 +209,9 @@ class FadeQueue:
                 rec.last_update = rec.shown_at = now
                 rec.state = _FADED
                 faded.append(rec)
-        return faded
+            if faded:
+                cohorts.append(faded)
+        return cohorts
 
     def settle(self, now: int):
         """Step every record still active to ``now``, which must precede its

@@ -190,6 +190,11 @@ class FadeSpec:
             life = self._lives[rate] = (1 - self.threshold) * self.span // rate + 1
         return life
 
+    def level(self, rate: int, ticks: int) -> Fraction:
+        """The level after ``ticks`` ticks of fading at ``rate``: 1 less
+        ``rate/span`` per tick, never below 0."""
+        return Fraction(max(0, self.span - rate * ticks), self.span)
+
 
 @dataclass(frozen=True)
 class Statement:

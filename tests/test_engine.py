@@ -499,6 +499,105 @@ def test_partial_cohort_fades_and_terminates_after_its_last_fragment(later, expe
     assert all(state.fragments == [] for state in eng.agents.values())
 
 
+class PerRecordLines(engine._Engine):
+    """An engine that writes each lifecycle line ``deliver`` and
+    ``fade_step`` write per cohort again from its own record, with
+    ``lifecycle_line`` and with a format that uses no memo, and checks that
+    the three agree.  ``cohorts`` keeps (tick, token, members) per faded
+    cohort and ``checked`` counts the lines checked."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.cohorts, self.checked = [], 0
+        fade_due = self.fading.fade_due
+
+        def recording(now):
+            due = fade_due(now)
+            self.cohorts += [(now, cohort[0].token, len(cohort)) for cohort in due]
+            self.due = [rec for cohort in due for rec in cohort]
+            return due
+
+        self.fading.fade_due = recording
+
+    def per_record(self, tick, recs):
+        fmt, lines = statements._fmt_fraction, []
+        for rec in sorted(recs, key=lambda rec: (rec.subject, rec.token)):
+            line = self.lifecycle_line(tick, rec)
+            assert line == (
+                f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
+                f"state={rec.state.value} fade={fmt(rec.fade_level)} "
+                f"rate={fmt(rec.fade_rate_multiplier)}"
+            )
+            lines.append(line)
+        self.checked += len(lines)
+        return lines
+
+    def deliver(self, stmt, tick):
+        start, tokens = len(self.trace), set(self.live)
+        super().deliver(stmt, tick)
+        (token,) = self.live.keys() - tokens or (None,)
+        fresh = self.live[token][2] if token else []
+        written = [
+            line
+            for line in self.trace[start:]
+            if line.startswith(f"t={tick} lifecycle token={token} ")
+        ]
+        discard = self.route(stmt) is engine.Route.DISCARD_FAST
+        assert written == (self.per_record(tick, fresh) if discard else [])
+
+    def fade_step(self, tick):
+        start, self.due = len(self.trace), []
+        super().fade_step(tick)
+        assert self.trace[start:] == self.per_record(tick, self.due)
+
+
+@pytest.mark.parametrize(
+    "text,cohorts,checked",
+    [
+        (  # r and s fade at 4 without p, which the reissue refreshed at 2
+            "policy fade-span=4 fade-threshold=0.5\n"
+            'tick 1\nissue p[note:"b"/{r,s}]p\n'
+            'tick 2\nissue p[note:"b"]p\n'
+            "tick 4\nexpect-trust p r = 0\ntick 5\nexpect-trust p r = 0\n",
+            [(4, "1-0", 2), (5, "1-0", 1)],
+            3,
+        ),
+        (  # both entries of 1-0 due at 9: 8 ticks faded (fade 0) and 7 (1/8)
+            "policy fade-span=8 fade-threshold=0.2\n"
+            'tick 1\nissue p[note:"b"/{r,s}]p\n'
+            'tick 2\nissue p[note:"b"]p\n'
+            "tick 9\nexpect-trust p r = 0\n",
+            [(9, "1-0", 2), (9, "1-0", 1)],
+            3,
+        ),
+        (  # rate 4 clamps at 2 ticks faded; x's rate-1 cohort is due too
+            "policy fade-span=8 fade-threshold=0.2\n"
+            "profile p independent=false\n"
+            'tick 1\nissue p[note:"b"/{r}]q\nissue x[note:"c"]q\n'
+            "tick 9\nexpect-trust q p = 0\n",
+            [(9, "1-0", 3), (9, "1-1", 2)],
+            3 + 5,
+        ),
+        (  # discard lines at delivery, between deliver and penalty lines
+            "policy penalize-incredible=true\n"
+            "profile p independent=false\ntrust q p = 1\n"
+            'tick 1\nissue p[note:"b"/{r}]q\n'
+            'tick 2\nissue p[note:"b"/{r,s,t}]q\n',
+            [],
+            3 + 2,
+        ),
+    ],
+    ids=[
+        "partial-cohort", "two-entries-one-tick", "rate-4-clamped", "discard-penalize"
+    ],
+)
+def test_cohort_lifecycle_text_equals_each_records_line(text, cohorts, checked):
+    eng = PerRecordLines(load(text))
+    eng.run()
+    assert sorted(eng.cohorts) == sorted(cohorts)
+    assert eng.checked == checked
+
+
 def test_withdraw_terminates_everywhere():
     text = (
         "trust q p = 1\n"

@@ -123,6 +123,14 @@ def test_refresh_resets_fading():
     assert rec.state is LifecycleState.ACTIVE
 
 
+def faded_members(cohorts):
+    """The members of the cohorts ``fade_due`` returned, after checking that
+    each cohort is a non-empty list of records sharing a token and an origin."""
+    for cohort in cohorts:
+        assert cohort and len({(rec.token, rec.origin) for rec in cohort}) == 1
+    return [rec for cohort in cohorts for rec in cohort]
+
+
 @st.composite
 def fading_runs(draw):
     """A fade spec, a rate, an origin, strictly increasing sparse fade ticks
@@ -163,7 +171,7 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
             queue.push(fast)
         if not ref.terminal:
             ref.step_fade(tick)
-        faded = queue.fade_due(tick)
+        faded = faded_members(queue.fade_due(tick))
         if ref.state is LifecycleState.FADED and ref.last_update == tick:
             assert len(faded) == 1 and faded[0] is fast
         else:
@@ -273,7 +281,7 @@ def test_fade_queue_cohort_equals_stepping_each_record(run):
                 ref.step_fade(tick)
                 if ref.state is LifecycleState.FADED:
                     expected.append(rec)
-        faded = queue.fade_due(tick)
+        faded = faded_members(queue.fade_due(tick))
         assert sorted(map(id, faded)) == sorted(map(id, expected))
         for rec in faded:  # at the first fade tick at or after its deadline
             assert rec.state is LifecycleState.FADED

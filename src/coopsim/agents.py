@@ -2,16 +2,17 @@
 
 The reasoning an agent applies when it receives an adequacy promise, a task
 imposition, or an outcome observation is driven by its current trust
-levels:
+levels.  Adequacy bookkeeping is keyed by ``Statement.adequacy``:
 
 * adequacy promise: a matching attribute rule installs or refuses
-  regardless of trust; otherwise positive trust prepares the program,
-  non-positive trust refuses the install, and strong distrust in a sole
-  promiser unloads an already prepared program.
+  regardless of trust; otherwise positive trust prepares the program and
+  non-positive trust refuses the install.
+* unload rule (``_unload``, on a promise and after an outcome): a prepared
+  program whose only promiser is at trust -2 is unloaded.
 * task request: a single prepared program is used at non-negative trust; at
   trust -1 only if it was used before; with several candidates the program
-  promised by the most trusted agent wins (ties broken by per-program trust
-  sums, then promise recency, then program name).
+  promised by the most trusted agent wins (``rank``: ties broken by
+  per-program trust sums, then promise recency, then program name).
 * imposition: when the impositioner is highly trusted the agent applies
   extra scrutiny to the program promiser, warning or proposing withdrawal
   instead of risking a failure.
@@ -19,7 +20,6 @@ levels:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -37,10 +37,8 @@ from .trust import (
 __all__ = [
     "ActionKind",
     "Action",
-    "AdequacyTagError",
     "PendingWarning",
     "AgentState",
-    "parse_adequacy_tag",
     "on_adequacy_promise",
     "on_task_request",
     "on_imposition",
@@ -52,18 +50,6 @@ __all__ = [
 # bound once: ``hold`` and ``release`` run per fragment, and each read of an
 # enum member off its class costs about 0.1 us on CPython 3.11
 _PROMISE = DirectionalKind.PROMISE
-_ADEQUACY_RE = re.compile(r"adequacy\(([A-Za-z0-9_-]+),([A-Za-z0-9_-]+)\)")
-
-
-class AdequacyTagError(ValueError):
-    pass
-
-
-def parse_adequacy_tag(tag: str):
-    m = _ADEQUACY_RE.fullmatch(tag)
-    if not m:
-        raise AdequacyTagError(f"not an adequacy type tag: {tag!r}")
-    return m.group(1), m.group(2)
 
 
 class ActionKind(Enum):
@@ -97,9 +83,7 @@ class Action:
 @dataclass(frozen=True)
 class PendingWarning:
     imposer: str
-    task: str
     program: str
-    promiser: str
 
 
 @dataclass
@@ -107,12 +91,12 @@ class AgentState:
     id: str
     trust: TrustStore = field(default_factory=TrustStore)
     fragments: list = field(default_factory=list)  # live records, every kind
-    promises: dict = field(default_factory=dict)  # type tag -> live promises
+    promises: dict = field(default_factory=dict)  # (program, task) -> live promises
     prepared: dict = field(default_factory=dict)  # (program, task) -> used before
     # (program, task) -> {promiser: tick of its last engaged adequacy promise}
     adequacy_index: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
-    # (type tag, promiser) of the promises released since the last prune
+    # (pair, promiser) of the adequacy promises released since the last prune
     lapsed: set = field(default_factory=set, init=False, repr=False, compare=False)
     general_keys: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -127,25 +111,25 @@ class AgentState:
         return key
 
     def hold(self, rec):
-        """Hold a new record until ``release``, a promise also by its tag."""
+        """Hold a new record until ``release``, an adequacy promise also by pair."""
         self.fragments.append(rec)
         stmt = rec.statement
-        if stmt.kind is _PROMISE:
-            self.promises.setdefault(stmt.type_tag, []).append(rec)
+        if stmt.kind is _PROMISE and stmt.adequacy is not None:
+            self.promises.setdefault(stmt.adequacy, []).append(rec)
 
     def release(self, rec) -> bool:
         """Let go of a record that has ended: only live records are held.  A
-        released promise's pair is noted for ``prune_adequacy_index``; the
+        released adequacy promise is noted for ``prune_adequacy_index``; the
         result says whether there was one."""
         self.fragments.remove(rec)
         stmt = rec.statement
-        if stmt.kind is not _PROMISE:
+        if stmt.kind is not _PROMISE or stmt.adequacy is None:
             return False
-        live = self.promises[stmt.type_tag]
+        live = self.promises[stmt.adequacy]
         live.remove(rec)
         if not live:
-            del self.promises[stmt.type_tag]
-        self.lapsed.add((stmt.type_tag, stmt.promiser))
+            del self.promises[stmt.adequacy]
+        self.lapsed.add((stmt.adequacy, stmt.promiser))
         return True
 
     def trust_in(self, target: str) -> int:
@@ -157,7 +141,7 @@ class AgentState:
 
     def active_adequacy_records(self, program: str, task: str):
         """The live adequacy promises for (program, task), in hold order."""
-        return list(self.promises.get(f"adequacy({program},{task})", ()))
+        return list(self.promises.get((program, task), ()))
 
     def prune_adequacy_index(self):
         """Drop index entries whose promiser no longer has a live promise.
@@ -166,15 +150,27 @@ class AgentState:
         its last live promise only through ``release``, which records it in
         ``lapsed``; so only the lapsed pairs need a look.
         """
-        for tag, promiser in self.lapsed:
-            match = _ADEQUACY_RE.fullmatch(tag)
-            live = self.promises.get(tag, ())
-            if match and all(rec.statement.promiser != promiser for rec in live):
-                entries = self.adequacy_index.get(match.groups(), {})
+        for pair, promiser in self.lapsed:
+            live = self.promises.get(pair, ())
+            if all(rec.statement.promiser != promiser for rec in live):
+                entries = self.adequacy_index.get(pair, {})
                 entries.pop(promiser, None)
                 if not entries:
-                    self.adequacy_index.pop(match.groups(), None)
+                    self.adequacy_index.pop(pair, None)
         self.lapsed.clear()
+
+
+def _unload(state: AgentState, program: str, task: str) -> list:
+    """The unload rule: a prepared program whose only promiser is at -2 is unloaded."""
+    promisers = state.promisers_for(program, task)
+    if (
+        (program, task) in state.prepared
+        and len(promisers) == 1
+        and state.trust_in(next(iter(promisers))) == -2
+    ):
+        del state.prepared[(program, task)]
+        return [Action(ActionKind.UNLOAD, program=program, task=task)]
+    return []
 
 
 def on_adequacy_promise(
@@ -189,20 +185,15 @@ def on_adequacy_promise(
     program and task; only when no rule matched does promiser trust decide.
     The promise is indexed whatever the outcome.
     """
-    program, task = parse_adequacy_tag(promise.type_tag)
+    program, task = promise.adequacy
     state.adequacy_index.setdefault((program, task), {})[promise.promiser] = now
     if verdict is InstallVerdict.NO_RULE:
         level = state.trust_in(promise.promiser)
-        if (
-            level == -2
-            and (program, task) in state.prepared
-            and state.promisers_for(program, task) == {promise.promiser}
-        ):
-            del state.prepared[(program, task)]
-            return [Action(ActionKind.UNLOAD, program=program, task=task)]
-        verdict = (
-            InstallVerdict.INSTALL if level > 0 else InstallVerdict.REFUSE_INSTALL
-        )
+        # just indexed, this promiser is the sole one if there is one
+        unloaded = level == -2 and _unload(state, program, task)
+        if unloaded:
+            return unloaded
+        verdict = InstallVerdict.INSTALL if level > 0 else InstallVerdict.REFUSE_INSTALL
     if verdict is InstallVerdict.REFUSE_INSTALL:
         return [Action(ActionKind.REFUSE_INSTALL, program=program, task=task)]
     if (program, task) in state.prepared:
@@ -212,61 +203,53 @@ def on_adequacy_promise(
 
 
 def apply_unload_rule(state: AgentState) -> list:
-    """Unload prepared programs whose sole adequacy promiser hit trust -2."""
-    actions = []
-    for (program, task) in sorted(state.prepared):
-        promisers = state.promisers_for(program, task)
-        if len(promisers) == 1 and state.trust_in(next(iter(promisers))) == -2:
-            del state.prepared[(program, task)]
-            actions.append(Action(ActionKind.UNLOAD, program=program, task=task))
-    return actions
+    """The unload rule over every prepared program, in (program, task) order."""
+    return [
+        action for pair in sorted(state.prepared) for action in _unload(state, *pair)
+    ]
 
 
-def _select_candidate(state: AgentState, candidates: list, task: str) -> str:
-    """Rule 6/7 argmax: highest promiser trust, then per-program trust sums,
-    then most recent adequacy promise by a maximally trusted promiser, then
-    lexicographic program id."""
-    stats = {}
-    for program in candidates:
-        latest = state.adequacy_index[(program, task)]
-        trusts = {p: state.trust_in(p) for p in latest}
-        top = max(trusts.values())
-        total = sum(trusts.values())
-        recent = max(t for p, t in latest.items() if trusts[p] == top)
-        stats[program] = (top, total, recent)
-    best_top = max(s[0] for s in stats.values())
-    pool = [c for c in candidates if stats[c][0] == best_top]
-    best_total = max(stats[c][1] for c in pool)
-    pool = [c for c in pool if stats[c][1] == best_total]
-    best_recent = max(stats[c][2] for c in pool)
-    pool = [c for c in pool if stats[c][2] == best_recent]
-    return min(pool)
+def _candidates(state: AgentState, task: str) -> list:
+    """The programs prepared for ``task`` that an indexed promise backs, sorted."""
+    return sorted(
+        program
+        for (program, t) in state.prepared
+        if t == task and state.promisers_for(program, task)
+    )
+
+
+def _sole_promiser(state: AgentState, candidates: list, task: str):
+    """The one promiser of a single candidate, else None."""
+    if len(candidates) == 1:
+        promisers = state.promisers_for(candidates[0], task)
+        if len(promisers) == 1:
+            return next(iter(promisers))
+    return None
 
 
 def on_task_request(state: AgentState, task: str) -> Action:
     """Choose a program for a requested task (rules 3-7); failing is a value,
     not an error."""
-    candidates = sorted(
-        program
-        for (program, t) in state.prepared
-        if t == task and state.promisers_for(program, task)
-    )
-    if not candidates:
+    candidates = _candidates(state, task)
+    sole = _sole_promiser(state, candidates, task)
+    # a sole promiser needs trust 0, or -1 for a program used before
+    if not candidates or (
+        sole is not None
+        and state.trust_in(sole) < (-1 if state.prepared[candidates[0], task] else 0)
+    ):
         return Action(ActionKind.FAIL, task=task)
-    if len(candidates) == 1:
-        program = candidates[0]
-        promisers = state.promisers_for(program, task)
-        if len(promisers) == 1:
-            level = state.trust_in(next(iter(promisers)))
-            if level >= 0:
-                return Action(ActionKind.USE, program=program, task=task)
-            if level == -1:
-                if state.prepared[(program, task)]:
-                    return Action(ActionKind.USE, program=program, task=task)
-                return Action(ActionKind.FAIL, task=task)
-            return Action(ActionKind.FAIL, task=task)
-    program = _select_candidate(state, candidates, task)
-    return Action(ActionKind.USE, program=program, task=task)
+
+    def rank(program):
+        """Rule 6/7: highest promiser trust, then the per-program trust sum,
+        then the most recent adequacy promise by a most trusted promiser."""
+        latest = state.adequacy_index[(program, task)]
+        trusts = {p: state.trust_in(p) for p in latest}
+        top = max(trusts.values())
+        recent = max(t for p, t in latest.items() if trusts[p] == top)
+        return top, sum(trusts.values()), recent
+
+    # max keeps the first of equal ranks: the least program id
+    return Action(ActionKind.USE, program=max(candidates, key=rank), task=task)
 
 
 def on_imposition(state: AgentState, imposer: str, task: str) -> list:
@@ -277,32 +260,20 @@ def on_imposition(state: AgentState, imposer: str, task: str) -> list:
     and a positively trusted impositioner.  Everything else falls through to
     the plain task-request rules.
     """
-    candidates = [
-        program
-        for (program, t) in sorted(state.prepared)
-        if t == task and state.promisers_for(program, task)
-    ]
-    single = len(candidates) == 1 and len(
-        state.promisers_for(candidates[0], task)
-    ) == 1
+    candidates = _candidates(state, task)
+    promiser = _sole_promiser(state, candidates, task)
     trust_imposer = state.trust_in(imposer)
-    if single and trust_imposer >= 1:
-        program = candidates[0]
-        promiser = next(iter(state.promisers_for(program, task)))
-        trust_promiser = state.trust_in(promiser)
-        if trust_imposer == 2:
-            if trust_promiser == 2:
-                return [Action(ActionKind.USE, program=program, task=task)]
-            if trust_promiser == 1:
-                state.pending[task] = PendingWarning(
-                    imposer=imposer, task=task, program=program, promiser=promiser
-                )
-                return [Action(ActionKind.WARN, task=task, target=imposer)]
-            return [Action(ActionKind.PROPOSE_WITHDRAW, task=task, target=imposer)]
-        if trust_promiser >= 1:
-            return [Action(ActionKind.USE, program=program, task=task)]
-        return [Action(ActionKind.PROPOSE_WITHDRAW, task=task, target=imposer)]
-    return [on_task_request(state, task)]
+    if promiser is None or trust_imposer < 1:
+        return [on_task_request(state, task)]
+    program = candidates[0]
+    trust_promiser = state.trust_in(promiser)
+    # a promiser at 2 is used; at 1, used under an impositioner at 1, else warned of
+    if trust_promiser == 2 or trust_promiser == trust_imposer == 1:
+        return [Action(ActionKind.USE, program=program, task=task)]
+    if trust_promiser == 1:
+        state.pending[task] = PendingWarning(imposer=imposer, program=program)
+        return [Action(ActionKind.WARN, task=task, target=imposer)]
+    return [Action(ActionKind.PROPOSE_WITHDRAW, task=task, target=imposer)]
 
 
 def resolve_reply(state: AgentState, imposer: str, proceed: bool) -> Optional[Action]:
@@ -312,7 +283,7 @@ def resolve_reply(state: AgentState, imposer: str, proceed: bool) -> Optional[Ac
         if pend.imposer == imposer:
             del state.pending[task]
             if proceed:
-                return Action(ActionKind.USE, program=pend.program, task=pend.task)
+                return Action(ActionKind.USE, program=pend.program, task=task)
             return None
     return None
 

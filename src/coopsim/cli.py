@@ -62,34 +62,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args) -> dict:
     out = {}
-    if args.tram is not None:
-        out["tram"] = (
-            TramPolicy.RECENCY
-            if args.tram == "recency-history"
-            else TramPolicy.INCREMENTAL
-        )
+    if args.tram is not None:  # the choices are the policies' values
+        out["tram"] = TramPolicy(args.tram)
     if args.interleave is not None:
         out["interleave"] = engine.InterleavingStrategy(args.interleave)
     return out
 
 
-def _load(path: str):
+def _run(args):
+    """Load and run the scenario of ``args``: the result and its failed
+    expectations.  A scenario that cannot be read or loaded exits 2."""
+    path = args.scenario
     try:
-        return engine.load_path(path)
+        scenario = engine.load_path(path)
     except OSError as exc:
         print(f"coopsim: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     except engine.ScenarioError as exc:
         print(f"coopsim: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    result = engine.run(scenario, **_overrides(args))
+    return result, [e for e in result.expects if not e.passed]
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args.scenario)
-    result = engine.run(scenario, **_overrides(args))
+    result, failures = _run(args)
     if args.trace:
         sys.stdout.write(result.trace_text())
-    failures = [e for e in result.expects if not e.passed]
     if not args.quiet:
         print(
             f"ran {args.scenario}: {len(result.trace)} trace lines, "
@@ -100,9 +99,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    scenario = _load(args.scenario)
-    result = engine.run(scenario, **_overrides(args))
-    failures = [e for e in result.expects if not e.passed]
+    result, failures = _run(args)
     for e in result.expects:
         status = "ok" if e.passed else "FAIL"
         print(

@@ -53,12 +53,7 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from . import agents as agent_rules
-from .agents import (
-    Action,
-    AdequacyTagError,
-    AgentState,
-    parse_adequacy_tag,
-)
+from .agents import Action, AgentState
 from .appraisal import (
     ATTRIBUTE_CATALOG,
     DEFAULT_GATE_FLOOR,
@@ -607,12 +602,11 @@ class _Engine:
         in a run (None: an unprofiled promiser, who scores 1/2)."""
         level = None
         profile = self.profiles.get(stmt.promiser)
-        if profile is not None:
-            try:
-                focus = parse_adequacy_tag(stmt.type_tag)[0]
-            except AdequacyTagError:
-                focus = stmt.type_tag
-            level = credibility_level(profile, focus)
+        if profile is not None:  # an adequacy tag's focus is its program
+            pair = stmt.adequacy
+            level = credibility_level(
+                profile, stmt.type_tag if pair is None else pair[0]
+            )
         route = self.routes.get(level)
         if route is None:
             score = Fraction(1, 2) if level is None else credibility_score(level)
@@ -746,14 +740,13 @@ class _Engine:
         self.emit_lifecycle(tick, rec)
 
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
-        try:
-            program, task = parse_adequacy_tag(promise.type_tag)
-        except AdequacyTagError:
+        pair = promise.adequacy
+        if pair is None:
             return
-        verdict = self.verdicts.get((program, task))
+        verdict = self.verdicts.get(pair)
         if verdict is None:  # attrs are fixed once the initial block ran
-            verdict = self.verdicts[program, task] = attribute_install_decision(
-                self.merged_attrs(program, task)
+            verdict = self.verdicts[pair] = attribute_install_decision(
+                self.merged_attrs(*pair)
             )
         for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
             self.emit_action(tick, state.id, action)

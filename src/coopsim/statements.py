@@ -26,6 +26,9 @@ step by step, to find the column of the first step that fails and report
 "expected <what>" (``StatementSyntaxError``).  The grammar is LL(1): a
 clause is chosen by its first characters (``w=``, ``u=``, ``<keyword>!``,
 ``(``, ``@``, ``/``), so the walk and the pattern accept the same text.
+
+``Statement.adequacy``, the ``(program, task)`` of an ``adequacy(P,U)`` type
+tag, is matched on first use with the grammar's token; nothing else spells it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -61,6 +65,7 @@ _TOKEN_RE = re.compile(_TOKEN)
 _TOKENS = rf"{_TOKEN}(?:,{_TOKEN})*"
 _TOKENS_RE = re.compile(_TOKENS)
 _INT = "[0-9]+"  # ASCII only: \d and int() take any Unicode digit
+_ADEQUACY_RE = re.compile(rf"adequacy\(({_TOKEN}),({_TOKEN})\)")
 
 # A line up to its first "#" outside a quoted string (an open string runs on
 # to the end of the line).  Matching every line with it makes load ~8% slower.
@@ -242,6 +247,13 @@ class Statement:
                 raise ScopeMembershipError(
                     f"subject {self.subject!r} outside effective scope and promisee"
                 )
+
+    @cached_property
+    def adequacy(self) -> Optional[tuple]:
+        """The ``(program, task)`` of an ``adequacy(P,U)`` type tag of any kind,
+        else None; worked out on first use, so that ``load`` does not pay."""
+        m = _ADEQUACY_RE.fullmatch(self.type_tag)
+        return None if m is None else m.groups()
 
     @property
     def effective_scope(self) -> frozenset:

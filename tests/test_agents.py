@@ -6,19 +6,23 @@ from hypothesis import given, settings, strategies as st
 from coopsim.agents import (
     Action,
     ActionKind,
-    AdequacyTagError,
     AgentState,
     apply_unload_rule,
     on_adequacy_promise,
     on_imposition,
     on_outcome,
     on_task_request,
-    parse_adequacy_tag,
     resolve_reply,
 )
 from coopsim.engine import PolicyHeader
 from coopsim.lifecycle import LifecycleRecord, LifecycleState
-from coopsim.statements import DirectionalKind, FragmentCounter, parse
+from coopsim.statements import (
+    Body,
+    DirectionalKind,
+    FragmentCounter,
+    Statement,
+    parse,
+)
 from coopsim.trust import AppreciationKey, AppreciationKind, Outcome, TramPolicy
 
 FADE = PolicyHeader().default_fade
@@ -44,9 +48,14 @@ def give_promise(state, promiser, program, task, counter, now=0):
 
 
 def test_adequacy_tag_parsing():
-    assert parse_adequacy_tag("adequacy(P,U)") == ("P", "U")
-    with pytest.raises(AdequacyTagError):
-        parse_adequacy_tag("perform(U)")
+    """``Statement.adequacy`` is the (program, task) of an adequacy(P,U) tag
+    whatever the kind, and None for any other tag."""
+    assert parse('p[adequacy(P,U):"x"]q').adequacy == ("P", "U")
+    assert parse('p[suggest!adequacy(P-1,U_2):"x"]q').adequacy == ("P-1", "U_2")
+    for tag in ("perform(U)", "adequacy(P)", "adequacy(P,U,V)", "adequacy"):
+        assert parse(f'p[{tag}:"x"]q').adequacy is None
+    built = Statement(DirectionalKind.PROMISE, "p", "q", "adequacy(P,U", Body("x"))
+    assert built.adequacy is None
 
 
 def test_positive_trust_prepares():
@@ -249,6 +258,7 @@ def rescan_prune(index, fragments):
 
 
 KEYS = list(itertools.product(["P", "R"], ["U", "V"]))
+TAG_KEYS = {f"adequacy({p},{t})": (p, t) for p, t in KEYS}
 holders = st.sampled_from(["q", "r"])
 steps = st.one_of(
     st.tuples(
@@ -256,7 +266,7 @@ steps = st.one_of(
         holders,
         st.sampled_from(["a", "b", "c"]),
         st.sampled_from(["", "suggest!", "warn!"]),
-        st.sampled_from([f"adequacy({p},{t})" for p, t in KEYS] + ["note"]),
+        st.sampled_from([*TAG_KEYS, "note"]),
         st.booleans(),
     ),
     st.tuples(st.just("release"), holders, st.integers(0, 11)),
@@ -283,10 +293,14 @@ def test_incremental_prune_equals_full_rescan(script):
             state.hold(LifecycleRecord(stmt, name, counter.fresh(tick), FADE, tick))
             if indexed and stmt.kind is DirectionalKind.PROMISE and type_tag != "note":
                 on_adequacy_promise(state, stmt, tick)
-                key = parse_adequacy_tag(type_tag)
-                reference[name].setdefault(key, {})[promiser] = tick
+                reference[name].setdefault(TAG_KEYS[type_tag], {})[promiser] = tick
         elif op == "release" and state.fragments:
-            state.release(state.fragments[args[0] % len(state.fragments)])
+            rec = state.fragments[args[0] % len(state.fragments)]
+            adequacy_promise = (
+                rec.statement.kind is DirectionalKind.PROMISE
+                and rec.statement.type_tag in TAG_KEYS
+            )
+            assert state.release(rec) == adequacy_promise  # only these need a prune
         elif op == "prune":
             state.prune_adequacy_index()
             reference[name] = rescan_prune(reference[name], state.fragments)

@@ -1,0 +1,70 @@
+"""Every rule is reached by a shipped scenario.
+
+The goldens pin only what the scenarios run, so a rule that no scenario
+enters could change without a golden noticing.  This runs every
+``scenarios/*.coop`` under both TRAM policies and both interleavings, and
+asserts that each function and method written in ``agents.py`` and
+``reputation.py``, and each ``_Engine.on_*`` directive handler, is entered.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+from coopsim import agents, engine, reputation
+from coopsim.engine import InterleavingStrategy, load_path, run
+from coopsim.trust import TramPolicy
+
+SCENARIOS = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.coop")
+)
+
+
+def _written_in(module) -> dict:
+    """Qualified name -> code object of every function and method whose
+    source is ``module`` (dataclass-generated methods are not)."""
+    found = {}
+
+    def add(name, obj):
+        func = getattr(obj, "fget", None) or getattr(obj, "func", None) or obj
+        if inspect.isfunction(func) and func.__code__.co_filename == module.__file__:
+            found[name] = func.__code__
+
+    for name, obj in vars(module).items():
+        if inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for attr, member in vars(obj).items():
+                add(f"{name}.{attr}", member)
+        else:
+            add(name, obj)
+    return found
+
+
+def test_every_rule_is_reached_by_a_shipped_scenario():
+    wanted = {
+        **_written_in(agents),
+        **_written_in(reputation),
+        **{
+            name: code
+            for name, code in _written_in(engine).items()
+            if name.startswith("_Engine.on_")
+        },
+    }
+    codes = set(wanted.values())
+    entered = set()
+
+    def tracer(frame, event, arg):  # called for "call" events only
+        if frame.f_code in codes:
+            entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for path in SCENARIOS:
+            scenario = load_path(path)
+            for tram in TramPolicy:
+                for order in InterleavingStrategy:
+                    run(scenario, tram=tram, interleave=order)
+    finally:
+        sys.settrace(previous)
+    assert "on_task_request" in wanted and "_Engine.on_outcome" in wanted
+    assert sorted(name for name, code in wanted.items() if code not in entered) == []

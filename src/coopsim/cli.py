@@ -120,10 +120,12 @@ def cmd_parse(args) -> int:
         source = sys.stdin.read()
     else:
         try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                source = handle.read()
+            source = engine.read_text(args.file)
         except OSError as exc:
             print(f"coopsim: cannot read {args.file}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except engine.ScenarioError as exc:  # not UTF-8
+            print(f"coopsim: {args.file}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     status = EXIT_OK
     for line_no, text in code_lines(source):  # comments as in a scenario

@@ -81,12 +81,15 @@ from .statements import (
     Statement,
     StatementError,
     _INT,
+    _TOKEN,
     _TOKEN_RE,
+    _TOKENS,
     _fmt_fraction,
     check_agent_id,
     code_lines,
     equivalence_key,
     parse as parse_statement,
+    split_lines,
 )
 from .trust import (
     AppreciationKey,
@@ -105,6 +108,7 @@ __all__ = [
     "RunResult",
     "load",
     "load_path",
+    "read_text",
     "run",
 ]
 
@@ -137,7 +141,9 @@ class PolicyHeader:
 
 class Directive(NamedTuple):
     """One scenario line.  A named tuple: ``load`` builds one per line, and a
-    frozen dataclass costs about twice as much to build."""
+    frozen dataclass costs about twice as much to build.  ``load`` builds it
+    with ``tuple.__new__``, skipping the named tuple's Python-level
+    ``__new__``."""
 
     tick: int
     line: int
@@ -202,28 +208,67 @@ def _parse_level(value: str, line: int) -> int:
 
 
 def load(text: str) -> Scenario:
-    """Parse and validate a scenario script."""
+    """Parse and validate a scenario script.
+
+    A line's first word names its directive.  The usual form of a simple
+    directive (``tick``, ``trust``, ``outcome``, ...: one space between
+    words, keys in their usual order) is read with one ``fullmatch`` of its
+    pattern in ``_DIRECTIVES``, whose builder returns the args the
+    directive's ``_Loader`` method would.  Any other line, and every line in
+    error, goes to that method, which alone writes each ``ScenarioError``."""
     loader = _Loader()
+    new = tuple.__new__  # a Directive without NamedTuple's Python-level __new__
     for line_no, stripped in code_lines(text):
-        tokens = stripped.split()
-        name = tokens[0]
-        method, before, after = _DIRECTIVES.get(name, (None, False, False))
-        if loader.now is None:
+        name, _, rest = stripped.partition(" ")
+        entry = _DIRECTIVES.get(name)
+        if entry is None:  # not one space after the name, or no directive:
+            name = stripped.split(None, 1)[0]  # the method reads the line
+            entry = _DIRECTIVES.get(name, _UNKNOWN)[:3] + (None, None)
+        method, before, after, pattern, build = entry
+        now = loader.now
+        if now is None:
             if not before:
                 raise ScenarioError(
                     f"directive {name!r} not allowed before the first tick", line_no
                 )
         elif not after:
             raise ScenarioError(f"unknown directive {name!r}", line_no)
+        match = pattern.fullmatch(rest) if pattern is not None else None
+        if match is not None:
+            built = build(match)
+            if name != "tick":
+                if built is not None:
+                    loader.directives.append(
+                        new(Directive, (now or 0, line_no, name) + built)
+                    )
+                    continue
+            elif now is None or built > now:  # built is the tick
+                loader.now = built
+                loader.directives = loader.events
+                continue
+        tokens = None if name == "issue" else stripped.split()  # issue reads the text
         loaded = method(loader, tokens, stripped, line_no)
         if loaded is not None:  # None for a tick or header line
-            loader.directives.append(Directive(loader.now or 0, line_no, name, *loaded))
+            loader.directives.append(new(Directive, (now or 0, line_no, name) + loaded))
     return Scenario(header=loader.header, initial=loader.initial, events=loader.events)
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``.  A byte that is not UTF-8 is a
+    ``ScenarioError`` on its line, as ``code_lines`` numbers lines."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(split_lines(data[: exc.start].decode("utf-8")))
+        raise ScenarioError(
+            f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}", line
+        ) from None
+
+
 def load_path(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load(handle.read())
+    return load(read_text(path))
 
 
 # profile setting -> the ConsultantProfile field that holds its comma list
@@ -398,14 +443,7 @@ class _Loader:
         if not _TOKEN_RE.fullmatch(task):
             raise ScenarioError(f"bad imposition: invalid task: {task!r}", line)
         try:
-            statement = Statement(
-                kind=DirectionalKind.IMPOSITION,
-                promiser=imposer,
-                promisee=target,
-                type_tag=f"perform({task})",
-                body=Body(text=f"perform task {task}"),
-                strength=strength,
-            )
+            statement = _imposition(imposer, target, task, strength)
         except StatementError as exc:
             raise ScenarioError(f"bad imposition: {exc}", line)
         return (imposer, target, task), statement
@@ -471,22 +509,77 @@ class _Loader:
         return (tokens[1], tokens[2], tokens[3]), None
 
 
-# name -> (loader, may come before the first tick, may come after it)
+def _imposition(imposer, target, task, strength=None) -> Statement:
+    return Statement(
+        kind=DirectionalKind.IMPOSITION,
+        promiser=imposer,
+        promisee=target,
+        type_tag=f"perform({task})",
+        body=Body(text=f"perform task {task}"),
+        strength=strength,
+    )
+
+
+# The usual form of a simple directive after its name: one space between
+# words, ids as tokens, numbers as ASCII digits.  Each builder turns a match
+# into what the directive's ``_Loader`` method returns for the same line,
+# ``(args, statement)``, or None to leave the line to the method; the tick
+# builder returns the tick, which ``load`` checks against the last one.
+_ID = f"({_TOKEN})"
+_TICK_FORM = re.compile(f"({_INT})")
+_TRUST_FORM = re.compile(f"{_ID} {_ID} = (-?[0-2])")  # levels -2..2 only
+_IMPOSE_FORM = re.compile(f"{_ID} {_ID} task={_ID}")
+_OUTCOME_FORM = re.compile(f"{_ID} program={_ID} task={_ID} result=(success|failure)")
+_WITHDRAW_FORM = re.compile(f"{_ID} token={_ID}")
+_LOR_FORM = re.compile(f"{_ID} {_ID} about={_ID}")
+_SURVEY_FORM = re.compile(f"{_ID} group=({_TOKENS}) about={_ID}")
+_REPLY_FORM = re.compile(f"{_ID} {_ID} (proceed|withdraw)")
+
+
+def _groups(match):
+    return match.groups(), None
+
+
+def _tick(match):
+    return int(match[1])
+
+
+def _trust(match):
+    subject, target, level = match.groups()
+    return (subject, target, None, None, int(level)), None
+
+
+def _impose(match):
+    args = match.groups()
+    return args, _imposition(*args)
+
+
+def _survey(match):
+    surveyor, group, about = match.groups()
+    members = tuple(group.split(","))
+    if len(set(members)) == len(members):  # else the method names the repeat
+        return (surveyor, members, about, None), None
+    return None
+
+
+# name -> (loader, may come before the first tick, may come after it,
+#          pattern of the usual form, its builder)
 _DIRECTIVES = {
-    "tick": (_Loader.tick, True, True),
-    "policy": (_Loader.policy, True, False),
-    "attr": (_Loader.attr, True, False),
-    "profile": (_Loader.profile, True, False),
-    "trust": (_Loader.trust, True, True),
-    "expect-trust": (_Loader.trust, True, True),
-    "issue": (_Loader.issue, False, True),
-    "impose": (_Loader.impose, False, True),
-    "outcome": (_Loader.outcome, False, True),
-    "withdraw": (_Loader.withdraw, False, True),
-    "lor-request": (_Loader.lor_request, False, True),
-    "survey": (_Loader.survey, False, True),
-    "reply": (_Loader.reply, False, True),
+    "tick": (_Loader.tick, True, True, _TICK_FORM, _tick),
+    "policy": (_Loader.policy, True, False, None, None),
+    "attr": (_Loader.attr, True, False, None, None),
+    "profile": (_Loader.profile, True, False, None, None),
+    "trust": (_Loader.trust, True, True, _TRUST_FORM, _trust),
+    "expect-trust": (_Loader.trust, True, True, _TRUST_FORM, _trust),
+    "issue": (_Loader.issue, False, True, None, None),
+    "impose": (_Loader.impose, False, True, _IMPOSE_FORM, _impose),
+    "outcome": (_Loader.outcome, False, True, _OUTCOME_FORM, _groups),
+    "withdraw": (_Loader.withdraw, False, True, _WITHDRAW_FORM, _groups),
+    "lor-request": (_Loader.lor_request, False, True, _LOR_FORM, _groups),
+    "survey": (_Loader.survey, False, True, _SURVEY_FORM, _survey),
+    "reply": (_Loader.reply, False, True, _REPLY_FORM, _groups),
 }
+_UNKNOWN = (None, False, False)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ __all__ = [
     "FragmentCounter",
     "check_agent_id",
     "code_lines",
+    "split_lines",
     "parse",
     "render",
     "normalize",
@@ -119,11 +120,18 @@ def check_agent_id(name: str) -> str:
     return name
 
 
+def split_lines(text: str) -> list:
+    """``text`` broken at "\\n", "\\r\\n" and "\\r" only, as ``open()`` breaks
+    it; ``str.splitlines`` also breaks at "\\f", "\\v", "\\x85", U+2028 and
+    more, which would move every later line number off ``grep -n``'s."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def code_lines(text: str):
     """Yield ``(line number, code)`` for each line of a scenario or statement
     file that holds code: its text before the first "#" outside a quoted
     string, stripped.  A "#" in a quoted body is text."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         if '"' in raw and "#" in raw:  # else the split gives the same text
             code = _CODE_RE.match(raw).group().strip()
         else:

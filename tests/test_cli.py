@@ -109,3 +109,28 @@ def test_parse_strips_comments_as_load_does(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == ['p[pi:"b"]q', 'p[pi:"task #1"]q']
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_non_utf8_scenario_is_an_input_error(tmp_path, capsys, command):
+    """A byte that is not UTF-8 fails with exit 2 and the line it is on,
+    not with a ``UnicodeDecodeError`` traceback and the exit of a failed
+    expectation."""
+    bad = tmp_path / "bad.coop"
+    bad.write_bytes(b"trust q p = 1\r\ntick 1\rissue p[pi:\"caf\xc3\"]q\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, str(bad)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"coopsim: {bad}: line 3: not UTF-8: byte 0xc3 at offset 37\n"
+
+
+def test_parse_reports_a_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "stmts.txt"
+    bad.write_bytes(b'p[pi:"ok"]q\n\np[pi:"\xff"]q\n')
+    assert cli.main(["parse", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"coopsim: {bad}: line 3: not UTF-8: byte 0xff at offset 19\n"
+

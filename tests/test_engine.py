@@ -846,8 +846,10 @@ def test_surveys_with_one_sum_and_size_share_their_outcome(monkeypatch):
 
 
 def test_load_checks_each_qualifier_value_once(monkeypatch):
-    """``outcome``, ``trust`` and ``attr`` values are checked as tokens once
-    per distinct value in a ``load``."""
+    """``outcome``, ``trust`` and ``attr`` values that a ``_Loader`` method
+    reads are checked as tokens once per distinct value in a ``load``.  An
+    ``outcome`` in its usual form is checked by its directive pattern, so
+    ``Q`` and ``V`` are first checked as tokens on the last line."""
     matched = []
 
     class Counting:
@@ -860,10 +862,11 @@ def test_load_checks_each_qualifier_value_once(monkeypatch):
         "attr program-quality program=P = 1\n"
         "trust q p program=P task=U = 1\n"
         "tick 1\n"
-        + "outcome q program=P task=U result=success\n" * 3
-        + "outcome q program=Q task=U result=failure\n"
+        + "outcome q task=U program=P result=success\n" * 3
+        + "outcome q program=Q task=V result=failure\n"
+        + "outcome q task=V program=Q result=failure\n"
     )
-    assert sorted(matched) == ["P", "Q", "U"]
+    assert sorted(matched) == ["P", "Q", "U", "V"]
 
 
 def test_round_robin_queues_expect_trust_under_its_subject():

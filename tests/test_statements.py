@@ -15,6 +15,7 @@ from coopsim.statements import (
     ValidityWindow,
     WindowOrderError,
     check_agent_id,
+    code_lines,
     equivalence_key,
     normalize,
     parse,
@@ -345,3 +346,11 @@ def test_one_call_id_check_raises_what_the_loop_raises(promiser, promisee, scope
     except Exception as exc:
         outcome = type(exc), str(exc)
     assert outcome == _checked_per_id(promiser, promisee, scope)
+
+
+def test_code_lines_break_at_newlines_only():
+    """"\\n", "\\r\\n" and "\\r" end a line, as ``open()`` reads one; the
+    other characters ``str.splitlines`` breaks at stay in their line."""
+    others = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+    text = f"a # {others}\r\nb{others}c\rd\n\ne # x\fy\n"
+    assert list(code_lines(text)) == [(1, "a"), (2, f"b{others}c"), (3, "d"), (5, "e")]

@@ -223,8 +223,10 @@ def load(text: str) -> Scenario:
         entry = _DIRECTIVES.get(name)
         if entry is None:  # not one space after the name, or no directive:
             name = stripped.split(None, 1)[0]  # the method reads the line
-            entry = _DIRECTIVES.get(name, _UNKNOWN)[:3] + (None, None)
-        method, before, after, pattern, build = entry
+            method, before, after = _DIRECTIVES.get(name, (None, False, False))[:3]
+            pattern = build = None
+        else:
+            method, before, after, pattern, build = entry
         now = loader.now
         if now is None:
             if not before:
@@ -530,10 +532,8 @@ _TICK_FORM = re.compile(f"({_INT})")
 _TRUST_FORM = re.compile(f"{_ID} {_ID} = (-?[0-2])")  # levels -2..2 only
 _IMPOSE_FORM = re.compile(f"{_ID} {_ID} task={_ID}")
 _OUTCOME_FORM = re.compile(f"{_ID} program={_ID} task={_ID} result=(success|failure)")
-_WITHDRAW_FORM = re.compile(f"{_ID} token={_ID}")
 _LOR_FORM = re.compile(f"{_ID} {_ID} about={_ID}")
 _SURVEY_FORM = re.compile(f"{_ID} group=({_TOKENS}) about={_ID}")
-_REPLY_FORM = re.compile(f"{_ID} {_ID} (proceed|withdraw)")
 
 
 def _groups(match):
@@ -574,12 +574,11 @@ _DIRECTIVES = {
     "issue": (_Loader.issue, False, True, None, None),
     "impose": (_Loader.impose, False, True, _IMPOSE_FORM, _impose),
     "outcome": (_Loader.outcome, False, True, _OUTCOME_FORM, _groups),
-    "withdraw": (_Loader.withdraw, False, True, _WITHDRAW_FORM, _groups),
+    "withdraw": (_Loader.withdraw, False, True, None, None),
     "lor-request": (_Loader.lor_request, False, True, _LOR_FORM, _groups),
     "survey": (_Loader.survey, False, True, _SURVEY_FORM, _survey),
-    "reply": (_Loader.reply, False, True, _REPLY_FORM, _groups),
+    "reply": (_Loader.reply, False, True, None, None),
 }
-_UNKNOWN = (None, False, False)
 
 
 @dataclass(frozen=True)

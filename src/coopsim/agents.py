@@ -307,7 +307,7 @@ def on_outcome(
     if not records:
         return records
     for rec in records:
-        rec.assess(result, now, fade_to)
+        rec.assess(result, fade_to=fade_to)
         state.release(rec)
         state.trust.record_assessment(
             state.general_key(rec.statement.promiser), result, now, policy

@@ -91,7 +91,6 @@ class ConsultantProfile:
     task or program the agent knows; no similarity metric is applied here.
     """
 
-    agent: str
     independent: bool = True
     experienced_with: frozenset = field(default_factory=frozenset)
     consulted_range: frozenset = field(default_factory=frozenset)

@@ -116,17 +116,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    if args.file == "-":
-        source = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.file == "-":
+            source = engine.decode_text(sys.stdin.buffer.read())
+        else:
             source = engine.read_text(args.file)
-        except OSError as exc:
-            print(f"coopsim: cannot read {args.file}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except engine.ScenarioError as exc:  # not UTF-8
-            print(f"coopsim: {args.file}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    except OSError as exc:
+        print(f"coopsim: cannot read {args.file}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except engine.ScenarioError as exc:  # not UTF-8
+        print(f"coopsim: {args.file}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     status = EXIT_OK
     for line_no, text in code_lines(source):  # comments as in a scenario
         try:

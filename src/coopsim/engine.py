@@ -109,6 +109,7 @@ __all__ = [
     "load",
     "load_path",
     "read_text",
+    "decode_text",
     "run",
 ]
 
@@ -176,8 +177,7 @@ _DECIMAL_RE = re.compile(rf"{_INT}(?:\.{_INT}|/{_INT})?")
 
 def _parse_int(value: str, what: str, line: int) -> int:
     """``value`` if it is ``[0-9]+`` after an optional "-", which the range
-    checks then name.  String methods, not a regex: ``load`` reads one per
-    tick and per level."""
+    checks then name."""
     if (value.isdigit() or value[:1] == "-" and value[1:].isdigit()) and (
         value.isascii()
     ):
@@ -256,10 +256,14 @@ def load(text: str) -> Scenario:
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``.  A byte that is not UTF-8 is a
-    ``ScenarioError`` on its line, as ``code_lines`` numbers lines."""
+    """The text of the UTF-8 file at ``path``, as ``decode_text`` reads it."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        return decode_text(handle.read())
+
+
+def decode_text(data: bytes) -> str:
+    """``data`` read as UTF-8.  A byte that is not UTF-8 is a
+    ``ScenarioError`` on its line, as ``code_lines`` numbers lines."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -284,41 +288,32 @@ _PROFILE_FIELDS = {
 
 class _Loader:
     """The state of one ``load``: the header so far, the current tick and
-    the agent ids it checked.  A method per directive checks the directive's
+    the directives read.  A method per directive checks the directive's
     line (its tokens, its text and its number) and returns its args and
     statement, or None for a line that only sets the tick or the header."""
 
     def __init__(self):
         self.header = PolicyHeader()
         self.now: Optional[int] = None  # None before the first tick
-        self.checked: set = set()
         self.initial: list = []
         self.events: list = []
         self.directives = self.initial  # the list the next directive joins
 
     def check_agent_ids(self, ids, line: int):
-        """Validate agent ids, each distinct id once per ``load``."""
-        if self.checked.issuperset(ids):
-            return
         for agent_id in ids:
-            if agent_id not in self.checked:
-                try:
-                    check_agent_id(agent_id)
-                except StatementError as exc:
-                    raise ScenarioError(str(exc), line)
-                self.checked.add(agent_id)
+            try:
+                check_agent_id(agent_id)
+            except StatementError as exc:
+                raise ScenarioError(str(exc), line)
 
     def check_qualifiers(self, qualifiers: dict, line: int):
-        """Check ``program=``, ``task=`` and entity values as tokens, each
-        distinct value once per ``load``: no statement can name another.
-        They share ``checked`` with agent ids, which follow the same rule."""
+        """Check ``program=``, ``task=``, ``token=`` and entity values as
+        tokens: no statement can name another."""
         for key, value in qualifiers.items():
-            if value not in self.checked:
-                if not value:
-                    raise ScenarioError(f"empty {key}= value", line)
-                if not _TOKEN_RE.fullmatch(value):
-                    raise ScenarioError(f"invalid {key}: {value!r}", line)
-                self.checked.add(value)
+            if not value:
+                raise ScenarioError(f"empty {key}= value", line)
+            if not _TOKEN_RE.fullmatch(value):
+                raise ScenarioError(f"invalid {key}: {value!r}", line)
 
     def tick(self, tokens, stripped, line):
         if len(tokens) != 2:
@@ -392,7 +387,7 @@ class _Loader:
                 fields[_PROFILE_FIELDS[key]] = frozenset(value.split(",")) - {""}
             else:
                 raise ScenarioError(f"unknown profile setting {key!r}", line)
-        return (tokens[1], ConsultantProfile(agent=tokens[1], **fields)), None
+        return (tokens[1], ConsultantProfile(**fields)), None
 
     def trust(self, tokens, stripped, line):
         name, body = tokens[0], tokens[1:]
@@ -466,10 +461,10 @@ class _Loader:
     def withdraw(self, tokens, stripped, line):
         if len(tokens) != 3 or not tokens[2].startswith("token="):
             raise ScenarioError("usage: withdraw <promiser> token=<id>", line)
-        if tokens[2] == "token=":
-            raise ScenarioError("empty token= value", line)
+        token = tokens[2][len("token=") :]
+        self.check_qualifiers({"token": token}, line)
         self.check_agent_ids(tokens[1:2], line)
-        return (tokens[1], tokens[2].split("=", 1)[1]), None
+        return (tokens[1], token), None
 
     def lor_request(self, tokens, stripped, line):
         if len(tokens) != 4 or not tokens[3].startswith("about="):
@@ -887,7 +882,7 @@ class _Engine:
         withdrawn = []
         for rec in self.live[token][2]:
             try:
-                rec.withdraw(promiser, directive.tick, self.fade_tick)
+                rec.withdraw(promiser, fade_to=self.fade_tick)
             except LifecycleError as exc:
                 self.emit(
                     f"t={directive.tick} warning agent={promiser} "

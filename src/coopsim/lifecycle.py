@@ -63,12 +63,13 @@ class LifecycleRecord:
     Every recipient's record shares the one statement and its ``token``.
 
     Fading is kept in whole ticks: ``origin`` is the tick of issue or of the
-    last refresh and ``shown_at`` the tick the shown level is taken at.
-    ``fade_level`` is built from them only when it is read.  Records compare
-    by identity, so removing one from a list compares no fields."""
+    last refresh and ``shown_at`` the tick the shown level is taken at, the
+    last tick fading ran at while the record is active.  ``fade_level`` is
+    built from them only when it is read.  Records compare by identity, so
+    removing one from a list compares no fields."""
 
     __slots__ = (
-        "statement", "subject", "token", "fade", "last_update", "state",
+        "statement", "subject", "token", "fade", "state",
         "fade_rate_multiplier", "origin", "shown_at",
     )
 
@@ -78,14 +79,14 @@ class LifecycleRecord:
         subject: str,
         token: str,
         fade: FadeSpec,
-        last_update: int,
+        origin: int,
         fade_rate_multiplier: int = 1,
     ):
         self.statement = statement
         self.subject = subject
         self.token = token
         self.fade = fade
-        self.origin = self.shown_at = self.last_update = last_update
+        self.origin = self.shown_at = origin
         self.state = _ACTIVE
         self.fade_rate_multiplier = fade_rate_multiplier
 
@@ -116,20 +117,20 @@ class LifecycleRecord:
     def step_fade(self, now: int) -> "LifecycleRecord":
         """Advance fading to ``now``; becomes faded below the threshold."""
         self._require_active()
-        if now < self.last_update:
+        if now < self.shown_at:
             raise LifecycleError("fading cannot run backwards")
-        self.last_update = self.shown_at = now
+        self.shown_at = now
         if now >= self.fade_deadline():
             self.state = _FADED
         return self
 
     def _fade_to(self, tick: Optional[int]):
         """Show the level as of ``tick``, the last tick fading ran at."""
-        if tick is not None and tick > self.last_update:
+        if tick is not None and tick > self.shown_at:
             self.shown_at = tick
 
     def assess(
-        self, verdict: Outcome, now: int, fade_to: Optional[int] = None
+        self, verdict: Outcome, *, fade_to: Optional[int] = None
     ) -> "LifecycleRecord":
         """Terminal fulfillment assessment: kept or broken.  ``fade_to`` (also
         on ``withdraw``) first brings the fade level up to that tick."""
@@ -138,26 +139,21 @@ class LifecycleRecord:
         self.state = (
             LifecycleState.KEPT if verdict is Outcome.KEPT else LifecycleState.BROKEN
         )
-        self.last_update = now
         return self
 
-    def withdraw(
-        self, by: str, now: int = None, fade_to: Optional[int] = None
-    ) -> "LifecycleRecord":
+    def withdraw(self, by: str, *, fade_to: Optional[int] = None) -> "LifecycleRecord":
         """Withdrawal, allowed to the promiser only.  No trust update."""
         self._require_active()
         if by != self.statement.promiser:
             raise LifecycleError(f"only the promiser may withdraw (not {by!r})")
         self._fade_to(fade_to)
         self.state = LifecycleState.WITHDRAWN
-        if now is not None:
-            self.last_update = now
         return self
 
     def refresh_on_repetition(self, now: int) -> "LifecycleRecord":
         """An equivalent reissue at ``now`` resets fading; no trust change."""
         self._require_active()
-        self.origin = self.shown_at = self.last_update = now
+        self.origin = self.shown_at = now
         return self
 
 
@@ -204,9 +200,9 @@ class FadeQueue:
             for rec in recs:
                 if rec.state is not _ACTIVE or rec.origin != origin:
                     continue
-                if now < rec.last_update:
+                if now < rec.shown_at:
                     raise LifecycleError("fading cannot run backwards")
-                rec.last_update = rec.shown_at = now
+                rec.shown_at = now
                 rec.state = _FADED
                 faded.append(rec)
             if faded:
@@ -218,6 +214,6 @@ class FadeQueue:
         deadline; the queue is spent afterwards."""
         for _, _, _, recs in self._heap:
             for rec in recs:
-                if not rec.terminal and rec.last_update < now:
+                if not rec.terminal and rec.shown_at < now:
                     rec.step_fade(now)
         self._heap.clear()

@@ -1,6 +1,6 @@
-"""Five-level trust and credibility stores with pluggable update policies.
+"""Five-level trust stores with pluggable update policies.
 
-Appreciation (trust, credibility, confidence, dependability) is measured on
+Appreciation (general, task and program trust, confidence) is measured on
 the ordinal scale {-2, -1, 0, 1, 2}; 0 is neutral and the default for keys
 that were never written.  Two update policies are supported:
 
@@ -56,31 +56,17 @@ class AppreciationKind(Enum):
     GENERAL_TRUST = "general-trust"
     TASK_TRUST = "task-trust"
     PROGRAM_TRUST = "program-trust"
-    TASK_CREDIBILITY = "task-credibility"
-    PROGRAM_CREDIBILITY = "program-credibility"
     CONFIDENCE = "confidence"
-    MATCHING_CREDIBILITY = "matching-credibility"
-    DEPENDABILITY = "dependability"
 
 
-TRUST_KINDS = frozenset(
-    {
-        AppreciationKind.GENERAL_TRUST,
-        AppreciationKind.TASK_TRUST,
-        AppreciationKind.PROGRAM_TRUST,
-    }
-)
+TRUST_KINDS = frozenset(AppreciationKind) - {AppreciationKind.CONFIDENCE}
 
 # kind -> (task required, program required)
 _KIND_FIELDS = {
     AppreciationKind.GENERAL_TRUST: (False, False),
     AppreciationKind.TASK_TRUST: (True, False),
     AppreciationKind.PROGRAM_TRUST: (False, True),
-    AppreciationKind.TASK_CREDIBILITY: (True, False),
-    AppreciationKind.PROGRAM_CREDIBILITY: (False, True),
     AppreciationKind.CONFIDENCE: (True, True),
-    AppreciationKind.MATCHING_CREDIBILITY: (True, True),
-    AppreciationKind.DEPENDABILITY: (True, True),
 }
 
 

@@ -221,10 +221,10 @@ def test_criterion_08_lifecycle_small_model():
         return [
             ("fade-small", lambda: rec.step_fade(now + 1), now + 1),
             ("fade-big", lambda: rec.step_fade(now + 500), now + 500),
-            ("keep", lambda: rec.assess(Outcome.KEPT, now + 1), now + 1),
-            ("break", lambda: rec.assess(Outcome.BROKEN, now + 1), now + 1),
-            ("withdraw", lambda: rec.withdraw("p", now + 1), now + 1),
-            ("withdraw-bad", lambda: rec.withdraw("z", now + 1), now),
+            ("keep", lambda: rec.assess(Outcome.KEPT), now),
+            ("break", lambda: rec.assess(Outcome.BROKEN), now),
+            ("withdraw", lambda: rec.withdraw("p"), now),
+            ("withdraw-bad", lambda: rec.withdraw("z"), now),
             ("refresh", lambda: rec.refresh_on_repetition(now + 1), now + 1),
         ]
 

@@ -37,7 +37,6 @@ def test_attribute_vector_validation():
 
 def profile(**kw):
     defaults = dict(
-        agent="c",
         independent=True,
         experienced_with=frozenset({"U"}),
         consulted_range=frozenset(),

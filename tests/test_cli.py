@@ -1,3 +1,5 @@
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +136,13 @@ def test_parse_reports_a_non_utf8_file(tmp_path, capsys):
     assert out == ""
     assert err == f"coopsim: {bad}: line 3: not UTF-8: byte 0xff at offset 19\n"
 
+
+def test_parse_reports_non_utf8_on_stdin(monkeypatch, capsys):
+    """stdin is read as bytes and decoded as a file is, not in the locale's
+    encoding, which under C or C.UTF-8 passes a bad byte through."""
+    data = b'p[pi:"ok"]q\r\np[pi:"\xfe"]q\n'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert cli.main(["parse"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "coopsim: -: line 2: not UTF-8: byte 0xfe at offset 19\n"

@@ -237,6 +237,8 @@ LOAD_MESSAGES = [
      "invalid task: 'U!'"),
     ("attr-entity-not-token", "attr program-quality program=P/Q = 1", 2,
      "invalid program: 'P/Q'"),
+    ("withdraw-token-not-token", "tick 1\nwithdraw p token=a,agent=q", 3,
+     "invalid token: 'a,agent=q'"),
 ]
 
 # Every scenario integer and decimal is ASCII: int() and Fraction() would
@@ -732,7 +734,7 @@ def test_issue_holds_one_shared_statement_per_recipient():
     for agent_id, (rec,) in held.items():
         assert rec.statement is first
         assert rec.subject == agent_id
-        assert rec.fade == PolicyHeader().default_fade and rec.last_update == 7
+        assert rec.fade == PolicyHeader().default_fade and rec.shown_at == 7
     assert [rec.token for rec in result.agents["q"].fragments] == ["7-0", "7-1"]
     issued = [line.split("token=")[1] for line in result.trace if " issue " in line]
     assert issued == ["7-0", "7-1"]
@@ -843,30 +845,6 @@ def test_surveys_with_one_sum_and_size_share_their_outcome(monkeypatch):
     assert averages == ["0.5", "0.5"]
     assert reinit == [Fraction(1, 2)]
     assert [trust_levels(result, m, "p")[-1] for m in "abcd"] == [0, 0, 0, 0]
-
-
-def test_load_checks_each_qualifier_value_once(monkeypatch):
-    """``outcome``, ``trust`` and ``attr`` values that a ``_Loader`` method
-    reads are checked as tokens once per distinct value in a ``load``.  An
-    ``outcome`` in its usual form is checked by its directive pattern, so
-    ``Q`` and ``V`` are first checked as tokens on the last line."""
-    matched = []
-
-    class Counting:
-        def fullmatch(self, value):
-            matched.append(value)
-            return statements._TOKEN_RE.fullmatch(value)
-
-    monkeypatch.setattr(engine, "_TOKEN_RE", Counting())
-    load(
-        "attr program-quality program=P = 1\n"
-        "trust q p program=P task=U = 1\n"
-        "tick 1\n"
-        + "outcome q task=U program=P result=success\n" * 3
-        + "outcome q program=Q task=V result=failure\n"
-        + "outcome q task=V program=Q result=failure\n"
-    )
-    assert sorted(matched) == ["P", "Q", "U", "V"]
 
 
 def test_round_robin_queues_expect_trust_under_its_subject():

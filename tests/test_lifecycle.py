@@ -69,27 +69,27 @@ def test_fade_cannot_run_backwards():
 
 def test_terminal_transition_shows_the_level_at_the_last_fade_tick():
     kept, withdrawn, fresh_this_tick = fresh(), fresh(), fresh(origin=30)
-    kept.assess(Outcome.KEPT, 30, fade_to=25)
-    withdrawn.withdraw("p", 30, fade_to=25)
-    fresh_this_tick.withdraw("p", 30, fade_to=25)  # issued after tick 25
+    kept.assess(Outcome.KEPT, fade_to=25)
+    withdrawn.withdraw("p", fade_to=25)
+    fresh_this_tick.withdraw("p", fade_to=25)  # issued after tick 25
     for rec in (kept, withdrawn):
-        assert (rec.fade_level, rec.last_update) == (Fraction(3, 4), 30)
+        assert (rec.fade_level, rec.shown_at) == (Fraction(3, 4), 25)
     assert fresh_this_tick.fade_level == 1
 
 
 def test_rejected_withdraw_leaves_the_level_alone():
     rec = fresh()
     with pytest.raises(LifecycleError):
-        rec.withdraw("q", 30, fade_to=25)
-    assert (rec.fade_level, rec.last_update) == (1, 0)
+        rec.withdraw("q", fade_to=25)
+    assert (rec.fade_level, rec.shown_at) == (1, 0)
 
 
 def test_assessment_outcomes():
     rec = fresh()
-    rec.assess(Outcome.KEPT, 5)
+    rec.assess(Outcome.KEPT)
     assert rec.state is LifecycleState.KEPT
     rec2 = fresh()
-    rec2.assess(Outcome.BROKEN, 5)
+    rec2.assess(Outcome.BROKEN)
     assert rec2.state is LifecycleState.BROKEN
 
 
@@ -97,17 +97,17 @@ def test_withdraw_promiser_only():
     rec = fresh()
     with pytest.raises(LifecycleError):
         rec.withdraw("q")
-    rec.withdraw("p", 3)
+    rec.withdraw("p")
     assert rec.state is LifecycleState.WITHDRAWN
 
 
 def test_terminal_states_absorb():
     rec = fresh()
-    rec.assess(Outcome.KEPT, 1)
+    rec.assess(Outcome.KEPT)
     for op in (
         lambda: rec.step_fade(2),
-        lambda: rec.assess(Outcome.BROKEN, 2),
-        lambda: rec.withdraw("p", 2),
+        lambda: rec.assess(Outcome.BROKEN),
+        lambda: rec.withdraw("p"),
         lambda: rec.refresh_on_repetition(2),
     ):
         with pytest.raises(LifecycleError):
@@ -158,8 +158,8 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
     spec, rate, origin, ticks, refresh_at = run
     dense = fresh(spec, origin, rate)
     while dense.state is LifecycleState.ACTIVE:
-        dense.step_fade(dense.last_update + 1)
-    assert dense.last_update == fresh(spec, origin, rate).fade_deadline()
+        dense.step_fade(dense.shown_at + 1)
+    assert dense.shown_at == fresh(spec, origin, rate).fade_deadline()
 
     ref, fast = fresh(spec, origin, rate), fresh(spec, origin, rate)
     queue = FadeQueue()
@@ -172,24 +172,24 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
         if not ref.terminal:
             ref.step_fade(tick)
         faded = faded_members(queue.fade_due(tick))
-        if ref.state is LifecycleState.FADED and ref.last_update == tick:
+        if ref.state is LifecycleState.FADED and ref.shown_at == tick:
             assert len(faded) == 1 and faded[0] is fast
         else:
             assert faded == []
         assert fast.state is ref.state
         if ref.terminal:
-            assert (fast.fade_level, fast.last_update) == (
+            assert (fast.fade_level, fast.shown_at) == (
                 ref.fade_level,
-                ref.last_update,
+                ref.shown_at,
             )
         else:  # the level a kept, broken or withdrawn line would show
             decay = Fraction(rate * (tick - fast.origin), spec.span)
             assert max(Fraction(0), 1 - decay) == ref.fade_level
     queue.settle(ticks[-1])
-    assert (fast.state, fast.fade_level, fast.last_update) == (
+    assert (fast.state, fast.fade_level, fast.shown_at) == (
         ref.state,
         ref.fade_level,
-        ref.last_update,
+        ref.shown_at,
     )
 
 
@@ -270,9 +270,9 @@ def test_fade_queue_cohort_equals_stepping_each_record(run):
                 if event[0] == "refresh":
                     r.refresh_on_repetition(tick)
                 elif event[0] == "assess":
-                    r.assess(Outcome.KEPT, tick, fade_to=last_fade_tick)
+                    r.assess(Outcome.KEPT, fade_to=last_fade_tick)
                 else:
-                    r.withdraw("p", tick, fade_to=last_fade_tick)
+                    r.withdraw("p", fade_to=last_fade_tick)
             if event[0] == "refresh":
                 queue.push(rec)  # a refreshed member is filed alone
         expected = []
@@ -289,8 +289,8 @@ def test_fade_queue_cohort_equals_stepping_each_record(run):
             assert index == 0 or last_fade_tick < rec.fade_deadline()
     queue.settle(ticks[-1])
     for ref, rec in zip(refs, recs):
-        assert (rec.state, rec.fade_level, rec.last_update) == (
+        assert (rec.state, rec.fade_level, rec.shown_at) == (
             ref.state,
             ref.fade_level,
-            ref.last_update,
+            ref.shown_at,
         )

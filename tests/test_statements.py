@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,7 @@ from coopsim.statements import (
     Body,
     DirectionalKind,
     FadeSpec,
+    FragmentIdentity,
     ScopeMembershipError,
     Statement,
     StatementError,
@@ -160,7 +162,7 @@ def test_fragment_on_issue_layout():
     frags = [rec for state in result.agents.values() for rec in state.fragments]
     assert sorted(f.subject for f in frags) == ["p", "q", "r"]
     assert len({f.token for f in frags}) == 1
-    assert all(f.last_update == 7 for f in frags)
+    assert all(f.shown_at == 7 for f in frags)
     assert all(f.fade == PolicyHeader().default_fade for f in frags)
 
 
@@ -177,6 +179,22 @@ def test_render_requires_observation_with_subject():
     frag = parse(text)
     assert render(frag) == text
     assert parse(render(frag)) == frag
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"subject": "q"}, "subject clause requires an observation time"),
+        ({"observation_time": 2}, "observation/fade/identity clauses require a subject"),
+        ({"fade": FadeSpec(100, Fraction(1, 20))}, "clauses require a subject"),
+        ({"identity": FragmentIdentity("2-0")}, "clauses require a subject"),
+        ({"body": Body("b", condition="c")}, "condition requires an episode window"),
+    ],
+    ids=["subject", "observation", "fade", "identity", "condition"],
+)
+def test_render_rejects_what_the_concrete_syntax_cannot_write(fields, message):
+    with pytest.raises(StatementError, match=message):
+        render(replace(parse('p[pi:"b"]q'), **fields))
 
 
 _agent = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)

@@ -147,11 +147,7 @@ KEY_FIELDS = {
     AppreciationKind.GENERAL_TRUST: (False, False),
     AppreciationKind.TASK_TRUST: (True, False),
     AppreciationKind.PROGRAM_TRUST: (False, True),
-    AppreciationKind.TASK_CREDIBILITY: (True, False),
-    AppreciationKind.PROGRAM_CREDIBILITY: (False, True),
     AppreciationKind.CONFIDENCE: (True, True),
-    AppreciationKind.MATCHING_CREDIBILITY: (True, True),
-    AppreciationKind.DEPENDABILITY: (True, True),
 }
 
 names = st.sampled_from(["", "p", "q", "P", "U"])

@@ -2,7 +2,9 @@
 
 The reasoning an agent applies when it receives an adequacy promise, a task
 imposition, or an outcome observation is driven by its current trust
-levels.  Adequacy bookkeeping is keyed by ``Statement.adequacy``:
+levels.  An agent files only the fragments those rules read, its live
+adequacy promises (``files``); the engine holds every live fragment.
+Adequacy bookkeeping is keyed by ``Statement.adequacy``:
 
 * adequacy promise: a matching attribute rule installs or refuses
   regardless of trust; otherwise positive trust prepares the program and
@@ -39,6 +41,7 @@ __all__ = [
     "Action",
     "PendingWarning",
     "AgentState",
+    "files",
     "on_adequacy_promise",
     "on_task_request",
     "on_imposition",
@@ -47,9 +50,11 @@ __all__ = [
     "resolve_reply",
 ]
 
-# bound once: ``hold`` and ``release`` run per fragment, and each read of an
-# enum member off its class costs about 0.1 us on CPython 3.11
-_PROMISE = DirectionalKind.PROMISE
+
+def files(stmt: Statement) -> bool:
+    """Whether an agent files ``stmt`` (``AgentState.hold``): only adequacy
+    promises, the one kind of fragment the rules read."""
+    return stmt.kind is DirectionalKind.PROMISE and stmt.adequacy is not None
 
 
 class ActionKind(Enum):
@@ -90,7 +95,7 @@ class PendingWarning:
 class AgentState:
     id: str
     trust: TrustStore = field(default_factory=TrustStore)
-    fragments: list = field(default_factory=list)  # live records, every kind
+    fragments: list = field(default_factory=list)  # live records, filled at run end
     promises: dict = field(default_factory=dict)  # (program, task) -> live promises
     prepared: dict = field(default_factory=dict)  # (program, task) -> used before
     # (program, task) -> {promiser: tick of its last engaged adequacy promise}
@@ -111,26 +116,18 @@ class AgentState:
         return key
 
     def hold(self, rec):
-        """Hold a new record until ``release``, an adequacy promise also by pair."""
-        self.fragments.append(rec)
-        stmt = rec.statement
-        if stmt.kind is _PROMISE and stmt.adequacy is not None:
-            self.promises.setdefault(stmt.adequacy, []).append(rec)
+        """File a new adequacy promise (``files``) by pair until ``release``."""
+        self.promises.setdefault(rec.statement.adequacy, []).append(rec)
 
-    def release(self, rec) -> bool:
-        """Let go of a record that has ended: only live records are held.  A
-        released adequacy promise is noted for ``prune_adequacy_index``; the
-        result says whether there was one."""
-        self.fragments.remove(rec)
+    def release(self, rec):
+        """Let go of a filed adequacy promise that has ended, noting it for
+        ``prune_adequacy_index``."""
         stmt = rec.statement
-        if stmt.kind is not _PROMISE or stmt.adequacy is None:
-            return False
         live = self.promises[stmt.adequacy]
         live.remove(rec)
         if not live:
             del self.promises[stmt.adequacy]
         self.lapsed.add((stmt.adequacy, stmt.promiser))
-        return True
 
     def trust_in(self, target: str) -> int:
         return self.trust.get(self.general_key(target))

@@ -128,8 +128,10 @@ class Route(Enum):
 
 
 def credibility_gate(score, floor=DEFAULT_GATE_FLOOR) -> Route:
-    """Directionals lacking credibility are not engaged with: their fragment
-    fades at 4x rate and no expectation is generated."""
+    """Directionals lacking credibility are not engaged with: their fragments
+    fade at 4x rate and the promisee does not react.  The promisee still
+    files a discarded adequacy promise, so a later outcome assesses it
+    (``scenarios/discarded.coop``)."""
     if not (0 <= score <= 1 and 0 <= floor <= 1):
         raise ValueError("score and floor must be in [0,1]")
     return Route.ENGAGE if score >= floor else Route.DISCARD_FAST

@@ -22,25 +22,24 @@ validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
-refreshed (``lifecycle.LifecycleRecord``), and it goes into a deadline queue
-(``lifecycle.FadeQueue``), one entry per delivery and one per refresh; step
-(5) pops only the entries due by this tick, skips their members that ended
-or were refreshed since, and gets the rest of each entry back as one faded
-cohort.  A cohort's members share a token, state, rate and ticks faded, so
-step (5) formats one lifecycle text per cohort, writes all lines in agent
-then token order with one sort, retires each cohort with one ``retire``
-(a token refreshed in part ends as two cohorts), and prunes the adequacy
-index of only those agents that released a promise (faded or withdrawn)
-this tick.  Lifecycle lines of kept, broken and withdrawn fragments show
-the fade level as of the last tick fading ran at, and at the end of the run
-every fragment still active is stepped to the last tick.  A lifecycle
-line's ``state=... fade=... rate=...`` text depends only on the state, the
-rate and the ticks faded, so ``lifecycle_text`` formats it once per
-distinct triple in a run, for every lifecycle line.  Only live fragments
-are held: one that ends leaves its agent, its token and the refresh map in
-the same step; ``retire`` takes the fragments of one token that end
-together (a cohort or a withdrawal) with one lookup of the token.  Step (6)
-announces, in token order, the tokens whose last fragment ended.
+refreshed (``lifecycle.LifecycleRecord``), so it goes into a deadline queue
+(``lifecycle.FadeQueue``), one entry per delivery and one per refresh.  Step
+(5) gets back only the members of the entries due by this tick that are
+still active and not refreshed since, as faded cohorts.  A cohort shares a
+token, state, rate and ticks faded, so step (5) formats one lifecycle text
+per cohort, writes the tick's lines in (agent, token) order with one sort,
+retires each cohort with one ``retire`` (a token refreshed in part ends as
+two cohorts) and prunes the adequacy index of only the agents that released
+a promise this tick.  ``lifecycle_text`` formats each distinct (state, rate,
+ticks faded) tail once per run; kept, broken and withdrawn lines show the
+level as of the last tick fading ran at.
+
+``_Engine.live`` alone holds the live fragments, by token; an agent files
+only its live adequacy promises (``agents.files``).  A fragment that ends
+leaves its token, the refresh map and its agent's file in the same step,
+and step (6) announces, in token order, the tokens whose last fragment
+ended.  At the end of the run each live fragment shows its level as of the
+last fade tick and joins its agent's ``fragments``, in delivery order.
 """
 
 from __future__ import annotations
@@ -262,10 +261,10 @@ def read_text(path) -> str:
 
 
 def decode_text(data: bytes) -> str:
-    """``data`` read as UTF-8.  A byte that is not UTF-8 is a
-    ``ScenarioError`` on its line, as ``code_lines`` numbers lines."""
+    """``data`` read as UTF-8, less one leading byte-order mark.  A byte that
+    is not UTF-8 is a ``ScenarioError`` on its line and at its file offset."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = len(split_lines(data[: exc.start].decode("utf-8")))
         raise ScenarioError(
@@ -724,8 +723,10 @@ class _Engine:
                 self.apply_event(directive)
             self.fade_step(tick)
             self.termination_step(tick)
-        if self.fade_tick is not None:
-            self.fading.settle(self.fade_tick)
+        for _, _, live in self.live.values():  # in delivery order
+            for rec in live:
+                rec.fade_to(self.fade_tick)
+                self.agents[rec.subject].fragments.append(rec)
         return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
 
     def order_within_tick(self, directives):
@@ -775,7 +776,8 @@ class _Engine:
         discard = self.route(stmt) is Route.DISCARD_FAST
         rate = DISCARD_FAST_MULTIPLIER if discard else 1
         penalize = discard and self.header.penalize_incredible
-        reactor = stmt.promisee if stmt.kind is DirectionalKind.PROMISE else None
+        filed = agent_rules.files(stmt)  # an adequacy promise: its promisee reacts
+        reactor = stmt.promisee if filed else None
         holders = self.refreshable.setdefault(key, {})
         emit, agents, fade = self.trace.append, self.agents, self.fade
         emit(
@@ -793,11 +795,14 @@ class _Engine:
             if state is None:
                 state = agents[subject] = AgentState(id=subject)
             rec = holders.get(subject)
-            if rec is not None:
-                self.refresh(rec, stmt, tick)
+            if rec is not None:  # an equivalent reissue: refresh it, trust unaffected
+                rec.refresh_on_repetition(tick)
+                self.fading.push(rec)
+                self.emit_lifecycle(tick, rec)
                 continue
             rec = LifecycleRecord(stmt, subject, token, fade, tick, rate)
-            state.hold(rec)
+            if filed:
+                state.hold(rec)
             fresh.append(rec)
             holders[subject] = rec
             if discard:
@@ -818,18 +823,8 @@ class _Engine:
             self.live[token] = (key, holders, fresh[:])  # retire shrinks it
             self.fading.push_cohort(fresh)
 
-    def refresh(self, rec: LifecycleRecord, stmt: Statement, tick: int):
-        """A repeated statement refreshes the fading of the recipient's live
-        equivalent record ``rec`` instead of piling up a duplicate; trust is
-        unaffected.  An agent holds one record per equivalence key."""
-        rec.refresh_on_repetition(tick)
-        self.fading.push(rec)
-        self.emit_lifecycle(tick, rec)
-
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
         pair = promise.adequacy
-        if pair is None:
-            return
         verdict = self.verdicts.get(pair)
         if verdict is None:  # attrs are fixed once the initial block ran
             verdict = self.verdicts[pair] = attribute_install_decision(
@@ -879,22 +874,22 @@ class _Engine:
                 f"detail=withdraw-no-active-fragment,token={token}"
             )
             return
-        withdrawn = []
-        for rec in self.live[token][2]:
-            try:
+        live = self.live[token][2]  # one statement: all withdraw, or none
+        try:
+            for rec in live:
                 rec.withdraw(promiser, fade_to=self.fade_tick)
-            except LifecycleError as exc:
-                self.emit(
-                    f"t={directive.tick} warning agent={promiser} "
-                    f"detail=withdraw-rejected,token={token},reason={exc}"
-                )
-                break
-            self.emit_lifecycle(directive.tick, rec)
-            if self.agents[rec.subject].release(rec):
+                self.emit_lifecycle(directive.tick, rec)
+        except LifecycleError as exc:
+            self.emit(
+                f"t={directive.tick} warning agent={promiser} "
+                f"detail=withdraw-rejected,token={token},reason={exc}"
+            )
+            return
+        if agent_rules.files(live[0].statement):
+            for rec in live:
+                self.agents[rec.subject].release(rec)
                 self.to_prune.add(rec.subject)
-            withdrawn.append(rec)
-        if withdrawn:
-            self.retire(token, withdrawn)
+        self.retire(token, live)
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
@@ -999,11 +994,11 @@ class _Engine:
                 tail = self.lifecycle_text(
                     first.state, first.fade_rate_multiplier, first.fading_ticks
                 )
-                for rec in cohort:
-                    subject = rec.subject
-                    lines.append((subject, token, head + subject + tail))
-                    if agents[subject].release(rec):
-                        to_prune.add(subject)
+                lines += [(r.subject, token, head + r.subject + tail) for r in cohort]
+                if agent_rules.files(first.statement):
+                    for rec in cohort:
+                        agents[rec.subject].release(rec)
+                        to_prune.add(rec.subject)
                 self.retire(token, cohort)
             lines.sort()
             self.trace.extend([line for _, _, line in lines])

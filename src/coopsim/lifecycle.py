@@ -18,8 +18,9 @@ since, so ``FadeQueue.fade_due`` makes those members faded in one loop
 without working out a deadline per record, and returns them as one list per
 cohort.  The members of a returned cohort share a token, a state, a rate and
 their ticks faded, so the engine formats one lifecycle text per cohort.
-``step_fade`` steps one record at a time; ``settle`` uses it, and the tests
-take it as the reference.
+At the end of a run the engine shows each live record's level as of the
+last fade tick with ``fade_to``.  ``step_fade`` steps one record at a time;
+the tests take it as the reference.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class LifecycleRecord:
             self.state = _FADED
         return self
 
-    def _fade_to(self, tick: Optional[int]):
+    def fade_to(self, tick: Optional[int]):
         """Show the level as of ``tick``, the last tick fading ran at."""
         if tick is not None and tick > self.shown_at:
             self.shown_at = tick
@@ -135,7 +136,7 @@ class LifecycleRecord:
         """Terminal fulfillment assessment: kept or broken.  ``fade_to`` (also
         on ``withdraw``) first brings the fade level up to that tick."""
         self._require_active()
-        self._fade_to(fade_to)
+        self.fade_to(fade_to)
         self.state = (
             LifecycleState.KEPT if verdict is Outcome.KEPT else LifecycleState.BROKEN
         )
@@ -146,7 +147,7 @@ class LifecycleRecord:
         self._require_active()
         if by != self.statement.promiser:
             raise LifecycleError(f"only the promiser may withdraw (not {by!r})")
-        self._fade_to(fade_to)
+        self.fade_to(fade_to)
         self.state = LifecycleState.WITHDRAWN
         return self
 
@@ -167,7 +168,7 @@ class FadeQueue:
     or refreshed (its ``origin`` moves on; the refresh files it anew), and a
     stale member is skipped when its cohort comes due, and the others fade
     together and come back from ``fade_due`` as one list.  A record is
-    touched only when it fades, or by ``settle``.
+    touched only when it fades.
     """
 
     def __init__(self):
@@ -208,12 +209,3 @@ class FadeQueue:
             if faded:
                 cohorts.append(faded)
         return cohorts
-
-    def settle(self, now: int):
-        """Step every record still active to ``now``, which must precede its
-        deadline; the queue is spent afterwards."""
-        for _, _, _, recs in self._heap:
-            for rec in recs:
-                if not rec.terminal and rec.shown_at < now:
-                    rec.step_fade(now)
-        self._heap.clear()

@@ -8,6 +8,7 @@ from coopsim.agents import (
     ActionKind,
     AgentState,
     apply_unload_rule,
+    files,
     on_adequacy_promise,
     on_imposition,
     on_outcome,
@@ -228,10 +229,10 @@ def test_reply_resolution():
 def test_outcome_updates_trust_and_terminates_records():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    (held,) = state.fragments
+    (held,) = state.promises[("P", "U")]
     assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
     assert len(assessed) == 1 and assessed[0] is held  # returned ...
-    assert state.fragments == []  # ... and no longer held
+    assert state.promises == {}  # ... and no longer held
     assert state.trust_in("p") == 0
     assert all(r.state is LifecycleState.BROKEN for r in assessed)
     assert state.prepared[("P", "U")] is True  # used before
@@ -277,40 +278,46 @@ steps = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(steps, max_size=30))
 def test_incremental_prune_equals_full_rescan(script):
-    """Random holds (of any kind and tag; adequacy promises optionally
-    indexed, as the engine indexes what the promisee engages), releases and
-    prunes on two agents: after every step each index equals a reference
-    index that applies the same additions and, at each prune, the full
-    rescan of the agent's live records."""
+    """Random holds (of any kind and tag; the agent files the adequacy
+    promises, optionally indexed, as the engine indexes what the promisee
+    engages), releases and prunes on two agents: after every step each index
+    equals a reference index that applies the same additions and, at each
+    prune, the full rescan of the agent's live records."""
     states = {name: AgentState(id=name) for name in ("q", "r")}
     reference = {name: {} for name in states}
+    held = {name: [] for name in states}  # each agent's live records, every kind
     counter = FragmentCounter()
     for tick, (op, name, *args) in enumerate(script):
         state = states[name]
         if op == "hold":
             promiser, kind_tag, type_tag, indexed = args
             stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
-            state.hold(LifecycleRecord(stmt, name, counter.fresh(tick), FADE, tick))
+            rec = LifecycleRecord(stmt, name, counter.fresh(tick), FADE, tick)
+            held[name].append(rec)
+            if files(stmt):
+                state.hold(rec)
             if indexed and stmt.kind is DirectionalKind.PROMISE and type_tag != "note":
                 on_adequacy_promise(state, stmt, tick)
                 reference[name].setdefault(TAG_KEYS[type_tag], {})[promiser] = tick
-        elif op == "release" and state.fragments:
-            rec = state.fragments[args[0] % len(state.fragments)]
+        elif op == "release" and held[name]:
+            rec = held[name].pop(args[0] % len(held[name]))
             adequacy_promise = (
                 rec.statement.kind is DirectionalKind.PROMISE
                 and rec.statement.type_tag in TAG_KEYS
             )
-            assert state.release(rec) == adequacy_promise  # only these need a prune
+            assert files(rec.statement) == adequacy_promise  # only these need a prune
+            if adequacy_promise:
+                state.release(rec)
         elif op == "prune":
             state.prune_adequacy_index()
-            reference[name] = rescan_prune(reference[name], state.fragments)
+            reference[name] = rescan_prune(reference[name], held[name])
         for other in states.values():
             assert other.adequacy_index == reference[other.id]
             for program, task in KEYS:
                 tag = f"adequacy({program},{task})"
                 assert other.active_adequacy_records(program, task) == [
                     rec
-                    for rec in other.fragments
+                    for rec in held[other.id]
                     if rec.statement.kind is DirectionalKind.PROMISE
                     and rec.statement.type_tag == tag
                 ]

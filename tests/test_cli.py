@@ -146,3 +146,44 @@ def test_parse_reports_non_utf8_on_stdin(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "coopsim: -: line 2: not UTF-8: byte 0xfe at offset 19\n"
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_byte_order_mark_is_dropped_from_a_scenario(tmp_path, capsys):
+    """A scenario saved with a UTF-8 byte-order mark runs to the same trace."""
+    plain = SCENARIOS / "parking.coop"
+    marked = tmp_path / "parking.coop"
+    marked.write_bytes(BOM + plain.read_bytes())
+    traces = []
+    for path in (plain, marked):
+        assert cli.main(["run", str(path), "--trace", "--quiet"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        traces.append(out)
+    assert traces[0] == traces[1] != ""
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_parse_drops_a_byte_order_mark(tmp_path, monkeypatch, capsys, stdin):
+    data = BOM + b'p[pi:"ok"]q\n'
+    if stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        argv = ["parse"]
+    else:
+        src = tmp_path / "stmts.txt"
+        src.write_bytes(data)
+        argv = ["parse", str(src)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ('p[pi:"ok"]q\n', "")
+
+
+def test_bad_byte_after_a_byte_order_mark_reports_the_file_offset(tmp_path, capsys):
+    """The offset counts the mark's three bytes, as any byte of the file."""
+    bad = tmp_path / "stmts.txt"
+    bad.write_bytes(BOM + b'p[pi:"ok"]q\np[pi:"\xff"]q\n')
+    assert cli.main(["parse", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"coopsim: {bad}: line 2: not UTF-8: byte 0xff at offset 21\n"

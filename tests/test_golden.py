@@ -1,13 +1,16 @@
 """Golden traces: every shipped scenario under both TRAM policies and both
 interleavings must reproduce its recorded trace byte for byte and end with
 only active records held; its own ``expect-trust`` lines hold under its own
-header."""
+header.  The records each agent holds at the end of a run are exactly the
+live ones that the trace alone names, for these runs and for short runs of
+the ``bench/gen.py`` workload shapes."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-from coopsim.engine import InterleavingStrategy, load_path, run
+from coopsim.engine import InterleavingStrategy, load, load_path, run
 from coopsim.lifecycle import LifecycleState
 from coopsim.trust import TramPolicy
 
@@ -20,6 +23,7 @@ CASES = [
     for tram in TramPolicy
     for order in InterleavingStrategy
 ]
+IDS = [f"{p.stem}-{t.value}-{o.value}" for p, t, o in CASES]
 
 
 def test_every_scenario_has_goldens():
@@ -29,11 +33,7 @@ def test_every_scenario_has_goldens():
     assert {p.name for p in GOLDEN.glob("*.trace")} == expected
 
 
-@pytest.mark.parametrize(
-    "path,tram,order",
-    CASES,
-    ids=[f"{p.stem}-{t.value}-{o.value}" for p, t, o in CASES],
-)
+@pytest.mark.parametrize("path,tram,order", CASES, ids=IDS)
 def test_trace_matches_golden(path, tram, order):
     golden = GOLDEN / f"{path.stem}.{tram.value}.{order.value}.trace"
     result = run(load_path(path), tram=tram, interleave=order)
@@ -50,3 +50,80 @@ def test_scenario_expectations_hold(path):
     result = run(load_path(path))
     assert result.expects
     assert [e for e in result.expects if not e.passed] == []
+
+
+def _bench_gen():
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+GEN = _bench_gen()
+BENCH_CASES = [
+    (workload, seed, ticks)
+    for workload in GEN.WORKLOADS
+    for seed in (0, 1)
+    for ticks in (8, 40)
+]
+
+
+def live_from_trace(trace) -> dict:
+    """agent -> the tokens of its live records, in issue order, read from the
+    trace alone.  A ``deliver`` makes a record unless the next line is a
+    refresh: that subject's lifecycle line for an older token.  A record is
+    live until a kept, broken, withdrawn or faded lifecycle line names it."""
+    issued, made, ended = {}, [], set()
+    for index, line in enumerate(trace):
+        _, kind, *words = line.split(" ")
+        if kind not in ("issue", "deliver", "lifecycle"):
+            continue
+        fields = dict(word.split("=", 1) for word in words)
+        pair = fields.get("subject"), fields["token"]
+        if kind == "issue":
+            issued[pair[1]] = len(issued)
+        elif kind == "lifecycle" and fields["state"] != "active":
+            ended.add(pair)
+        elif kind == "deliver":
+            following = trace[index + 1].split(" ") if index + 1 < len(trace) else []
+            refresh = following[1:2] == ["lifecycle"] and (
+                following[3] == f"subject={pair[0]}"
+                and following[2] != f"token={pair[1]}"
+            )
+            if not refresh:
+                made.append(pair)
+    live = {}
+    for subject, token in sorted(set(made) - ended, key=lambda p: issued[p[1]]):
+        live.setdefault(subject, []).append(token)
+    return live
+
+
+def check_fragments(scenario, result):
+    """Each agent's ``fragments`` are the live records of ``live_from_trace``,
+    each shown as of the last tick of the scenario."""
+    last = max(directive.tick for directive in scenario.events)
+    held = {
+        agent_id: [rec.token for rec in state.fragments]
+        for agent_id, state in result.agents.items()
+        if state.fragments
+    }
+    assert held == live_from_trace(result.trace)
+    for agent_id, state in result.agents.items():
+        assert all(rec.subject == agent_id for rec in state.fragments)
+        assert all(rec.shown_at == last for rec in state.fragments)
+
+
+@pytest.mark.parametrize("path,tram,order", CASES, ids=IDS)
+def test_end_of_run_fragments_of_a_scenario(path, tram, order):
+    scenario = load_path(path)
+    check_fragments(scenario, run(scenario, tram=tram, interleave=order))
+
+
+@pytest.mark.parametrize(
+    "workload,seed,ticks",
+    BENCH_CASES,
+    ids=[f"{w}-seed{s}-{n}-ticks" for w, s, n in BENCH_CASES],
+)
+def test_end_of_run_fragments_of_a_bench_workload(workload, seed, ticks):
+    scenario = load(GEN.scenario_text(workload, seed, ticks))
+    check_fragments(scenario, run(scenario))

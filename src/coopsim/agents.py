@@ -108,7 +108,8 @@ class AgentState:
     )
 
     def general_key(self, target: str) -> AppreciationKey:
-        """This agent's general-trust key for ``target``, built once."""
+        """This agent's general-trust key for ``target``, built and validated
+        once; the trust store hashes it in C on each lookup."""
         key = self.general_keys.get(target)
         if key is None:
             key = AppreciationKey(AppreciationKind.GENERAL_TRUST, self.id, target)

@@ -8,14 +8,18 @@ that were never written.  Two update policies are supported:
   saturating at the scale bounds.
 * ``recency-history`` -- the level is a pure function of the two most
   recent outcomes.
+
+A level's address is an ``AppreciationKey``: a named tuple of kind, subject,
+target and the optional program and task, checked against its kind when
+built.  Keys and kinds hash and compare in C, so a trust-store read or write
+runs no Python code to hash its key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "SCALE_MIN",
@@ -53,10 +57,15 @@ class TrustKeyError(ValueError):
 
 
 class AppreciationKind(Enum):
+    """Members are singletons, so equality is identity and the identity hash
+    agrees with it; hashing in C keeps a Python frame out of every key hash."""
+
     GENERAL_TRUST = "general-trust"
     TASK_TRUST = "task-trust"
     PROGRAM_TRUST = "program-trust"
     CONFIDENCE = "confidence"
+
+    __hash__ = object.__hash__
 
 
 TRUST_KINDS = frozenset(AppreciationKind) - {AppreciationKind.CONFIDENCE}
@@ -70,40 +79,38 @@ _KIND_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class AppreciationKey:
-    """One appreciation level's address.  Validated and hashed once, when
-    built; agents keep their general-trust keys (``AgentState.general_key``)
-    so the hot trust reads build none."""
-
+class _KeyFields(NamedTuple):
+    # a NamedTuple may not define __new__, so AppreciationKey subclasses this
     kind: AppreciationKind
     subject: str
     target: str
-    program: Optional[str] = None
-    task: Optional[str] = None
+    program: Optional[str]
+    task: Optional[str]
 
-    def __post_init__(self):
-        if not self.subject or not self.target:
+
+class AppreciationKey(_KeyFields):
+    """One appreciation level's address: an immutable named tuple, validated
+    when built, that compares by value and hashes in C on each trust-store
+    lookup.  Agents keep their general-trust keys (``AgentState.general_key``)
+    so the hot trust reads build none."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, subject, target, program=None, task=None):
+        if not subject or not target:
             raise TrustKeyError("subject and target must be non-empty")
-        if self.program == "" or self.task == "":
+        if program == "" or task == "":
             raise TrustKeyError("program and task, when given, must be non-empty")
-        need_task, need_program = _KIND_FIELDS[self.kind]
-        if need_task != (self.task is not None):
+        need_task, need_program = _KIND_FIELDS[kind]
+        if need_task != (task is not None):
             raise TrustKeyError(
-                f"{self.kind.value} {'requires' if need_task else 'forbids'} a task"
+                f"{kind.value} {'requires' if need_task else 'forbids'} a task"
             )
-        if need_program != (self.program is not None):
+        if need_program != (program is not None):
             raise TrustKeyError(
-                f"{self.kind.value} {'requires' if need_program else 'forbids'} a program"
+                f"{kind.value} {'requires' if need_program else 'forbids'} a program"
             )
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.kind, self.subject, self.target, self.program, self.task)),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (kind, subject, target, program, task))
 
 
 class Outcome(Enum):

@@ -698,6 +698,44 @@ def test_expect_trust_reads_the_qualified_key():
     assert [e for e in run(load(text)).expects if not e.passed] == []
 
 
+@pytest.mark.parametrize(
+    "qualifier,kind,other,other_kind",
+    [
+        ("task=X", "task-trust", "program=X", "program-trust"),
+        ("program=X", "program-trust", "task=X", "task-trust"),
+        ("program=X task=Y", "confidence", "program=Y task=X", "confidence"),
+    ],
+)
+def test_qualified_trust_kinds_end_to_end(qualifier, kind, other, other_kind):
+    """A qualified ``trust`` line writes its own kind, names it in the trace
+    and leaves general trust alone, and ``expect-trust`` reads back exactly
+    what was written.  The same id as a task and as a program addresses two
+    keys: a key's fields are positional, not a bag of ids."""
+    text = (
+        "trust q p = -1\n"
+        "tick 1\n"
+        f"trust q p {qualifier} = 2\n"
+        f"expect-trust q p {qualifier} = 2\n"
+        f"expect-trust q p {other} = 0\n"
+        "expect-trust q p = -1\n"
+        "tick 2\n"
+        f"trust q p {other} = -2\n"
+        f"expect-trust q p {qualifier} = 2\n"
+        f"expect-trust q p {other} = -2\n"
+        "expect-trust q p = -1\n"
+    )
+    result = run(load(text))
+    assert result.trace == [
+        "t=0 trust subject=q target=p kind=general-trust level=-1 cause=init",
+        f"t=1 trust subject=q target=p kind={kind} level=2 cause=init",
+        f"t=2 trust subject=q target=p kind={other_kind} level=-2 cause=init",
+    ]
+    assert [(e.expected, e.actual) for e in result.expects] == [
+        (2, 2), (0, 0), (-1, -1), (2, 2), (-2, -2), (-1, -1),
+    ]
+    assert result.agents["q"].trust_in("p") == -1
+
+
 def test_expect_check_reports_failures():
     text = "trust q p = 1\ntick 1\nexpect-trust q p = 2\n"
     failures = [e for e in run(load(text)).expects if not e.passed]

@@ -1,3 +1,4 @@
+import sys
 import pytest
 from fractions import Fraction
 
@@ -34,14 +35,67 @@ def test_key_field_requirements():
     AppreciationKey(AppreciationKind.TASK_TRUST, "q", "p", task="U")
     AppreciationKey(AppreciationKind.PROGRAM_TRUST, "q", "p", program="P")
     AppreciationKey(AppreciationKind.CONFIDENCE, "q", "p", program="P", task="U")
-    with pytest.raises(TrustKeyError):
+    with pytest.raises(TrustKeyError, match=r"^general-trust forbids a task$"):
         AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p", task="U")
-    with pytest.raises(TrustKeyError):
+    with pytest.raises(TrustKeyError, match=r"^general-trust forbids a program$"):
+        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p", program="P")
+    with pytest.raises(TrustKeyError, match=r"^task-trust requires a task$"):
         AppreciationKey(AppreciationKind.TASK_TRUST, "q", "p")
-    with pytest.raises(TrustKeyError):
+    with pytest.raises(TrustKeyError, match=r"^confidence requires a program$"):
+        AppreciationKey(AppreciationKind.CONFIDENCE, "q", "p", task="U")
+    with pytest.raises(TrustKeyError, match=r"^subject and target must be non-empty$"):
         AppreciationKey(AppreciationKind.GENERAL_TRUST, "", "p")
-    with pytest.raises(TrustKeyError):
+    with pytest.raises(
+        TrustKeyError, match=r"^program and task, when given, must be non-empty$"
+    ):
         AppreciationKey(AppreciationKind.PROGRAM_TRUST, "q", "p", program="")
+
+
+def python_calls(action):
+    """The names of the Python-level functions entered while ``action`` runs
+    (``action`` itself included); functions written in C are not listed."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return names
+
+
+def test_trust_keys_hash_and_compare_in_c():
+    """Building a key, and every trust-store read and write, runs no
+    Python-level ``__hash__`` or ``__eq__``: keys and kinds hash and compare
+    in C.  Reads use equal keys that are not the written objects, so a hit
+    compares keys as well as hashing them."""
+    state = AgentState(id="q")
+    store = state.trust
+    kind = AppreciationKind.TASK_TRUST
+    written = AppreciationKey(kind, "q", "p", task="U")
+    read = AppreciationKey(kind, "q", "p", task="U")
+    store.set(gkey("q", "p"), 1)
+    actions = {
+        "key build": lambda: AppreciationKey(
+            AppreciationKind.CONFIDENCE, "q", "p", program="P", task="U"
+        ),
+        "set": lambda: store.set(written, 1),
+        "get": lambda: store.get(read),
+        "record_assessment": lambda: store.record_assessment(read, Outcome.KEPT, 1),
+        "last_experience_tick": lambda: store.last_experience_tick(read),
+        "trust_in": lambda: state.trust_in("p"),
+    }
+    for name, action in actions.items():
+        for _ in range(2):  # trust_in builds its key once, then reuses it
+            called = python_calls(action)
+            assert called[0] == "<lambda>"  # the hook was live
+            assert not {"__hash__", "__eq__"} & set(called), (name, called)
+    assert store.get(read) == 2 and state.trust_in("p") == 1
 
 
 def test_unwritten_keys_read_neutral():
@@ -171,7 +225,7 @@ def well_formed(kind, subject, target, program, task):
 @settings(max_examples=500, deadline=None)
 @given(fields=key_fields, other=key_fields, level=st.sampled_from(LEVELS))
 def test_interned_keys_match_fresh_keys(fields, other, level):
-    """Keys hash once yet compare and hash as their fields do; an agent's
+    """Keys are immutable and compare and hash as their fields do; an agent's
     interned general-trust key reads what a freshly built key wrote; a
     malformed key still raises."""
     if not well_formed(*fields):
@@ -181,6 +235,10 @@ def test_interned_keys_match_fresh_keys(fields, other, level):
     key = AppreciationKey(*fields)
     fresh = AppreciationKey(*fields)
     assert key == fresh and hash(key) == hash(fresh)
+    for name, value in zip(("kind", "subject", "target", "program", "task"), other):
+        with pytest.raises(AttributeError):
+            setattr(key, name, value)
+    assert key == fresh
     if well_formed(*other):
         assert (AppreciationKey(*other) == key) == (other == fields)
     kind, subject, target, _, _ = fields

@@ -3,7 +3,8 @@
 The reasoning an agent applies when it receives an adequacy promise, a task
 imposition, or an outcome observation is driven by its current trust
 levels.  An agent files only the fragments those rules read, its live
-adequacy promises (``files``); the engine holds every live fragment.
+adequacy promises (``files``); the engine holds every live fragment and
+releases a filed one when it ends (``_Engine.retire``).
 Adequacy bookkeeping is keyed by ``Statement.adequacy``:
 
 * adequacy promise: a matching attribute rule installs or refuses
@@ -28,13 +29,7 @@ from typing import Optional
 
 from .appraisal import InstallVerdict
 from .statements import DirectionalKind, Statement
-from .trust import (
-    AppreciationKey,
-    AppreciationKind,
-    Outcome,
-    TramPolicy,
-    TrustStore,
-)
+from .trust import AppreciationKey, Outcome, TramPolicy, TrustStore
 
 __all__ = [
     "ActionKind",
@@ -112,7 +107,7 @@ class AgentState:
         once; the trust store hashes it in C on each lookup."""
         key = self.general_keys.get(target)
         if key is None:
-            key = AppreciationKey(AppreciationKind.GENERAL_TRUST, self.id, target)
+            key = AppreciationKey(target)
             self.general_keys[target] = key
         return key
 
@@ -295,10 +290,11 @@ def on_outcome(
     policy: TramPolicy = TramPolicy.INCREMENTAL,
     fade_to: Optional[int] = None,
 ) -> list:
-    """Assess all active adequacy fragments matching the observed outcome,
-    release them and update trust in each promiser.  Returns the assessed
-    records sorted by token; an outcome that matches no active fragment
-    changes nothing.  ``fade_to`` is passed on to ``LifecycleRecord.assess``."""
+    """Assess all active adequacy fragments matching the observed outcome
+    and update trust in each promiser.  Returns the assessed records sorted
+    by token, for the engine to retire (``_Engine.retire`` releases them);
+    an outcome that matches no active fragment changes nothing.  ``fade_to``
+    is passed on to ``LifecycleRecord.assess``."""
     records = sorted(
         state.active_adequacy_records(program, task), key=lambda r: r.token
     )
@@ -306,11 +302,9 @@ def on_outcome(
         return records
     for rec in records:
         rec.assess(result, fade_to=fade_to)
-        state.release(rec)
         state.trust.record_assessment(
             state.general_key(rec.statement.promiser), result, now, policy
         )
     if (program, task) in state.prepared:
         state.prepared[(program, task)] = True
-    state.prune_adequacy_index()
     return records

@@ -35,10 +35,12 @@ ticks faded) tail once per run; kept, broken and withdrawn lines show the
 level as of the last tick fading ran at.
 
 ``_Engine.live`` alone holds the live fragments, by token; an agent files
-only its live adequacy promises (``agents.files``).  A fragment that ends
-leaves its token, the refresh map and its agent's file in the same step,
-and step (6) announces, in token order, the tokens whose last fragment
-ended.  At the end of the run each live fragment shows its level as of the
+only its live adequacy promises (``agents.files``).  A fragment ends, kept,
+broken, withdrawn or faded, only through ``_Engine.retire``, which takes it
+out of its token, the refresh map and its agent's file in one step and
+queues that agent's index prune.  Step (6) announces the tokens whose last
+fragment ended in token order, which is string order (``10-1`` before
+``9-0``), as is the order an outcome writes its assessed fragments in.  At the end of the run each live fragment shows its level as of the
 last fade tick and joins its agent's ``fragments``, in delivery order.
 """
 
@@ -48,7 +50,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from . import agents as agent_rules
@@ -83,6 +86,7 @@ from .statements import (
     _TOKEN,
     _TOKEN_RE,
     _TOKENS,
+    _TOKENS_RE,
     _fmt_fraction,
     check_agent_id,
     code_lines,
@@ -90,12 +94,7 @@ from .statements import (
     parse as parse_statement,
     split_lines,
 )
-from .trust import (
-    AppreciationKey,
-    AppreciationKind,
-    Outcome,
-    TramPolicy,
-)
+from .trust import AppreciationKey, Outcome, TramPolicy
 
 __all__ = [
     "ScenarioError",
@@ -324,10 +323,14 @@ class _Loader:
         self.directives = self.events
 
     def policy(self, tokens, stripped, line):
+        seen = set()
         for token in tokens[1:]:
             if "=" not in token:
                 raise ScenarioError(f"malformed policy setting {token!r}", line)
             key, value = token.split("=", 1)
+            if key in seen:
+                raise ScenarioError(f"repeated policy setting {key!r}", line)
+            seen.add(key)
             try:
                 if key == "tram":
                     self.header.tram = (
@@ -381,11 +384,16 @@ class _Loader:
                 raise ScenarioError(f"malformed profile setting {token!r}", line)
             key, value = token.split("=", 1)
             if key == "independent":
-                fields["independent"] = _parse_bool(value, line)
+                name, value = key, _parse_bool(value, line)
             elif key in _PROFILE_FIELDS:
-                fields[_PROFILE_FIELDS[key]] = frozenset(value.split(",")) - {""}
+                if not _TOKENS_RE.fullmatch(value):
+                    raise ScenarioError(f"invalid {key} list: {value!r}", line)
+                name, value = _PROFILE_FIELDS[key], frozenset(value.split(","))
             else:
                 raise ScenarioError(f"unknown profile setting {key!r}", line)
+            if name in fields:
+                raise ScenarioError(f"repeated profile setting {key!r}", line)
+            fields[name] = value
         return (tokens[1], ConsultantProfile(**fields)), None
 
     def trust(self, tokens, stripped, line):
@@ -564,7 +572,7 @@ _DIRECTIVES = {
     "attr": (_Loader.attr, True, False, None, None),
     "profile": (_Loader.profile, True, False, None, None),
     "trust": (_Loader.trust, True, True, _TRUST_FORM, _trust),
-    "expect-trust": (_Loader.trust, True, True, _TRUST_FORM, _trust),
+    "expect-trust": (_Loader.trust, True, True, None, None),
     "issue": (_Loader.issue, False, True, None, None),
     "impose": (_Loader.impose, False, True, _IMPOSE_FORM, _impose),
     "outcome": (_Loader.outcome, False, True, _OUTCOME_FORM, _groups),
@@ -702,24 +710,16 @@ class _Engine:
     def trust_key(self, state, target, program, task) -> AppreciationKey:
         if program is None and task is None:
             return state.general_key(target)
-        if program is None:
-            kind = AppreciationKind.TASK_TRUST
-        elif task is None:
-            kind = AppreciationKind.PROGRAM_TRUST
-        else:
-            kind = AppreciationKind.CONFIDENCE
-        return AppreciationKey(kind, state.id, target, program=program, task=task)
+        return AppreciationKey(target, program, task)
 
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> RunResult:
         for directive in self.scenario.initial:
             self.apply_event(directive)
-        ticks: dict = {}
-        for directive in self.scenario.events:
-            ticks.setdefault(directive.tick, []).append(directive)
-        for tick in sorted(ticks):
-            for directive in self.order_within_tick(ticks[tick]):
+        # load keeps the events in tick order, each tick after the last
+        for tick, directives in groupby(self.scenario.events, attrgetter("tick")):
+            for directive in self.order_within_tick(list(directives)):
                 self.apply_event(directive)
             self.fade_step(tick)
             self.termination_step(tick)
@@ -863,6 +863,9 @@ class _Engine:
                 directive.tick, agent_id, promiser, "general-trust", level,
                 outcome.value,
             )
+        # pruned now, not at the fade step: the unload rule reads the index
+        state.prune_adequacy_index()
+        self.to_prune.discard(agent_id)
         for action in agent_rules.apply_unload_rule(state):
             self.emit_action(directive.tick, agent_id, action)
 
@@ -885,10 +888,6 @@ class _Engine:
                 f"detail=withdraw-rejected,token={token},reason={exc}"
             )
             return
-        if agent_rules.files(live[0].statement):
-            for rec in live:
-                self.agents[rec.subject].release(rec)
-                self.to_prune.add(rec.subject)
         self.retire(token, live)
 
     def on_lor_request(self, directive: Directive):
@@ -966,12 +965,18 @@ class _Engine:
     # -- per-tick closing steps -------------------------------------------
 
     def retire(self, token: str, ended):
-        """Forget the ended records ``ended`` of ``token``: the token
-        terminates with its last live record, and an equivalent reissue no
-        longer refreshes them."""
+        """End the records ``ended`` of ``token``, whether kept, broken,
+        withdrawn or faded: the token terminates with its last live record,
+        an equivalent reissue no longer refreshes them, and an adequacy
+        promise leaves its agent's file and queues that agent's index
+        prune."""
         key, holders, live = self.live[token]
+        filed = agent_rules.files(ended[0].statement)  # one token, one statement
         for rec in ended:
             del holders[rec.subject]
+            if filed:
+                self.agents[rec.subject].release(rec)
+                self.to_prune.add(rec.subject)
         if not holders:  # only now hash the key: it holds a Body and an enum
             del self.refreshable[key]
         if len(ended) == len(live):  # ended is a subset of live
@@ -984,7 +989,6 @@ class _Engine:
     def fade_step(self, tick: int):
         cohorts = self.fading.fade_due(tick)
         if cohorts:  # on most ticks of a long-lived workload nothing fades
-            agents, to_prune = self.agents, self.to_prune
             lines = []  # (subject, token, line): unique, so lines never compare
             for cohort in cohorts:
                 # one token, state, rate and ticks faded: one text per cohort
@@ -995,10 +999,6 @@ class _Engine:
                     first.state, first.fade_rate_multiplier, first.fading_ticks
                 )
                 lines += [(r.subject, token, head + r.subject + tail) for r in cohort]
-                if agent_rules.files(first.statement):
-                    for rec in cohort:
-                        agents[rec.subject].release(rec)
-                        to_prune.add(rec.subject)
                 self.retire(token, cohort)
             lines.sort()
             self.trace.extend([line for _, _, line in lines])

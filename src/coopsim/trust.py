@@ -9,10 +9,10 @@ that were never written.  Two update policies are supported:
 * ``recency-history`` -- the level is a pure function of the two most
   recent outcomes.
 
-A level's address is an ``AppreciationKey``: a named tuple of kind, subject,
-target and the optional program and task, checked against its kind when
-built.  Keys and kinds hash and compare in C, so a trust-store read or write
-runs no Python code to hash its key.
+A level's address in an agent's store is an ``AppreciationKey``: a named
+tuple of the target, the optional program and task, and the kind those
+qualifiers name (``_KINDS``).  Keys and kinds hash and compare in C, so a
+trust-store read or write runs no Python code to hash its key.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "LEVELS",
     "PTRUST",
     "AppreciationKind",
-    "TRUST_KINDS",
     "AppreciationKey",
     "Outcome",
     "TramPolicy",
@@ -68,49 +67,37 @@ class AppreciationKind(Enum):
     __hash__ = object.__hash__
 
 
-TRUST_KINDS = frozenset(AppreciationKind) - {AppreciationKind.CONFIDENCE}
-
-# kind -> (task required, program required)
-_KIND_FIELDS = {
-    AppreciationKind.GENERAL_TRUST: (False, False),
-    AppreciationKind.TASK_TRUST: (True, False),
-    AppreciationKind.PROGRAM_TRUST: (False, True),
-    AppreciationKind.CONFIDENCE: (True, True),
+# (program given, task given) -> the kind a key's qualifiers name
+_KINDS = {
+    (False, False): AppreciationKind.GENERAL_TRUST,
+    (False, True): AppreciationKind.TASK_TRUST,
+    (True, False): AppreciationKind.PROGRAM_TRUST,
+    (True, True): AppreciationKind.CONFIDENCE,
 }
 
 
 class _KeyFields(NamedTuple):
     # a NamedTuple may not define __new__, so AppreciationKey subclasses this
-    kind: AppreciationKind
-    subject: str
     target: str
     program: Optional[str]
     task: Optional[str]
+    kind: AppreciationKind
 
 
 class AppreciationKey(_KeyFields):
-    """One appreciation level's address: an immutable named tuple, validated
-    when built, that compares by value and hashes in C on each trust-store
-    lookup.  Agents keep their general-trust keys (``AgentState.general_key``)
-    so the hot trust reads build none."""
+    """One appreciation level's address in an agent's store: an immutable
+    named tuple that takes its kind from the qualifiers given, compares by
+    value and hashes in C on each trust-store lookup.  Agents keep their
+    general-trust keys (``AgentState.general_key``) so the hot trust reads
+    build none."""
 
     __slots__ = ()
 
-    def __new__(cls, kind, subject, target, program=None, task=None):
-        if not subject or not target:
-            raise TrustKeyError("subject and target must be non-empty")
-        if program == "" or task == "":
-            raise TrustKeyError("program and task, when given, must be non-empty")
-        need_task, need_program = _KIND_FIELDS[kind]
-        if need_task != (task is not None):
-            raise TrustKeyError(
-                f"{kind.value} {'requires' if need_task else 'forbids'} a task"
-            )
-        if need_program != (program is not None):
-            raise TrustKeyError(
-                f"{kind.value} {'requires' if need_program else 'forbids'} a program"
-            )
-        return tuple.__new__(cls, (kind, subject, target, program, task))
+    def __new__(cls, target, program=None, task=None):
+        if not target or program == "" or task == "":
+            raise TrustKeyError("target, program and task may not be empty")
+        kind = _KINDS[program is not None, task is not None]
+        return tuple.__new__(cls, (target, program, task, kind))
 
 
 class Outcome(Enum):
@@ -176,8 +163,8 @@ class TrustStore:
         policy: TramPolicy = TramPolicy.INCREMENTAL,
     ) -> int:
         """Record an outcome and return the updated level."""
-        if key.kind not in TRUST_KINDS:
-            raise TrustKeyError(f"{key.kind.value} is not a trust kind")
+        if key.kind is AppreciationKind.CONFIDENCE:
+            raise TrustKeyError("confidence is not a trust kind")
         last_tick, outcomes = self._recent.get(key, (None, ()))
         if last_tick is not None and tick < last_tick:
             raise TrustKeyError("experience ticks must be non-decreasing")

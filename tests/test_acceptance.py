@@ -24,7 +24,6 @@ from coopsim.statements import DirectionalKind, parse, render
 from coopsim.trust import (
     LEVELS,
     AppreciationKey,
-    AppreciationKind,
     Outcome,
     TramPolicy,
     TrustStore,
@@ -86,7 +85,7 @@ def test_criterion_02_golden_thread_2():
     assert result.agents["q"].trust_in("m2") == 2
     # saturation: a further kept assessment cannot increase past 2
     store = result.agents["q"].trust
-    key = AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "m2")
+    key = AppreciationKey("m2")
     assert store.record_assessment(key, Outcome.KEPT, 99) == 2
     assert elapsed < 1.0
     print("\nPASS criterion 2: thread 2 ends at trust 2 exactly, saturation holds")
@@ -133,9 +132,8 @@ def test_criterion_04_lor_decision_table():
 def test_criterion_05_imposition_balancing_table():
     def cell(trust_s, trust_p):
         state = AgentState(id="q")
-        gkey = lambda t: AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", t)
-        state.trust.set(gkey("s"), trust_s)
-        state.trust.set(gkey("p"), trust_p)
+        state.trust.set(AppreciationKey("s"), trust_s)
+        state.trust.set(AppreciationKey("p"), trust_p)
         state.prepared[("P", "U")] = False
         state.adequacy_index[("P", "U")] = {"p": 0}
         stmt = parse('p[adequacy(P,U):"adequate"]q')
@@ -161,10 +159,7 @@ def _agent_with(programs):
         state.prepared[(program, "U")] = False
         state.adequacy_index[(program, "U")] = {p: t for p, _, t in entries}
         for promiser, trust, _ in entries:
-            state.trust.set(
-                AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", promiser),
-                trust,
-            )
+            state.trust.set(AppreciationKey(promiser), trust)
     return state
 
 
@@ -284,7 +279,7 @@ def test_criterion_09_trust_bounds_fuzz():
         return -1
 
     rng = random.Random(42)
-    key = AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p")
+    key = AppreciationKey("p")
     for _ in range(10_000):
         history = [
             rng.choice((Outcome.KEPT, Outcome.BROKEN))

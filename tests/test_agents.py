@@ -24,7 +24,7 @@ from coopsim.statements import (
     Statement,
     parse,
 )
-from coopsim.trust import AppreciationKey, AppreciationKind, Outcome, TramPolicy
+from coopsim.trust import AppreciationKey, Outcome, TramPolicy
 
 FADE = PolicyHeader().default_fade
 
@@ -32,9 +32,7 @@ FADE = PolicyHeader().default_fade
 def make_agent(name="q", **trust):
     state = AgentState(id=name)
     for target, level in trust.items():
-        state.trust.set(
-            AppreciationKey(AppreciationKind.GENERAL_TRUST, name, target), level
-        )
+        state.trust.set(AppreciationKey(target), level)
     return state
 
 
@@ -85,9 +83,7 @@ def test_distrusted_sole_promiser_unloads():
     state = make_agent(p=1)
     counter = FragmentCounter()
     give_promise(state, "p", "P", "U", counter)
-    state.trust.set(
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p"), -2
-    )
+    state.trust.set(AppreciationKey("p"), -2)
     actions = give_promise(state, "p", "P", "U", counter, now=1)
     assert actions == [Action(ActionKind.UNLOAD, program="P", task="U")]
     assert ("P", "U") not in state.prepared
@@ -98,9 +94,7 @@ def test_unload_spared_when_other_promiser_remains():
     counter = FragmentCounter()
     give_promise(state, "p", "P", "U", counter)
     give_promise(state, "p2", "P", "U", counter)
-    state.trust.set(
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p"), -2
-    )
+    state.trust.set(AppreciationKey("p"), -2)
     assert apply_unload_rule(state) == []
     assert ("P", "U") in state.prepared
 
@@ -108,9 +102,7 @@ def test_unload_spared_when_other_promiser_remains():
 def test_unload_sweep_after_trust_change():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    state.trust.set(
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p"), -2
-    )
+    state.trust.set(AppreciationKey("p"), -2)
     assert apply_unload_rule(state) == [
         Action(ActionKind.UNLOAD, program="P", task="U")
     ]
@@ -137,9 +129,7 @@ def test_single_candidate_trust_rules(level, used_before, expected):
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
     state.prepared[("P", "U")] = used_before
-    state.trust.set(
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p"), level
-    )
+    state.trust.set(AppreciationKey("p"), level)
     assert on_task_request(state, "U").kind is expected
 
 
@@ -177,9 +167,7 @@ def test_argmax_tie_breaks_on_recency_then_name():
 def balancing_case(trust_s, trust_p):
     state = make_agent(p=1, s=trust_s)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    state.trust.set(
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p"), trust_p
-    )
+    state.trust.set(AppreciationKey("p"), trust_p)
     return state, on_imposition(state, "s", "U")
 
 
@@ -231,13 +219,14 @@ def test_outcome_updates_trust_and_terminates_records():
     give_promise(state, "p", "P", "U", FragmentCounter())
     (held,) = state.promises[("P", "U")]
     assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
-    assert len(assessed) == 1 and assessed[0] is held  # returned ...
-    assert state.promises == {}  # ... and no longer held
+    assert len(assessed) == 1 and assessed[0] is held
     assert state.trust_in("p") == 0
     assert all(r.state is LifecycleState.BROKEN for r in assessed)
     assert state.prepared[("P", "U")] is True  # used before
-    # the promiser's broken promise no longer backs the program
-    assert state.promisers_for("P", "U") == set()
+    # the engine retires the assessed records: the file and index are its to
+    # update (tests/test_engine.py)
+    assert state.promises == {("P", "U"): [held]}
+    assert state.promisers_for("P", "U") == {"p"}
 
 
 def rescan_prune(index, fragments):

@@ -688,6 +688,62 @@ def test_no_matching_fragment_outcome_warns():
     assert result.agents["q"].trust_in("p") == 1
 
 
+def test_outcome_and_termination_lines_follow_token_string_order():
+    """An outcome writes its assessed records in token order, which is string
+    order: the promise delivered at tick 10 (``10-1``) comes before the one
+    delivered at tick 9 (``9-0``).  Tokens that terminate in one tick are
+    announced in the same order, whatever order the withdrawals came in."""
+    text = (
+        "trust q p = 1\n"
+        "trust q r = 1\n"
+        "tick 9\n"
+        'issue p[adequacy(P,U):"p is adequate for task u"]q\n'
+        "tick 10\n"
+        'issue r[adequacy(P,U):"p is adequate for task u"]q\n'
+        "tick 11\n"
+        "outcome q program=P task=U result=success\n"
+        "withdraw p token=9-0\n"
+        "withdraw r token=10-1\n"
+    )
+    result = run(load(text))
+    assert [line for line in result.trace if line.startswith("t=11 ")] == [
+        "t=11 lifecycle token=10-1 subject=q state=kept fade=1 rate=1",
+        "t=11 trust subject=q target=r kind=general-trust level=2 cause=kept",
+        "t=11 lifecycle token=9-0 subject=q state=kept fade=0.99 rate=1",
+        "t=11 trust subject=q target=p kind=general-trust level=2 cause=kept",
+        "t=11 lifecycle token=9-0 subject=p state=withdrawn fade=0.99 rate=1",
+        "t=11 lifecycle token=10-1 subject=r state=withdrawn fade=1 rate=1",
+        "t=11 terminated token=10-1",
+        "t=11 terminated token=9-0",
+    ]
+
+
+def test_outcome_prunes_the_assessed_pair_before_the_unload_rule():
+    """An outcome that takes a sole promiser to -2 unloads the other pair it
+    backs.  The assessed pair's index entry is pruned first, so that pair has
+    no promiser left and stays prepared."""
+    text = (
+        "trust q p = 1\n"
+        "tick 1\n"
+        'issue p[adequacy(P,U):"p is adequate for task u"]q\n'
+        'issue p[adequacy(R,V):"r is adequate for task v"]q\n'
+        "tick 2\n"
+        "trust q p = -1\n"
+        "outcome q program=P task=U result=failure\n"
+    )
+    result = run(load(text))
+    assert actions(result) == [
+        ("q", "prepare", "program=P,task=U"),
+        ("q", "prepare", "program=R,task=V"),
+        ("q", "unload", "program=R,task=V"),
+    ]
+    q = result.agents["q"]
+    assert q.trust_in("p") == -2
+    assert list(q.prepared) == [("P", "U")]
+    assert q.adequacy_index == {("R", "V"): {"p": 1}}
+    assert list(q.promises) == [("R", "V")]
+
+
 def test_expect_trust_reads_the_qualified_key():
     text = (
         "tick 1\n"

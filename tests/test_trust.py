@@ -19,8 +19,8 @@ from coopsim.trust import (
 )
 
 
-def gkey(subject="q", target="p"):
-    return AppreciationKey(AppreciationKind.GENERAL_TRUST, subject, target)
+def gkey(target="p"):
+    return AppreciationKey(target)
 
 
 def test_scale_and_ptrust():
@@ -32,23 +32,33 @@ def test_scale_and_ptrust():
 
 
 def test_key_field_requirements():
-    AppreciationKey(AppreciationKind.TASK_TRUST, "q", "p", task="U")
-    AppreciationKey(AppreciationKind.PROGRAM_TRUST, "q", "p", program="P")
-    AppreciationKey(AppreciationKind.CONFIDENCE, "q", "p", program="P", task="U")
-    with pytest.raises(TrustKeyError, match=r"^general-trust forbids a task$"):
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p", task="U")
-    with pytest.raises(TrustKeyError, match=r"^general-trust forbids a program$"):
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "q", "p", program="P")
-    with pytest.raises(TrustKeyError, match=r"^task-trust requires a task$"):
-        AppreciationKey(AppreciationKind.TASK_TRUST, "q", "p")
-    with pytest.raises(TrustKeyError, match=r"^confidence requires a program$"):
-        AppreciationKey(AppreciationKind.CONFIDENCE, "q", "p", task="U")
-    with pytest.raises(TrustKeyError, match=r"^subject and target must be non-empty$"):
-        AppreciationKey(AppreciationKind.GENERAL_TRUST, "", "p")
-    with pytest.raises(
-        TrustKeyError, match=r"^program and task, when given, must be non-empty$"
-    ):
-        AppreciationKey(AppreciationKind.PROGRAM_TRUST, "q", "p", program="")
+    """A key's kind is the one its qualifiers name; an empty id raises; only
+    the three trust kinds record assessments."""
+    table = [
+        ({}, AppreciationKind.GENERAL_TRUST),
+        ({"task": "U"}, AppreciationKind.TASK_TRUST),
+        ({"program": "P"}, AppreciationKind.PROGRAM_TRUST),
+        ({"program": "P", "task": "U"}, AppreciationKind.CONFIDENCE),
+    ]
+    for qualifiers, kind in table:
+        key = AppreciationKey("p", **qualifiers)
+        assert key.kind is kind
+        assert (key.program, key.task) == (
+            qualifiers.get("program"), qualifiers.get("task")
+        )
+        store = TrustStore()
+        if kind is AppreciationKind.CONFIDENCE:
+            with pytest.raises(TrustKeyError, match="^confidence is not a trust kind$"):
+                store.record_assessment(key, Outcome.KEPT, 1)
+        else:
+            assert store.record_assessment(key, Outcome.KEPT, 1) == 1
+    message = r"^target, program and task may not be empty$"
+    for target, qualifiers in [
+        ("", {}), ("p", {"program": ""}), ("p", {"task": ""}),
+        ("", {"program": "P", "task": "U"}),
+    ]:
+        with pytest.raises(TrustKeyError, match=message):
+            AppreciationKey(target, **qualifiers)
 
 
 def python_calls(action):
@@ -76,14 +86,11 @@ def test_trust_keys_hash_and_compare_in_c():
     compares keys as well as hashing them."""
     state = AgentState(id="q")
     store = state.trust
-    kind = AppreciationKind.TASK_TRUST
-    written = AppreciationKey(kind, "q", "p", task="U")
-    read = AppreciationKey(kind, "q", "p", task="U")
-    store.set(gkey("q", "p"), 1)
+    written = AppreciationKey("p", task="U")
+    read = AppreciationKey("p", task="U")
+    store.set(gkey("p"), 1)
     actions = {
-        "key build": lambda: AppreciationKey(
-            AppreciationKind.CONFIDENCE, "q", "p", program="P", task="U"
-        ),
+        "key build": lambda: AppreciationKey("p", program="P", task="U"),
         "set": lambda: store.set(written, 1),
         "get": lambda: store.get(read),
         "record_assessment": lambda: store.record_assessment(read, Outcome.KEPT, 1),
@@ -113,13 +120,6 @@ def test_incremental_steps_and_saturation():
     for tick in range(4, 9):
         store.record_assessment(key, Outcome.BROKEN, tick)
     assert store.get(key) == -2
-
-
-def test_assessment_rejects_non_trust_kinds():
-    store = TrustStore()
-    key = AppreciationKey(AppreciationKind.CONFIDENCE, "q", "p", program="P", task="U")
-    with pytest.raises(TrustKeyError):
-        store.record_assessment(key, Outcome.KEPT, 1)
 
 
 def test_assessment_rejects_time_travel():
@@ -195,31 +195,12 @@ def test_clamp():
     assert clamp_level(1) == 1
 
 
-# kind -> (task required, program required), restated as the reference for
-# the property below
-KEY_FIELDS = {
-    AppreciationKind.GENERAL_TRUST: (False, False),
-    AppreciationKind.TASK_TRUST: (True, False),
-    AppreciationKind.PROGRAM_TRUST: (False, True),
-    AppreciationKind.CONFIDENCE: (True, True),
-}
-
 names = st.sampled_from(["", "p", "q", "P", "U"])
-key_fields = st.tuples(
-    st.sampled_from(AppreciationKind), names, names, st.none() | names,
-    st.none() | names,
-)
+key_fields = st.tuples(names, st.none() | names, st.none() | names)
 
 
-def well_formed(kind, subject, target, program, task):
-    need_task, need_program = KEY_FIELDS[kind]
-    return (
-        bool(subject and target)
-        and program != ""
-        and task != ""
-        and need_task == (task is not None)
-        and need_program == (program is not None)
-    )
+def well_formed(target, program, task):
+    return bool(target) and program != "" and task != ""
 
 
 @settings(max_examples=500, deadline=None)
@@ -235,15 +216,16 @@ def test_interned_keys_match_fresh_keys(fields, other, level):
     key = AppreciationKey(*fields)
     fresh = AppreciationKey(*fields)
     assert key == fresh and hash(key) == hash(fresh)
-    for name, value in zip(("kind", "subject", "target", "program", "task"), other):
+    values = (*other, AppreciationKind.CONFIDENCE)
+    for name, value in zip(("target", "program", "task", "kind"), values):
         with pytest.raises(AttributeError):
             setattr(key, name, value)
     assert key == fresh
     if well_formed(*other):
         assert (AppreciationKey(*other) == key) == (other == fields)
-    kind, subject, target, _, _ = fields
-    if kind is AppreciationKind.GENERAL_TRUST:
-        state = AgentState(id=subject)
+    target, program, task = fields
+    if program is None and task is None:
+        state = AgentState(id="q")
         interned = state.general_key(target)
         assert interned == fresh and hash(interned) == hash(fresh)
         assert state.general_key(target) is interned

@@ -32,8 +32,8 @@ def test_scale_and_ptrust():
 
 
 def test_key_field_requirements():
-    """A key's kind is the one its qualifiers name; an empty id raises; only
-    the three trust kinds record assessments."""
+    """A key's kind is the one its qualifiers name; an empty id raises; the
+    three trust kinds record assessments."""
     table = [
         ({}, AppreciationKind.GENERAL_TRUST),
         ({"task": "U"}, AppreciationKind.TASK_TRUST),
@@ -46,12 +46,8 @@ def test_key_field_requirements():
         assert (key.program, key.task) == (
             qualifiers.get("program"), qualifiers.get("task")
         )
-        store = TrustStore()
-        if kind is AppreciationKind.CONFIDENCE:
-            with pytest.raises(TrustKeyError, match="^confidence is not a trust kind$"):
-                store.record_assessment(key, Outcome.KEPT, 1)
-        else:
-            assert store.record_assessment(key, Outcome.KEPT, 1) == 1
+        if kind is not AppreciationKind.CONFIDENCE:
+            assert TrustStore().record_assessment(key, Outcome.KEPT, 1) == 1
     message = r"^target, program and task may not be empty$"
     for target, qualifiers in [
         ("", {}), ("p", {"program": ""}), ("p", {"task": ""}),
@@ -120,6 +116,14 @@ def test_incremental_steps_and_saturation():
     for tick in range(4, 9):
         store.record_assessment(key, Outcome.BROKEN, tick)
     assert store.get(key) == -2
+
+
+def test_assessment_rejects_non_trust_kinds():
+    store = TrustStore()
+    key = AppreciationKey("p", program="P", task="U")
+    assert key.kind is AppreciationKind.CONFIDENCE
+    with pytest.raises(TrustKeyError, match="^confidence is not a trust kind$"):
+        store.record_assessment(key, Outcome.KEPT, 1)
 
 
 def test_assessment_rejects_time_travel():

@@ -30,7 +30,6 @@ from .statements import (
 )
 from .trust import (
     PTRUST,
-    AppreciationKey,
     AppreciationKind,
     Outcome,
     TramPolicy,

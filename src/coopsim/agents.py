@@ -29,7 +29,7 @@ from typing import Optional
 
 from .appraisal import InstallVerdict
 from .statements import DirectionalKind, Statement
-from .trust import AppreciationKey, Outcome, TramPolicy, TrustStore
+from .trust import Outcome, TramPolicy, TrustStore
 
 __all__ = [
     "ActionKind",
@@ -98,18 +98,6 @@ class AgentState:
     pending: dict = field(default_factory=dict)
     # (pair, promiser) of the adequacy promises released since the last prune
     lapsed: set = field(default_factory=set, init=False, repr=False, compare=False)
-    general_keys: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def general_key(self, target: str) -> AppreciationKey:
-        """This agent's general-trust key for ``target``, built and validated
-        once; the trust store hashes it in C on each lookup."""
-        key = self.general_keys.get(target)
-        if key is None:
-            key = AppreciationKey(target)
-            self.general_keys[target] = key
-        return key
 
     def hold(self, rec):
         """File a new adequacy promise (``files``) by pair until ``release``."""
@@ -126,7 +114,7 @@ class AgentState:
         self.lapsed.add((stmt.adequacy, stmt.promiser))
 
     def trust_in(self, target: str) -> int:
-        return self.trust.get(self.general_key(target))
+        return self.trust.general.get(target, 0)
 
     def promisers_for(self, program: str, task: str):
         """Distinct agents with an indexed adequacy promise for (program, task)."""
@@ -302,9 +290,7 @@ def on_outcome(
         return records
     for rec in records:
         rec.assess(result, fade_to=fade_to)
-        state.trust.record_assessment(
-            state.general_key(rec.statement.promiser), result, now, policy
-        )
+        state.trust.record_assessment(rec.statement.promiser, result, now, policy)
     if (program, task) in state.prepared:
         state.prepared[(program, task)] = True
     return records

@@ -94,7 +94,7 @@ from .statements import (
     parse as parse_statement,
     split_lines,
 )
-from .trust import AppreciationKey, Outcome, TramPolicy
+from .trust import _KINDS, Outcome, TramPolicy
 
 __all__ = [
     "ScenarioError",
@@ -296,6 +296,8 @@ class _Loader:
         self.initial: list = []
         self.events: list = []
         self.directives = self.initial  # the list the next directive joins
+        self.settings: set = set()  # policy settings given so far
+        self.profiled: set = set()  # agents with a profile line so far
 
     def check_agent_ids(self, ids, line: int):
         for agent_id in ids:
@@ -323,14 +325,13 @@ class _Loader:
         self.directives = self.events
 
     def policy(self, tokens, stripped, line):
-        seen = set()
         for token in tokens[1:]:
             if "=" not in token:
                 raise ScenarioError(f"malformed policy setting {token!r}", line)
             key, value = token.split("=", 1)
-            if key in seen:
+            if key in self.settings:  # on this line or an earlier one
                 raise ScenarioError(f"repeated policy setting {key!r}", line)
-            seen.add(key)
+            self.settings.add(key)
             try:
                 if key == "tram":
                     self.header.tram = (
@@ -378,6 +379,9 @@ class _Loader:
         if len(tokens) < 2:
             raise ScenarioError("profile requires an agent", line)
         self.check_agent_ids(tokens[1:2], line)
+        if tokens[1] in self.profiled:
+            raise ScenarioError(f"repeated profile for agent {tokens[1]!r}", line)
+        self.profiled.add(tokens[1])
         fields = {}
         for token in tokens[2:]:
             if "=" not in token:
@@ -707,11 +711,6 @@ class _Engine:
             route = self.routes[level] = credibility_gate(score, self.header.gate_floor)
         return route
 
-    def trust_key(self, state, target, program, task) -> AppreciationKey:
-        if program is None and task is None:
-            return state.general_key(target)
-        return AppreciationKey(target, program, task)
-
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> RunResult:
@@ -759,13 +758,10 @@ class _Engine:
 
     def on_trust(self, directive: Directive):
         subject, target, program, task, level = directive.args
-        state = self.agent(subject)
-        key = self.trust_key(state, target, program, task)
-        state.trust.set(key, level)
+        self.agent(subject).trust.set(target, level, program, task)
         self.agent(target)
-        self.emit_trust(
-            directive.tick, subject, target, key.kind.value, level, "init"
-        )
+        kind = _KINDS[program is not None, task is not None]
+        self.emit_trust(directive.tick, subject, target, kind.value, level, "init")
 
     def on_issue(self, directive: Directive):
         self.deliver(directive.statement, directive.tick)
@@ -809,10 +805,7 @@ class _Engine:
                 emit(discard_head + subject + tail)
                 if penalize and subject != stmt.promiser:
                     level = state.trust.record_assessment(
-                        state.general_key(stmt.promiser),
-                        Outcome.BROKEN,
-                        tick,
-                        self.header.tram,
+                        stmt.promiser, Outcome.BROKEN, tick, self.header.tram
                     )
                     self.emit_trust(
                         tick, subject, stmt.promiser, "general-trust", level, "broken"
@@ -858,7 +851,7 @@ class _Engine:
             self.emit_lifecycle(directive.tick, rec)
             self.retire(rec.token, (rec,))
             promiser = rec.statement.promiser
-            level = state.trust_in(promiser)
+            level = state.trust.general[promiser]  # just assessed
             self.emit_trust(
                 directive.tick, agent_id, promiser, "general-trust", level,
                 outcome.value,
@@ -892,9 +885,9 @@ class _Engine:
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
-        peer_level = self.agent(peer).trust_in(about)
-        state = self.agent(asker)
-        new_level = lor_update(state.trust_in(about), peer_level)
+        peer_level = self.agent(peer).trust.general.get(about, 0)
+        general = self.agent(asker).trust.general
+        new_level = lor_update(general.get(about, 0), peer_level)
         response = (
             LorResponse.REFUSED if new_level is None else LorResponse.COMMUNICATED
         )
@@ -903,7 +896,7 @@ class _Engine:
             f"about={about} peer-level={peer_level} response={response.value}"
         )
         if new_level is not None:
-            state.trust.set(state.general_key(about), new_level)
+            general[about] = new_level
             self.emit_trust(
                 directive.tick, asker, about, "general-trust", new_level, "lor"
             )
@@ -911,13 +904,12 @@ class _Engine:
     def on_survey(self, directive: Directive):
         surveyor, group, about, window = directive.args
         window = window if window is not None else self.header.recent_window
-        # members register in group order; each one's key is looked up once
-        views = {}
+        # members register in group order; each one's store is looked up once
+        stores = {}
         total = 0
         for member in group:
-            state = self.agent(member)
-            trust, key = views[member] = state.trust, state.general_key(about)
-            total += trust.get(key)
+            trust = stores[member] = self.agent(member).trust
+            total += trust.general.get(about, 0)
         members = sorted(group)
         outcome = self.surveyed.get((total, len(members)))
         if outcome is None:
@@ -933,10 +925,10 @@ class _Engine:
         head = f"t={directive.tick} trust subject="
         tail = f" target={about} kind=general-trust level={new_level} cause=survey"
         for member in members:
-            trust, key = views[member]
-            last = trust.last_experience_tick(key)
-            if last is None or directive.tick - last > window:
-                trust.set(key, new_level)
+            trust = stores[member]
+            recent = trust.recent.get(about)  # (last assessed tick, outcomes)
+            if recent is None or directive.tick - recent[0] > window:
+                trust.general[about] = new_level
                 self.emit(head + member + tail)
 
     def on_reply(self, directive: Directive):
@@ -949,8 +941,7 @@ class _Engine:
 
     def on_expect_trust(self, directive: Directive):
         subject, target, program, task, expected = directive.args
-        state = self.agent(subject)
-        actual = state.trust.get(self.trust_key(state, target, program, task))
+        actual = self.agent(subject).trust.get(target, program, task)
         self.expects.append(
             ExpectResult(
                 tick=directive.tick,

@@ -49,6 +49,10 @@ class LifecycleState(Enum):
     WITHDRAWN = "withdrawn"
     FADED = "faded"
 
+    # members are singletons: the identity hash agrees with equality and
+    # keeps a Python frame out of the lifecycle-text memo key
+    __hash__ = object.__hash__
+
 
 # Enum members bound once: on CPython 3.11 each read of one off its class
 # costs about 0.1 us, as much as the rest of an empty ``fade_due``.

@@ -101,6 +101,10 @@ class DirectionalKind(Enum):
     PROPOSAL = "proposal"
     PREDICTION = "prediction"
 
+    # members are singletons: the identity hash agrees with equality and
+    # keeps a Python frame out of each ``equivalence_key`` hash
+    __hash__ = object.__hash__
+
 
 # keyword used in the kindtag clause, per kind
 _KIND_KEYWORD = {

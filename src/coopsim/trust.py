@@ -1,7 +1,7 @@
 """Five-level trust stores with pluggable update policies.
 
 Appreciation (general, task and program trust, confidence) is measured on
-the ordinal scale {-2, -1, 0, 1, 2}; 0 is neutral and the default for keys
+the ordinal scale {-2, -1, 0, 1, 2}; 0 is neutral and the default for levels
 that were never written.  Two update policies are supported:
 
 * ``incremental`` -- each kept/broken assessment moves the level one step,
@@ -9,17 +9,18 @@ that were never written.  Two update policies are supported:
 * ``recency-history`` -- the level is a pure function of the two most
   recent outcomes.
 
-A level's address in an agent's store is an ``AppreciationKey``: a named
-tuple of the target, the optional program and task, and the kind those
-qualifiers name (``_KINDS``).  Keys and kinds hash and compare in C, so a
-trust-store read or write runs no Python code to hash its key.
+An agent's store keeps general trust, the level the behaviour rules read and
+outcomes assess, by the target's name alone; a task, program or confidence
+level, which only ``trust`` and ``expect-trust`` lines address, is kept apart
+under ``(target, program, task)``.  The kind a level's qualifiers name
+(``_KINDS``) is looked up only where a trust line is written.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 __all__ = [
     "SCALE_MIN",
@@ -27,7 +28,6 @@ __all__ = [
     "LEVELS",
     "PTRUST",
     "AppreciationKind",
-    "AppreciationKey",
     "Outcome",
     "TramPolicy",
     "TrustStore",
@@ -52,52 +52,23 @@ PTRUST = {
 
 
 class TrustKeyError(ValueError):
-    """Malformed appreciation key or wrong kind for the operation."""
+    """A level off the scale, or an assessment older than the last one."""
 
 
 class AppreciationKind(Enum):
-    """Members are singletons, so equality is identity and the identity hash
-    agrees with it; hashing in C keeps a Python frame out of every key hash."""
-
     GENERAL_TRUST = "general-trust"
     TASK_TRUST = "task-trust"
     PROGRAM_TRUST = "program-trust"
     CONFIDENCE = "confidence"
 
-    __hash__ = object.__hash__
 
-
-# (program given, task given) -> the kind a key's qualifiers name
+# (program given, task given) -> the kind a level's qualifiers name
 _KINDS = {
     (False, False): AppreciationKind.GENERAL_TRUST,
     (False, True): AppreciationKind.TASK_TRUST,
     (True, False): AppreciationKind.PROGRAM_TRUST,
     (True, True): AppreciationKind.CONFIDENCE,
 }
-
-
-class _KeyFields(NamedTuple):
-    # a NamedTuple may not define __new__, so AppreciationKey subclasses this
-    target: str
-    program: Optional[str]
-    task: Optional[str]
-    kind: AppreciationKind
-
-
-class AppreciationKey(_KeyFields):
-    """One appreciation level's address in an agent's store: an immutable
-    named tuple that takes its kind from the qualifiers given, compares by
-    value and hashes in C on each trust-store lookup.  Agents keep their
-    general-trust keys (``AgentState.general_key``) so the hot trust reads
-    build none."""
-
-    __slots__ = ()
-
-    def __new__(cls, target, program=None, task=None):
-        if not target or program == "" or task == "":
-            raise TrustKeyError("target, program and task may not be empty")
-        kind = _KINDS[program is not None, task is not None]
-        return tuple.__new__(cls, (target, program, task, kind))
 
 
 class Outcome(Enum):
@@ -134,46 +105,56 @@ def level_from_history(outcomes) -> int:
 class TrustStore:
     """Appreciation levels plus the recent experience of one agent.
 
-    Absent keys read as neutral (0).  Per key only the tick of the last
-    assessment and the last two outcomes are kept: that is all the survey
-    recency check and the recency policy read.
+    ``general`` maps a target to its general-trust level and ``qualified``
+    maps ``(target, program, task)`` to a task, program or confidence level,
+    so general trust in ``p`` never aliases a qualified level.  Absent levels
+    read as neutral (0).  Only general trust is assessed, and per target
+    ``recent`` keeps the tick of the last assessment and the last two
+    outcomes: that is all the survey recency check and the recency policy
+    read.  The engine's hot paths read and write ``general`` and ``recent``
+    directly.
     """
 
     def __init__(self):
-        self._levels: dict = {}
-        self._recent: dict = {}  # key -> (last tick, last two outcomes)
+        self.general: dict = {}  # target -> level
+        self.recent: dict = {}  # target -> (last tick, last two outcomes)
+        self.qualified: dict = {}  # (target, program, task) -> level
 
-    def get(self, key: AppreciationKey) -> int:
-        return self._levels.get(key, 0)
+    def get(self, target: str, program=None, task=None) -> int:
+        if program is None and task is None:
+            return self.general.get(target, 0)
+        return self.qualified.get((target, program, task), 0)
 
-    def set(self, key: AppreciationKey, level: int):
+    def set(self, target: str, level: int, program=None, task=None):
         if level not in LEVELS:
             raise TrustKeyError(f"level {level} outside scale")
-        self._levels[key] = level
+        if program is None and task is None:
+            self.general[target] = level
+        else:
+            self.qualified[target, program, task] = level
 
-    def last_experience_tick(self, key: AppreciationKey) -> Optional[int]:
-        recent = self._recent.get(key)
+    def last_experience_tick(self, target: str) -> Optional[int]:
+        recent = self.recent.get(target)
         return recent[0] if recent else None
 
     def record_assessment(
         self,
-        key: AppreciationKey,
+        target: str,
         outcome: Outcome,
         tick: int,
         policy: TramPolicy = TramPolicy.INCREMENTAL,
     ) -> int:
-        """Record an outcome and return the updated level."""
-        if key.kind is AppreciationKind.CONFIDENCE:
-            raise TrustKeyError("confidence is not a trust kind")
-        last_tick, outcomes = self._recent.get(key, (None, ()))
+        """Record an outcome of general trust in ``target`` and return the
+        updated level."""
+        last_tick, outcomes = self.recent.get(target, (None, ()))
         if last_tick is not None and tick < last_tick:
             raise TrustKeyError("experience ticks must be non-decreasing")
         outcomes = outcomes[-1:] + (outcome,)
-        self._recent[key] = (tick, outcomes)
+        self.recent[target] = (tick, outcomes)
         if policy is TramPolicy.INCREMENTAL:
             delta = 1 if outcome is Outcome.KEPT else -1
-            level = clamp_level(self.get(key) + delta)
+            level = clamp_level(self.general.get(target, 0) + delta)
         else:
             level = level_from_history(outcomes)
-        self._levels[key] = level
+        self.general[target] = level
         return level

@@ -23,7 +23,6 @@ from coopsim.reputation import survey_reinit
 from coopsim.statements import DirectionalKind, parse, render
 from coopsim.trust import (
     LEVELS,
-    AppreciationKey,
     Outcome,
     TramPolicy,
     TrustStore,
@@ -85,8 +84,7 @@ def test_criterion_02_golden_thread_2():
     assert result.agents["q"].trust_in("m2") == 2
     # saturation: a further kept assessment cannot increase past 2
     store = result.agents["q"].trust
-    key = AppreciationKey("m2")
-    assert store.record_assessment(key, Outcome.KEPT, 99) == 2
+    assert store.record_assessment("m2", Outcome.KEPT, 99) == 2
     assert elapsed < 1.0
     print("\nPASS criterion 2: thread 2 ends at trust 2 exactly, saturation holds")
 
@@ -132,8 +130,8 @@ def test_criterion_04_lor_decision_table():
 def test_criterion_05_imposition_balancing_table():
     def cell(trust_s, trust_p):
         state = AgentState(id="q")
-        state.trust.set(AppreciationKey("s"), trust_s)
-        state.trust.set(AppreciationKey("p"), trust_p)
+        state.trust.set("s", trust_s)
+        state.trust.set("p", trust_p)
         state.prepared[("P", "U")] = False
         state.adequacy_index[("P", "U")] = {"p": 0}
         stmt = parse('p[adequacy(P,U):"adequate"]q')
@@ -159,7 +157,7 @@ def _agent_with(programs):
         state.prepared[(program, "U")] = False
         state.adequacy_index[(program, "U")] = {p: t for p, _, t in entries}
         for promiser, trust, _ in entries:
-            state.trust.set(AppreciationKey(promiser), trust)
+            state.trust.set(promiser, trust)
     return state
 
 
@@ -279,7 +277,6 @@ def test_criterion_09_trust_bounds_fuzz():
         return -1
 
     rng = random.Random(42)
-    key = AppreciationKey("p")
     for _ in range(10_000):
         history = [
             rng.choice((Outcome.KEPT, Outcome.BROKEN))
@@ -288,12 +285,12 @@ def test_criterion_09_trust_bounds_fuzz():
         start = rng.choice(LEVELS)
         for policy in TramPolicy:
             store = TrustStore()
-            store.set(key, start)
+            store.set("p", start)
             for tick, outcome in enumerate(history):
-                level = store.record_assessment(key, outcome, tick, policy)
+                level = store.record_assessment("p", outcome, tick, policy)
                 assert -2 <= level <= 2
             if policy is TramPolicy.RECENCY and history:
-                assert store.get(key) == oracle(history)
+                assert store.get("p") == oracle(history)
     print("\nPASS criterion 9: 10000 sequences stay in [-2,2]; recency matches oracle")
 
 

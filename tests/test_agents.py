@@ -24,7 +24,7 @@ from coopsim.statements import (
     Statement,
     parse,
 )
-from coopsim.trust import AppreciationKey, Outcome, TramPolicy
+from coopsim.trust import Outcome, TramPolicy
 
 FADE = PolicyHeader().default_fade
 
@@ -32,7 +32,7 @@ FADE = PolicyHeader().default_fade
 def make_agent(name="q", **trust):
     state = AgentState(id=name)
     for target, level in trust.items():
-        state.trust.set(AppreciationKey(target), level)
+        state.trust.set(target, level)
     return state
 
 
@@ -83,7 +83,7 @@ def test_distrusted_sole_promiser_unloads():
     state = make_agent(p=1)
     counter = FragmentCounter()
     give_promise(state, "p", "P", "U", counter)
-    state.trust.set(AppreciationKey("p"), -2)
+    state.trust.set("p", -2)
     actions = give_promise(state, "p", "P", "U", counter, now=1)
     assert actions == [Action(ActionKind.UNLOAD, program="P", task="U")]
     assert ("P", "U") not in state.prepared
@@ -94,7 +94,7 @@ def test_unload_spared_when_other_promiser_remains():
     counter = FragmentCounter()
     give_promise(state, "p", "P", "U", counter)
     give_promise(state, "p2", "P", "U", counter)
-    state.trust.set(AppreciationKey("p"), -2)
+    state.trust.set("p", -2)
     assert apply_unload_rule(state) == []
     assert ("P", "U") in state.prepared
 
@@ -102,7 +102,7 @@ def test_unload_spared_when_other_promiser_remains():
 def test_unload_sweep_after_trust_change():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    state.trust.set(AppreciationKey("p"), -2)
+    state.trust.set("p", -2)
     assert apply_unload_rule(state) == [
         Action(ActionKind.UNLOAD, program="P", task="U")
     ]
@@ -129,7 +129,7 @@ def test_single_candidate_trust_rules(level, used_before, expected):
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
     state.prepared[("P", "U")] = used_before
-    state.trust.set(AppreciationKey("p"), level)
+    state.trust.set("p", level)
     assert on_task_request(state, "U").kind is expected
 
 
@@ -167,7 +167,7 @@ def test_argmax_tie_breaks_on_recency_then_name():
 def balancing_case(trust_s, trust_p):
     state = make_agent(p=1, s=trust_s)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    state.trust.set(AppreciationKey("p"), trust_p)
+    state.trust.set("p", trust_p)
     return state, on_imposition(state, "s", "U")
 
 

@@ -88,20 +88,21 @@ def test_parse_errors_match_the_pinned_stderr(capsys):
 
 
 def test_scenario_load_errors_match_the_pinned_stderr(monkeypatch, capsys):
-    """Each file under malformed_scenarios/ fails ``coopsim check`` with exit
-    2 and its pinned line and message (CI compares the console script's
-    stderr too)."""
+    """Each file under malformed_scenarios/ fails ``coopsim check``, and
+    ``coopsim run --trace --quiet``, with exit 2 and its pinned line and
+    message (CI compares the console script's stderr too)."""
     monkeypatch.chdir(FIXTURES.parent)
     paths = sorted(Path("tests/malformed_scenarios").glob("*.coop"))
     assert paths
-    for path in paths:
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["check", str(path)])
-        assert exit_.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
     pinned = (FIXTURES / "malformed_scenarios.stderr").read_text(encoding="utf-8")
-    assert err == pinned
+    for command in (["check"], ["run", "--trace", "--quiet"]):
+        for path in paths:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([*command, str(path)])
+            assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == pinned, command
 
 
 def test_parse_strips_comments_as_load_does(tmp_path, capsys):

@@ -1,14 +1,18 @@
+import inspect
 import sys
 import pytest
+from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from coopsim.agents import AgentState
+from coopsim.engine import ScenarioError, load, load_path, run
 from coopsim.trust import (
+    _KINDS,
     LEVELS,
     PTRUST,
-    AppreciationKey,
     AppreciationKind,
     Outcome,
     TramPolicy,
@@ -18,9 +22,7 @@ from coopsim.trust import (
     level_from_history,
 )
 
-
-def gkey(target="p"):
-    return AppreciationKey(target)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_scale_and_ptrust():
@@ -32,39 +34,37 @@ def test_scale_and_ptrust():
 
 
 def test_key_field_requirements():
-    """A key's kind is the one its qualifiers name; an empty id raises; the
-    three trust kinds record assessments."""
+    """A level's kind is the one its qualifiers name, and each kind is its
+    own level; an empty qualifier is rejected by ``load`` with its line;
+    general trust records assessments."""
     table = [
         ({}, AppreciationKind.GENERAL_TRUST),
         ({"task": "U"}, AppreciationKind.TASK_TRUST),
         ({"program": "P"}, AppreciationKind.PROGRAM_TRUST),
         ({"program": "P", "task": "U"}, AppreciationKind.CONFIDENCE),
     ]
-    for qualifiers, kind in table:
-        key = AppreciationKey("p", **qualifiers)
-        assert key.kind is kind
-        assert (key.program, key.task) == (
-            qualifiers.get("program"), qualifiers.get("task")
-        )
-        if kind is not AppreciationKind.CONFIDENCE:
-            assert TrustStore().record_assessment(key, Outcome.KEPT, 1) == 1
-    message = r"^target, program and task may not be empty$"
-    for target, qualifiers in [
-        ("", {}), ("p", {"program": ""}), ("p", {"task": ""}),
-        ("", {"program": "P", "task": "U"}),
-    ]:
-        with pytest.raises(TrustKeyError, match=message):
-            AppreciationKey(target, **qualifiers)
+    store = TrustStore()
+    for level, (qualifiers, kind) in zip((-2, -1, 1, 2), table):
+        assert _KINDS["program" in qualifiers, "task" in qualifiers] is kind
+        store.set("p", level, **qualifiers)
+    for level, (qualifiers, _) in zip((-2, -1, 1, 2), table):
+        assert store.get("p", **qualifiers) == level
+    assert TrustStore().record_assessment("p", Outcome.KEPT, 1) == 1
+    for name, qualifier in [("program", "program= task=U"), ("task", "task=")]:
+        for directive in ("trust", "expect-trust"):
+            with pytest.raises(ScenarioError, match=f"^line 2: empty {name}= value$"):
+                load(f"tick 0\n{directive} q p {qualifier} = 1\n")
 
 
 def python_calls(action):
-    """The names of the Python-level functions entered while ``action`` runs
-    (``action`` itself included); functions written in C are not listed."""
-    names = []
+    """The code objects of the Python-level functions entered while
+    ``action`` runs (``action`` itself included); functions written in C are
+    not listed."""
+    called = []
 
     def profile(frame, event, arg):
         if event == "call":
-            names.append(frame.f_code.co_name)
+            called.append(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -72,74 +72,97 @@ def python_calls(action):
         action()
     finally:
         sys.setprofile(previous)
-    return names
+    return called
 
 
 def test_trust_keys_hash_and_compare_in_c():
-    """Building a key, and every trust-store read and write, runs no
-    Python-level ``__hash__`` or ``__eq__``: keys and kinds hash and compare
-    in C.  Reads use equal keys that are not the written objects, so a hit
-    compares keys as well as hashing them."""
+    """Every trust-store read and write runs no Python-level ``__hash__`` or
+    ``__eq__``: general trust is keyed by the target's name and qualified
+    levels by a plain tuple, which hash and compare in C.  Reads use equal
+    keys that are not the written objects, so a hit compares keys as well as
+    hashing them."""
     state = AgentState(id="q")
     store = state.trust
-    written = AppreciationKey("p", task="U")
-    read = AppreciationKey("p", task="U")
-    store.set(gkey("p"), 1)
+    target = "".join(["p", "x"])  # not the literal's interned object
+    store.set("px", 0)
     actions = {
-        "key build": lambda: AppreciationKey("p", program="P", task="U"),
-        "set": lambda: store.set(written, 1),
-        "get": lambda: store.get(read),
-        "record_assessment": lambda: store.record_assessment(read, Outcome.KEPT, 1),
-        "last_experience_tick": lambda: store.last_experience_tick(read),
-        "trust_in": lambda: state.trust_in("p"),
+        "set": lambda: store.set("px", 1, task="U"),
+        "get": lambda: store.get(target, task="U"),
+        "general get": lambda: store.get(target),
+        "record_assessment": lambda: store.record_assessment(target, Outcome.KEPT, 1),
+        "last_experience_tick": lambda: store.last_experience_tick(target),
+        "trust_in": lambda: state.trust_in(target),
     }
     for name, action in actions.items():
-        for _ in range(2):  # trust_in builds its key once, then reuses it
-            called = python_calls(action)
+        for _ in range(2):
+            called = [code.co_name for code in python_calls(action)]
             assert called[0] == "<lambda>"  # the hook was live
             assert not {"__hash__", "__eq__"} & set(called), (name, called)
-    assert store.get(read) == 2 and state.trust_in("p") == 1
+    assert store.get("px", task="U") == 1 and state.trust_in("px") == 2
+
+
+def test_run_calls_no_enum_hash():
+    """Lifecycle states and directional kinds hash by identity, so loading
+    and running a shipped scenario and rendering its trace enter no
+    ``Enum.__hash__``: not for the lifecycle-text memo key, nor for the
+    ``equivalence_key`` a delivery and a retirement hash."""
+    def load_and_run():
+        run(load_path(SCENARIOS / "parking.coop")).trace_text()
+
+    called = python_calls(load_and_run)
+    assert called[0].co_name == "load_and_run"  # the hook was live
+    names = {code.co_name for code in called}
+    assert {"deliver", "retire", "lifecycle_text", "equivalence_key"} <= names
+    assert Enum.__hash__.__code__ not in called
 
 
 def test_unwritten_keys_read_neutral():
-    assert TrustStore().get(gkey()) == 0
+    assert TrustStore().get("p") == 0
+    assert TrustStore().get("p", "P", "U") == 0
 
 
 def test_incremental_steps_and_saturation():
     store = TrustStore()
-    key = gkey()
-    store.set(key, 1)
-    assert store.record_assessment(key, Outcome.KEPT, 1) == 2
+    store.set("p", 1)
+    assert store.record_assessment("p", Outcome.KEPT, 1) == 2
     # "provided an increase is still possible": saturated at the top
-    assert store.record_assessment(key, Outcome.KEPT, 2) == 2
-    assert store.record_assessment(key, Outcome.BROKEN, 3) == 1
+    assert store.record_assessment("p", Outcome.KEPT, 2) == 2
+    assert store.record_assessment("p", Outcome.BROKEN, 3) == 1
     for tick in range(4, 9):
-        store.record_assessment(key, Outcome.BROKEN, tick)
-    assert store.get(key) == -2
+        store.record_assessment("p", Outcome.BROKEN, tick)
+    assert store.get("p") == -2
 
 
 def test_assessment_rejects_non_trust_kinds():
+    """Only general trust is assessed: an assessment names a target and no
+    qualifier, and leaves the qualified levels of that target alone."""
+    assert _KINDS[True, True] is AppreciationKind.CONFIDENCE
+    assert list(inspect.signature(TrustStore.record_assessment).parameters) == [
+        "self", "target", "outcome", "tick", "policy"
+    ]
     store = TrustStore()
-    key = AppreciationKey("p", program="P", task="U")
-    assert key.kind is AppreciationKind.CONFIDENCE
-    with pytest.raises(TrustKeyError, match="^confidence is not a trust kind$"):
-        store.record_assessment(key, Outcome.KEPT, 1)
+    qualified = [("P", "U", 2), ("P", None, -1), (None, "U", 1)]
+    for program, task, level in qualified:
+        store.set("p", level, program, task)
+    assert store.record_assessment("p", Outcome.KEPT, 1) == 1
+    for program, task, level in qualified:
+        assert store.get("p", program, task) == level
+    assert store.last_experience_tick("p") == 1
 
 
 def test_assessment_rejects_time_travel():
     store = TrustStore()
-    store.record_assessment(gkey(), Outcome.KEPT, 5)
+    store.record_assessment("p", Outcome.KEPT, 5)
     with pytest.raises(TrustKeyError):
-        store.record_assessment(gkey(), Outcome.KEPT, 4)
+        store.record_assessment("p", Outcome.KEPT, 4)
 
 
 def test_experience_and_last_tick():
     store = TrustStore()
-    key = gkey()
-    assert store.last_experience_tick(key) is None
-    store.record_assessment(key, Outcome.KEPT, 3)
-    store.record_assessment(key, Outcome.BROKEN, 9)
-    assert store.last_experience_tick(key) == 9
+    assert store.last_experience_tick("p") is None
+    store.record_assessment("p", Outcome.KEPT, 3)
+    store.record_assessment("p", Outcome.BROKEN, 9)
+    assert store.last_experience_tick("p") == 9
 
 
 K, B = Outcome.KEPT, Outcome.BROKEN
@@ -185,12 +208,12 @@ def oracle_recency(history):
 def test_both_policies_stay_on_scale(history, start):
     for policy in TramPolicy:
         store = TrustStore()
-        store.set(gkey(), start)
+        store.set("p", start)
         for tick, outcome in enumerate(history):
-            level = store.record_assessment(gkey(), outcome, tick, policy)
+            level = store.record_assessment("p", outcome, tick, policy)
             assert -2 <= level <= 2
         if policy is TramPolicy.RECENCY and history:
-            assert store.get(gkey()) == oracle_recency(history)
+            assert store.get("p") == oracle_recency(history)
 
 
 def test_clamp():
@@ -199,39 +222,65 @@ def test_clamp():
     assert clamp_level(1) == 1
 
 
-names = st.sampled_from(["", "p", "q", "P", "U"])
-key_fields = st.tuples(names, st.none() | names, st.none() | names)
+targets = st.sampled_from(["p", "q", "P"])
+qualifiers = st.sampled_from(["P", "U", "p"])
+addresses = st.tuples(targets, st.none() | qualifiers, st.none() | qualifiers)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), addresses, st.integers(-3, 3)),
+        st.tuples(st.just("assess"), targets, st.sampled_from([K, B]),
+                  st.integers(0, 2)),
+        st.tuples(st.just("get"), addresses),
+    ),
+    max_size=40,
+)
 
 
-def well_formed(target, program, task):
-    return bool(target) and program != "" and task != ""
-
-
-@settings(max_examples=500, deadline=None)
-@given(fields=key_fields, other=key_fields, level=st.sampled_from(LEVELS))
-def test_interned_keys_match_fresh_keys(fields, other, level):
-    """Keys are immutable and compare and hash as their fields do; an agent's
-    interned general-trust key reads what a freshly built key wrote; a
-    malformed key still raises."""
-    if not well_formed(*fields):
-        with pytest.raises(TrustKeyError):
-            AppreciationKey(*fields)
-        return
-    key = AppreciationKey(*fields)
-    fresh = AppreciationKey(*fields)
-    assert key == fresh and hash(key) == hash(fresh)
-    values = (*other, AppreciationKind.CONFIDENCE)
-    for name, value in zip(("target", "program", "task", "kind"), values):
-        with pytest.raises(AttributeError):
-            setattr(key, name, value)
-    assert key == fresh
-    if well_formed(*other):
-        assert (AppreciationKey(*other) == key) == (other == fields)
-    target, program, task = fields
-    if program is None and task is None:
-        state = AgentState(id="q")
-        interned = state.general_key(target)
-        assert interned == fresh and hash(interned) == hash(fresh)
-        assert state.general_key(target) is interned
-        state.trust.set(fresh, level)  # the trust directive's path
-        assert state.trust_in(target) == level
+@settings(max_examples=300, deadline=None)
+@given(ops=operations, policy=st.sampled_from(TramPolicy))
+def test_store_matches_dict_reference(ops, policy):
+    """Random writes, assessments and reads on general and qualified
+    addresses agree with one dict over ``(target, program, task)``: general
+    trust in ``p`` is ``(p, None, None)`` and never aliases a qualified level
+    of ``p``, levels stay on -2..2, and an off-scale write changes nothing."""
+    store = TrustStore()
+    levels = {}  # (target, program, task) -> level
+    history = {}  # target -> [(tick, outcome), ...]
+    tick = 0
+    for op in ops:
+        if op[0] == "set":
+            (target, program, task), level = op[1:]
+            if level in LEVELS:
+                store.set(target, level, program, task)
+                levels[target, program, task] = level
+            else:
+                with pytest.raises(TrustKeyError):
+                    store.set(target, level, program, task)
+        elif op[0] == "assess":
+            target, outcome, step = op[1:]
+            tick += step
+            seen = history.setdefault(target, [])
+            seen.append((tick, outcome))
+            if policy is TramPolicy.INCREMENTAL:
+                old = levels.get((target, None, None), 0)
+                expected = max(-2, min(2, old + (1 if outcome is K else -1)))
+            else:
+                expected = oracle_recency([o for _, o in seen])
+            levels[target, None, None] = expected
+            assert store.record_assessment(target, outcome, tick, policy) == expected
+        else:
+            assert store.get(*op[1]) == levels.get(op[1], 0)
+        for target in ("p", "q", "P"):
+            seen = history.get(target)
+            assert store.last_experience_tick(target) == (
+                seen[-1][0] if seen else None
+            )
+        assert store.general == {
+            t: v for (t, p, k), v in levels.items() if p is None and k is None
+        }
+        assert store.qualified == {
+            a: v for a, v in levels.items() if a[1:] != (None, None)
+        }
+        assert {*store.general.values(), *store.qualified.values()} <= set(LEVELS)
+    for address in levels:
+        assert store.get(*address) == levels[address]

@@ -10,38 +10,41 @@ issued statement under a fresh token to every agent in effective scope plus
 the promisee, as one lifecycle record (a fragment) per recipient, all
 sharing the statement, works out once per delivery what depends only on the
 statement (route, rate, the reacting promisee and a discarded statement's
-lifecycle text), and files the fresh fragments as one fade-queue entry, a
-cohort, (3) gates once per credibility level in a run, and lets receiving
-agents react by their trust rules in lexicographic order, with one attribute
-install verdict per (program, task) in a run, (4) applies outcome
-assessments and trust updates, with one survey average and reinitialized
-level per (trust sum, group size) in a run, (5) fades the fragments whose
-fade deadline has come, cohort by cohort, and (6) announces globally
-terminated statements.  ``load`` has validated the statement, so delivery
-validates nothing again.
+lifecycle text), and files the fresh fragments' fade deadline once, (3)
+gates once per credibility level in a run, and lets receiving agents react
+by their trust rules in lexicographic order, with one attribute install
+verdict per (program, task) in a run, (4) applies outcome assessments and
+trust updates, with one survey average and reinitialized level per (trust
+sum, group size) in a run, (5) fades the fragments whose fade deadline has
+come, cohort by cohort, and (6) announces globally terminated statements.
+``load`` has validated the statement, so delivery validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
-refreshed (``lifecycle.LifecycleRecord``), so it goes into a deadline queue
-(``lifecycle.FadeQueue``), one entry per delivery and one per refresh.  Step
-(5) gets back only the members of the entries due by this tick that are
-still active and not refreshed since, as faded cohorts.  A cohort shares a
-token, state, rate and ticks faded, so step (5) formats one lifecycle text
-per cohort, writes the tick's lines in (agent, token) order with one sort,
+refreshed (``lifecycle.LifecycleRecord``), so it goes into a heap of
+``(deadline, origin, token)`` entries, ``_Engine.deadlines``, one per
+delivery and one per refresh; an entry names a token, never a fragment.  At
+an entry due by this tick, step (5) fades the token's live fragments that
+still have the entry's origin, a cohort (``lifecycle.fade_cohort``), and
+skips a token that ended or was refreshed since.  A cohort shares a token,
+state, rate and ticks faded, so step (5) formats one lifecycle text per
+cohort, writes the tick's lines in (agent, token) order with one sort,
 retires each cohort with one ``retire`` (a token refreshed in part ends as
 two cohorts) and prunes the adequacy index of only the agents that released
 a promise this tick.  ``lifecycle_text`` formats each distinct (state, rate,
 ticks faded) tail once per run; kept, broken and withdrawn lines show the
 level as of the last tick fading ran at.
 
-``_Engine.live`` alone holds the live fragments, by token; an agent files
-only its live adequacy promises (``agents.files``).  A fragment ends, kept,
-broken, withdrawn or faded, only through ``_Engine.retire``, which takes it
-out of its token, the refresh map and its agent's file in one step and
-queues that agent's index prune.  Step (6) announces the tokens whose last
-fragment ended in token order, which is string order (``10-1`` before
-``9-0``), as is the order an outcome writes its assessed fragments in.  At the end of the run each live fragment shows its level as of the
-last fade tick and joins its agent's ``fragments``, in delivery order.
+``_Engine.live`` alone holds the live fragments, by token, so they are all
+active; an agent files only its live adequacy promises (``agents.files``).
+A fragment ends, kept, broken, withdrawn or faded, only through
+``_Engine.retire``, which takes it out of its token, the refresh map and its
+agent's file in one step and queues that agent's index prune.  Step (6)
+announces the tokens whose last fragment ended in token order, which is
+string order (``10-1`` before ``9-0``), as is the order an outcome writes
+its assessed fragments in.  At the end of the run each live fragment shows
+its level as of the last fade tick and joins its agent's ``fragments``, in
+delivery order.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import groupby, zip_longest
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -68,7 +72,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import FadeQueue, LifecycleError, LifecycleRecord, LifecycleState
+from .lifecycle import LifecycleError, LifecycleRecord, LifecycleState, fade_cohort
 from .reputation import (
     DEFAULT_RECENT_WINDOW,
     LorResponse,
@@ -334,11 +338,7 @@ class _Loader:
             self.settings.add(key)
             try:
                 if key == "tram":
-                    self.header.tram = (
-                        TramPolicy.RECENCY
-                        if value in ("recency", "recency-history")
-                        else TramPolicy(value)
-                    )
+                    self.header.tram = TramPolicy(value)
                 elif key == "gate":
                     self.header.gate_floor = _decimal(value)
                     if not 0 <= self.header.gate_floor <= 1:
@@ -614,6 +614,11 @@ class RunResult:
 _SOURCE_ARG = 0  # every event directive names its source agent first
 
 
+def _lifecycle_head(tick, token) -> str:
+    """A lifecycle line up to its subject, which the caller appends."""
+    return f"t={tick} lifecycle token={token} subject="
+
+
 class _Engine:
     def __init__(self, scenario: Scenario):
         self.header = scenario.header
@@ -626,7 +631,7 @@ class _Engine:
         self.attrs: dict = {}  # (entity kind, entity id) -> {name: level}
         self.profiles: dict = {}
         # fading, refresh and termination state; see the module docstring
-        self.fading = FadeQueue()
+        self.deadlines: list = []  # fade queue: heap of (deadline, origin, token)
         self.fade_tick: Optional[int] = None  # last tick fading ran at
         # token -> (equivalence key, its refreshable map, its live records)
         self.live: dict = {}
@@ -677,10 +682,13 @@ class _Engine:
     def lifecycle_line(self, tick, rec: LifecycleRecord) -> str:
         rate, ticks = rec.fade_rate_multiplier, rec.fading_ticks
         tail = self.lifecycle_text(rec.state, rate, ticks)
-        return f"t={tick} lifecycle token={rec.token} subject={rec.subject}{tail}"
+        return _lifecycle_head(tick, rec.token) + rec.subject + tail
 
     def emit_lifecycle(self, tick, rec: LifecycleRecord):
         self.trace.append(self.lifecycle_line(tick, rec))
+
+    def warn(self, tick, agent_id, detail: str):
+        self.emit(f"t={tick} warning agent={agent_id} detail={detail}")
 
     def emit_action(self, tick, agent_id, action: Action):
         self.emit(
@@ -782,9 +790,9 @@ class _Engine:
         )
         head = f"t={tick} deliver token={token} subject="
         if discard:  # each fresh fragment's line: active, 0 ticks faded
-            discard_head = f"t={tick} lifecycle token={token} subject="
+            discard_head = _lifecycle_head(tick, token)
             tail = self.lifecycle_text(LifecycleState.ACTIVE, rate, 0)
-        fresh = []  # one origin, rate and fade spec: one fade-queue cohort
+        fresh = []  # one origin, rate and fade spec: one fade deadline
         for subject in sorted(stmt.recipients):
             emit(head + subject)
             state = agents.get(subject)
@@ -793,7 +801,7 @@ class _Engine:
             rec = holders.get(subject)
             if rec is not None:  # an equivalent reissue: refresh it, trust unaffected
                 rec.refresh_on_repetition(tick)
-                self.fading.push(rec)
+                self.file_deadline(rec)
                 self.emit_lifecycle(tick, rec)
                 continue
             rec = LifecycleRecord(stmt, subject, token, fade, tick, rate)
@@ -813,8 +821,13 @@ class _Engine:
             elif subject == reactor:
                 self.react_to_promise(state, stmt, tick)
         if fresh:
-            self.live[token] = (key, holders, fresh[:])  # retire shrinks it
-            self.fading.push_cohort(fresh)
+            self.live[token] = (key, holders, fresh)  # retire shrinks it
+            self.file_deadline(fresh[0])
+
+    def file_deadline(self, rec: LifecycleRecord):
+        """File the fade deadline of ``rec`` and of the live records of its
+        token that share its origin, under the token and that origin."""
+        heappush(self.deadlines, (rec.fade_deadline(), rec.origin, rec.token))
 
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
         pair = promise.adequacy
@@ -842,9 +855,9 @@ class _Engine:
             self.fade_tick,
         )
         if not assessed:
-            self.emit(
-                f"t={directive.tick} warning agent={agent_id} "
-                f"detail=no-matching-fragment,program={program},task={task}"
+            self.warn(
+                directive.tick, agent_id,
+                f"no-matching-fragment,program={program},task={task}",
             )
             return
         for rec in assessed:
@@ -865,9 +878,8 @@ class _Engine:
     def on_withdraw(self, directive: Directive):
         promiser, token = directive.args
         if token not in self.live:
-            self.emit(
-                f"t={directive.tick} warning agent={promiser} "
-                f"detail=withdraw-no-active-fragment,token={token}"
+            self.warn(
+                directive.tick, promiser, f"withdraw-no-active-fragment,token={token}"
             )
             return
         live = self.live[token][2]  # one statement: all withdraw, or none
@@ -876,9 +888,9 @@ class _Engine:
                 rec.withdraw(promiser, fade_to=self.fade_tick)
                 self.emit_lifecycle(directive.tick, rec)
         except LifecycleError as exc:
-            self.emit(
-                f"t={directive.tick} warning agent={promiser} "
-                f"detail=withdraw-rejected,token={token},reason={exc}"
+            self.warn(
+                directive.tick, promiser,
+                f"withdraw-rejected,token={token},reason={exc}",
             )
             return
         self.retire(token, live)
@@ -978,19 +990,23 @@ class _Engine:
                 live.remove(rec)
 
     def fade_step(self, tick: int):
-        cohorts = self.fading.fade_due(tick)
-        if cohorts:  # on most ticks of a long-lived workload nothing fades
-            lines = []  # (subject, token, line): unique, so lines never compare
-            for cohort in cohorts:
+        deadlines, live = self.deadlines, self.live
+        lines = []  # (subject, token, line): unique, so lines never compare
+        while deadlines and deadlines[0][0] <= tick:
+            _, origin, token = heappop(deadlines)
+            entry = live.get(token)
+            # nothing fades of a token that ended or was refreshed since
+            cohort = fade_cohort(entry[2], origin, tick) if entry else None
+            if cohort:
                 # one token, state, rate and ticks faded: one text per cohort
                 first = cohort[0]
-                token = first.token
-                head = f"t={tick} lifecycle token={token} subject="
+                head = _lifecycle_head(tick, token)
                 tail = self.lifecycle_text(
                     first.state, first.fade_rate_multiplier, first.fading_ticks
                 )
                 lines += [(r.subject, token, head + r.subject + tail) for r in cohort]
                 self.retire(token, cohort)
+        if lines:  # on most ticks of a long-lived workload nothing fades
             lines.sort()
             self.trace.extend([line for _, _, line in lines])
         # Pruned only now: later directives of the tick saw the full index.

@@ -10,14 +10,9 @@ last refresh.  A record therefore keeps whole ticks only; its ``Fraction``
 level is built when read.  A record at ``rate`` stays active for
 ``FadeSpec.life(rate)`` ticks, so the tick at which it fades
 (``LifecycleRecord.fade_deadline``) is known as soon as it is issued or
-refreshed, and ``FadeQueue`` steps a record only when it fades instead of at
-every tick.  The fresh records of one delivery share that tick, so they go
-into the queue as one entry, a cohort, and fade together: when the entry comes
-due its key is the deadline of every member still active and not refreshed
-since, so ``FadeQueue.fade_due`` makes those members faded in one loop
-without working out a deadline per record, and returns them as one list per
-cohort.  The members of a returned cohort share a token, a state, a rate and
-their ticks faded, so the engine formats one lifecycle text per cohort.
+refreshed, and the engine steps a record only when it fades instead of at
+every tick.  The records of one token that share an ``origin`` share that
+tick, a cohort, and ``fade_cohort`` makes a due cohort faded in one loop.
 At the end of a run the engine shows each live record's level as of the
 last fade tick with ``fade_to``.  ``step_fade`` steps one record at a time;
 the tests take it as the reference.
@@ -27,8 +22,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from heapq import heappop, heappush
-from itertools import count
 from typing import Optional
 
 from .statements import FadeSpec, Statement
@@ -38,7 +31,7 @@ __all__ = [
     "LifecycleState",
     "LifecycleError",
     "LifecycleRecord",
-    "FadeQueue",
+    "fade_cohort",
 ]
 
 
@@ -55,7 +48,7 @@ class LifecycleState(Enum):
 
 
 # Enum members bound once: on CPython 3.11 each read of one off its class
-# costs about 0.1 us, as much as the rest of an empty ``fade_due``.
+# costs about 0.1 us.
 _ACTIVE, _FADED = LifecycleState.ACTIVE, LifecycleState.FADED
 
 
@@ -162,54 +155,17 @@ class LifecycleRecord:
         return self
 
 
-class FadeQueue:
-    """Fade deadlines of records, earliest first: a pending-event set.
-
-    An entry is a cohort: records that share their ``origin``, rate and fade
-    spec, and so one ``fade_deadline``, filed together with that ``origin``.
-    ``deliver`` files the fresh records of one statement as one cohort, and a
-    refresh files its record alone.  A member goes stale once it is terminal
-    or refreshed (its ``origin`` moves on; the refresh files it anew), and a
-    stale member is skipped when its cohort comes due, and the others fade
-    together and come back from ``fade_due`` as one list.  A record is
-    touched only when it fades.
-    """
-
-    def __init__(self):
-        self._heap: list = []
-        self._seq = count()  # ties on the deadline never compare records
-
-    def push_cohort(self, recs):
-        """File ``recs``, which must share token, ``origin``, rate and fade
-        spec, as one entry under their common deadline."""
-        first = recs[0]
-        heappush(
-            self._heap, (first.fade_deadline(), next(self._seq), first.origin, recs)
-        )
-
-    def push(self, rec: LifecycleRecord):
-        self.push_cohort((rec,))
-
-    def fade_due(self, now: int) -> list:
-        """Fade every record whose deadline is at or before ``now``.  Returns
-        the due cohorts, in no particular order, each a list of the members
-        it faded: they share a token, an origin and a rate, and so the state,
-        level and rate a lifecycle line shows.  A due entry's key is the
-        deadline of each member that is still active at its filed ``origin``,
-        so each such member fades as ``step_fade(now)`` would make it fade."""
-        cohorts = []
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            _, _, origin, recs = heappop(heap)
-            faded = []
-            for rec in recs:
-                if rec.state is not _ACTIVE or rec.origin != origin:
-                    continue
-                if now < rec.shown_at:
-                    raise LifecycleError("fading cannot run backwards")
-                rec.shown_at = now
-                rec.state = _FADED
-                faded.append(rec)
-            if faded:
-                cohorts.append(faded)
-        return cohorts
+def fade_cohort(recs, origin: int, now: int) -> list:
+    """Make faded at ``now`` the members of ``recs``, one token's live
+    records, whose ``origin`` is still ``origin``: a cohort whose deadline is
+    at or before ``now``.  Each fades as ``step_fade(now)`` would make it
+    fade.  Returns them; the others were refreshed since."""
+    faded = []
+    for rec in recs:
+        if rec.origin == origin:
+            if now < rec.shown_at:
+                raise LifecycleError("fading cannot run backwards")
+            rec.shown_at = now
+            rec.state = _FADED
+            faded.append(rec)
+    return faded

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 __all__ = [
     "SCALE_MIN",
@@ -132,10 +131,6 @@ class TrustStore:
             self.general[target] = level
         else:
             self.qualified[target, program, task] = level
-
-    def last_experience_tick(self, target: str) -> Optional[int]:
-        recent = self.recent.get(target)
-        return recent[0] if recent else None
 
     def record_assessment(
         self,

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -11,6 +12,7 @@ from coopsim.engine import (
     load,
     run,
 )
+from coopsim.lifecycle import fade_cohort
 from coopsim.trust import PTRUST, TramPolicy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -169,6 +171,7 @@ LOAD_MESSAGES = [
      "negative recent-window -1"),
     ("policy-unknown-setting", "policy seed=0", 2, "unknown policy setting 'seed'"),
     ("policy-bad-value", "policy fade-span=0", 2, "bad policy value 'fade-span=0'"),
+    ("policy-tram-recency", "policy tram=recency", 2, "bad policy value 'tram=recency'"),
     ("tick-arity", "tick 1 2", 2, "tick takes one argument"),
     ("tick-not-after", "tick 2\ntick 2", 3, "tick 2 not after previous tick 2"),
     ("event-before-tick", "impose s q task=U", 2,
@@ -511,15 +514,6 @@ class PerRecordLines(engine._Engine):
     def __init__(self, scenario):
         super().__init__(scenario)
         self.cohorts, self.checked = [], 0
-        fade_due = self.fading.fade_due
-
-        def recording(now):
-            due = fade_due(now)
-            self.cohorts += [(now, cohort[0].token, len(cohort)) for cohort in due]
-            self.due = [rec for cohort in due for rec in cohort]
-            return due
-
-        self.fading.fade_due = recording
 
     def per_record(self, tick, recs):
         fmt, lines = statements._fmt_fraction, []
@@ -548,9 +542,18 @@ class PerRecordLines(engine._Engine):
         assert written == (self.per_record(tick, fresh) if discard else [])
 
     def fade_step(self, tick):
-        start, self.due = len(self.trace), []
-        super().fade_step(tick)
-        assert self.trace[start:] == self.per_record(tick, self.due)
+        start, due = len(self.trace), []
+
+        def recording(recs, origin, now):
+            cohort = fade_cohort(recs, origin, now)
+            if cohort:
+                self.cohorts.append((now, cohort[0].token, len(cohort)))
+                due.extend(cohort)
+            return cohort
+
+        with mock.patch.object(engine, "fade_cohort", recording):
+            super().fade_step(tick)
+        assert self.trace[start:] == self.per_record(tick, due)
 
 
 @pytest.mark.parametrize(
@@ -598,6 +601,36 @@ def test_cohort_lifecycle_text_equals_each_records_line(text, cohorts, checked):
     eng.run()
     assert sorted(eng.cohorts) == sorted(cohorts)
     assert eng.checked == checked
+
+
+def test_one_reissue_refreshing_two_fragments_fades_them_as_one_cohort():
+    """The reissue at 2 refreshes p and r of token 1-0: they share an origin
+    and fade at 6 as one cohort, while s fades alone at 4."""
+    eng = PerRecordLines(
+        load(
+            "policy fade-span=4 fade-threshold=0.5\n"
+            'tick 1\nissue p[note:"b"/{r,s}]p\n'
+            'tick 2\nissue p[note:"b"/{r}]p\n'
+            "tick 4\nexpect-trust p r = 0\ntick 6\nexpect-trust p r = 0\n"
+        )
+    )
+    assert eng.run().trace == [
+        "t=1 issue promiser=p promisee=p kind=promise type=note token=1-0",
+        "t=1 deliver token=1-0 subject=p",
+        "t=1 deliver token=1-0 subject=r",
+        "t=1 deliver token=1-0 subject=s",
+        "t=2 issue promiser=p promisee=p kind=promise type=note token=2-1",
+        "t=2 deliver token=2-1 subject=p",
+        "t=2 lifecycle token=1-0 subject=p state=active fade=1 rate=1",
+        "t=2 deliver token=2-1 subject=r",
+        "t=2 lifecycle token=1-0 subject=r state=active fade=1 rate=1",
+        "t=4 lifecycle token=1-0 subject=s state=faded fade=0.25 rate=1",
+        "t=6 lifecycle token=1-0 subject=p state=faded fade=0 rate=1",
+        "t=6 lifecycle token=1-0 subject=r state=faded fade=0 rate=1",
+        "t=6 terminated token=1-0",
+    ]
+    assert eng.cohorts == [(4, "1-0", 1), (6, "1-0", 2)]
+    assert eng.checked == 3
 
 
 def test_withdraw_terminates_everywhere():

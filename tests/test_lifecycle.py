@@ -1,24 +1,29 @@
 from itertools import accumulate
+from operator import attrgetter
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from coopsim import engine as engine_module
 from coopsim.engine import _Engine, load
 from coopsim.lifecycle import (
-    FadeQueue,
     LifecycleError,
     LifecycleRecord,
     LifecycleState,
+    fade_cohort,
 )
 from coopsim.statements import FadeSpec, _fmt_fraction, parse
 from coopsim.trust import Outcome
 
 
-def fresh(fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1):
+def fresh(
+    fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1, subject="q"
+):
     stmt = parse('p[pi:"b"/{q}]q')
     return LifecycleRecord(
-        stmt, "q", f"{origin}-0", fade, origin, fade_rate_multiplier=rate
+        stmt, subject, f"{origin}-0", fade, origin, fade_rate_multiplier=rate
     )
 
 
@@ -123,12 +128,46 @@ def test_refresh_resets_fading():
     assert rec.state is LifecycleState.ACTIVE
 
 
-def faded_members(cohorts):
-    """The members of the cohorts ``fade_due`` returned, after checking that
-    each cohort is a non-empty list of records sharing a token and an origin."""
-    for cohort in cohorts:
-        assert cohort and len({(rec.token, rec.origin) for rec in cohort}) == 1
-    return [rec for cohort in cohorts for rec in cohort]
+def fading_engine(spec):
+    return _Engine(
+        load(f"policy fade-span={spec.span} fade-threshold={spec.threshold}")
+    )
+
+
+def file_fresh(engine, recs):
+    """File ``recs``, the fresh records of one token, each with its own
+    subject, in ``engine`` as ``deliver`` files them."""
+    first = recs[0]
+    key = ("key", first.token)
+    holders = engine.refreshable[key] = {rec.subject: rec for rec in recs}
+    engine.live[first.token] = (key, holders, list(recs))
+    engine.file_deadline(first)
+
+
+def fade_step(engine, tick):
+    """Run ``engine``'s fade step at ``tick`` and return the members of the
+    cohorts it faded, after checking that each cohort is a non-empty list of
+    records sharing a token and an origin, that no two share both, and that
+    the step wrote each member's lifecycle line in (subject, token) order,
+    and nothing else."""
+    cohorts = []
+
+    def recording(recs, origin, now):
+        cohort = fade_cohort(recs, origin, now)
+        if cohort:
+            cohorts.append(cohort)
+        return cohort
+
+    start = len(engine.trace)
+    with mock.patch.object(engine_module, "fade_cohort", recording):
+        engine.fade_step(tick)
+    shared = [{(rec.token, rec.origin) for rec in cohort} for cohort in cohorts]
+    assert all(len(pairs) == 1 for pairs in shared)
+    assert len(set().union(*shared)) == len(cohorts)
+    faded = [rec for cohort in cohorts for rec in cohort]
+    by_subject = sorted(faded, key=attrgetter("subject", "token"))
+    assert engine.trace[start:] == [engine.lifecycle_line(tick, r) for r in by_subject]
+    return faded
 
 
 @st.composite
@@ -161,22 +200,23 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
         dense.step_fade(dense.shown_at + 1)
     assert dense.shown_at == fresh(spec, origin, rate).fade_deadline()
 
-    ref, fast = fresh(spec, origin, rate), fresh(spec, origin, rate)
-    queue = FadeQueue()
-    queue.push(fast)
+    engine = fading_engine(spec)
+    ref, fast = fresh(spec, origin, rate), fresh(engine.fade, origin, rate)
+    file_fresh(engine, [fast])
     for index, tick in enumerate(ticks):
         if index == refresh_at and not ref.terminal:
             ref.refresh_on_repetition(tick)
             fast.refresh_on_repetition(tick)
-            queue.push(fast)
+            engine.file_deadline(fast)
         if not ref.terminal:
             ref.step_fade(tick)
-        faded = faded_members(queue.fade_due(tick))
+        faded = fade_step(engine, tick)
         if ref.state is LifecycleState.FADED and ref.shown_at == tick:
             assert len(faded) == 1 and faded[0] is fast
         else:
             assert faded == []
         assert fast.state is ref.state
+        assert (fast.token in engine.live) is not fast.terminal
         if ref.terminal:
             assert (fast.fade_level, fast.shown_at) == (
                 ref.fade_level,
@@ -258,10 +298,10 @@ def cohort_runs(draw):
 @given(cohort_runs())
 def test_fade_queue_cohort_equals_stepping_each_record(run):
     spec, rate, origin, ticks, events = run
+    engine = fading_engine(spec)
     refs = [fresh(spec, origin, rate) for _ in events]
-    recs = [fresh(spec, origin, rate) for _ in events]
-    queue = FadeQueue()
-    queue.push_cohort(recs)
+    recs = [fresh(engine.fade, origin, rate, f"q{i}") for i in range(len(events))]
+    file_fresh(engine, recs)
     for index, tick in enumerate(ticks):
         last_fade_tick = ticks[index - 1] if index else None
         for ref, rec, event in zip(refs, recs, events):
@@ -274,20 +314,24 @@ def test_fade_queue_cohort_equals_stepping_each_record(run):
                     r.assess(Outcome.KEPT, fade_to=last_fade_tick)
                 else:
                     r.withdraw("p", fade_to=last_fade_tick)
-            if event[0] == "refresh":
-                queue.push(rec)  # a refreshed member is filed alone
+            if event[0] == "refresh":  # filed anew under its new origin
+                engine.file_deadline(rec)
+            else:  # as an outcome or a withdraw ends it
+                engine.retire(rec.token, (rec,))
         expected = []
         for ref, rec in zip(refs, recs):
             if not ref.terminal:
                 ref.step_fade(tick)
                 if ref.state is LifecycleState.FADED:
                     expected.append(rec)
-        faded = faded_members(queue.fade_due(tick))
+        faded = fade_step(engine, tick)
         assert sorted(map(id, faded)) == sorted(map(id, expected))
         for rec in faded:  # at the first fade tick at or after its deadline
             assert rec.state is LifecycleState.FADED
             assert rec.fade_deadline() <= tick
             assert index == 0 or last_fade_tick < rec.fade_deadline()
+        live = engine.live.get(recs[0].token, (None, None, []))[2]
+        assert sorted(map(id, live)) == sorted(id(r) for r in recs if not r.terminal)
     for ref, rec in zip(refs, recs):
         if not rec.terminal:  # as the engine shows a live record at the end of a run
             rec.fade_to(ticks[-1])

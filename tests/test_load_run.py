@@ -8,9 +8,19 @@ So that records end, well-formed lines are drawn too: adequacy issues,
 outcomes that match them, withdraws of the tokens a run allots
 (``<tick>-<seq>``) and fade spans of 1 to 3 ticks."""
 
+import re
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
-from coopsim.engine import InterleavingStrategy, ScenarioError, load, run
+from coopsim.engine import (
+    InterleavingStrategy,
+    Scenario,
+    ScenarioError,
+    _Engine,
+    load,
+    run,
+)
 from coopsim.lifecycle import LifecycleState
 from coopsim.statements import check_agent_id
 from coopsim.trust import TramPolicy
@@ -58,7 +68,7 @@ policy_line = line(
         ]
     ),
     value=st.sampled_from(
-        ["recency", "incremental", "round-robin", "true", "maybe"]
+        ["recency-history", "incremental", "round-robin", "true", "maybe"]
     )
     | fractions
     | numbers,
@@ -190,9 +200,10 @@ def scenario_texts(headers, event_lines):
 
 # Half the scenarios mix every line kind; the other half draw only
 # well-formed lines with a short fade span, so most of them end records.
+well_formed = scenario_texts(ending_headers, ending_lines)
 scenarios = scenario_texts(
     st.lists(header_lines, max_size=6), st.one_of(event_lines, ending_lines)
-) | scenario_texts(ending_headers, ending_lines)
+) | well_formed
 
 
 def check_terminations(trace):
@@ -224,3 +235,26 @@ def test_load_rejects_or_run_completes(text):
                     rec.state is LifecycleState.ACTIVE for rec in state.fragments
                 )
             check_terminations(result.trace)
+
+
+class CheckedEngine(_Engine):
+    """An engine that checks, after every tick, that ``live`` holds only
+    active records and that the deadline heap holds no record: each entry is
+    an int deadline, an int origin and a token string."""
+
+    def termination_step(self, tick):
+        super().termination_step(tick)
+        for _, _, live in self.live.values():
+            assert live and all(rec.state is LifecycleState.ACTIVE for rec in live)
+        for deadline, origin, token in self.deadlines:
+            assert type(deadline) is int and type(origin) is int
+            assert type(token) is str and re.fullmatch(r"[0-9]+-[0-9]+", token)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=well_formed)
+def test_live_records_are_active_and_deadlines_name_tokens(text):
+    scenario = load(text)
+    for interleave in InterleavingStrategy:
+        header = replace(scenario.header, interleave=interleave)
+        CheckedEngine(Scenario(header, scenario.initial, scenario.events)).run()

@@ -90,7 +90,7 @@ def test_trust_keys_hash_and_compare_in_c():
         "get": lambda: store.get(target, task="U"),
         "general get": lambda: store.get(target),
         "record_assessment": lambda: store.record_assessment(target, Outcome.KEPT, 1),
-        "last_experience_tick": lambda: store.last_experience_tick(target),
+        "recent": lambda: store.recent.get(target),
         "trust_in": lambda: state.trust_in(target),
     }
     for name, action in actions.items():
@@ -147,7 +147,7 @@ def test_assessment_rejects_non_trust_kinds():
     assert store.record_assessment("p", Outcome.KEPT, 1) == 1
     for program, task, level in qualified:
         assert store.get("p", program, task) == level
-    assert store.last_experience_tick("p") == 1
+    assert store.recent["p"][0] == 1
 
 
 def test_assessment_rejects_time_travel():
@@ -159,10 +159,10 @@ def test_assessment_rejects_time_travel():
 
 def test_experience_and_last_tick():
     store = TrustStore()
-    assert store.last_experience_tick("p") is None
+    assert "p" not in store.recent
     store.record_assessment("p", Outcome.KEPT, 3)
     store.record_assessment("p", Outcome.BROKEN, 9)
-    assert store.last_experience_tick("p") == 9
+    assert store.recent["p"][0] == 9
 
 
 K, B = Outcome.KEPT, Outcome.BROKEN
@@ -272,7 +272,7 @@ def test_store_matches_dict_reference(ops, policy):
             assert store.get(*op[1]) == levels.get(op[1], 0)
         for target in ("p", "q", "P"):
             seen = history.get(target)
-            assert store.last_experience_tick(target) == (
+            assert store.recent.get(target, (None,))[0] == (
                 seen[-1][0] if seen else None
             )
         assert store.general == {

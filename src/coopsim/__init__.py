@@ -8,6 +8,7 @@ Modules:
 * lifecycle   - fragments (statement, subject, token) and their linear fading
 * agents      - trust-driven behavior rules of a single agent
 * reputation  - letter-of-recommendation flow and survey averaging
+* scenario    - the scenario directive table and its loader
 * engine      - tick-driven scenario runner with byte-stable traces
 * corpus      - worked statement corpus in canonical notation
 """
@@ -59,15 +60,14 @@ from .agents import (
     on_task_request,
 )
 from .reputation import lor_update, survey_reinit
-from .engine import (
+from .scenario import (
     InterleavingStrategy,
-    RunResult,
     Scenario,
     ScenarioError,
     load,
     load_path,
-    run,
 )
+from .engine import RunResult, run
 from .corpus import CORPUS_TEXTS
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import engine
+from . import engine, scenario
 from .corpus import CORPUS_TEXTS
 from .statements import StatementError, code_lines, parse as parse_statement, render
 from .trust import TramPolicy
@@ -65,7 +65,7 @@ def _overrides(args) -> dict:
     if args.tram is not None:  # the choices are the policies' values
         out["tram"] = TramPolicy(args.tram)
     if args.interleave is not None:
-        out["interleave"] = engine.InterleavingStrategy(args.interleave)
+        out["interleave"] = scenario.InterleavingStrategy(args.interleave)
     return out
 
 
@@ -74,14 +74,14 @@ def _run(args):
     expectations.  A scenario that cannot be read or loaded exits 2."""
     path = args.scenario
     try:
-        scenario = engine.load_path(path)
+        loaded = scenario.load_path(path)
     except OSError as exc:
         print(f"coopsim: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    except engine.ScenarioError as exc:
+    except scenario.ScenarioError as exc:
         print(f"coopsim: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    result = engine.run(scenario, **_overrides(args))
+    result = engine.run(loaded, **_overrides(args))
     return result, [e for e in result.expects if not e.passed]
 
 
@@ -118,13 +118,13 @@ def cmd_check(args) -> int:
 def cmd_parse(args) -> int:
     try:
         if args.file == "-":
-            source = engine.decode_text(sys.stdin.buffer.read())
+            source = scenario.decode_text(sys.stdin.buffer.read())
         else:
-            source = engine.read_text(args.file)
+            source = scenario.read_text(args.file)
     except OSError as exc:
         print(f"coopsim: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except engine.ScenarioError as exc:  # not UTF-8
+    except scenario.ScenarioError as exc:  # not UTF-8
         print(f"coopsim: {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     status = EXIT_OK

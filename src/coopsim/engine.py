@@ -1,8 +1,8 @@
 """Deterministic scenario engine.
 
-A scenario is a line-oriented script: a header block (policy, initial trust,
-attributes, profiles) followed by tick-ordered event directives.  Running a
-scenario produces a line-oriented trace; the same scenario always produces a
+Runs a scenario that ``scenario.load`` read, a header block (policy, initial
+trust, attributes, profiles) followed by tick-ordered event directives, and
+produces a line-oriented trace; the same scenario always produces a
 byte-identical trace.
 
 Per tick the engine (1) injects the scripted directives, (2) delivers each
@@ -49,23 +49,18 @@ delivery order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby, zip_longest
 from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import agents as agent_rules
 from .agents import Action, AgentState
 from .appraisal import (
-    ATTRIBUTE_CATALOG,
-    DEFAULT_GATE_FLOOR,
     DISCARD_FAST_MULTIPLIER,
     AttributeVector,
-    ConsultantProfile,
     Route,
     attribute_install_decision,
     credibility_gate,
@@ -73,518 +68,20 @@ from .appraisal import (
     credibility_score,
 )
 from .lifecycle import LifecycleError, LifecycleRecord, LifecycleState, fade_cohort
-from .reputation import (
-    DEFAULT_RECENT_WINDOW,
-    LorResponse,
-    lor_update,
-    survey_reinit,
+from .reputation import LorResponse, lor_update, survey_reinit
+from .scenario import (  # load too: the benchmark calls ``engine.load``
+    _ROWS,
+    Directive,
+    InterleavingStrategy,
+    PolicyHeader,
+    Scenario,
+    load,
 )
-from .statements import (
-    Body,
-    DirectionalKind,
-    FadeSpec,
-    FragmentCounter,
-    Statement,
-    StatementError,
-    _INT,
-    _TOKEN,
-    _TOKEN_RE,
-    _TOKENS,
-    _TOKENS_RE,
-    _fmt_fraction,
-    check_agent_id,
-    code_lines,
-    equivalence_key,
-    parse as parse_statement,
-    split_lines,
-)
-from .trust import _KINDS, Outcome, TramPolicy
-
-__all__ = [
-    "ScenarioError",
-    "InterleavingStrategy",
-    "PolicyHeader",
-    "Directive",
-    "Scenario",
-    "ExpectResult",
-    "RunResult",
-    "load",
-    "load_path",
-    "read_text",
-    "decode_text",
-    "run",
-]
-
-
-class ScenarioError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class InterleavingStrategy(Enum):
-    FILE_ORDER = "file-order"
-    ROUND_ROBIN = "round-robin"
-
-
-@dataclass
-class PolicyHeader:
-    tram: TramPolicy = TramPolicy.INCREMENTAL
-    gate_floor: Fraction = DEFAULT_GATE_FLOOR
-    fade_span: int = 100
-    fade_threshold: Fraction = Fraction(1, 20)
-    interleave: InterleavingStrategy = InterleavingStrategy.FILE_ORDER
-    penalize_incredible: bool = False
-    recent_window: int = DEFAULT_RECENT_WINDOW
-
-    @property
-    def default_fade(self) -> FadeSpec:
-        return FadeSpec(span=self.fade_span, threshold=self.fade_threshold)
-
-
-class Directive(NamedTuple):
-    """One scenario line.  A named tuple: ``load`` builds one per line, and a
-    frozen dataclass costs about twice as much to build.  ``load`` builds it
-    with ``tuple.__new__``, skipping the named tuple's Python-level
-    ``__new__``."""
-
-    tick: int
-    line: int
-    name: str
-    args: tuple
-    statement: Optional[Statement] = None
-
-
-@dataclass
-class Scenario:
-    header: PolicyHeader
-    initial: list
-    events: list
-
-
-def _parse_bool(value: str, line: int) -> bool:
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ScenarioError(f"expected boolean, got {value!r}", line)
-
-
-# Scenario numbers, as the statement grammar spells them: ``int`` and
-# ``Fraction`` also read "+3", "1_0", "1e-1" and any Unicode digit ("٣" is 3).
-# A policy decimal is the grammar's, or a fraction "n/d" as ``str(Fraction)``
-# writes one.
-_DECIMAL_RE = re.compile(rf"{_INT}(?:\.{_INT}|/{_INT})?")
-
-
-def _parse_int(value: str, what: str, line: int) -> int:
-    """``value`` if it is ``[0-9]+`` after an optional "-", which the range
-    checks then name."""
-    if (value.isdigit() or value[:1] == "-" and value[1:].isdigit()) and (
-        value.isascii()
-    ):
-        return int(value)
-    raise ScenarioError(f"expected {what}, got {value!r}", line)
-
-
-def _int(value: str) -> int:
-    """A ``policy`` integer, read as ``_parse_int`` reads one; a bad one is
-    a ``ValueError``, which ``policy`` reports as a bad value."""
-    try:
-        return _parse_int(value, "integer", 0)
-    except ScenarioError:
-        raise ValueError(f"not an integer: {value!r}") from None
-
-
-def _decimal(value: str) -> Fraction:
-    if not _DECIMAL_RE.fullmatch(value):
-        raise ValueError(f"not a decimal: {value!r}")
-    return Fraction(value)
-
-
-def _parse_level(value: str, line: int) -> int:
-    level = _parse_int(value, "trust level", line)
-    if not -2 <= level <= 2:
-        raise ScenarioError(f"level {level} outside [-2,2]", line)
-    return level
-
-
-def load(text: str) -> Scenario:
-    """Parse and validate a scenario script.
-
-    A line's first word names its directive.  The usual form of a simple
-    directive (``tick``, ``trust``, ``outcome``, ...: one space between
-    words, keys in their usual order) is read with one ``fullmatch`` of its
-    pattern in ``_DIRECTIVES``, whose builder returns the args the
-    directive's ``_Loader`` method would.  Any other line, and every line in
-    error, goes to that method, which alone writes each ``ScenarioError``."""
-    loader = _Loader()
-    new = tuple.__new__  # a Directive without NamedTuple's Python-level __new__
-    for line_no, stripped in code_lines(text):
-        name, _, rest = stripped.partition(" ")
-        entry = _DIRECTIVES.get(name)
-        if entry is None:  # not one space after the name, or no directive:
-            name = stripped.split(None, 1)[0]  # the method reads the line
-            method, before, after = _DIRECTIVES.get(name, (None, False, False))[:3]
-            pattern = build = None
-        else:
-            method, before, after, pattern, build = entry
-        now = loader.now
-        if now is None:
-            if not before:
-                raise ScenarioError(
-                    f"directive {name!r} not allowed before the first tick", line_no
-                )
-        elif not after:
-            raise ScenarioError(f"unknown directive {name!r}", line_no)
-        match = pattern.fullmatch(rest) if pattern is not None else None
-        if match is not None:
-            built = build(match)
-            if name != "tick":
-                if built is not None:
-                    loader.directives.append(
-                        new(Directive, (now or 0, line_no, name) + built)
-                    )
-                    continue
-            elif now is None or built > now:  # built is the tick
-                loader.now = built
-                loader.directives = loader.events
-                continue
-        tokens = None if name == "issue" else stripped.split()  # issue reads the text
-        loaded = method(loader, tokens, stripped, line_no)
-        if loaded is not None:  # None for a tick or header line
-            loader.directives.append(new(Directive, (now or 0, line_no, name) + loaded))
-    return Scenario(header=loader.header, initial=loader.initial, events=loader.events)
-
-
-def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``, as ``decode_text`` reads it."""
-    with open(path, "rb") as handle:
-        return decode_text(handle.read())
-
-
-def decode_text(data: bytes) -> str:
-    """``data`` read as UTF-8, less one leading byte-order mark.  A byte that
-    is not UTF-8 is a ``ScenarioError`` on its line and at its file offset."""
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        line = len(split_lines(data[: exc.start].decode("utf-8")))
-        raise ScenarioError(
-            f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}", line
-        ) from None
-
-
-def load_path(path) -> Scenario:
-    return load(read_text(path))
-
-
-# profile setting -> the ConsultantProfile field that holds its comma list
-_PROFILE_FIELDS = {
-    "experienced": "experienced_with",
-    "range": "consulted_range",
-    "reputation": "recognized_reputation",
-    "affiliated": "producer_affiliation",
-}
-
-
-class _Loader:
-    """The state of one ``load``: the header so far, the current tick and
-    the directives read.  A method per directive checks the directive's
-    line (its tokens, its text and its number) and returns its args and
-    statement, or None for a line that only sets the tick or the header."""
-
-    def __init__(self):
-        self.header = PolicyHeader()
-        self.now: Optional[int] = None  # None before the first tick
-        self.initial: list = []
-        self.events: list = []
-        self.directives = self.initial  # the list the next directive joins
-        self.settings: set = set()  # policy settings given so far
-        self.profiled: set = set()  # agents with a profile line so far
-
-    def check_agent_ids(self, ids, line: int):
-        for agent_id in ids:
-            try:
-                check_agent_id(agent_id)
-            except StatementError as exc:
-                raise ScenarioError(str(exc), line)
-
-    def check_qualifiers(self, qualifiers: dict, line: int):
-        """Check ``program=``, ``task=``, ``token=`` and entity values as
-        tokens: no statement can name another."""
-        for key, value in qualifiers.items():
-            if not value:
-                raise ScenarioError(f"empty {key}= value", line)
-            if not _TOKEN_RE.fullmatch(value):
-                raise ScenarioError(f"invalid {key}: {value!r}", line)
-
-    def tick(self, tokens, stripped, line):
-        if len(tokens) != 2:
-            raise ScenarioError("tick takes one argument", line)
-        tick = _parse_int(tokens[1], "tick", line)
-        if tick < 0 or (self.now is not None and tick <= self.now):
-            raise ScenarioError(f"tick {tick} not after previous tick {self.now}", line)
-        self.now = tick
-        self.directives = self.events
-
-    def policy(self, tokens, stripped, line):
-        for token in tokens[1:]:
-            if "=" not in token:
-                raise ScenarioError(f"malformed policy setting {token!r}", line)
-            key, value = token.split("=", 1)
-            if key in self.settings:  # on this line or an earlier one
-                raise ScenarioError(f"repeated policy setting {key!r}", line)
-            self.settings.add(key)
-            try:
-                if key == "tram":
-                    self.header.tram = TramPolicy(value)
-                elif key == "gate":
-                    self.header.gate_floor = _decimal(value)
-                    if not 0 <= self.header.gate_floor <= 1:
-                        raise ScenarioError(f"gate {value} outside [0,1]", line)
-                elif key == "fade-span":
-                    self.header.fade_span = _int(value)
-                elif key == "fade-threshold":
-                    self.header.fade_threshold = _decimal(value)
-                elif key == "interleave":
-                    self.header.interleave = InterleavingStrategy(value)
-                elif key == "penalize-incredible":
-                    self.header.penalize_incredible = _parse_bool(value, line)
-                elif key == "recent-window":
-                    self.header.recent_window = _int(value)
-                    if self.header.recent_window < 0:
-                        raise ScenarioError(f"negative recent-window {value}", line)
-                else:
-                    raise ScenarioError(f"unknown policy setting {key!r}", line)
-                self.header.default_fade  # FadeSpec validates span and threshold
-            except (ValueError, ZeroDivisionError) as exc:
-                if isinstance(exc, ScenarioError):
-                    raise
-                raise ScenarioError(f"bad policy value {token!r}", line)
-
-    def attr(self, tokens, stripped, line):
-        body = tokens[1:]
-        if len(body) != 4 or body[2] != "=" or "=" not in body[1]:
-            raise ScenarioError("usage: attr <name> <entity>=<id> = <level>", line)
-        if body[0] not in ATTRIBUTE_CATALOG:
-            raise ScenarioError(f"unknown attribute {body[0]!r}", line)
-        entity_kind, _, entity_id = body[1].partition("=")
-        if entity_kind not in ("program", "task"):
-            raise ScenarioError("attr entity must be program= or task=", line)
-        self.check_qualifiers({entity_kind: entity_id}, line)
-        return (body[0], entity_kind, entity_id, _parse_level(body[3], line)), None
-
-    def profile(self, tokens, stripped, line):
-        if len(tokens) < 2:
-            raise ScenarioError("profile requires an agent", line)
-        self.check_agent_ids(tokens[1:2], line)
-        if tokens[1] in self.profiled:
-            raise ScenarioError(f"repeated profile for agent {tokens[1]!r}", line)
-        self.profiled.add(tokens[1])
-        fields = {}
-        for token in tokens[2:]:
-            if "=" not in token:
-                raise ScenarioError(f"malformed profile setting {token!r}", line)
-            key, value = token.split("=", 1)
-            if key == "independent":
-                name, value = key, _parse_bool(value, line)
-            elif key in _PROFILE_FIELDS:
-                if not _TOKENS_RE.fullmatch(value):
-                    raise ScenarioError(f"invalid {key} list: {value!r}", line)
-                name, value = _PROFILE_FIELDS[key], frozenset(value.split(","))
-            else:
-                raise ScenarioError(f"unknown profile setting {key!r}", line)
-            if name in fields:
-                raise ScenarioError(f"repeated profile setting {key!r}", line)
-            fields[name] = value
-        return (tokens[1], ConsultantProfile(**fields)), None
-
-    def trust(self, tokens, stripped, line):
-        name, body = tokens[0], tokens[1:]
-        if len(body) < 4 or body[-2] != "=":
-            raise ScenarioError(f"malformed {name} directive", line)
-        level = _parse_level(body[-1], line)
-        subject, target = body[0], body[1]
-        self.check_agent_ids((subject, target), line)
-        extras = {}
-        for token in body[2:-2]:
-            key, eq, value = token.partition("=")
-            if not eq or key not in ("program", "task") or key in extras:
-                raise ScenarioError(f"malformed {name} directive", line)
-            extras[key] = value
-        if extras:  # most trust lines have none
-            self.check_qualifiers(extras, line)
-        return (subject, target, extras.get("program"), extras.get("task"), level), None
-
-    def issue(self, tokens, stripped, line):
-        text = stripped[len("issue") :].strip()
-        try:
-            statement = parse_statement(text)
-        except StatementError as exc:
-            raise ScenarioError(f"bad statement: {exc}", line)
-        if statement.subject is not None:
-            raise ScenarioError("issued statements may not carry a subject", line)
-        # the engine stamps the issue tick and keeps no validity window
-        if statement.issue_time is not None:
-            raise ScenarioError("issued statements may not carry u=", line)
-        if statement.window is not None:
-            raise ScenarioError(
-                "issued statements may not carry a validity window", line
-            )
-        return (text,), statement
-
-    def impose(self, tokens, stripped, line):
-        if len(tokens) < 4 or not tokens[3].startswith("task="):
-            raise ScenarioError(
-                "usage: impose <from> <to> task=<T> [strength=<1..10>]", line
-            )
-        strength = None
-        if len(tokens) == 5 and tokens[4].startswith("strength="):
-            strength = _parse_int(tokens[4].split("=", 1)[1], "strength", line)
-        elif len(tokens) > 4:
-            raise ScenarioError("malformed impose directive", line)
-        imposer, target, task = tokens[1], tokens[2], tokens[3].split("=", 1)[1]
-        if not task:
-            raise ScenarioError("empty task= value", line)
-        # the task becomes a type argument, so it must be a token too
-        if not _TOKEN_RE.fullmatch(task):
-            raise ScenarioError(f"bad imposition: invalid task: {task!r}", line)
-        try:
-            statement = _imposition(imposer, target, task, strength)
-        except StatementError as exc:
-            raise ScenarioError(f"bad imposition: {exc}", line)
-        return (imposer, target, task), statement
-
-    def outcome(self, tokens, stripped, line):
-        kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
-        if len(tokens) != 5 or set(kv) != {"program", "task", "result"}:
-            raise ScenarioError(
-                "usage: outcome <agent> program=<P> task=<T> result=success|failure",
-                line,
-            )
-        if kv["result"] not in ("success", "failure"):
-            raise ScenarioError(f"bad result {kv['result']!r}", line)
-        self.check_qualifiers({"program": kv["program"], "task": kv["task"]}, line)
-        self.check_agent_ids(tokens[1:2], line)
-        return (tokens[1], kv["program"], kv["task"], kv["result"]), None
-
-    def withdraw(self, tokens, stripped, line):
-        if len(tokens) != 3 or not tokens[2].startswith("token="):
-            raise ScenarioError("usage: withdraw <promiser> token=<id>", line)
-        token = tokens[2][len("token=") :]
-        self.check_qualifiers({"token": token}, line)
-        self.check_agent_ids(tokens[1:2], line)
-        return (tokens[1], token), None
-
-    def lor_request(self, tokens, stripped, line):
-        if len(tokens) != 4 or not tokens[3].startswith("about="):
-            raise ScenarioError(
-                "usage: lor-request <asker> <peer> about=<target>", line
-            )
-        about = tokens[3][len("about=") :]
-        self.check_agent_ids((tokens[1], tokens[2], about), line)
-        return (tokens[1], tokens[2], about), None
-
-    def survey(self, tokens, stripped, line):
-        kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
-        if (
-            len(kv) != len(tokens) - 2
-            or "group" not in kv
-            or "about" not in kv
-            or not kv.keys() <= {"group", "about", "window"}
-        ):
-            raise ScenarioError(
-                "usage: survey <surveyor> group=<a,b> about=<target> [window=<n>]",
-                line,
-            )
-        group = tuple(kv["group"].split(","))
-        if not all(group):
-            raise ScenarioError("survey group has an empty member", line)
-        if len(set(group)) != len(group):
-            raise ScenarioError("survey group repeats a member", line)
-        about = kv["about"]
-        self.check_agent_ids((tokens[1], about, *group), line)
-        window = _parse_int(kv["window"], "window", line) if "window" in kv else None
-        if window is not None and window < 0:
-            raise ScenarioError(f"negative window {window}", line)
-        return (tokens[1], group, about, window), None
-
-    def reply(self, tokens, stripped, line):
-        if len(tokens) != 4 or tokens[3] not in ("proceed", "withdraw"):
-            raise ScenarioError("usage: reply <from> <to> proceed|withdraw", line)
-        self.check_agent_ids(tokens[1:3], line)
-        return (tokens[1], tokens[2], tokens[3]), None
-
-
-def _imposition(imposer, target, task, strength=None) -> Statement:
-    return Statement(
-        kind=DirectionalKind.IMPOSITION,
-        promiser=imposer,
-        promisee=target,
-        type_tag=f"perform({task})",
-        body=Body(text=f"perform task {task}"),
-        strength=strength,
-    )
-
-
-# The usual form of a simple directive after its name: one space between
-# words, ids as tokens, numbers as ASCII digits.  Each builder turns a match
-# into what the directive's ``_Loader`` method returns for the same line,
-# ``(args, statement)``, or None to leave the line to the method; the tick
-# builder returns the tick, which ``load`` checks against the last one.
-_ID = f"({_TOKEN})"
-_TICK_FORM = re.compile(f"({_INT})")
-_TRUST_FORM = re.compile(f"{_ID} {_ID} = (-?[0-2])")  # levels -2..2 only
-_IMPOSE_FORM = re.compile(f"{_ID} {_ID} task={_ID}")
-_OUTCOME_FORM = re.compile(f"{_ID} program={_ID} task={_ID} result=(success|failure)")
-_LOR_FORM = re.compile(f"{_ID} {_ID} about={_ID}")
-_SURVEY_FORM = re.compile(f"{_ID} group=({_TOKENS}) about={_ID}")
-
-
-def _groups(match):
-    return match.groups(), None
-
-
-def _tick(match):
-    return int(match[1])
-
-
-def _trust(match):
-    subject, target, level = match.groups()
-    return (subject, target, None, None, int(level)), None
-
-
-def _impose(match):
-    args = match.groups()
-    return args, _imposition(*args)
-
-
-def _survey(match):
-    surveyor, group, about = match.groups()
-    members = tuple(group.split(","))
-    if len(set(members)) == len(members):  # else the method names the repeat
-        return (surveyor, members, about, None), None
-    return None
-
-
-# name -> (loader, may come before the first tick, may come after it,
-#          pattern of the usual form, its builder)
-_DIRECTIVES = {
-    "tick": (_Loader.tick, True, True, _TICK_FORM, _tick),
-    "policy": (_Loader.policy, True, False, None, None),
-    "attr": (_Loader.attr, True, False, None, None),
-    "profile": (_Loader.profile, True, False, None, None),
-    "trust": (_Loader.trust, True, True, _TRUST_FORM, _trust),
-    "expect-trust": (_Loader.trust, True, True, None, None),
-    "issue": (_Loader.issue, False, True, None, None),
-    "impose": (_Loader.impose, False, True, _IMPOSE_FORM, _impose),
-    "outcome": (_Loader.outcome, False, True, _OUTCOME_FORM, _groups),
-    "withdraw": (_Loader.withdraw, False, True, None, None),
-    "lor-request": (_Loader.lor_request, False, True, _LOR_FORM, _groups),
-    "survey": (_Loader.survey, False, True, _SURVEY_FORM, _survey),
-    "reply": (_Loader.reply, False, True, None, None),
-}
+from .statements import FragmentCounter, Statement, _fmt_fraction, equivalence_key
+from .statements import parse as parse_statement  # bench/test_bench.py traces it here
+from .trust import _KINDS, Outcome
+
+__all__ = ["ExpectResult", "RunResult", "load", "run"]
 
 
 @dataclass(frozen=True)
@@ -646,7 +143,7 @@ class _Engine:
         # directive "x-y" goes to on_x_y; tick and policy lines make none
         self.handlers = {
             name: getattr(self, "on_" + name.replace("-", "_"))
-            for name in _DIRECTIVES.keys() - {"tick", "policy"}
+            for name in _ROWS.keys() - {"tick", "policy"}
         }
 
     # -- helpers -----------------------------------------------------------

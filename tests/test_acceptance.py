@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from coopsim import engine
+from coopsim import engine, scenario
 from coopsim.agents import (
     ActionKind,
     AgentState,
@@ -29,13 +29,13 @@ from coopsim.trust import (
 )
 from tests.test_statements import FORM_FIXTURES
 
-FADE = engine.PolicyHeader().default_fade
+FADE = scenario.PolicyHeader().default_fade
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run_file(name):
-    return engine.run(engine.load_path(SCENARIOS / name))
+    return engine.run(scenario.load_path(SCENARIOS / name))
 
 
 def extract_actions(result):
@@ -120,7 +120,7 @@ def test_criterion_04_lor_decision_table():
             "tick 2\n"
             f"expect-trust asker p = {after}\n"
         )
-        result = engine.run(engine.load(text))
+        result = engine.run(scenario.load(text))
         assert all(e.passed for e in result.expects), (peer_level, before)
     file_result = run_file("lor.coop")
     assert all(e.passed for e in file_result.expects)

@@ -15,7 +15,7 @@ from coopsim.agents import (
     on_task_request,
     resolve_reply,
 )
-from coopsim.engine import PolicyHeader
+from coopsim.scenario import PolicyHeader
 from coopsim.lifecycle import LifecycleRecord, LifecycleState
 from coopsim.statements import (
     Body,

@@ -5,12 +5,13 @@ from unittest import mock
 import pytest
 
 from coopsim import cli, engine, statements
-from coopsim.engine import (
+from coopsim.engine import run
+from coopsim.scenario import (
     InterleavingStrategy,
     PolicyHeader,
     ScenarioError,
     load,
-    run,
+    load_path,
 )
 from coopsim.lifecycle import fade_cohort
 from coopsim.trust import PTRUST, TramPolicy
@@ -19,7 +20,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run_file(name, **overrides):
-    return run(engine.load_path(SCENARIOS / name), **overrides)
+    return run(load_path(SCENARIOS / name), **overrides)
 
 
 def actions(result):
@@ -174,6 +175,7 @@ LOAD_MESSAGES = [
     ("policy-tram-recency", "policy tram=recency", 2, "bad policy value 'tram=recency'"),
     ("tick-arity", "tick 1 2", 2, "tick takes one argument"),
     ("tick-not-after", "tick 2\ntick 2", 3, "tick 2 not after previous tick 2"),
+    ("tick-negative", "tick -1", 2, "negative tick -1"),
     ("event-before-tick", "impose s q task=U", 2,
      "directive 'impose' not allowed before the first tick"),
     ("unknown-before-tick", "frobnicate a b", 2,
@@ -871,7 +873,7 @@ def test_run_checks_no_agent_id(monkeypatch):
     """``load`` checks every agent id; delivery re-checks none, however
     wide the scope."""
     scope = ",".join(f"a{i}" for i in range(16))
-    scenarios = [engine.load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
+    scenarios = [load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
     scenarios.append(load(f'tick 1\nissue p[pi:"b"/{{{scope}}}]q\n'))
     checked = []
     real = statements.check_agent_id
@@ -881,7 +883,7 @@ def test_run_checks_no_agent_id(monkeypatch):
         return real(name)
 
     monkeypatch.setattr(statements, "check_agent_id", counting)
-    monkeypatch.setattr(engine, "check_agent_id", counting)
+    monkeypatch.setattr("coopsim.scenario.check_agent_id", counting)
     for scenario in scenarios:
         run(scenario)
     assert checked == []
@@ -892,7 +894,7 @@ def test_credibility_is_gated_once_per_delivery(monkeypatch):
     gates once, however many recipients it has."""
     scope = ",".join(f"a{i}" for i in range(16))
     scenarios = [load(f'tick 1\nissue p[pi:"b"/{{{scope}}}]q\n')]
-    scenarios += [engine.load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
+    scenarios += [load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
     gated = []
     real = engine.credibility_gate
 

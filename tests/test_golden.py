@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from coopsim.engine import InterleavingStrategy, load, load_path, run
+from coopsim.engine import run
+from coopsim.scenario import InterleavingStrategy, load, load_path
 from coopsim.lifecycle import LifecycleState
 from coopsim.trust import TramPolicy
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from coopsim import engine as engine_module
-from coopsim.engine import _Engine, load
+from coopsim.engine import _Engine
+from coopsim.scenario import load
 from coopsim.lifecycle import (
     LifecycleError,
     LifecycleRecord,

@@ -13,14 +13,8 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from coopsim.engine import (
-    InterleavingStrategy,
-    Scenario,
-    ScenarioError,
-    _Engine,
-    load,
-    run,
-)
+from coopsim.engine import _Engine, run
+from coopsim.scenario import InterleavingStrategy, Scenario, ScenarioError, load
 from coopsim.lifecycle import LifecycleState
 from coopsim.statements import check_agent_id
 from coopsim.trust import TramPolicy

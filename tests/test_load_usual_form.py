@@ -1,25 +1,22 @@
-"""The usual form of a simple directive agrees with its ``_Loader`` method.
+"""Every scenario line loads through its row of ``scenario._ROWS``.
 
-``load`` reads a ``tick``, ``trust``, ``outcome``, ... line in its usual form
-with one ``fullmatch`` of the pattern in ``engine._DIRECTIVES`` and leaves
-every other line to the directive's method.  For every line a pattern
-accepts, the method must return the same args (and, for a ``tick``, move to
-the same tick); where a builder declines a matched line, the method must
-reject it.  Lines come from ``tests/test_load_run.py``'s strategies and the
-``bench/gen.py`` workload shapes, mutated: tabs and doubled spaces, reordered
-or dropped words, extra words (also one behind a tab after the name),
-non-ASCII, zero-padded and signed digits, and other directive names, each in
-the header and after a tick.  Each line also loads, alone or after a tick,
-as it loads with the usual forms taken out of the table."""
+Lines come from ``tests/test_load_run.py``'s strategies and the
+``bench/gen.py`` workload shapes, mutated: tabs, doubled spaces, no-break
+and ideographic spaces, reordered or dropped words, extra words (also one
+behind a tab after the name), non-ASCII, zero-padded and signed digits, and
+other directive names, each in the header and after a tick.  Each one either
+loads or raises ``ScenarioError`` with its line number, and never another
+exception.  A well-formed line loads to the same ``Directive`` whatever the
+whitespace between its words and the order of its ``key=`` words."""
 
 import importlib.util
+import re
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from coopsim import engine
-from coopsim.engine import ScenarioError, load
+from coopsim import scenario
+from coopsim.scenario import ScenarioError, load
 from coopsim.statements import code_lines
 from tests.test_load_run import (
     ending_headers,
@@ -46,7 +43,7 @@ def _bench_lines() -> dict:
 
 
 BENCH_LINES = _bench_lines()
-NAMES = sorted(engine._DIRECTIVES)
+NAMES = sorted(scenario._ROWS)
 EXTRA = ["x", "a=b", "=", "0", "window=2", "strength=3", "program=P", "task=U"]
 SEPARATORS = ["\t", "  ", " \t", "\u00a0", "\u3000"]
 
@@ -112,71 +109,6 @@ lines = mutated(
 )
 
 
-def _usual(stripped: str):
-    """The directive's name, its table entry and its builder's result when
-    the usual form matches ``stripped``, else None."""
-    name, _, rest = stripped.partition(" ")
-    entry = engine._DIRECTIVES.get(name)
-    if entry is None or entry[3] is None:
-        return None
-    match = entry[3].fullmatch(rest)
-    return None if match is None else (name, entry, entry[4](match))
-
-
-def _method(stripped: str, now):
-    """What the directive's ``_Loader`` method makes of ``stripped`` after
-    tick ``now`` (None: in the header): its result and the tick after it."""
-    loader = engine._Loader()
-    loader.now = now
-    tokens = stripped.split()
-    return engine._DIRECTIVES[tokens[0]][0](loader, tokens, stripped, 1), loader.now
-
-
-_METHODS_ONLY = {name: e[:3] + (None, None) for name, e in engine._DIRECTIVES.items()}
-
-
-def _load_or_error(text):
-    try:
-        return load(text)
-    except ScenarioError as exc:
-        return str(exc)
-
-
-def _assert_loads_as_by_the_methods(text):
-    """The same ``Scenario``, or the same error on the same line, with the
-    usual forms as without them."""
-    loaded = _load_or_error(text)
-    with mock.patch.object(engine, "_DIRECTIVES", _METHODS_ONLY):
-        assert loaded == _load_or_error(text)
-
-
-@settings(max_examples=1500, deadline=None)
-@given(line=lines, now=st.sampled_from([None, 0, 4]))
-@example(line="tick \u0663", now=None)  # int() reads ARABIC-INDIC DIGIT THREE
-@example(line="trust q p = -3", now=None)
-@example(line="survey p group=q,q about=r", now=0)
-@example(line="lor-request\tx a b about=c", now=0)  # five words, not three
-def test_usual_form_agrees_with_the_loader_method(line, now):
-    _assert_loads_as_by_the_methods(line if now is None else f"tick {now}\n{line}")
-    stripped = line.strip()
-    usual = _usual(stripped)
-    if usual is None:
-        return
-    name, (_, before, after, _, _), built = usual
-    if not (before if now is None else after):
-        return  # load rejects the line for its place before either path
-    if name != "tick" and built is not None:
-        assert _method(stripped, now) == (built, now)
-    elif name == "tick" and (now is None or built > now):
-        assert _method(stripped, now) == (None, built)
-    else:  # a tick not after the last one, or a builder that declined
-        try:
-            _method(stripped, now)
-        except ScenarioError:
-            return
-        raise AssertionError(f"the method reads {stripped!r}; the usual form declined")
-
-
 def _scenario(header, blocks):
     """Header lines, then tick blocks; a block's tick line is ``tick <n>``
     for the n-th block unless one was drawn."""
@@ -188,7 +120,7 @@ def _scenario(header, blocks):
 
 # most body lines are well formed, so that a load gets far into the text
 event_bench_lines = st.sampled_from(
-    sorted(name for name in BENCH_LINES if engine._DIRECTIVES[name][2])
+    sorted(name for name in BENCH_LINES if scenario._ROWS[name].after)
 ).flatmap(lambda name: st.sampled_from(BENCH_LINES[name]))
 # well formed but for a member the group may repeat
 survey_lines = st.builds(
@@ -213,18 +145,98 @@ scenario_texts = st.builds(
 )
 
 
+def _load_or_error(text):
+    """The loaded ``Scenario``, or the line number of the ``ScenarioError``;
+    any other exception fails the test."""
+    try:
+        return load(text)
+    except ScenarioError as exc:
+        assert str(exc).startswith(f"line {exc.line}: "), exc
+        return exc.line
+
+
+@settings(max_examples=1500, deadline=None)
+@given(line=lines, now=st.sampled_from([None, 0, 4]))
+@example(line="tick \u0663", now=None)  # int() reads ARABIC-INDIC DIGIT THREE
+@example(line="tick -0", now=None)  # read as tick 0
+@example(line="trust q p = -3", now=None)
+@example(line="survey p group=q,q about=r", now=0)
+@example(line="lor-request\tx a b about=c", now=0)  # five words, not three
+@example(line="reply\u3000a b maybe", now=0)
+def test_mutated_line_loads_or_names_its_line(line, now):
+    text = line if now is None else f"tick {now}\n{line}"
+    loaded = _load_or_error(text)
+    if isinstance(loaded, int):
+        assert loaded == text.count("\n") + 1
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=scenario_texts)
-def test_load_equals_a_load_by_the_methods_alone(text):
-    _assert_loads_as_by_the_methods(text)
+def test_mutated_scenario_loads_or_names_a_code_line(text):
+    loaded = _load_or_error(text)
+    if isinstance(loaded, int):
+        assert loaded in dict(code_lines(text)), loaded
+
+
+# well formed: each bench shape, and lines that end records; an issue line
+# is left out, since the whitespace in its statement's body is text
+well_formed = st.one_of(bench_lines, ending_lines).filter(
+    lambda line: not line.startswith("issue ")
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(line=well_formed, data=st.data())
+@example(line="impose a00 a01 task=U0 strength=3", data=None)
+def test_well_formed_line_loads_alike_respaced_and_reordered(line, data):
+    """The line with its ``key=`` words (not the "=" before a level) in any
+    order and any whitespace around and between its words."""
+    words = line.split(" ")
+    slots = [i for i, word in enumerate(words) if "=" in word and word != "="]
+    if data is None:  # the example: the usual order reversed, tabs between
+        keyed, gaps = [words[i] for i in reversed(slots)], ["\t"] * (len(words) + 1)
+    else:
+        keyed = data.draw(st.permutations([words[i] for i in slots]))
+        gaps = data.draw(
+            st.lists(st.sampled_from([" "] + SEPARATORS), min_size=len(words) + 1,
+                     max_size=len(words) + 1)
+        )
+    for i, word in zip(slots, keyed):
+        words[i] = word
+    respaced = gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
+    prefix = "" if scenario._ROWS[words[0]].before else "tick 1\n"
+    assert load(prefix + respaced) == load(prefix + line)
 
 
 def test_usual_forms_read_the_bench_lines():
-    """Each bench line of a directive with a usual form is read by it, but
-    an ``impose`` with ``strength=``, which its method reads."""
+    """Each bench line of a directive with fields matches its row's pattern
+    as written: the workloads load without the tolerant reader."""
     for name, bench in BENCH_LINES.items():
-        for line in bench if engine._DIRECTIVES[name][3] is not None else ():
-            usual = _usual(line)
-            assert (usual is not None and usual[2] is not None) != (
-                " strength=" in line
-            ), line
+        row = scenario._ROWS[name]
+        for line in bench if row.read is None else ():
+            assert row.pattern.fullmatch(line.partition(" ")[2]), line
+
+
+def test_readme_gives_each_row_its_usage():
+    """README's directive reference holds each row's usage text."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    reference = re.findall(r"^    (.+)$", readme.split("### Directives")[1], re.M)
+    assert [row.usage for row in scenario._ROWS.values()] == reference[: len(scenario._ROWS)]
+
+
+def test_each_usage_names_its_rows_fields():
+    """A row's usage text shows its positional fields, its keys in row order
+    (an optional one in brackets) and its ``= <level>``."""
+    for row in scenario._ROWS.values():
+        if row.read is not None:
+            continue
+        words = row.usage.split()[1:]
+        if row.level:
+            assert words[-2:] == ["=", "<level>"], row.usage
+            words = words[:-2]
+        keys = re.findall(r"(\[?)([a-z]+)=\S", row.usage)
+        assert [key for _, key in keys] == list(row.keys), row.usage
+        assert [key for bracket, key in keys if not bracket] == sorted(
+            row.required, key=list(row.keys).index
+        ), row.usage
+        assert len(words) - len(keys) == row.width, row.usage

@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from coopsim import agents, engine, reputation
-from coopsim.engine import InterleavingStrategy, load_path, run
+from coopsim.engine import run
+from coopsim.scenario import InterleavingStrategy, load_path
 from coopsim.trust import TramPolicy
 
 SCENARIOS = sorted(

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from coopsim.engine import load, run
+from coopsim.engine import run
+from coopsim.scenario import load
 from coopsim.reputation import lor_update, survey_reinit
 from coopsim.trust import LEVELS, TrustKeyError
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from coopsim.engine import PolicyHeader, load, run
+from coopsim.engine import run
+from coopsim.scenario import PolicyHeader, load
 from coopsim.statements import (
     Body,
     DirectionalKind,

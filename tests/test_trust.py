@@ -8,7 +8,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from coopsim.agents import AgentState
-from coopsim.engine import ScenarioError, load, load_path, run
+from coopsim.engine import run
+from coopsim.scenario import ScenarioError, load, load_path
 from coopsim.trust import (
     _KINDS,
     LEVELS,

@@ -49,7 +49,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import LifecycleError, LifecycleRecord, LifecycleState
+from .lifecycle import LifecycleRecord, LifecycleState
 from .agents import (
     Action,
     ActionKind,

@@ -276,20 +276,18 @@ def on_outcome(
     result: Outcome,
     now: int,
     policy: TramPolicy = TramPolicy.INCREMENTAL,
-    fade_to: Optional[int] = None,
 ) -> list:
-    """Assess all active adequacy fragments matching the observed outcome
-    and update trust in each promiser.  Returns the assessed records sorted
-    by token, for the engine to retire (``_Engine.retire`` releases them);
-    an outcome that matches no active fragment changes nothing.  ``fade_to``
-    is passed on to ``LifecycleRecord.assess``."""
+    """Assess the live adequacy promises matching the observed outcome:
+    update trust in each promiser and mark the program used.  Returns them
+    sorted by token and still active, for the engine to end kept or broken
+    (``_Engine.retire``); an outcome that matches no live promise changes
+    nothing."""
     records = sorted(
         state.active_adequacy_records(program, task), key=lambda r: r.token
     )
     if not records:
         return records
     for rec in records:
-        rec.assess(result, fade_to=fade_to)
         state.trust.record_assessment(rec.statement.promiser, result, now, policy)
     if (program, task) in state.prepared:
         state.prepared[(program, task)] = True

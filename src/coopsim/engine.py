@@ -25,21 +25,22 @@ refreshed (``lifecycle.LifecycleRecord``), so it goes into a heap of
 ``(deadline, origin, token)`` entries, ``_Engine.deadlines``, one per
 delivery and one per refresh; an entry names a token, never a fragment.  At
 an entry due by this tick, step (5) fades the token's live fragments that
-still have the entry's origin, a cohort (``lifecycle.fade_cohort``), and
-skips a token that ended or was refreshed since.  A cohort shares a token,
-state, rate and ticks faded, so step (5) formats one lifecycle text per
-cohort, writes the tick's lines in (agent, token) order with one sort,
-retires each cohort with one ``retire`` (a token refreshed in part ends as
-two cohorts) and prunes the adequacy index of only the agents that released
-a promise this tick.  ``lifecycle_text`` formats each distinct (state, rate,
-ticks faded) tail once per run; kept, broken and withdrawn lines show the
-level as of the last tick fading ran at.
+still have the entry's origin, a cohort, and skips a token that ended or
+was refreshed since.  A cohort shares a token, state, rate and ticks faded,
+so step (5) ends each cohort with one ``retire`` (a token refreshed in part
+ends as two cohorts), formats one lifecycle text per cohort, writes the
+tick's lines in (agent, token) order with one sort and prunes the adequacy
+index of only the agents that released a promise this tick.
+``lifecycle_text`` formats each distinct (state, rate, ticks faded) tail
+once per run.
 
 ``_Engine.live`` alone holds the live fragments, by token, so they are all
 active; an agent files only its live adequacy promises (``agents.files``).
-A fragment ends, kept, broken, withdrawn or faded, only through
-``_Engine.retire``, which takes it out of its token, the refresh map and its
-agent's file in one step and queues that agent's index prune.  Step (6)
+A fragment ends, kept, broken, withdrawn or faded, only in
+``_Engine.retire``: it sets the ending state, shows the level as of the
+last tick fading ran at (``fade_tick``, which step (5) sets first), and
+takes the fragment out of its token, the refresh map and its agent's file
+in one step and queues that agent's index prune.  Step (6)
 announces the tokens whose last fragment ended in token order, which is
 string order (``10-1`` before ``9-0``), as is the order an outcome writes
 its assessed fragments in.  At the end of the run each live fragment shows
@@ -54,7 +55,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby, zip_longest
 from operator import attrgetter
-from typing import Optional
 
 from . import agents as agent_rules
 from .agents import Action, AgentState
@@ -67,7 +67,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import LifecycleError, LifecycleRecord, LifecycleState, fade_cohort
+from .lifecycle import LifecycleRecord, LifecycleState
 from .reputation import LorResponse, lor_update, survey_reinit
 from .scenario import (  # load too: the benchmark calls ``engine.load``
     _ROWS,
@@ -129,7 +129,7 @@ class _Engine:
         self.profiles: dict = {}
         # fading, refresh and termination state; see the module docstring
         self.deadlines: list = []  # fade queue: heap of (deadline, origin, token)
-        self.fade_tick: Optional[int] = None  # last tick fading ran at
+        self.fade_tick = -1  # last tick fading ran at; ticks are not negative
         # token -> (equivalence key, its refreshable map, its live records)
         self.live: dict = {}
         self.refreshable: dict = {}  # equivalence key -> {agent: live record}
@@ -176,13 +176,10 @@ class _Engine:
             )
         return text
 
-    def lifecycle_line(self, tick, rec: LifecycleRecord) -> str:
+    def emit_lifecycle(self, tick, rec: LifecycleRecord):
         rate, ticks = rec.fade_rate_multiplier, rec.fading_ticks
         tail = self.lifecycle_text(rec.state, rate, ticks)
-        return _lifecycle_head(tick, rec.token) + rec.subject + tail
-
-    def emit_lifecycle(self, tick, rec: LifecycleRecord):
-        self.trace.append(self.lifecycle_line(tick, rec))
+        self.trace.append(_lifecycle_head(tick, rec.token) + rec.subject + tail)
 
     def warn(self, tick, agent_id, detail: str):
         self.emit(f"t={tick} warning agent={agent_id} detail={detail}")
@@ -228,8 +225,8 @@ class _Engine:
             self.fade_step(tick)
             self.termination_step(tick)
         for _, _, live in self.live.values():  # in delivery order
-            for rec in live:
-                rec.fade_to(self.fade_tick)
+            for rec in live:  # each shows its level as of the last fade tick
+                rec.shown_at = self.fade_tick
                 self.agents[rec.subject].fragments.append(rec)
         return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
 
@@ -297,7 +294,7 @@ class _Engine:
                 state = agents[subject] = AgentState(id=subject)
             rec = holders.get(subject)
             if rec is not None:  # an equivalent reissue: refresh it, trust unaffected
-                rec.refresh_on_repetition(tick)
+                rec.origin = rec.shown_at = tick
                 self.file_deadline(rec)
                 self.emit_lifecycle(tick, rec)
                 continue
@@ -345,26 +342,24 @@ class _Engine:
 
     def on_outcome(self, directive: Directive):
         agent_id, program, task, result = directive.args
+        tick = directive.tick
         state = self.agent(agent_id)
         outcome = Outcome.KEPT if result == "success" else Outcome.BROKEN
         assessed = agent_rules.on_outcome(
-            state, program, task, outcome, directive.tick, self.header.tram,
-            self.fade_tick,
+            state, program, task, outcome, tick, self.header.tram
         )
         if not assessed:
-            self.warn(
-                directive.tick, agent_id,
-                f"no-matching-fragment,program={program},task={task}",
-            )
+            detail = f"no-matching-fragment,program={program},task={task}"
+            self.warn(tick, agent_id, detail)
             return
+        ending = LifecycleState(outcome.value)  # kept or broken
         for rec in assessed:
-            self.emit_lifecycle(directive.tick, rec)
-            self.retire(rec.token, (rec,))
+            self.retire(rec.token, (rec,), ending)
+            self.emit_lifecycle(tick, rec)
             promiser = rec.statement.promiser
-            level = state.trust.general[promiser]  # just assessed
+            level = state.trust.general[promiser]  # after all of the assessments
             self.emit_trust(
-                directive.tick, agent_id, promiser, "general-trust", level,
-                outcome.value,
+                tick, agent_id, promiser, "general-trust", level, outcome.value
             )
         # pruned now, not at the fade step: the unload rule reads the index
         state.prune_adequacy_index()
@@ -374,23 +369,19 @@ class _Engine:
 
     def on_withdraw(self, directive: Directive):
         promiser, token = directive.args
-        if token not in self.live:
-            self.warn(
-                directive.tick, promiser, f"withdraw-no-active-fragment,token={token}"
-            )
+        tick = directive.tick
+        entry = self.live.get(token)
+        if entry is None:
+            self.warn(tick, promiser, f"withdraw-no-active-fragment,token={token}")
             return
-        live = self.live[token][2]  # one statement: all withdraw, or none
-        try:
-            for rec in live:
-                rec.withdraw(promiser, fade_to=self.fade_tick)
-                self.emit_lifecycle(directive.tick, rec)
-        except LifecycleError as exc:
-            self.warn(
-                directive.tick, promiser,
-                f"withdraw-rejected,token={token},reason={exc}",
-            )
+        live = entry[2]  # one statement: all withdraw, or none
+        if promiser != live[0].statement.promiser:
+            reason = f"only the promiser may withdraw (not {promiser!r})"
+            self.warn(tick, promiser, f"withdraw-rejected,token={token},reason={reason}")
             return
-        self.retire(token, live)
+        self.retire(token, live, LifecycleState.WITHDRAWN)
+        for rec in live:
+            self.emit_lifecycle(tick, rec)
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
@@ -464,15 +455,20 @@ class _Engine:
 
     # -- per-tick closing steps -------------------------------------------
 
-    def retire(self, token: str, ended):
-        """End the records ``ended`` of ``token``, whether kept, broken,
-        withdrawn or faded: the token terminates with its last live record,
-        an equivalent reissue no longer refreshes them, and an adequacy
-        promise leaves its agent's file and queues that agent's index
-        prune."""
+    def retire(self, token: str, ended, state: LifecycleState):
+        """End the live records ``ended`` of ``token`` in ``state``, kept,
+        broken, withdrawn or faded; no other code ends a record.  Each shows
+        its level as of the last tick fading ran at, unless it was issued or
+        refreshed since.  The token terminates with its last live record, an
+        equivalent reissue no longer refreshes them, and an adequacy promise
+        leaves its agent's file and queues that agent's index prune."""
         key, holders, live = self.live[token]
         filed = agent_rules.files(ended[0].statement)  # one token, one statement
+        shown = self.fade_tick
         for rec in ended:
+            rec.state = state
+            if shown > rec.origin:
+                rec.shown_at = shown
             del holders[rec.subject]
             if filed:
                 self.agents[rec.subject].release(rec)
@@ -487,14 +483,16 @@ class _Engine:
                 live.remove(rec)
 
     def fade_step(self, tick: int):
+        self.fade_tick = tick
         deadlines, live = self.deadlines, self.live
         lines = []  # (subject, token, line): unique, so lines never compare
         while deadlines and deadlines[0][0] <= tick:
             _, origin, token = heappop(deadlines)
             entry = live.get(token)
             # nothing fades of a token that ended or was refreshed since
-            cohort = fade_cohort(entry[2], origin, tick) if entry else None
+            cohort = [r for r in entry[2] if r.origin == origin] if entry else None
             if cohort:
+                self.retire(token, cohort, LifecycleState.FADED)
                 # one token, state, rate and ticks faded: one text per cohort
                 first = cohort[0]
                 head = _lifecycle_head(tick, token)
@@ -502,7 +500,6 @@ class _Engine:
                     first.state, first.fade_rate_multiplier, first.fading_ticks
                 )
                 lines += [(r.subject, token, head + r.subject + tail) for r in cohort]
-                self.retire(token, cohort)
         if lines:  # on most ticks of a long-lived workload nothing fades
             lines.sort()
             self.trace.extend([line for _, _, line in lines])
@@ -510,7 +507,6 @@ class _Engine:
         for agent_id in self.to_prune:
             self.agents[agent_id].prune_adequacy_index()
         self.to_prune.clear()
-        self.fade_tick = tick
 
     def termination_step(self, tick: int):
         for token in sorted(self.terminated):

@@ -18,7 +18,7 @@ from coopsim.agents import (
     on_task_request,
 )
 from coopsim.corpus import CORPUS_TEXTS
-from coopsim.lifecycle import LifecycleError, LifecycleRecord, LifecycleState
+from coopsim.lifecycle import LifecycleRecord
 from coopsim.reputation import survey_reinit
 from coopsim.statements import DirectionalKind, parse, render
 from coopsim.trust import (
@@ -27,6 +27,7 @@ from coopsim.trust import (
     TramPolicy,
     TrustStore,
 )
+from tests.test_load_run import check_absorption
 from tests.test_statements import FORM_FIXTURES
 
 FADE = scenario.PolicyHeader().default_fade
@@ -207,58 +208,67 @@ def test_criterion_07_parser_forms_and_corpus():
     print("\nPASS criterion 7: ten statement forms and the full corpus round-trip")
 
 
+PROMISE = 'issue p[adequacy(P,U):"p is adequate for task u"]q'
+# (ticks it advances, its directive): the operations on one adequacy promise,
+# token 1-0, that p issues to q at tick 1 and that fades 3 ticks after its
+# issue or refresh
+LIFECYCLE_OPS = {
+    "pass": (1, "expect-trust q p = 1"),  # a tick passes
+    "pass-to-fading": (10, "expect-trust q p = 1"),
+    "reissue": (1, PROMISE),  # an equivalent reissue
+    "success": (1, "outcome q program=P task=U result=success"),
+    "failure": (1, "outcome q program=P task=U result=failure"),
+    "withdraw": (1, "withdraw p token=1-0"),  # by the promiser
+    "withdraw-bad": (1, "withdraw z token=1-0"),  # by another agent
+}
+
+
 def test_criterion_08_lifecycle_small_model():
+    """Every sequence of up to four operations: terminal states absorb
+    (``check_absorption``), a rejected withdraw moves nothing and all four
+    terminal states are seen.  The trace up to a tick never depends on later
+    directives, so a sequence's checks hold on its prefixes too, and only
+    the sequences of four are run."""
     started = time.monotonic()
-
-    def ops(rec, now):
-        return [
-            ("fade-small", lambda: rec.step_fade(now + 1), now + 1),
-            ("fade-big", lambda: rec.step_fade(now + 500), now + 500),
-            ("keep", lambda: rec.assess(Outcome.KEPT), now),
-            ("break", lambda: rec.assess(Outcome.BROKEN), now),
-            ("withdraw", lambda: rec.withdraw("p"), now),
-            ("withdraw-bad", lambda: rec.withdraw("z"), now),
-            ("refresh", lambda: rec.refresh_on_repetition(now + 1), now + 1),
-        ]
-
-    terminals_seen = set()
-    checked = 0
-    for length in range(6):
-        for seq in itertools.product(range(7), repeat=length):
-            stmt = parse('p[pi:"b"]q')
-            rec = LifecycleRecord(stmt, "q", "0-0", FADE, 0)
-            now = 0
-            first_terminal = None
-            for op_index in seq:
-                name, op, next_now = ops(rec, now)[op_index]
-                before = rec.state
-                if first_terminal is not None:
-                    try:
-                        op()
-                    except LifecycleError:
-                        pass
-                    else:
-                        raise AssertionError(f"{name} succeeded on terminal record")
-                    assert rec.state is first_terminal  # absorbing
-                    continue
-                try:
-                    op()
-                    now = next_now
-                except LifecycleError:
-                    assert rec.state is before  # failed ops do not move state
-                if rec.terminal:
-                    first_terminal = rec.state
-                    terminals_seen.add(rec.state)
-            checked += 1
-    elapsed = time.monotonic() - started
-    assert checked == sum(7 ** k for k in range(6))
-    assert terminals_seen == {
-        LifecycleState.KEPT,
-        LifecycleState.BROKEN,
-        LifecycleState.WITHDRAWN,
-        LifecycleState.FADED,
+    base = scenario.load(
+        "policy fade-span=4 fade-threshold=0.5\ntrust q p = 1\n"
+        f"tick 1\n{PROMISE}\n"
+    )
+    directives = {
+        name: scenario.load(f"tick 1\n{line}\n").events[0]
+        for name, (_, line) in LIFECYCLE_OPS.items()
     }
+    passed = {}  # sequence without withdraw-bad -> its trace
+    states_seen = set()
+    for seq in itertools.product(LIFECYCLE_OPS, repeat=4):
+        events, now = list(base.events), 1
+        for name in seq:
+            now += LIFECYCLE_OPS[name][0]
+            events.append(directives[name]._replace(tick=now))
+        trace = engine.run(
+            scenario.Scenario(base.header, base.initial, tuple(events))
+        ).trace
+        check_absorption(trace)
+        states_seen.update(
+            line[line.index(" state=") + 7:line.index(" fade=")]
+            for line in trace
+            if " lifecycle " in line
+        )
+        if "withdraw-bad" not in seq:
+            passed[seq] = trace
+            continue
+        # as if a tick had passed, and one warning per rejected withdraw
+        warned = [line for line in trace if " agent=z " in line]
+        assert len(warned) == seq.count("withdraw-bad")
+        assert all(" detail=withdraw-" in line for line in warned)
+        # "pass" comes first in product order: that sequence has run already
+        as_passed = tuple("pass" if name == "withdraw-bad" else name for name in seq)
+        assert [line for line in trace if " agent=z " not in line] == passed[as_passed]
+    elapsed = time.monotonic() - started
+    assert len(passed) == 6 ** 4
+    assert states_seen == {"active", "kept", "broken", "withdrawn", "faded"}
     assert elapsed < 10.0
+    checked = sum(7 ** k for k in range(5))
     print(
         f"\nPASS criterion 8: {checked} operation sequences, terminals absorb "
         f"({elapsed:.1f}s)"

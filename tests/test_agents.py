@@ -214,17 +214,17 @@ def test_reply_resolution():
     assert resolve_reply(state, "s", proceed=True) is None
 
 
-def test_outcome_updates_trust_and_terminates_records():
+def test_outcome_updates_trust_and_leaves_records_active():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
     (held,) = state.promises[("P", "U")]
     assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
     assert len(assessed) == 1 and assessed[0] is held
     assert state.trust_in("p") == 0
-    assert all(r.state is LifecycleState.BROKEN for r in assessed)
+    assert all(r.state is LifecycleState.ACTIVE for r in assessed)
     assert state.prepared[("P", "U")] is True  # used before
-    # the engine retires the assessed records: the file and index are its to
-    # update (tests/test_engine.py)
+    # the engine ends the assessed records, kept or broken, and updates the
+    # file and index (tests/test_engine.py)
     assert state.promises == {("P", "U"): [held]}
     assert state.promisers_for("P", "U") == {"p"}
 

@@ -1,6 +1,5 @@
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -13,7 +12,7 @@ from coopsim.scenario import (
     load,
     load_path,
 )
-from coopsim.lifecycle import fade_cohort
+from coopsim.lifecycle import LifecycleState
 from coopsim.trust import PTRUST, TramPolicy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -508,25 +507,23 @@ def test_partial_cohort_fades_and_terminates_after_its_last_fragment(later, expe
 
 class PerRecordLines(engine._Engine):
     """An engine that writes each lifecycle line ``deliver`` and
-    ``fade_step`` write per cohort again from its own record, with
-    ``lifecycle_line`` and with a format that uses no memo, and checks that
-    the three agree.  ``cohorts`` keeps (tick, token, members) per faded
-    cohort and ``checked`` counts the lines checked."""
+    ``fade_step`` write per cohort again from its own record, with a format
+    that uses no memo, and checks that the two agree.  ``cohorts`` keeps
+    (tick, token, members) per cohort that one ``retire`` call faded, and
+    ``checked`` counts the lines checked."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self.cohorts, self.checked = [], 0
+        self.cohorts, self.checked, self.due = [], 0, []
 
     def per_record(self, tick, recs):
-        fmt, lines = statements._fmt_fraction, []
-        for rec in sorted(recs, key=lambda rec: (rec.subject, rec.token)):
-            line = self.lifecycle_line(tick, rec)
-            assert line == (
-                f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
-                f"state={rec.state.value} fade={fmt(rec.fade_level)} "
-                f"rate={fmt(rec.fade_rate_multiplier)}"
-            )
-            lines.append(line)
+        fmt = statements._fmt_fraction
+        lines = [
+            f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
+            f"state={rec.state.value} fade={fmt(rec.fade_level)} "
+            f"rate={fmt(rec.fade_rate_multiplier)}"
+            for rec in sorted(recs, key=lambda rec: (rec.subject, rec.token))
+        ]
         self.checked += len(lines)
         return lines
 
@@ -543,19 +540,16 @@ class PerRecordLines(engine._Engine):
         discard = self.route(stmt) is engine.Route.DISCARD_FAST
         assert written == (self.per_record(tick, fresh) if discard else [])
 
+    def retire(self, token, ended, state):
+        super().retire(token, ended, state)
+        if state is LifecycleState.FADED:
+            self.cohorts.append((self.fade_tick, token, len(ended)))
+            self.due.extend(ended)
+
     def fade_step(self, tick):
-        start, due = len(self.trace), []
-
-        def recording(recs, origin, now):
-            cohort = fade_cohort(recs, origin, now)
-            if cohort:
-                self.cohorts.append((now, cohort[0].token, len(cohort)))
-                due.extend(cohort)
-            return cohort
-
-        with mock.patch.object(engine, "fade_cohort", recording):
-            super().fade_step(tick)
-        assert self.trace[start:] == self.per_record(tick, due)
+        start, self.due = len(self.trace), []
+        super().fade_step(tick)
+        assert self.trace[start:] == self.per_record(tick, self.due)
 
 
 @pytest.mark.parametrize(
@@ -635,6 +629,43 @@ def test_one_reissue_refreshing_two_fragments_fades_them_as_one_cohort():
     assert eng.checked == 3
 
 
+def test_outcome_ends_assessed_records_kept_or_broken():
+    """``agents.on_outcome`` leaves the matching promises active; the engine
+    ends each kept or broken in its own ``retire``, before its line."""
+    text = (
+        "trust q p = 1\ntrust q r = 1\n"
+        "tick 1\n"
+        'issue p[adequacy(P,U):"p is adequate for task u"]q\n'
+        'issue r[adequacy(P,U):"r is adequate for task u"]q\n'
+        'issue p[adequacy(V,U):"p is adequate for task u"]q\n'
+        "tick 2\noutcome q program=P task=U result=success\n"
+        "tick 3\noutcome q program=V task=U result=failure\n"
+    )
+    eng = engine._Engine(load(text))
+    ended = []
+
+    def recording(token, recs, state):
+        ended.append((token, [(rec.subject, rec.state) for rec in recs], state))
+        return engine._Engine.retire(eng, token, recs, state)
+
+    eng.retire = recording
+    trace = eng.run().trace
+    active, kept, broken = (
+        LifecycleState.ACTIVE, LifecycleState.KEPT, LifecycleState.BROKEN
+    )
+    assert ended == [
+        ("1-0", [("q", active)], kept),
+        ("1-1", [("q", active)], kept),
+        ("1-2", [("q", active)], broken),
+    ]
+    assert [line for line in trace if " lifecycle " in line] == [
+        "t=2 lifecycle token=1-0 subject=q state=kept fade=1 rate=1",
+        "t=2 lifecycle token=1-1 subject=q state=kept fade=1 rate=1",
+        "t=3 lifecycle token=1-2 subject=q state=broken fade=0.99 rate=1",
+    ]
+    assert eng.agents["q"].fragments == [] and eng.agents["q"].promises == {}
+
+
 def test_withdraw_terminates_everywhere():
     text = (
         "trust q p = 1\n"
@@ -683,15 +714,56 @@ def test_ended_record_is_not_held_and_not_refreshed(ending, state):
 
 
 def test_withdraw_by_stranger_is_rejected_as_warning():
+    """Neither a withdraw by another agent nor one of a token with no live
+    fragment moves a record; each writes one pinned warning line."""
     text = (
         "trust q p = 1\n"
         "tick 1\n"
         'issue p[adequacy(P,U):"p is adequate for task u"]q\n'
         "tick 2\n"
-        "withdraw z token=1-0\n"
+        "withdraw q token=1-0\n"
+        "withdraw p token=9-9\n"
     )
     result = run(load(text))
-    assert any("warning" in line and "withdraw-rejected" in line for line in result.trace)
+    assert result.trace[-2:] == [
+        "t=2 warning agent=q detail=withdraw-rejected,token=1-0,"
+        "reason=only the promiser may withdraw (not 'q')",
+        "t=2 warning agent=p detail=withdraw-no-active-fragment,token=9-9",
+    ]
+    fragments = [rec for state in result.agents.values() for rec in state.fragments]
+    assert sorted((rec.subject, rec.state.value, rec.shown_at) for rec in fragments) == [
+        ("p", "active", 2), ("q", "active", 2)
+    ]
+
+
+def test_withdraw_of_a_token_split_by_a_refresh_ends_it_in_one_retire():
+    """A refresh leaves token 1-0 with two origins: p's at 2, r's and s's at
+    1.  One withdraw ends all three in one ``retire``, each showing its own
+    level, and the token terminates once."""
+    eng = engine._Engine(
+        load(
+            "policy fade-span=4 fade-threshold=0.5\n"
+            'tick 1\nissue p[note:"b"/{r,s}]p\n'
+            'tick 2\nissue p[note:"b"]p\n'
+            "tick 3\nwithdraw p token=1-0\n"
+        )
+    )
+    retired = []
+
+    def recording(token, ended, *rest):
+        retired.append((token, [rec.subject for rec in ended]))
+        return engine._Engine.retire(eng, token, ended, *rest)
+
+    eng.retire = recording
+    trace = eng.run().trace
+    assert trace[-4:] == [
+        "t=3 lifecycle token=1-0 subject=p state=withdrawn fade=1 rate=1",
+        "t=3 lifecycle token=1-0 subject=r state=withdrawn fade=0.75 rate=1",
+        "t=3 lifecycle token=1-0 subject=s state=withdrawn fade=0.75 rate=1",
+        "t=3 terminated token=1-0",
+    ]
+    assert retired == [("1-0", ["p", "r", "s"])]
+    assert eng.live == {} and eng.refreshable == {}
 
 
 def test_round_robin_interleaving_alternates_sources():

@@ -14,6 +14,7 @@ from coopsim.engine import run
 from coopsim.scenario import InterleavingStrategy, load, load_path
 from coopsim.lifecycle import LifecycleState
 from coopsim.trust import TramPolicy
+from tests.test_load_run import check_absorption
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.coop"))
@@ -44,6 +45,12 @@ def test_trace_matches_golden(path, tram, order):
         for state in result.agents.values()
         for rec in state.fragments
     )
+
+
+@pytest.mark.parametrize("path,tram,order", CASES, ids=IDS)
+def test_terminal_states_absorb(path, tram, order):
+    golden = GOLDEN / f"{path.stem}.{tram.value}.{order.value}.trace"
+    check_absorption(golden.read_text().splitlines())
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])

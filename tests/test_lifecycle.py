@@ -1,22 +1,19 @@
+import re
 from itertools import accumulate
 from operator import attrgetter
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from coopsim import engine as engine_module
 from coopsim.engine import _Engine
 from coopsim.scenario import load
-from coopsim.lifecycle import (
-    LifecycleError,
-    LifecycleRecord,
-    LifecycleState,
-    fade_cohort,
-)
+from coopsim.lifecycle import LifecycleRecord, LifecycleState
 from coopsim.statements import FadeSpec, _fmt_fraction, parse
-from coopsim.trust import Outcome
+
+ACTIVE, FADED = LifecycleState.ACTIVE, LifecycleState.FADED
 
 
 def fresh(
@@ -28,105 +25,142 @@ def fresh(
     )
 
 
+def step_fade(rec, now):
+    """The stepping reference for the engine's fade queue: advance the
+    fading of ``rec``, an active record, to ``now``; it becomes faded once
+    ``now`` reaches its fade deadline."""
+    assert rec.state is ACTIVE
+    if now < rec.shown_at:
+        raise ValueError("fading cannot run backwards")
+    rec.shown_at = now
+    if now >= rec.fade_deadline():
+        rec.state = FADED
+    return rec
+
+
+def refresh(rec, now):
+    """Reset the fading of ``rec`` at ``now``, as an equivalent reissue in
+    ``_Engine.deliver`` does."""
+    rec.origin = rec.shown_at = now
+
+
+def test_readme_names_every_record_field():
+    """README's record paragraph names the fields of a record, in slot
+    order, each before its description in parentheses."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"A record has the fields (.*?)\.\s+`fade_level`", readme, re.S)
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", sentence.group(1)))
+    assert tuple(named) == LifecycleRecord.__slots__
+
+
 def test_linear_fade_values():
     rec = fresh()
-    rec.step_fade(25)
+    step_fade(rec, 25)
     assert rec.fade_level == Fraction(3, 4)
-    rec.step_fade(50)
+    step_fade(rec, 50)
     assert rec.fade_level == Fraction(1, 2)
-    assert rec.state is LifecycleState.ACTIVE
+    assert rec.state is ACTIVE
 
 
 def test_fade_below_threshold_terminates():
     rec = fresh()
-    rec.step_fade(96)
+    step_fade(rec, 96)
     assert rec.fade_level == Fraction(1, 25)
-    assert rec.state is LifecycleState.FADED
-    assert rec.terminal
+    assert rec.state is FADED
 
 
 def test_fade_exactly_at_threshold_stays_active():
     rec = fresh()
-    rec.step_fade(95)
+    step_fade(rec, 95)
     assert rec.fade_level == Fraction(1, 20)
-    assert rec.state is LifecycleState.ACTIVE
+    assert rec.state is ACTIVE
 
 
 def test_fade_never_negative():
     rec = fresh()
-    rec.step_fade(1000)
+    step_fade(rec, 1000)
     assert rec.fade_level == 0
-    assert rec.state is LifecycleState.FADED
+    assert rec.state is FADED
 
 
 def test_fast_discard_multiplier():
     rec = fresh()
     rec.fade_rate_multiplier = Fraction(4)
-    rec.step_fade(10)
+    step_fade(rec, 10)
     assert rec.fade_level == Fraction(3, 5)
 
 
 def test_fade_cannot_run_backwards():
     rec = fresh()
-    rec.step_fade(10)
-    with pytest.raises(LifecycleError):
-        rec.step_fade(9)
+    step_fade(rec, 10)
+    with pytest.raises(ValueError):
+        step_fade(rec, 9)
 
 
 def test_terminal_transition_shows_the_level_at_the_last_fade_tick():
-    kept, withdrawn, fresh_this_tick = fresh(), fresh(), fresh(origin=30)
-    kept.assess(Outcome.KEPT, fade_to=25)
-    withdrawn.withdraw("p", fade_to=25)
-    fresh_this_tick.withdraw("p", fade_to=25)  # issued after tick 25
+    """``retire`` shows an ending record's level as of the last tick fading
+    ran at, or at full level for a record issued since."""
+    engine = fading_engine(fresh().fade)
+    kept, withdrawn = fresh(engine.fade), fresh(engine.fade, subject="r")
+    fresh_this_tick = fresh(engine.fade, origin=30)
+    file_fresh(engine, [kept, withdrawn])
+    file_fresh(engine, [fresh_this_tick])
+    engine.fade_tick = 25
+    engine.retire("0-0", [kept], LifecycleState.KEPT)
+    engine.retire("0-0", [withdrawn], LifecycleState.WITHDRAWN)
+    engine.retire("30-0", [fresh_this_tick], LifecycleState.WITHDRAWN)
     for rec in (kept, withdrawn):
         assert (rec.fade_level, rec.shown_at) == (Fraction(3, 4), 25)
-    assert fresh_this_tick.fade_level == 1
+    assert (fresh_this_tick.fade_level, fresh_this_tick.shown_at) == (1, 30)
+    assert [rec.state.value for rec in (kept, withdrawn, fresh_this_tick)] == [
+        "kept", "withdrawn", "withdrawn"
+    ]
+    assert engine.live == {} and engine.terminated == {"0-0", "30-0"}
+
+
+def withdrawn_at_25(withdrawer):
+    """An engine whose last fade step ran at 24, after ``withdrawer`` tried
+    at 25 to withdraw token 1-0, which ``p`` issued at 1; and its records."""
+    engine = _Engine(
+        load(
+            'tick 1\nissue p[pi:"b"]q\n'
+            f"tick 25\nwithdraw {withdrawer} token=1-0\n"
+        )
+    )
+    issue, withdraw = engine.scenario.events
+    engine.apply_event(issue)
+    recs = list(engine.live["1-0"][2])
+    engine.fade_tick = 24
+    engine.apply_event(withdraw)
+    return engine, recs
 
 
 def test_rejected_withdraw_leaves_the_level_alone():
-    rec = fresh()
-    with pytest.raises(LifecycleError):
-        rec.withdraw("q", fade_to=25)
-    assert (rec.fade_level, rec.shown_at) == (1, 0)
-
-
-def test_assessment_outcomes():
-    rec = fresh()
-    rec.assess(Outcome.KEPT)
-    assert rec.state is LifecycleState.KEPT
-    rec2 = fresh()
-    rec2.assess(Outcome.BROKEN)
-    assert rec2.state is LifecycleState.BROKEN
+    engine, recs = withdrawn_at_25("q")
+    assert engine.live["1-0"][2] == recs
+    assert [(rec.state, rec.shown_at) for rec in recs] == [(ACTIVE, 1), (ACTIVE, 1)]
 
 
 def test_withdraw_promiser_only():
-    rec = fresh()
-    with pytest.raises(LifecycleError):
-        rec.withdraw("q")
-    rec.withdraw("p")
-    assert rec.state is LifecycleState.WITHDRAWN
-
-
-def test_terminal_states_absorb():
-    rec = fresh()
-    rec.assess(Outcome.KEPT)
-    for op in (
-        lambda: rec.step_fade(2),
-        lambda: rec.assess(Outcome.BROKEN),
-        lambda: rec.withdraw("p"),
-        lambda: rec.refresh_on_repetition(2),
-    ):
-        with pytest.raises(LifecycleError):
-            op()
-    assert rec.state is LifecycleState.KEPT
+    engine, recs = withdrawn_at_25("p")
+    assert "1-0" not in engine.live and engine.terminated == {"1-0"}
+    assert [(rec.state, rec.shown_at) for rec in recs] == [
+        (LifecycleState.WITHDRAWN, 24), (LifecycleState.WITHDRAWN, 24)
+    ]
 
 
 def test_refresh_resets_fading():
-    rec = fresh()
-    rec.step_fade(50)
-    rec.refresh_on_repetition(60)
-    assert rec.fade_level == Fraction(1)
-    assert rec.state is LifecycleState.ACTIVE
+    result = _Engine(
+        load(
+            "policy fade-span=100 fade-threshold=0.05\n"
+            'tick 1\nissue p[pi:"b"]q\ntick 50\nissue p[pi:"b"]q\n'
+        )
+    ).run()
+    assert "t=50 lifecycle token=1-0 subject=q state=active fade=1 rate=1" in (
+        result.trace
+    )
+    (rec,) = result.agents["q"].fragments
+    assert (rec.origin, rec.fade_level, rec.state) == (50, 1, ACTIVE)
 
 
 def fading_engine(spec):
@@ -150,24 +184,28 @@ def fade_step(engine, tick):
     cohorts it faded, after checking that each cohort is a non-empty list of
     records sharing a token and an origin, that no two share both, and that
     the step wrote each member's lifecycle line in (subject, token) order,
-    and nothing else."""
+    and nothing else.  A cohort is what one ``retire`` call ends."""
     cohorts = []
 
-    def recording(recs, origin, now):
-        cohort = fade_cohort(recs, origin, now)
-        if cohort:
-            cohorts.append(cohort)
-        return cohort
+    def recording(token, ended, state):
+        assert state is FADED and ended
+        cohorts.append(list(ended))
+        _Engine.retire(engine, token, ended, state)
 
     start = len(engine.trace)
-    with mock.patch.object(engine_module, "fade_cohort", recording):
+    with mock.patch.object(engine, "retire", recording):
         engine.fade_step(tick)
     shared = [{(rec.token, rec.origin) for rec in cohort} for cohort in cohorts]
     assert all(len(pairs) == 1 for pairs in shared)
     assert len(set().union(*shared)) == len(cohorts)
     faded = [rec for cohort in cohorts for rec in cohort]
     by_subject = sorted(faded, key=attrgetter("subject", "token"))
-    assert engine.trace[start:] == [engine.lifecycle_line(tick, r) for r in by_subject]
+    assert engine.trace[start:] == [
+        f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
+        f"state=faded fade={_fmt_fraction(rec.fade_level)} "
+        f"rate={_fmt_fraction(rec.fade_rate_multiplier)}"
+        for rec in by_subject
+    ]
     return faded
 
 
@@ -197,28 +235,28 @@ def fading_runs(draw):
 def test_fade_queue_equals_stepping_at_every_tick(run):
     spec, rate, origin, ticks, refresh_at = run
     dense = fresh(spec, origin, rate)
-    while dense.state is LifecycleState.ACTIVE:
-        dense.step_fade(dense.shown_at + 1)
+    while dense.state is ACTIVE:
+        step_fade(dense, dense.shown_at + 1)
     assert dense.shown_at == fresh(spec, origin, rate).fade_deadline()
 
     engine = fading_engine(spec)
     ref, fast = fresh(spec, origin, rate), fresh(engine.fade, origin, rate)
     file_fresh(engine, [fast])
     for index, tick in enumerate(ticks):
-        if index == refresh_at and not ref.terminal:
-            ref.refresh_on_repetition(tick)
-            fast.refresh_on_repetition(tick)
+        if index == refresh_at and ref.state is ACTIVE:
+            refresh(ref, tick)
+            refresh(fast, tick)
             engine.file_deadline(fast)
-        if not ref.terminal:
-            ref.step_fade(tick)
+        if ref.state is ACTIVE:
+            step_fade(ref, tick)
         faded = fade_step(engine, tick)
-        if ref.state is LifecycleState.FADED and ref.shown_at == tick:
+        if ref.state is FADED and ref.shown_at == tick:
             assert len(faded) == 1 and faded[0] is fast
         else:
             assert faded == []
         assert fast.state is ref.state
-        assert (fast.token in engine.live) is not fast.terminal
-        if ref.terminal:
+        assert (fast.token in engine.live) is (fast.state is ACTIVE)
+        if ref.state is FADED:
             assert (fast.fade_level, fast.shown_at) == (
                 ref.fade_level,
                 ref.shown_at,
@@ -226,8 +264,8 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
         else:  # the level a kept, broken or withdrawn line would show
             decay = Fraction(rate * (tick - fast.origin), spec.span)
             assert max(Fraction(0), 1 - decay) == ref.fade_level
-    if not fast.terminal:  # as the engine shows a live record at the end of a run
-        fast.fade_to(ticks[-1])
+    if fast.state is ACTIVE:  # as the end-of-run pass shows a live record
+        fast.shown_at = ticks[-1]
     assert (fast.state, fast.fade_level, fast.shown_at) == (
         ref.state,
         ref.fade_level,
@@ -259,15 +297,15 @@ def test_integer_fade_clock_equals_the_fraction_recurrence(run):
     deadline = first_faded_tick(level, last)
     for index, tick in enumerate(ticks):
         if index == refresh_at and not faded:
-            rec.refresh_on_repetition(tick)
+            refresh(rec, tick)
             level, last = Fraction(1), tick
             deadline = first_faded_tick(level, last)
         if not faded:
             assert rec.fade_deadline() == deadline
-            rec.step_fade(tick)
+            step_fade(rec, tick)
             level, last = step(level, last, tick), tick
             faded = level < spec.threshold
-        assert rec.state is (LifecycleState.FADED if faded else LifecycleState.ACTIVE)
+        assert rec.state is (FADED if faded else ACTIVE)
         assert rec.fade_level == level
         engine.emit_lifecycle(tick, rec)
         assert engine.trace[-1].endswith(
@@ -295,6 +333,9 @@ def cohort_runs(draw):
     return spec, rate, origin, ticks, events
 
 
+ENDINGS = {"assess": LifecycleState.KEPT, "withdraw": LifecycleState.WITHDRAWN}
+
+
 @settings(max_examples=300, deadline=None)
 @given(cohort_runs())
 def test_fade_queue_cohort_equals_stepping_each_record(run):
@@ -304,38 +345,37 @@ def test_fade_queue_cohort_equals_stepping_each_record(run):
     recs = [fresh(engine.fade, origin, rate, f"q{i}") for i in range(len(events))]
     file_fresh(engine, recs)
     for index, tick in enumerate(ticks):
-        last_fade_tick = ticks[index - 1] if index else None
         for ref, rec, event in zip(refs, recs, events):
-            if event is None or event[1] != index or ref.terminal:
+            if event is None or event[1] != index or ref.state is not ACTIVE:
                 continue
-            for r in (ref, rec):
-                if event[0] == "refresh":
-                    r.refresh_on_repetition(tick)
-                elif event[0] == "assess":
-                    r.assess(Outcome.KEPT, fade_to=last_fade_tick)
-                else:
-                    r.withdraw("p", fade_to=last_fade_tick)
             if event[0] == "refresh":  # filed anew under its new origin
+                refresh(ref, tick)
+                refresh(rec, tick)
                 engine.file_deadline(rec)
             else:  # as an outcome or a withdraw ends it
-                engine.retire(rec.token, (rec,))
+                # ref was stepped to the last fade tick, or issued since
+                ref.state = ending = ENDINGS[event[0]]
+                engine.retire(rec.token, (rec,), ending)
         expected = []
         for ref, rec in zip(refs, recs):
-            if not ref.terminal:
-                ref.step_fade(tick)
-                if ref.state is LifecycleState.FADED:
+            if ref.state is ACTIVE:
+                step_fade(ref, tick)
+                if ref.state is FADED:
                     expected.append(rec)
+        last_fade_tick = engine.fade_tick
         faded = fade_step(engine, tick)
         assert sorted(map(id, faded)) == sorted(map(id, expected))
         for rec in faded:  # at the first fade tick at or after its deadline
-            assert rec.state is LifecycleState.FADED
+            assert rec.state is FADED
             assert rec.fade_deadline() <= tick
-            assert index == 0 or last_fade_tick < rec.fade_deadline()
+            assert last_fade_tick < rec.fade_deadline()
         live = engine.live.get(recs[0].token, (None, None, []))[2]
-        assert sorted(map(id, live)) == sorted(id(r) for r in recs if not r.terminal)
+        assert sorted(map(id, live)) == sorted(
+            id(r) for r in recs if r.state is ACTIVE
+        )
     for ref, rec in zip(refs, recs):
-        if not rec.terminal:  # as the engine shows a live record at the end of a run
-            rec.fade_to(ticks[-1])
+        if rec.state is ACTIVE:  # as the end-of-run pass shows a live record
+            rec.shown_at = ticks[-1]
         assert (rec.state, rec.fade_level, rec.shown_at) == (
             ref.state,
             ref.fade_level,

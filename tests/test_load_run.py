@@ -1,8 +1,8 @@
 """Load/run property: a scenario drawn from the directive grammar, with empty
 values, malformed agent ids and out-of-range numbers mixed in, either fails
 to load with ``ScenarioError`` or runs to completion, and then every agent
-the run knows has a well-formed id and holds only active records, no token
-terminates twice and no lifecycle line follows its token's termination.
+the run knows has a well-formed id and holds only active records, and
+terminal states absorb (``check_absorption``).
 
 So that records end, well-formed lines are drawn too: adequacy issues,
 outcomes that match them, withdraws of the tokens a run allots
@@ -200,17 +200,27 @@ scenarios = scenario_texts(
 ) | well_formed
 
 
-def check_terminations(trace):
-    """Each token terminates at most once, and no lifecycle line of a token
-    follows its ``terminated`` line."""
-    terminated = set()
+def check_absorption(trace):
+    """Terminal states absorb, read from a whole trace: each (token,
+    subject) has at most one lifecycle line in a state other than active,
+    and no line names that pair after it; each token's ``terminated`` line
+    comes once, after its last ending line, and no line names the token
+    after it."""
+    ended, ended_tokens, terminated = set(), set(), set()
     for text in trace:
-        _, kind, first = text.split()[:3]
-        if kind in ("lifecycle", "terminated"):
-            token = first[len("token="):]
-            assert token not in terminated, text
-            if kind == "terminated":
-                terminated.add(token)
+        _, kind, *words = text.split(" ")
+        fields = dict(word.split("=", 1) for word in words if "=" in word)
+        token = fields.get("token")
+        if token is None:
+            continue
+        pair = token, fields.get("subject")
+        assert token not in terminated and pair not in ended, text
+        if kind == "terminated":
+            assert token in ended_tokens, text
+            terminated.add(token)
+        elif kind == "lifecycle" and fields["state"] != "active":
+            ended.add(pair)
+            ended_tokens.add(token)
 
 
 @settings(max_examples=400, deadline=None)
@@ -228,7 +238,7 @@ def test_load_rejects_or_run_completes(text):
                 assert all(
                     rec.state is LifecycleState.ACTIVE for rec in state.fragments
                 )
-            check_terminations(result.trace)
+            check_absorption(result.trace)
 
 
 class CheckedEngine(_Engine):

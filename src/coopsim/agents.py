@@ -3,8 +3,9 @@
 The reasoning an agent applies when it receives an adequacy promise, a task
 imposition, or an outcome observation is driven by its current trust
 levels.  An agent files only the fragments those rules read, its live
-adequacy promises (``files``); the engine holds every live fragment and
-releases a filed one when it ends (``_Engine.retire``).
+adequacy promises (``files``), as the cohort each was delivered in; the
+engine holds every live fragment, by cohort, and releases a filed one when
+it ends (``_Engine.retire``).
 Adequacy bookkeeping is keyed by ``Statement.adequacy``:
 
 * adequacy promise: a matching attribute rule installs or refuses
@@ -91,7 +92,8 @@ class AgentState:
     id: str
     trust: TrustStore = field(default_factory=TrustStore)
     fragments: list = field(default_factory=list)  # live records, filled at run end
-    promises: dict = field(default_factory=dict)  # (program, task) -> live promises
+    # (program, task) -> live adequacy promises, each as its delivery's cohort
+    promises: dict = field(default_factory=dict)
     prepared: dict = field(default_factory=dict)  # (program, task) -> used before
     # (program, task) -> {promiser: tick of its last engaged adequacy promise}
     adequacy_index: dict = field(default_factory=dict)
@@ -99,16 +101,26 @@ class AgentState:
     # (pair, promiser) of the adequacy promises released since the last prune
     lapsed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def hold(self, rec):
-        """File a new adequacy promise (``files``) by pair until ``release``."""
-        self.promises.setdefault(rec.statement.adequacy, []).append(rec)
+    def hold(self, frag):
+        """File a new adequacy promise (``files``) by pair until ``release``.
 
-    def release(self, rec):
-        """Let go of a filed adequacy promise that has ended, noting it for
-        ``prune_adequacy_index``."""
-        stmt = rec.statement
+        ``frag`` is read for its ``statement`` and ``token`` only: with this
+        agent as the subject it names the agent's fragment of that token.
+        The engine files the cohort of the delivery, which keeps both when
+        a refresh or an outcome moves the fragment to another cohort; the
+        filed cohort's ``state`` and ``subjects`` are then not the
+        fragment's."""
+        self.promises.setdefault(frag.statement.adequacy, []).append(frag)
+
+    def release(self, frag):
+        """Let go of the filed adequacy promise of ``frag``'s token, which has
+        ended, noting it for ``prune_adequacy_index``."""
+        stmt, token = frag.statement, frag.token
         live = self.promises[stmt.adequacy]
-        live.remove(rec)
+        for index, held in enumerate(live):  # one fragment per token, filed once
+            if held.token == token:
+                del live[index]
+                break
         if not live:
             del self.promises[stmt.adequacy]
         self.lapsed.add((stmt.adequacy, stmt.promiser))
@@ -278,8 +290,9 @@ def on_outcome(
     policy: TramPolicy = TramPolicy.INCREMENTAL,
 ) -> list:
     """Assess the live adequacy promises matching the observed outcome:
-    update trust in each promiser and mark the program used.  Returns them
-    sorted by token and still active, for the engine to end kept or broken
+    update trust in each promiser and mark the program used.  Returns their
+    filed entries sorted by token, with the fragments still live, for the
+    engine to split each off its cohort and end it kept or broken
     (``_Engine.retire``); an outcome that matches no live promise changes
     nothing."""
     records = sorted(

@@ -7,45 +7,51 @@ byte-identical trace.
 
 Per tick the engine (1) injects the scripted directives, (2) delivers each
 issued statement under a fresh token to every agent in effective scope plus
-the promisee, as one lifecycle record (a fragment) per recipient, all
-sharing the statement, works out once per delivery what depends only on the
-statement (route, rate, the reacting promisee and a discarded statement's
-lifecycle text), and files the fresh fragments' fade deadline once, (3)
+the promisee, as one cohort (``lifecycle.Cohort``) that holds the sorted
+list of its fresh recipients, works out once per delivery what depends only
+on the statement (route, rate, the reacting promisee and a discarded
+statement's lifecycle text), and files the cohort's fade deadline once, (3)
 gates once per credibility level in a run, and lets receiving agents react
 by their trust rules in lexicographic order, with one attribute install
 verdict per (program, task) in a run, (4) applies outcome assessments and
 trust updates, with one survey average and reinitialized level per (trust
-sum, group size) in a run, (5) fades the fragments whose fade deadline has
-come, cohort by cohort, and (6) announces globally terminated statements.
-``load`` has validated the statement, so delivery validates nothing again.
+sum, group size) in a run, (5) fades the cohorts whose fade deadline has
+come, and (6) announces globally terminated statements.  ``load`` has
+validated the statement, so delivery validates nothing again.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
-refreshed (``lifecycle.LifecycleRecord``), so it goes into a heap of
+refreshed (``lifecycle.Cohort.fade_deadline``), so it goes into a heap of
 ``(deadline, origin, token)`` entries, ``_Engine.deadlines``, one per
-delivery and one per refresh; an entry names a token, never a fragment.  At
-an entry due by this tick, step (5) fades the token's live fragments that
-still have the entry's origin, a cohort, and skips a token that ended or
-was refreshed since.  A cohort shares a token, state, rate and ticks faded,
-so step (5) ends each cohort with one ``retire`` (a token refreshed in part
-ends as two cohorts), formats one lifecycle text per cohort, writes the
-tick's lines in (agent, token) order with one sort and prunes the adequacy
-index of only the agents that released a promise this tick.
-``lifecycle_text`` formats each distinct (state, rate, ticks faded) tail
-once per run.
+cohort: one per delivery, and one per token that a reissue refreshes at a
+new origin, however many of its fragments it refreshes.  An entry names a
+token, never a fragment.  At an entry due by this tick, step (5) fades the
+token's cohort for the entry's origin, and skips a token that ended, or an
+origin that refreshes emptied, since.  A cohort shares a token, state, rate
+and ticks faded, so step (5) ends each cohort with one ``retire`` (a token
+refreshed in part ends as two cohorts), formats one lifecycle text per
+cohort, writes the tick's lines in (agent, token) order with one sort and
+prunes the adequacy index of only the agents that released a promise this
+tick.  ``lifecycle_text`` formats each distinct (state, rate, ticks faded)
+tail once per run.
 
-``_Engine.live`` alone holds the live fragments, by token, so they are all
-active; an agent files only its live adequacy promises (``agents.files``).
-A fragment ends, kept, broken, withdrawn or faded, only in
-``_Engine.retire``: it sets the ending state, shows the level as of the
-last tick fading ran at (``fade_tick``, which step (5) sets first), and
-takes the fragment out of its token, the refresh map and its agent's file
-in one step and queues that agent's index prune.  Step (6)
-announces the tokens whose last fragment ended in token order, which is
-string order (``10-1`` before ``9-0``), as is the order an outcome writes
-its assessed fragments in.  At the end of the run each live fragment shows
-its level as of the last fade tick and joins its agent's ``fragments``, in
-delivery order.
+``_Engine.live`` alone holds the live fragments, by token and then by
+origin, one cohort each, so they are all active; the refresh map
+``refreshable`` points each agent at its cohort, and an agent files its
+live adequacy promises (``agents.files``) as the cohort they came in.  A
+fragment leaves its cohort only when it diverges: an equivalent reissue
+moves it into its token's cohort for the new origin (``refresh``), and an
+outcome that assesses it splits it off (``split``) and ends it alone.  A
+fragment ends, kept, broken, withdrawn or faded, only in
+``_Engine.retire``, which ends a whole cohort: it sets the ending state,
+shows the level as of the last tick fading ran at (``fade_tick``, which
+step (5) sets first), and takes the cohort out of its token, the refresh
+map and its agents' files in one step and queues those agents' index
+prunes.  Step (6) announces the tokens whose last cohort ended in token
+order, which is string order (``10-1`` before ``9-0``), as is the order an
+outcome writes its assessed fragments in.  At the end of the run each live
+fragment becomes a ``LifecycleRecord`` that shows its level as of the last
+fade tick and joins its agent's ``fragments``, in delivery order.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import LifecycleRecord, LifecycleState
+from .lifecycle import Cohort, LifecycleRecord, LifecycleState
 from .reputation import LorResponse, lor_update, survey_reinit
 from .scenario import (  # load too: the benchmark calls ``engine.load``
     _ROWS,
@@ -130,11 +136,11 @@ class _Engine:
         # fading, refresh and termination state; see the module docstring
         self.deadlines: list = []  # fade queue: heap of (deadline, origin, token)
         self.fade_tick = -1  # last tick fading ran at; ticks are not negative
-        # token -> (equivalence key, its refreshable map, its live records)
+        # token -> (equivalence key, its refreshable map, {origin: cohort})
         self.live: dict = {}
-        self.refreshable: dict = {}  # equivalence key -> {agent: live record}
+        self.refreshable: dict = {}  # equivalence key -> {agent: its live cohort}
         self.to_prune: set = set()  # agents that released a promise this tick
-        self.terminated: set = set()  # tokens whose last record ended this tick
+        self.terminated: set = set()  # tokens whose last fragment ended this tick
         # (state, rate, fading ticks) -> " state=... fade=... rate=..."
         self.lifecycle_texts: dict = {}
         self.verdicts: dict = {}  # (program, task) -> attribute install verdict
@@ -176,10 +182,11 @@ class _Engine:
             )
         return text
 
-    def emit_lifecycle(self, tick, rec: LifecycleRecord):
-        rate, ticks = rec.fade_rate_multiplier, rec.fading_ticks
-        tail = self.lifecycle_text(rec.state, rate, ticks)
-        self.trace.append(_lifecycle_head(tick, rec.token) + rec.subject + tail)
+    def emit_lifecycle(self, tick, cohort: Cohort, subject: str):
+        """The lifecycle line of ``subject``'s fragment in ``cohort``."""
+        rate, ticks = cohort.fade_rate_multiplier, cohort.fading_ticks
+        tail = self.lifecycle_text(cohort.state, rate, ticks)
+        self.trace.append(_lifecycle_head(tick, cohort.token) + subject + tail)
 
     def warn(self, tick, agent_id, detail: str):
         self.emit(f"t={tick} warning agent={agent_id} detail={detail}")
@@ -224,10 +231,17 @@ class _Engine:
                 self.apply_event(directive)
             self.fade_step(tick)
             self.termination_step(tick)
-        for _, _, live in self.live.values():  # in delivery order
-            for rec in live:  # each shows its level as of the last fade tick
-                rec.shown_at = self.fade_tick
-                self.agents[rec.subject].fragments.append(rec)
+        # one record per live fragment, each agent's in delivery order, each
+        # showing its level as of the last fade tick
+        agents, fade, shown = self.agents, self.fade, self.fade_tick
+        for _, _, cohorts in self.live.values():
+            for cohort in cohorts.values():
+                stmt, token = cohort.statement, cohort.token
+                origin, rate = cohort.origin, cohort.fade_rate_multiplier
+                for subject in cohort.subjects:
+                    rec = LifecycleRecord(stmt, subject, token, fade, origin, rate)
+                    rec.shown_at = shown
+                    agents[subject].fragments.append(rec)
         return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
 
     def order_within_tick(self, directives):
@@ -277,7 +291,7 @@ class _Engine:
         filed = agent_rules.files(stmt)  # an adequacy promise: its promisee reacts
         reactor = stmt.promisee if filed else None
         holders = self.refreshable.setdefault(key, {})
-        emit, agents, fade = self.trace.append, self.agents, self.fade
+        emit, agents = self.trace.append, self.agents
         emit(
             f"t={tick} issue promiser={stmt.promiser} promisee={stmt.promisee} "
             f"kind={stmt.kind.value} type={stmt.type_tag} token={token}"
@@ -286,23 +300,21 @@ class _Engine:
         if discard:  # each fresh fragment's line: active, 0 ticks faded
             discard_head = _lifecycle_head(tick, token)
             tail = self.lifecycle_text(LifecycleState.ACTIVE, rate, 0)
-        fresh = []  # one origin, rate and fade spec: one fade deadline
+        fresh = Cohort(stmt, [], token, self.fade, tick, rate)
+        subjects = fresh.subjects  # sorted, as the loop visits them
         for subject in sorted(stmt.recipients):
             emit(head + subject)
             state = agents.get(subject)
             if state is None:
                 state = agents[subject] = AgentState(id=subject)
-            rec = holders.get(subject)
-            if rec is not None:  # an equivalent reissue: refresh it, trust unaffected
-                rec.origin = rec.shown_at = tick
-                self.file_deadline(rec)
-                self.emit_lifecycle(tick, rec)
+            held = holders.get(subject)
+            if held is not None:  # an equivalent reissue: refresh it, trust unaffected
+                self.refresh(held, subject, tick)
                 continue
-            rec = LifecycleRecord(stmt, subject, token, fade, tick, rate)
+            subjects.append(subject)
+            holders[subject] = fresh
             if filed:
-                state.hold(rec)
-            fresh.append(rec)
-            holders[subject] = rec
+                state.hold(fresh)
             if discard:
                 emit(discard_head + subject + tail)
                 if penalize and subject != stmt.promiser:
@@ -314,14 +326,47 @@ class _Engine:
                     )
             elif subject == reactor:
                 self.react_to_promise(state, stmt, tick)
-        if fresh:
-            self.live[token] = (key, holders, fresh)  # retire shrinks it
-            self.file_deadline(fresh[0])
+        if subjects:
+            self.live[token] = (key, holders, {tick: fresh})
+            self.file_deadline(fresh)
 
-    def file_deadline(self, rec: LifecycleRecord):
-        """File the fade deadline of ``rec`` and of the live records of its
-        token that share its origin, under the token and that origin."""
-        heappush(self.deadlines, (rec.fade_deadline(), rec.origin, rec.token))
+    def refresh(self, cohort: Cohort, subject: str, tick: int):
+        """Reset the fading of ``subject``'s fragment, now in ``cohort``, at
+        ``tick``: move it into its token's cohort for that origin, which
+        files its fade deadline when it is made, and write its line."""
+        token = cohort.token
+        _, holders, cohorts = self.live[token]
+        if cohort.origin != tick:  # else it was issued or refreshed this tick
+            target = cohorts.get(tick)
+            if target is None:
+                target = cohorts[tick] = Cohort(
+                    cohort.statement, [], token, self.fade, tick,
+                    cohort.fade_rate_multiplier,
+                )
+                self.file_deadline(target)
+            if len(cohort.subjects) == 1:  # its deadline entry will find nothing
+                del cohorts[cohort.origin]
+            else:
+                cohort.subjects.remove(subject)
+            target.subjects.append(subject)
+            holders[subject] = cohort = target
+        self.emit_lifecycle(tick, cohort, subject)
+
+    def split(self, cohort: Cohort, subject: str) -> Cohort:
+        """``subject``'s fragment of ``cohort`` as a cohort of its own: the
+        cohort itself if it holds no other, else a new one that its token's
+        map of cohorts does not hold."""
+        if len(cohort.subjects) == 1:
+            return cohort
+        cohort.subjects.remove(subject)
+        return Cohort(
+            cohort.statement, [subject], cohort.token, self.fade, cohort.origin,
+            cohort.fade_rate_multiplier,
+        )
+
+    def file_deadline(self, cohort: Cohort):
+        """File the fade deadline of ``cohort`` under its token and origin."""
+        heappush(self.deadlines, (cohort.fade_deadline(), cohort.origin, cohort.token))
 
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
         pair = promise.adequacy
@@ -353,10 +398,12 @@ class _Engine:
             self.warn(tick, agent_id, detail)
             return
         ending = LifecycleState(outcome.value)  # kept or broken
-        for rec in assessed:
-            self.retire(rec.token, (rec,), ending)
-            self.emit_lifecycle(tick, rec)
-            promiser = rec.statement.promiser
+        for held in assessed:  # by token; the agent holds one fragment of each
+            # the refresh map names the cohort the agent's fragment is in now
+            cohort = self.split(self.live[held.token][1][agent_id], agent_id)
+            self.retire(cohort, ending)
+            self.emit_lifecycle(tick, cohort, agent_id)
+            promiser = held.statement.promiser
             level = state.trust.general[promiser]  # after all of the assessments
             self.emit_trust(
                 tick, agent_id, promiser, "general-trust", level, outcome.value
@@ -374,14 +421,16 @@ class _Engine:
         if entry is None:
             self.warn(tick, promiser, f"withdraw-no-active-fragment,token={token}")
             return
-        live = entry[2]  # one statement: all withdraw, or none
-        if promiser != live[0].statement.promiser:
+        cohorts = list(entry[2].values())  # one statement: all withdraw, or none
+        if promiser != cohorts[0].statement.promiser:
             reason = f"only the promiser may withdraw (not {promiser!r})"
             self.warn(tick, promiser, f"withdraw-rejected,token={token},reason={reason}")
             return
-        self.retire(token, live, LifecycleState.WITHDRAWN)
-        for rec in live:
-            self.emit_lifecycle(tick, rec)
+        for cohort in cohorts:
+            self.retire(cohort, LifecycleState.WITHDRAWN)
+        # a token's subjects are distinct: the sort never compares cohorts
+        for subject, cohort in sorted((s, c) for c in cohorts for s in c.subjects):
+            self.emit_lifecycle(tick, cohort, subject)
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
@@ -455,32 +504,31 @@ class _Engine:
 
     # -- per-tick closing steps -------------------------------------------
 
-    def retire(self, token: str, ended, state: LifecycleState):
-        """End the live records ``ended`` of ``token`` in ``state``, kept,
-        broken, withdrawn or faded; no other code ends a record.  Each shows
-        its level as of the last tick fading ran at, unless it was issued or
-        refreshed since.  The token terminates with its last live record, an
+    def retire(self, cohort: Cohort, state: LifecycleState):
+        """End every fragment of ``cohort`` in ``state``, kept, broken,
+        withdrawn or faded; no other code ends a fragment.  Each shows its
+        level as of the last tick fading ran at, unless it was issued or
+        refreshed since.  The token terminates with its last live cohort, an
         equivalent reissue no longer refreshes them, and an adequacy promise
-        leaves its agent's file and queues that agent's index prune."""
-        key, holders, live = self.live[token]
-        filed = agent_rules.files(ended[0].statement)  # one token, one statement
-        shown = self.fade_tick
-        for rec in ended:
-            rec.state = state
-            if shown > rec.origin:
-                rec.shown_at = shown
-            del holders[rec.subject]
+        leaves each holder's file and queues that holder's index prune."""
+        token = cohort.token
+        key, holders, cohorts = self.live[token]
+        cohort.state = state
+        if self.fade_tick > cohort.origin:
+            cohort.shown_at = self.fade_tick
+        filed = agent_rules.files(cohort.statement)
+        for subject in cohort.subjects:
+            del holders[subject]
             if filed:
-                self.agents[rec.subject].release(rec)
-                self.to_prune.add(rec.subject)
+                self.agents[subject].release(cohort)
+                self.to_prune.add(subject)
         if not holders:  # only now hash the key: it holds a Body and an enum
             del self.refreshable[key]
-        if len(ended) == len(live):  # ended is a subset of live
-            del self.live[token]
-            self.terminated.add(token)
-        else:
-            for rec in ended:
-                live.remove(rec)
+        if cohorts.get(cohort.origin) is cohort:  # not a fragment split off it
+            del cohorts[cohort.origin]
+            if not cohorts:
+                del self.live[token]
+                self.terminated.add(token)
 
     def fade_step(self, tick: int):
         self.fade_tick = tick
@@ -489,17 +537,17 @@ class _Engine:
         while deadlines and deadlines[0][0] <= tick:
             _, origin, token = heappop(deadlines)
             entry = live.get(token)
-            # nothing fades of a token that ended or was refreshed since
-            cohort = [r for r in entry[2] if r.origin == origin] if entry else None
-            if cohort:
-                self.retire(token, cohort, LifecycleState.FADED)
+            # nothing fades of a token that ended, or of an origin that a
+            # refresh emptied, since
+            cohort = entry[2].get(origin) if entry else None
+            if cohort is not None:
+                self.retire(cohort, LifecycleState.FADED)
                 # one token, state, rate and ticks faded: one text per cohort
-                first = cohort[0]
                 head = _lifecycle_head(tick, token)
                 tail = self.lifecycle_text(
-                    first.state, first.fade_rate_multiplier, first.fading_ticks
+                    cohort.state, cohort.fade_rate_multiplier, cohort.fading_ticks
                 )
-                lines += [(r.subject, token, head + r.subject + tail) for r in cohort]
+                lines += [(s, token, head + s + tail) for s in cohort.subjects]
         if lines:  # on most ticks of a long-lived workload nothing fades
             lines.sort()
             self.trace.extend([line for _, _, line in lines])

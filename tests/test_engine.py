@@ -507,22 +507,25 @@ def test_partial_cohort_fades_and_terminates_after_its_last_fragment(later, expe
 
 class PerRecordLines(engine._Engine):
     """An engine that writes each lifecycle line ``deliver`` and
-    ``fade_step`` write per cohort again from its own record, with a format
-    that uses no memo, and checks that the two agree.  ``cohorts`` keeps
-    (tick, token, members) per cohort that one ``retire`` call faded, and
-    ``checked`` counts the lines checked."""
+    ``fade_step`` write per cohort again for each member from the cohort's
+    fields, with a format that uses no memo, and checks that the two agree.
+    ``cohorts`` keeps (tick, token, members) per cohort that one ``retire``
+    call faded, and ``checked`` counts the lines checked."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.cohorts, self.checked, self.due = [], 0, []
 
-    def per_record(self, tick, recs):
+    def per_record(self, tick, members):
+        """The lifecycle lines of ``members``, (cohort, subject) pairs."""
         fmt = statements._fmt_fraction
         lines = [
-            f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
-            f"state={rec.state.value} fade={fmt(rec.fade_level)} "
-            f"rate={fmt(rec.fade_rate_multiplier)}"
-            for rec in sorted(recs, key=lambda rec: (rec.subject, rec.token))
+            f"t={tick} lifecycle token={cohort.token} subject={subject} "
+            f"state={cohort.state.value} fade={fmt(cohort.fade_level)} "
+            f"rate={fmt(cohort.fade_rate_multiplier)}"
+            for cohort, subject in sorted(
+                members, key=lambda member: (member[1], member[0].token)
+            )
         ]
         self.checked += len(lines)
         return lines
@@ -531,7 +534,8 @@ class PerRecordLines(engine._Engine):
         start, tokens = len(self.trace), set(self.live)
         super().deliver(stmt, tick)
         (token,) = self.live.keys() - tokens or (None,)
-        fresh = self.live[token][2] if token else []
+        cohort = self.live[token][2][tick] if token else None  # the fresh one
+        fresh = [(cohort, subject) for subject in cohort.subjects] if token else []
         written = [
             line
             for line in self.trace[start:]
@@ -540,11 +544,11 @@ class PerRecordLines(engine._Engine):
         discard = self.route(stmt) is engine.Route.DISCARD_FAST
         assert written == (self.per_record(tick, fresh) if discard else [])
 
-    def retire(self, token, ended, state):
-        super().retire(token, ended, state)
+    def retire(self, cohort, state):
+        super().retire(cohort, state)
         if state is LifecycleState.FADED:
-            self.cohorts.append((self.fade_tick, token, len(ended)))
-            self.due.extend(ended)
+            self.cohorts.append((self.fade_tick, cohort.token, len(cohort.subjects)))
+            self.due.extend((cohort, subject) for subject in cohort.subjects)
 
     def fade_step(self, tick):
         start, self.due = len(self.trace), []
@@ -631,7 +635,9 @@ def test_one_reissue_refreshing_two_fragments_fades_them_as_one_cohort():
 
 def test_outcome_ends_assessed_records_kept_or_broken():
     """``agents.on_outcome`` leaves the matching promises active; the engine
-    ends each kept or broken in its own ``retire``, before its line."""
+    splits each off its cohort and ends it kept or broken in its own
+    ``retire``, before its line.  The promiser's fragment of each token
+    stays live."""
     text = (
         "trust q p = 1\ntrust q r = 1\n"
         "tick 1\n"
@@ -644,9 +650,11 @@ def test_outcome_ends_assessed_records_kept_or_broken():
     eng = engine._Engine(load(text))
     ended = []
 
-    def recording(token, recs, state):
-        ended.append((token, [(rec.subject, rec.state) for rec in recs], state))
-        return engine._Engine.retire(eng, token, recs, state)
+    def recording(cohort, state):
+        ended.append(
+            (cohort.token, [(s, cohort.state) for s in cohort.subjects], state)
+        )
+        return engine._Engine.retire(eng, cohort, state)
 
     eng.retire = recording
     trace = eng.run().trace
@@ -664,6 +672,8 @@ def test_outcome_ends_assessed_records_kept_or_broken():
         "t=3 lifecycle token=1-2 subject=q state=broken fade=0.99 rate=1",
     ]
     assert eng.agents["q"].fragments == [] and eng.agents["q"].promises == {}
+    assert [rec.token for rec in eng.agents["p"].fragments] == ["1-0", "1-2"]
+    assert [rec.token for rec in eng.agents["r"].fragments] == ["1-1"]
 
 
 def test_withdraw_terminates_everywhere():
@@ -736,10 +746,11 @@ def test_withdraw_by_stranger_is_rejected_as_warning():
     ]
 
 
-def test_withdraw_of_a_token_split_by_a_refresh_ends_it_in_one_retire():
-    """A refresh leaves token 1-0 with two origins: p's at 2, r's and s's at
-    1.  One withdraw ends all three in one ``retire``, each showing its own
-    level, and the token terminates once."""
+def test_withdraw_of_a_token_split_by_a_refresh_ends_each_cohort_once():
+    """A refresh leaves token 1-0 with two cohorts: p's at origin 2, r's
+    and s's at 1.  One withdraw ends both, each in one ``retire``; every
+    fragment shows its own level, the lines come in subject order and the
+    token terminates once."""
     eng = engine._Engine(
         load(
             "policy fade-span=4 fade-threshold=0.5\n"
@@ -750,9 +761,9 @@ def test_withdraw_of_a_token_split_by_a_refresh_ends_it_in_one_retire():
     )
     retired = []
 
-    def recording(token, ended, *rest):
-        retired.append((token, [rec.subject for rec in ended]))
-        return engine._Engine.retire(eng, token, ended, *rest)
+    def recording(cohort, state):
+        retired.append((cohort.token, cohort.origin, list(cohort.subjects), state))
+        return engine._Engine.retire(eng, cohort, state)
 
     eng.retire = recording
     trace = eng.run().trace
@@ -762,8 +773,31 @@ def test_withdraw_of_a_token_split_by_a_refresh_ends_it_in_one_retire():
         "t=3 lifecycle token=1-0 subject=s state=withdrawn fade=0.75 rate=1",
         "t=3 terminated token=1-0",
     ]
-    assert retired == [("1-0", ["p", "r", "s"])]
+    withdrawn = LifecycleState.WITHDRAWN
+    assert sorted(retired) == [
+        ("1-0", 1, ["r", "s"], withdrawn), ("1-0", 2, ["p"], withdrawn)
+    ]
     assert eng.live == {} and eng.refreshable == {}
+
+
+def test_a_reissue_files_one_deadline_per_token_and_origin():
+    """A reissue that refreshes every fragment of token 1-0 moves them into
+    one cohort at origin 2 and files its fade deadline once."""
+    eng = engine._Engine(
+        load(
+            'tick 1\nissue p[note:"b"/{r,s,t}]p\n'
+            'tick 2\nissue p[note:"b"/{r,s,t}]p\n'
+        )
+    )
+    first, second = eng.scenario.events
+    eng.apply_event(first)
+    eng.apply_event(second)
+    assert [entry for entry in eng.deadlines if entry[1:] == (2, "1-0")] == [
+        (2 + eng.fade.life(1), 2, "1-0")
+    ]
+    (cohort,) = eng.live["1-0"][2].values()
+    assert (cohort.origin, cohort.subjects) == (2, ["p", "r", "s", "t"])
+    assert "2-1" not in eng.live
 
 
 def test_round_robin_interleaving_alternates_sources():

@@ -14,7 +14,7 @@ from coopsim.engine import run
 from coopsim.scenario import InterleavingStrategy, load, load_path
 from coopsim.lifecycle import LifecycleState
 from coopsim.trust import TramPolicy
-from tests.test_load_run import check_absorption
+from tests.test_load_run import check_absorption, check_fragments
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.coop"))
@@ -74,51 +74,6 @@ BENCH_CASES = [
     for seed in (0, 1)
     for ticks in (8, 40)
 ]
-
-
-def live_from_trace(trace) -> dict:
-    """agent -> the tokens of its live records, in issue order, read from the
-    trace alone.  A ``deliver`` makes a record unless the next line is a
-    refresh: that subject's lifecycle line for an older token.  A record is
-    live until a kept, broken, withdrawn or faded lifecycle line names it."""
-    issued, made, ended = {}, [], set()
-    for index, line in enumerate(trace):
-        _, kind, *words = line.split(" ")
-        if kind not in ("issue", "deliver", "lifecycle"):
-            continue
-        fields = dict(word.split("=", 1) for word in words)
-        pair = fields.get("subject"), fields["token"]
-        if kind == "issue":
-            issued[pair[1]] = len(issued)
-        elif kind == "lifecycle" and fields["state"] != "active":
-            ended.add(pair)
-        elif kind == "deliver":
-            following = trace[index + 1].split(" ") if index + 1 < len(trace) else []
-            refresh = following[1:2] == ["lifecycle"] and (
-                following[3] == f"subject={pair[0]}"
-                and following[2] != f"token={pair[1]}"
-            )
-            if not refresh:
-                made.append(pair)
-    live = {}
-    for subject, token in sorted(set(made) - ended, key=lambda p: issued[p[1]]):
-        live.setdefault(subject, []).append(token)
-    return live
-
-
-def check_fragments(scenario, result):
-    """Each agent's ``fragments`` are the live records of ``live_from_trace``,
-    each shown as of the last tick of the scenario."""
-    last = max(directive.tick for directive in scenario.events)
-    held = {
-        agent_id: [rec.token for rec in state.fragments]
-        for agent_id, state in result.agents.items()
-        if state.fragments
-    }
-    assert held == live_from_trace(result.trace)
-    for agent_id, state in result.agents.items():
-        assert all(rec.subject == agent_id for rec in state.fragments)
-        assert all(rec.shown_at == last for rec in state.fragments)
 
 
 @pytest.mark.parametrize("path,tram,order", CASES, ids=IDS)

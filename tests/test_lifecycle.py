@@ -10,18 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from coopsim.engine import _Engine
 from coopsim.scenario import load
-from coopsim.lifecycle import LifecycleRecord, LifecycleState
+from coopsim.lifecycle import Cohort, LifecycleRecord, LifecycleState
 from coopsim.statements import FadeSpec, _fmt_fraction, parse
 
 ACTIVE, FADED = LifecycleState.ACTIVE, LifecycleState.FADED
+STATEMENT = parse('p[pi:"b"/{q}]q')  # not an adequacy promise: no agent files it
 
 
 def fresh(
     fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1, subject="q"
 ):
-    stmt = parse('p[pi:"b"/{q}]q')
     return LifecycleRecord(
-        stmt, subject, f"{origin}-0", fade, origin, fade_rate_multiplier=rate
+        STATEMENT, subject, f"{origin}-0", fade, origin, fade_rate_multiplier=rate
     )
 
 
@@ -98,29 +98,32 @@ def test_fade_cannot_run_backwards():
 
 
 def test_terminal_transition_shows_the_level_at_the_last_fade_tick():
-    """``retire`` shows an ending record's level as of the last tick fading
-    ran at, or at full level for a record issued since."""
+    """``retire`` shows an ending cohort's level as of the last tick fading
+    ran at, or at full level for a cohort issued since.  A fragment split
+    off its cohort ends on its own, and the rest of the cohort later."""
     engine = fading_engine(fresh().fade)
-    kept, withdrawn = fresh(engine.fade), fresh(engine.fade, subject="r")
-    fresh_this_tick = fresh(engine.fade, origin=30)
-    file_fresh(engine, [kept, withdrawn])
-    file_fresh(engine, [fresh_this_tick])
+    withdrawn = file_fresh(engine, "0-0", 0, ["q", "r"])
+    fresh_this_tick = file_fresh(engine, "30-0", 30, ["q"])
     engine.fade_tick = 25
-    engine.retire("0-0", [kept], LifecycleState.KEPT)
-    engine.retire("0-0", [withdrawn], LifecycleState.WITHDRAWN)
-    engine.retire("30-0", [fresh_this_tick], LifecycleState.WITHDRAWN)
-    for rec in (kept, withdrawn):
-        assert (rec.fade_level, rec.shown_at) == (Fraction(3, 4), 25)
+    kept = engine.split(withdrawn, "q")
+    engine.retire(kept, LifecycleState.KEPT)
+    assert engine.live["0-0"][2] == {0: withdrawn} and engine.terminated == set()
+    engine.retire(withdrawn, LifecycleState.WITHDRAWN)
+    engine.retire(fresh_this_tick, LifecycleState.WITHDRAWN)
+    assert (kept.subjects, withdrawn.subjects) == (["q"], ["r"])
+    for cohort in (kept, withdrawn):
+        assert (cohort.fade_level, cohort.shown_at) == (Fraction(3, 4), 25)
     assert (fresh_this_tick.fade_level, fresh_this_tick.shown_at) == (1, 30)
-    assert [rec.state.value for rec in (kept, withdrawn, fresh_this_tick)] == [
+    assert [c.state.value for c in (kept, withdrawn, fresh_this_tick)] == [
         "kept", "withdrawn", "withdrawn"
     ]
     assert engine.live == {} and engine.terminated == {"0-0", "30-0"}
+    assert engine.refreshable == {}
 
 
 def withdrawn_at_25(withdrawer):
     """An engine whose last fade step ran at 24, after ``withdrawer`` tried
-    at 25 to withdraw token 1-0, which ``p`` issued at 1; and its records."""
+    at 25 to withdraw token 1-0, which ``p`` issued at 1; and its cohort."""
     engine = _Engine(
         load(
             'tick 1\nissue p[pi:"b"]q\n'
@@ -129,24 +132,24 @@ def withdrawn_at_25(withdrawer):
     )
     issue, withdraw = engine.scenario.events
     engine.apply_event(issue)
-    recs = list(engine.live["1-0"][2])
+    (cohort,) = engine.live["1-0"][2].values()
     engine.fade_tick = 24
     engine.apply_event(withdraw)
-    return engine, recs
+    return engine, cohort
 
 
 def test_rejected_withdraw_leaves_the_level_alone():
-    engine, recs = withdrawn_at_25("q")
-    assert engine.live["1-0"][2] == recs
-    assert [(rec.state, rec.shown_at) for rec in recs] == [(ACTIVE, 1), (ACTIVE, 1)]
+    engine, cohort = withdrawn_at_25("q")
+    assert engine.live["1-0"][2] == {1: cohort}
+    assert (cohort.subjects, cohort.state, cohort.shown_at) == (["p", "q"], ACTIVE, 1)
 
 
 def test_withdraw_promiser_only():
-    engine, recs = withdrawn_at_25("p")
+    engine, cohort = withdrawn_at_25("p")
     assert "1-0" not in engine.live and engine.terminated == {"1-0"}
-    assert [(rec.state, rec.shown_at) for rec in recs] == [
-        (LifecycleState.WITHDRAWN, 24), (LifecycleState.WITHDRAWN, 24)
-    ]
+    assert (cohort.subjects, cohort.state, cohort.shown_at) == (
+        ["p", "q"], LifecycleState.WITHDRAWN, 24
+    )
 
 
 def test_refresh_resets_fading():
@@ -169,42 +172,41 @@ def fading_engine(spec):
     )
 
 
-def file_fresh(engine, recs):
-    """File ``recs``, the fresh records of one token, each with its own
-    subject, in ``engine`` as ``deliver`` files them."""
-    first = recs[0]
-    key = ("key", first.token)
-    holders = engine.refreshable[key] = {rec.subject: rec for rec in recs}
-    engine.live[first.token] = (key, holders, list(recs))
-    engine.file_deadline(first)
+def file_fresh(engine, token, origin, subjects, rate=1):
+    """File in ``engine`` a fresh cohort of ``token`` that ``subjects`` hold,
+    as ``deliver`` files one, and return it."""
+    cohort = Cohort(STATEMENT, list(subjects), token, engine.fade, origin, rate)
+    key = ("key", token)
+    holders = engine.refreshable[key] = dict.fromkeys(subjects, cohort)
+    engine.live[token] = (key, holders, {origin: cohort})
+    engine.file_deadline(cohort)
+    return cohort
 
 
 def fade_step(engine, tick):
-    """Run ``engine``'s fade step at ``tick`` and return the members of the
-    cohorts it faded, after checking that each cohort is a non-empty list of
-    records sharing a token and an origin, that no two share both, and that
-    the step wrote each member's lifecycle line in (subject, token) order,
-    and nothing else.  A cohort is what one ``retire`` call ends."""
+    """Run ``engine``'s fade step at ``tick`` and return the members, as
+    (cohort, subject) pairs, of the cohorts it faded, after checking that
+    each cohort is non-empty, that no two share a token and an origin, and
+    that the step wrote each member's lifecycle line in (subject, token)
+    order, and nothing else.  A cohort is what one ``retire`` call ends."""
     cohorts = []
 
-    def recording(token, ended, state):
-        assert state is FADED and ended
-        cohorts.append(list(ended))
-        _Engine.retire(engine, token, ended, state)
+    def recording(cohort, state):
+        assert state is FADED and cohort.subjects
+        cohorts.append(cohort)
+        _Engine.retire(engine, cohort, state)
 
     start = len(engine.trace)
     with mock.patch.object(engine, "retire", recording):
         engine.fade_step(tick)
-    shared = [{(rec.token, rec.origin) for rec in cohort} for cohort in cohorts]
-    assert all(len(pairs) == 1 for pairs in shared)
-    assert len(set().union(*shared)) == len(cohorts)
-    faded = [rec for cohort in cohorts for rec in cohort]
-    by_subject = sorted(faded, key=attrgetter("subject", "token"))
+    assert len({(cohort.token, cohort.origin) for cohort in cohorts}) == len(cohorts)
+    faded = [(cohort, subject) for cohort in cohorts for subject in cohort.subjects]
+    by_subject = sorted(faded, key=lambda member: (member[1], member[0].token))
     assert engine.trace[start:] == [
-        f"t={tick} lifecycle token={rec.token} subject={rec.subject} "
-        f"state=faded fade={_fmt_fraction(rec.fade_level)} "
-        f"rate={_fmt_fraction(rec.fade_rate_multiplier)}"
-        for rec in by_subject
+        f"t={tick} lifecycle token={cohort.token} subject={subject} "
+        f"state=faded fade={_fmt_fraction(cohort.fade_level)} "
+        f"rate={_fmt_fraction(cohort.fade_rate_multiplier)}"
+        for cohort, subject in by_subject
     ]
     return faded
 
@@ -240,18 +242,18 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
     assert dense.shown_at == fresh(spec, origin, rate).fade_deadline()
 
     engine = fading_engine(spec)
-    ref, fast = fresh(spec, origin, rate), fresh(engine.fade, origin, rate)
-    file_fresh(engine, [fast])
+    ref = fresh(spec, origin, rate)
+    fast = file_fresh(engine, ref.token, origin, ["q"], rate)
     for index, tick in enumerate(ticks):
         if index == refresh_at and ref.state is ACTIVE:
             refresh(ref, tick)
-            refresh(fast, tick)
-            engine.file_deadline(fast)
+            engine.refresh(fast, "q", tick)  # into the cohort at its new origin
+            fast = engine.live[ref.token][1]["q"]
         if ref.state is ACTIVE:
             step_fade(ref, tick)
         faded = fade_step(engine, tick)
         if ref.state is FADED and ref.shown_at == tick:
-            assert len(faded) == 1 and faded[0] is fast
+            assert faded == [(fast, "q")]
         else:
             assert faded == []
         assert fast.state is ref.state
@@ -264,7 +266,7 @@ def test_fade_queue_equals_stepping_at_every_tick(run):
         else:  # the level a kept, broken or withdrawn line would show
             decay = Fraction(rate * (tick - fast.origin), spec.span)
             assert max(Fraction(0), 1 - decay) == ref.fade_level
-    if fast.state is ACTIVE:  # as the end-of-run pass shows a live record
+    if fast.state is ACTIVE:  # as the end-of-run pass shows a live fragment
         fast.shown_at = ticks[-1]
     assert (fast.state, fast.fade_level, fast.shown_at) == (
         ref.state,
@@ -307,7 +309,7 @@ def test_integer_fade_clock_equals_the_fraction_recurrence(run):
             faded = level < spec.threshold
         assert rec.state is (FADED if faded else ACTIVE)
         assert rec.fade_level == level
-        engine.emit_lifecycle(tick, rec)
+        engine.emit_lifecycle(tick, rec, rec.subject)
         assert engine.trace[-1].endswith(
             f" fade={_fmt_fraction(level)} rate={_fmt_fraction(Fraction(rate))}"
         )
@@ -315,9 +317,9 @@ def test_integer_fade_clock_equals_the_fraction_recurrence(run):
 
 @st.composite
 def cohort_runs(draw):
-    """A fading run as above and, for each of k records filed as one cohort,
-    what happens to it: nothing, or a refresh, a kept assessment or a
-    withdrawal at one of the fade ticks."""
+    """A fading run as above and, for each of k fragments filed as one
+    cohort, what happens to it: nothing, or a refresh, a kept assessment or
+    a withdrawal at one of the fade ticks."""
     spec, rate, origin, ticks, _ = draw(fading_runs())
     events = draw(
         st.lists(
@@ -339,44 +341,52 @@ ENDINGS = {"assess": LifecycleState.KEPT, "withdraw": LifecycleState.WITHDRAWN}
 @settings(max_examples=300, deadline=None)
 @given(cohort_runs())
 def test_fade_queue_cohort_equals_stepping_each_record(run):
+    """Each member of one delivered cohort against its own stepped record:
+    a refresh moves a member into its token's cohort at the new origin, an
+    assessment or a withdrawal splits it off and ends it alone, and every
+    member fades, with the cohort it was last put in, at the first fade tick
+    at or after its deadline."""
     spec, rate, origin, ticks, events = run
     engine = fading_engine(spec)
+    subjects = [f"q{i}" for i in range(len(events))]
     refs = [fresh(spec, origin, rate) for _ in events]
-    recs = [fresh(engine.fade, origin, rate, f"q{i}") for i in range(len(events))]
-    file_fresh(engine, recs)
+    token = refs[0].token
+    where = dict.fromkeys(subjects, file_fresh(engine, token, origin, subjects, rate))
     for index, tick in enumerate(ticks):
-        for ref, rec, event in zip(refs, recs, events):
+        for ref, subject, event in zip(refs, subjects, events):
             if event is None or event[1] != index or ref.state is not ACTIVE:
                 continue
-            if event[0] == "refresh":  # filed anew under its new origin
+            if event[0] == "refresh":
                 refresh(ref, tick)
-                refresh(rec, tick)
-                engine.file_deadline(rec)
-            else:  # as an outcome or a withdraw ends it
+                engine.refresh(where[subject], subject, tick)
+                where[subject] = engine.live[token][1][subject]
+            else:  # as an outcome ends one fragment
                 # ref was stepped to the last fade tick, or issued since
                 ref.state = ending = ENDINGS[event[0]]
-                engine.retire(rec.token, (rec,), ending)
+                where[subject] = engine.split(where[subject], subject)
+                engine.retire(where[subject], ending)
         expected = []
-        for ref, rec in zip(refs, recs):
+        for ref, subject in zip(refs, subjects):
             if ref.state is ACTIVE:
                 step_fade(ref, tick)
                 if ref.state is FADED:
-                    expected.append(rec)
+                    expected.append(subject)
         last_fade_tick = engine.fade_tick
         faded = fade_step(engine, tick)
-        assert sorted(map(id, faded)) == sorted(map(id, expected))
-        for rec in faded:  # at the first fade tick at or after its deadline
-            assert rec.state is FADED
-            assert rec.fade_deadline() <= tick
-            assert last_fade_tick < rec.fade_deadline()
-        live = engine.live.get(recs[0].token, (None, None, []))[2]
-        assert sorted(map(id, live)) == sorted(
-            id(r) for r in recs if r.state is ACTIVE
-        )
-    for ref, rec in zip(refs, recs):
-        if rec.state is ACTIVE:  # as the end-of-run pass shows a live record
-            rec.shown_at = ticks[-1]
-        assert (rec.state, rec.fade_level, rec.shown_at) == (
+        assert sorted(subject for _, subject in faded) == sorted(expected)
+        for cohort, subject in faded:  # at the first fade tick at or after its deadline
+            assert cohort is where[subject] and cohort.state is FADED
+            assert cohort.fade_deadline() <= tick
+            assert last_fade_tick < cohort.fade_deadline()
+        live = engine.live.get(token, (None, None, {}))[2]
+        assert sorted(s for cohort in live.values() for s in cohort.subjects) == [
+            subject for ref, subject in zip(refs, subjects) if ref.state is ACTIVE
+        ]
+    for ref, subject in zip(refs, subjects):
+        cohort = where[subject]
+        if cohort.state is ACTIVE:  # as the end-of-run pass shows a live fragment
+            cohort.shown_at = ticks[-1]
+        assert (cohort.state, cohort.fade_level, cohort.shown_at) == (
             ref.state,
             ref.fade_level,
             ref.shown_at,

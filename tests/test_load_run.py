@@ -2,7 +2,10 @@
 values, malformed agent ids and out-of-range numbers mixed in, either fails
 to load with ``ScenarioError`` or runs to completion, and then every agent
 the run knows has a well-formed id and holds only active records, and
-terminal states absorb (``check_absorption``).
+terminal states absorb (``check_absorption``).  On the well-formed half,
+each agent's end-of-run ``fragments`` are the live ones the trace names
+(``check_fragments``), and after every tick the engine's cohorts and
+deadline heap are well-formed (``CheckedEngine``).
 
 So that records end, well-formed lines are drawn too: adequacy issues,
 outcomes that match them, withdraws of the tokens a run allots
@@ -223,6 +226,51 @@ def check_absorption(trace):
             ended_tokens.add(token)
 
 
+def live_from_trace(trace) -> dict:
+    """agent -> the tokens of its live records, in issue order, read from the
+    trace alone.  A ``deliver`` makes a record unless the next line is a
+    refresh: that subject's lifecycle line for an older token.  A record is
+    live until a kept, broken, withdrawn or faded lifecycle line names it."""
+    issued, made, ended = {}, [], set()
+    for index, line in enumerate(trace):
+        _, kind, *words = line.split(" ")
+        if kind not in ("issue", "deliver", "lifecycle"):
+            continue
+        fields = dict(word.split("=", 1) for word in words)
+        pair = fields.get("subject"), fields["token"]
+        if kind == "issue":
+            issued[pair[1]] = len(issued)
+        elif kind == "lifecycle" and fields["state"] != "active":
+            ended.add(pair)
+        elif kind == "deliver":
+            following = trace[index + 1].split(" ") if index + 1 < len(trace) else []
+            refresh = following[1:2] == ["lifecycle"] and (
+                following[3] == f"subject={pair[0]}"
+                and following[2] != f"token={pair[1]}"
+            )
+            if not refresh:
+                made.append(pair)
+    live = {}
+    for subject, token in sorted(set(made) - ended, key=lambda p: issued[p[1]]):
+        live.setdefault(subject, []).append(token)
+    return live
+
+
+def check_fragments(scenario, result):
+    """Each agent's ``fragments`` are the live records of ``live_from_trace``,
+    each shown as of the last tick of the scenario."""
+    last = max((directive.tick for directive in scenario.events), default=-1)
+    held = {
+        agent_id: [rec.token for rec in state.fragments]
+        for agent_id, state in result.agents.items()
+        if state.fragments
+    }
+    assert held == live_from_trace(result.trace)
+    for agent_id, state in result.agents.items():
+        assert all(rec.subject == agent_id for rec in state.fragments)
+        assert all(rec.shown_at == last for rec in state.fragments)
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=scenarios)
 def test_load_rejects_or_run_completes(text):
@@ -242,14 +290,20 @@ def test_load_rejects_or_run_completes(text):
 
 
 class CheckedEngine(_Engine):
-    """An engine that checks, after every tick, that ``live`` holds only
-    active records and that the deadline heap holds no record: each entry is
-    an int deadline, an int origin and a token string."""
+    """An engine that checks, after every tick, that every live cohort is
+    active and non-empty, filed under its token and its origin, so that a
+    token's cohorts have distinct origins, and that each of its subjects
+    refreshes into it; and that the deadline heap holds no cohort: each
+    entry is an int deadline, an int origin and a token string."""
 
     def termination_step(self, tick):
         super().termination_step(tick)
-        for _, _, live in self.live.values():
-            assert live and all(rec.state is LifecycleState.ACTIVE for rec in live)
+        for token, (_, holders, cohorts) in self.live.items():
+            assert cohorts
+            for origin, cohort in cohorts.items():
+                assert (cohort.token, cohort.origin) == (token, origin)
+                assert cohort.subjects and cohort.state is LifecycleState.ACTIVE
+                assert all(holders[s] is cohort for s in cohort.subjects)
         for deadline, origin, token in self.deadlines:
             assert type(deadline) is int and type(origin) is int
             assert type(token) is str and re.fullmatch(r"[0-9]+-[0-9]+", token)
@@ -261,4 +315,5 @@ def test_live_records_are_active_and_deadlines_name_tokens(text):
     scenario = load(text)
     for interleave in InterleavingStrategy:
         header = replace(scenario.header, interleave=interleave)
-        CheckedEngine(Scenario(header, scenario.initial, scenario.events)).run()
+        ordered = Scenario(header, scenario.initial, scenario.events)
+        check_fragments(ordered, CheckedEngine(ordered).run())

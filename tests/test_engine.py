@@ -534,8 +534,10 @@ class PerRecordLines(engine._Engine):
         start, tokens = len(self.trace), set(self.live)
         super().deliver(stmt, tick)
         (token,) = self.live.keys() - tokens or (None,)
-        cohort = self.live[token][2][tick] if token else None  # the fresh one
-        fresh = [(cohort, subject) for subject in cohort.subjects] if token else []
+        fresh = []
+        if token:  # the cohort of the fresh fragments, made at this tick
+            cohort = self.live[token][2][tick]
+            fresh = [(cohort, subject) for subject in cohort.subjects]
         written = [
             line
             for line in self.trace[start:]

@@ -4,11 +4,15 @@ The goldens pin only what the scenarios run, so a rule that no scenario
 enters could change without a golden noticing.  This runs every
 ``scenarios/*.coop`` under both TRAM policies and both interleavings, and
 asserts that each function and method written in ``agents.py`` and
-``reputation.py``, and each ``_Engine.on_*`` directive handler, is entered.
+``reputation.py``, and each ``_Engine.on_*`` directive handler, is entered,
+and that every line of the imposition rules (``on_imposition`` and
+``resolve_reply``) runs.
 """
 
+import dis
 import inspect
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from coopsim import agents, engine, reputation
@@ -19,6 +23,8 @@ from coopsim.trust import TramPolicy
 SCENARIOS = sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.coop")
 )
+# functions whose every line some shipped scenario must run
+LINE_CHECKED = (agents.on_imposition, agents.resolve_reply)
 
 
 def _written_in(module) -> dict:
@@ -40,22 +46,21 @@ def _written_in(module) -> dict:
     return found
 
 
-def test_every_rule_is_reached_by_a_shipped_scenario():
-    wanted = {
-        **_written_in(agents),
-        **_written_in(reputation),
-        **{
-            name: code
-            for name, code in _written_in(engine).items()
-            if name.startswith("_Engine.on_")
-        },
-    }
-    codes = set(wanted.values())
-    entered = set()
+@lru_cache(maxsize=None)
+def _shipped_runs() -> tuple:
+    """(code objects entered, (code, line) pairs run in ``LINE_CHECKED``)
+    over every shipped scenario under 2 TRAM policies x 2 interleavings."""
+    watched = {func.__code__ for func in LINE_CHECKED}
+    entered, lines = set(), set()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code, frame.f_lineno))
+        return on_line
 
     def tracer(frame, event, arg):  # called for "call" events only
-        if frame.f_code in codes:
-            entered.add(frame.f_code)
+        entered.add(frame.f_code)
+        return on_line if frame.f_code in watched else None
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -67,5 +72,36 @@ def test_every_rule_is_reached_by_a_shipped_scenario():
                     run(scenario, tram=tram, interleave=order)
     finally:
         sys.settrace(previous)
+    return frozenset(entered), frozenset(lines)
+
+
+def test_every_rule_is_reached_by_a_shipped_scenario():
+    wanted = {
+        **_written_in(agents),
+        **_written_in(reputation),
+        **{
+            name: code
+            for name, code in _written_in(engine).items()
+            if name.startswith("_Engine.on_")
+        },
+    }
+    entered, _ = _shipped_runs()
     assert "on_task_request" in wanted and "_Engine.on_outcome" in wanted
     assert sorted(name for name, code in wanted.items() if code not in entered) == []
+
+
+def test_every_line_of_the_imposition_rules_runs_in_a_shipped_scenario():
+    _, lines = _shipped_runs()
+    missed = []
+    for func in LINE_CHECKED:
+        code = func.__code__
+        body = {
+            line
+            for _, line in dis.findlinestarts(code)
+            if line is not None and line != code.co_firstlineno
+        }
+        missed += [
+            f"{func.__name__}:{line}" for line in sorted(body)
+            if (code, line) not in lines
+        ]
+    assert missed == []

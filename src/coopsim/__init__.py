@@ -5,8 +5,8 @@ Modules:
 * statements  - grammar, parser, canonical printer, equivalence
 * trust       - five-level appreciation stores and assessment policies
 * appraisal   - consultant credibility, gating, attribute install rules
-* lifecycle   - fragments (statement, subject, token), the cohorts that hold
-                them during a run, and their linear fading
+* lifecycle   - fragment cohorts (statement, subjects, token) and their
+                linear fading
 * agents      - trust-driven behavior rules of a single agent
 * reputation  - letter-of-recommendation flow and survey averaging
 * scenario    - the scenario directive table and its loader
@@ -50,7 +50,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import LifecycleRecord, LifecycleState
+from .lifecycle import LifecycleState
 from .agents import (
     Action,
     ActionKind,

@@ -3,9 +3,9 @@
 The reasoning an agent applies when it receives an adequacy promise, a task
 imposition, or an outcome observation is driven by its current trust
 levels.  An agent files only the fragments those rules read, its live
-adequacy promises (``files``), as the cohort each was delivered in; the
-engine holds every live fragment, by cohort, and releases a filed one when
-it ends (``_Engine.retire``).
+adequacy promises (``files``), each as its token and promiser; the engine
+holds every live fragment, by cohort, and releases a filed one when it ends
+(``_Engine.retire``).
 Adequacy bookkeeping is keyed by ``Statement.adequacy``:
 
 * adequacy promise: a matching attribute rule installs or refuses
@@ -91,8 +91,8 @@ class PendingWarning:
 class AgentState:
     id: str
     trust: TrustStore = field(default_factory=TrustStore)
-    fragments: list = field(default_factory=list)  # live records, filled at run end
-    # (program, task) -> live adequacy promises, each as its delivery's cohort
+    fragments: list = field(default_factory=list)  # live fragments, filled at run end
+    # (program, task) -> {token: promiser} of the live adequacy promises
     promises: dict = field(default_factory=dict)
     prepared: dict = field(default_factory=dict)  # (program, task) -> used before
     # (program, task) -> {promiser: tick of its last engaged adequacy promise}
@@ -101,26 +101,16 @@ class AgentState:
     # (pair, promiser) of the adequacy promises released since the last prune
     lapsed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
-    def hold(self, frag):
-        """File a new adequacy promise (``files``) by pair until ``release``.
+    def hold(self, stmt: Statement, token: str):
+        """File this agent's fragment ``token`` of the adequacy promise
+        ``stmt`` (``files``) under its pair until ``release``."""
+        self.promises.setdefault(stmt.adequacy, {})[token] = stmt.promiser
 
-        ``frag`` is read for its ``statement`` and ``token`` only: with this
-        agent as the subject it names the agent's fragment of that token.
-        The engine files the cohort of the delivery, which keeps both when
-        a refresh or an outcome moves the fragment to another cohort; the
-        filed cohort's ``state`` and ``subjects`` are then not the
-        fragment's."""
-        self.promises.setdefault(frag.statement.adequacy, []).append(frag)
-
-    def release(self, frag):
-        """Let go of the filed adequacy promise of ``frag``'s token, which has
+    def release(self, stmt: Statement, token: str):
+        """Let go of the filed fragment ``token`` of ``stmt``, which has
         ended, noting it for ``prune_adequacy_index``."""
-        stmt, token = frag.statement, frag.token
         live = self.promises[stmt.adequacy]
-        for index, held in enumerate(live):  # one fragment per token, filed once
-            if held.token == token:
-                del live[index]
-                break
+        del live[token]
         if not live:
             del self.promises[stmt.adequacy]
         self.lapsed.add((stmt.adequacy, stmt.promiser))
@@ -133,8 +123,9 @@ class AgentState:
         return self.adequacy_index.get((program, task), {}).keys()
 
     def active_adequacy_records(self, program: str, task: str):
-        """The live adequacy promises for (program, task), in hold order."""
-        return list(self.promises.get((program, task), ()))
+        """The (token, promiser) of each live adequacy promise for
+        (program, task), in hold order."""
+        return list(self.promises.get((program, task), {}).items())
 
     def prune_adequacy_index(self):
         """Drop index entries whose promiser no longer has a live promise.
@@ -144,8 +135,7 @@ class AgentState:
         ``lapsed``; so only the lapsed pairs need a look.
         """
         for pair, promiser in self.lapsed:
-            live = self.promises.get(pair, ())
-            if all(rec.statement.promiser != promiser for rec in live):
+            if promiser not in self.promises.get(pair, {}).values():
                 entries = self.adequacy_index.get(pair, {})
                 entries.pop(promiser, None)
                 if not entries:
@@ -291,17 +281,15 @@ def on_outcome(
 ) -> list:
     """Assess the live adequacy promises matching the observed outcome:
     update trust in each promiser and mark the program used.  Returns their
-    filed entries sorted by token, with the fragments still live, for the
-    engine to split each off its cohort and end it kept or broken
+    (token, promiser) sorted by token, with the fragments still live, for
+    the engine to split each off its cohort and end it kept or broken
     (``_Engine.retire``); an outcome that matches no live promise changes
     nothing."""
-    records = sorted(
-        state.active_adequacy_records(program, task), key=lambda r: r.token
-    )
-    if not records:
-        return records
-    for rec in records:
-        state.trust.record_assessment(rec.statement.promiser, result, now, policy)
+    assessed = sorted(state.active_adequacy_records(program, task))
+    if not assessed:
+        return assessed
+    for _, promiser in assessed:
+        state.trust.record_assessment(promiser, result, now, policy)
     if (program, task) in state.prepared:
         state.prepared[(program, task)] = True
-    return records
+    return assessed

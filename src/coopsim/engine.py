@@ -38,7 +38,7 @@ tail once per run.
 ``_Engine.live`` alone holds the live fragments, by token and then by
 origin, one cohort each, so they are all active; the refresh map
 ``refreshable`` points each agent at its cohort, and an agent files its
-live adequacy promises (``agents.files``) as the cohort they came in.  A
+live adequacy promises (``agents.files``) by token, with their promiser.  A
 fragment leaves its cohort only when it diverges: an equivalent reissue
 moves it into its token's cohort for the new origin (``refresh``), and an
 outcome that assesses it splits it off (``split``) and ends it alone.  A
@@ -50,8 +50,8 @@ map and its agents' files in one step and queues those agents' index
 prunes.  Step (6) announces the tokens whose last cohort ended in token
 order, which is string order (``10-1`` before ``9-0``), as is the order an
 outcome writes its assessed fragments in.  At the end of the run each live
-fragment becomes a ``LifecycleRecord`` that shows its level as of the last
-fade tick and joins its agent's ``fragments``, in delivery order.
+fragment becomes a cohort of one that shows its level as of the last fade
+tick and joins its agent's ``fragments``, in delivery order.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .appraisal import (
     credibility_level,
     credibility_score,
 )
-from .lifecycle import Cohort, LifecycleRecord, LifecycleState
+from .lifecycle import Cohort, LifecycleState
 from .reputation import LorResponse, lor_update, survey_reinit
 from .scenario import (  # load too: the benchmark calls ``engine.load``
     _ROWS,
@@ -231,17 +231,17 @@ class _Engine:
                 self.apply_event(directive)
             self.fade_step(tick)
             self.termination_step(tick)
-        # one record per live fragment, each agent's in delivery order, each
-        # showing its level as of the last fade tick
+        # a cohort of one per live fragment, each agent's in delivery order,
+        # each showing its level as of the last fade tick
         agents, fade, shown = self.agents, self.fade, self.fade_tick
         for _, _, cohorts in self.live.values():
             for cohort in cohorts.values():
                 stmt, token = cohort.statement, cohort.token
                 origin, rate = cohort.origin, cohort.fade_rate_multiplier
                 for subject in cohort.subjects:
-                    rec = LifecycleRecord(stmt, subject, token, fade, origin, rate)
-                    rec.shown_at = shown
-                    agents[subject].fragments.append(rec)
+                    frag = Cohort(stmt, [subject], token, fade, origin, rate)
+                    frag.shown_at = shown
+                    agents[subject].fragments.append(frag)
         return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
 
     def order_within_tick(self, directives):
@@ -314,7 +314,7 @@ class _Engine:
             subjects.append(subject)
             holders[subject] = fresh
             if filed:
-                state.hold(fresh)
+                state.hold(stmt, token)
             if discard:
                 emit(discard_head + subject + tail)
                 if penalize and subject != stmt.promiser:
@@ -398,12 +398,11 @@ class _Engine:
             self.warn(tick, agent_id, detail)
             return
         ending = LifecycleState(outcome.value)  # kept or broken
-        for held in assessed:  # by token; the agent holds one fragment of each
+        for token, promiser in assessed:  # the agent holds one fragment of each
             # the refresh map names the cohort the agent's fragment is in now
-            cohort = self.split(self.live[held.token][1][agent_id], agent_id)
+            cohort = self.split(self.live[token][1][agent_id], agent_id)
             self.retire(cohort, ending)
             self.emit_lifecycle(tick, cohort, agent_id)
-            promiser = held.statement.promiser
             level = state.trust.general[promiser]  # after all of the assessments
             self.emit_trust(
                 tick, agent_id, promiser, "general-trust", level, outcome.value
@@ -520,7 +519,7 @@ class _Engine:
         for subject in cohort.subjects:
             del holders[subject]
             if filed:
-                self.agents[subject].release(cohort)
+                self.agents[subject].release(cohort.statement, token)
                 self.to_prune.add(subject)
         if not holders:  # only now hash the key: it holds a Body and an enum
             del self.refreshable[key]

@@ -18,7 +18,6 @@ from coopsim.agents import (
     on_task_request,
 )
 from coopsim.corpus import CORPUS_TEXTS
-from coopsim.lifecycle import LifecycleRecord
 from coopsim.reputation import survey_reinit
 from coopsim.statements import DirectionalKind, parse, render
 from coopsim.trust import (
@@ -30,7 +29,6 @@ from coopsim.trust import (
 from tests.test_load_run import check_absorption
 from tests.test_statements import FORM_FIXTURES
 
-FADE = scenario.PolicyHeader().default_fade
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -136,7 +134,7 @@ def test_criterion_05_imposition_balancing_table():
         state.prepared[("P", "U")] = False
         state.adequacy_index[("P", "U")] = {"p": 0}
         stmt = parse('p[adequacy(P,U):"adequate"]q')
-        state.hold(LifecycleRecord(stmt, "q", "0-0", FADE, 0))
+        state.hold(stmt, "0-0")
         (action,) = on_imposition(state, "s", "U")
         return action.kind
 

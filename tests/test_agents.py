@@ -16,7 +16,7 @@ from coopsim.agents import (
     resolve_reply,
 )
 from coopsim.scenario import PolicyHeader
-from coopsim.lifecycle import LifecycleRecord, LifecycleState
+from coopsim.lifecycle import Cohort
 from coopsim.statements import (
     Body,
     DirectionalKind,
@@ -42,7 +42,7 @@ def adequacy(promiser, program, task):
 
 def give_promise(state, promiser, program, task, counter, now=0):
     promise = adequacy(promiser, program, task)
-    state.hold(LifecycleRecord(promise, "q", counter.fresh(now), FADE, now))
+    state.hold(promise, counter.fresh(now))
     return on_adequacy_promise(state, promise, now)
 
 
@@ -217,15 +217,14 @@ def test_reply_resolution():
 def test_outcome_updates_trust_and_leaves_records_active():
     state = make_agent(p=1)
     give_promise(state, "p", "P", "U", FragmentCounter())
-    (held,) = state.promises[("P", "U")]
+    (token,) = state.promises[("P", "U")]
     assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
-    assert len(assessed) == 1 and assessed[0] is held
+    assert assessed == [(token, "p")]
     assert state.trust_in("p") == 0
-    assert all(r.state is LifecycleState.ACTIVE for r in assessed)
     assert state.prepared[("P", "U")] is True  # used before
     # the engine ends the assessed records, kept or broken, and updates the
     # file and index (tests/test_engine.py)
-    assert state.promises == {("P", "U"): [held]}
+    assert state.promises == {("P", "U"): {token: "p"}}
     assert state.promisers_for("P", "U") == {"p"}
 
 
@@ -281,10 +280,10 @@ def test_incremental_prune_equals_full_rescan(script):
         if op == "hold":
             promiser, kind_tag, type_tag, indexed = args
             stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
-            rec = LifecycleRecord(stmt, name, counter.fresh(tick), FADE, tick)
+            rec = Cohort(stmt, [name], counter.fresh(tick), FADE, tick)
             held[name].append(rec)
             if files(stmt):
-                state.hold(rec)
+                state.hold(stmt, rec.token)
             if indexed and stmt.kind is DirectionalKind.PROMISE and type_tag != "note":
                 on_adequacy_promise(state, stmt, tick)
                 reference[name].setdefault(TAG_KEYS[type_tag], {})[promiser] = tick
@@ -296,7 +295,7 @@ def test_incremental_prune_equals_full_rescan(script):
             )
             assert files(rec.statement) == adequacy_promise  # only these need a prune
             if adequacy_promise:
-                state.release(rec)
+                state.release(rec.statement, rec.token)
         elif op == "prune":
             state.prune_adequacy_index()
             reference[name] = rescan_prune(reference[name], held[name])
@@ -305,7 +304,7 @@ def test_incremental_prune_equals_full_rescan(script):
             for program, task in KEYS:
                 tag = f"adequacy({program},{task})"
                 assert other.active_adequacy_records(program, task) == [
-                    rec
+                    (rec.token, rec.statement.promiser)
                     for rec in held[other.id]
                     if rec.statement.kind is DirectionalKind.PROMISE
                     and rec.statement.type_tag == tag

@@ -743,9 +743,9 @@ def test_withdraw_by_stranger_is_rejected_as_warning():
         "t=2 warning agent=p detail=withdraw-no-active-fragment,token=9-9",
     ]
     fragments = [rec for state in result.agents.values() for rec in state.fragments]
-    assert sorted((rec.subject, rec.state.value, rec.shown_at) for rec in fragments) == [
-        ("p", "active", 2), ("q", "active", 2)
-    ]
+    assert sorted(
+        (rec.subjects, rec.state.value, rec.shown_at) for rec in fragments
+    ) == [(["p"], "active", 2), (["q"], "active", 2)]
 
 
 def test_withdraw_of_a_token_split_by_a_refresh_ends_each_cohort_once():
@@ -970,7 +970,7 @@ def test_issue_holds_one_shared_statement_per_recipient():
     assert sorted(held) == ["p", "q", "r"]
     for agent_id, (rec,) in held.items():
         assert rec.statement is first
-        assert rec.subject == agent_id
+        assert rec.subjects == [agent_id]
         assert rec.fade == PolicyHeader().default_fade and rec.shown_at == 7
     assert [rec.token for rec in result.agents["q"].fragments] == ["7-0", "7-1"]
     issued = [line.split("token=")[1] for line in result.trace if " issue " in line]

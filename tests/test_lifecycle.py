@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coopsim.engine import _Engine
 from coopsim.scenario import load
-from coopsim.lifecycle import Cohort, LifecycleRecord, LifecycleState
+from coopsim.lifecycle import Cohort, LifecycleState
 from coopsim.statements import FadeSpec, _fmt_fraction, parse
 
 ACTIVE, FADED = LifecycleState.ACTIVE, LifecycleState.FADED
@@ -20,15 +20,16 @@ STATEMENT = parse('p[pi:"b"/{q}]q')  # not an adequacy promise: no agent files i
 def fresh(
     fade=FadeSpec(span=100, threshold=Fraction(1, 20)), origin=0, rate=1, subject="q"
 ):
-    return LifecycleRecord(
-        STATEMENT, subject, f"{origin}-0", fade, origin, fade_rate_multiplier=rate
+    """A one-subject cohort, as the stepping reference's record."""
+    return Cohort(
+        STATEMENT, [subject], f"{origin}-0", fade, origin, fade_rate_multiplier=rate
     )
 
 
 def step_fade(rec, now):
     """The stepping reference for the engine's fade queue: advance the
-    fading of ``rec``, an active record, to ``now``; it becomes faded once
-    ``now`` reaches its fade deadline."""
+    fading of ``rec``, an active one-subject cohort, to ``now``; it becomes
+    faded once ``now`` reaches its fade deadline."""
     assert rec.state is ACTIVE
     if now < rec.shown_at:
         raise ValueError("fading cannot run backwards")
@@ -45,12 +46,12 @@ def refresh(rec, now):
 
 
 def test_readme_names_every_record_field():
-    """README's record paragraph names the fields of a record, in slot
+    """README's cohort paragraph names the fields of a cohort, in slot
     order, each before its description in parentheses."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    sentence = re.search(r"A record has the fields (.*?)\.\s+`fade_level`", readme, re.S)
+    sentence = re.search(r"A cohort has the fields (.*?)\.\s+`fade_level`", readme, re.S)
     named = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", sentence.group(1)))
-    assert tuple(named) == LifecycleRecord.__slots__
+    assert tuple(named) == Cohort.__slots__
 
 
 def test_linear_fade_values():
@@ -309,7 +310,7 @@ def test_integer_fade_clock_equals_the_fraction_recurrence(run):
             faded = level < spec.threshold
         assert rec.state is (FADED if faded else ACTIVE)
         assert rec.fade_level == level
-        engine.emit_lifecycle(tick, rec, rec.subject)
+        engine.emit_lifecycle(tick, rec, *rec.subjects)
         assert engine.trace[-1].endswith(
             f" fade={_fmt_fraction(level)} rate={_fmt_fraction(Fraction(rate))}"
         )

@@ -5,7 +5,8 @@ the run knows has a well-formed id and holds only active records, and
 terminal states absorb (``check_absorption``).  On the well-formed half,
 each agent's end-of-run ``fragments`` are the live ones the trace names
 (``check_fragments``), and after every tick the engine's cohorts and
-deadline heap are well-formed (``CheckedEngine``).
+deadline heap are well-formed and each agent's filed promises are its live
+adequacy-promise fragments (``CheckedEngine``).
 
 So that records end, well-formed lines are drawn too: adequacy issues,
 outcomes that match them, withdraws of the tokens a run allots
@@ -16,6 +17,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from coopsim.agents import files
 from coopsim.engine import _Engine, run
 from coopsim.scenario import InterleavingStrategy, Scenario, ScenarioError, load
 from coopsim.lifecycle import LifecycleState
@@ -229,8 +231,10 @@ def check_absorption(trace):
 def live_from_trace(trace) -> dict:
     """agent -> the tokens of its live records, in issue order, read from the
     trace alone.  A ``deliver`` makes a record unless the next line is a
-    refresh: that subject's lifecycle line for an older token.  A record is
-    live until a kept, broken, withdrawn or faded lifecycle line names it."""
+    refresh: that subject's active lifecycle line for an older token (a
+    ``deliver`` last in its tick may be followed by a fade of an older
+    one).  A record is live until a kept, broken, withdrawn or faded
+    lifecycle line names it."""
     issued, made, ended = {}, [], set()
     for index, line in enumerate(trace):
         _, kind, *words = line.split(" ")
@@ -247,6 +251,7 @@ def live_from_trace(trace) -> dict:
             refresh = following[1:2] == ["lifecycle"] and (
                 following[3] == f"subject={pair[0]}"
                 and following[2] != f"token={pair[1]}"
+                and following[4] == "state=active"
             )
             if not refresh:
                 made.append(pair)
@@ -258,7 +263,8 @@ def live_from_trace(trace) -> dict:
 
 def check_fragments(scenario, result):
     """Each agent's ``fragments`` are the live records of ``live_from_trace``,
-    each shown as of the last tick of the scenario."""
+    each a cohort of that agent alone, shown as of the last tick of the
+    scenario."""
     last = max((directive.tick for directive in scenario.events), default=-1)
     held = {
         agent_id: [rec.token for rec in state.fragments]
@@ -267,7 +273,7 @@ def check_fragments(scenario, result):
     }
     assert held == live_from_trace(result.trace)
     for agent_id, state in result.agents.items():
-        assert all(rec.subject == agent_id for rec in state.fragments)
+        assert all(rec.subjects == [agent_id] for rec in state.fragments)
         assert all(rec.shown_at == last for rec in state.fragments)
 
 
@@ -293,17 +299,26 @@ class CheckedEngine(_Engine):
     """An engine that checks, after every tick, that every live cohort is
     active and non-empty, filed under its token and its origin, so that a
     token's cohorts have distinct origins, and that each of its subjects
-    refreshes into it; and that the deadline heap holds no cohort: each
-    entry is an int deadline, an int origin and a token string."""
+    refreshes into it; that the deadline heap holds no cohort: each entry
+    is an int deadline, an int origin and a token string; and that each
+    agent's ``promises`` are, by pair, the ``{token: promiser}`` of the live
+    adequacy-promise cohorts that list it as a subject."""
 
     def termination_step(self, tick):
         super().termination_step(tick)
+        filed = {}  # agent -> pair -> {token: promiser}
         for token, (_, holders, cohorts) in self.live.items():
             assert cohorts
             for origin, cohort in cohorts.items():
                 assert (cohort.token, cohort.origin) == (token, origin)
                 assert cohort.subjects and cohort.state is LifecycleState.ACTIVE
                 assert all(holders[s] is cohort for s in cohort.subjects)
+                stmt = cohort.statement
+                for subject in cohort.subjects if files(stmt) else ():
+                    pairs = filed.setdefault(subject, {})
+                    pairs.setdefault(stmt.adequacy, {})[token] = stmt.promiser
+        for agent_id, state in self.agents.items():
+            assert state.promises == filed.get(agent_id, {}), agent_id
         for deadline, origin, token in self.deadlines:
             assert type(deadline) is int and type(origin) is int
             assert type(token) is str and re.fullmatch(r"[0-9]+-[0-9]+", token)

@@ -161,7 +161,7 @@ def test_normalize_and_equivalence():
 def test_fragment_on_issue_layout():
     result = run(load('tick 7\nissue p[pi:"b"/{q,r}]q\n'))
     frags = [rec for state in result.agents.values() for rec in state.fragments]
-    assert sorted(f.subject for f in frags) == ["p", "q", "r"]
+    assert sorted(f.subjects for f in frags) == [["p"], ["q"], ["r"]]
     assert len({f.token for f in frags}) == 1
     assert all(f.shown_at == 7 for f in frags)
     assert all(f.fade == PolicyHeader().default_fade for f in frags)

@@ -314,9 +314,10 @@ class CheckedEngine(_Engine):
                 assert cohort.subjects and cohort.state is LifecycleState.ACTIVE
                 assert all(holders[s] is cohort for s in cohort.subjects)
                 stmt = cohort.statement
-                for subject in cohort.subjects if files(stmt) else ():
-                    pairs = filed.setdefault(subject, {})
-                    pairs.setdefault(stmt.adequacy, {})[token] = stmt.promiser
+                if files(stmt):
+                    for subject in cohort.subjects:
+                        pairs = filed.setdefault(subject, {})
+                        pairs.setdefault(stmt.adequacy, {})[token] = stmt.promiser
         for agent_id, state in self.agents.items():
             assert state.promises == filed.get(agent_id, {}), agent_id
         for deadline, origin, token in self.deadlines:

@@ -12,8 +12,9 @@ and that every line of the imposition rules (``on_imposition`` and
 import dis
 import inspect
 import sys
-from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 from coopsim import agents, engine, reputation
 from coopsim.engine import run
@@ -46,8 +47,8 @@ def _written_in(module) -> dict:
     return found
 
 
-@lru_cache(maxsize=None)
-def _shipped_runs() -> tuple:
+@pytest.fixture(scope="module")
+def shipped_runs() -> tuple:
     """(code objects entered, (code, line) pairs run in ``LINE_CHECKED``)
     over every shipped scenario under 2 TRAM policies x 2 interleavings."""
     watched = {func.__code__ for func in LINE_CHECKED}
@@ -72,10 +73,10 @@ def _shipped_runs() -> tuple:
                     run(scenario, tram=tram, interleave=order)
     finally:
         sys.settrace(previous)
-    return frozenset(entered), frozenset(lines)
+    return entered, lines
 
 
-def test_every_rule_is_reached_by_a_shipped_scenario():
+def test_every_rule_is_reached_by_a_shipped_scenario(shipped_runs):
     wanted = {
         **_written_in(agents),
         **_written_in(reputation),
@@ -85,13 +86,13 @@ def test_every_rule_is_reached_by_a_shipped_scenario():
             if name.startswith("_Engine.on_")
         },
     }
-    entered, _ = _shipped_runs()
+    entered, _ = shipped_runs
     assert "on_task_request" in wanted and "_Engine.on_outcome" in wanted
     assert sorted(name for name, code in wanted.items() if code not in entered) == []
 
 
-def test_every_line_of_the_imposition_rules_runs_in_a_shipped_scenario():
-    _, lines = _shipped_runs()
+def test_every_line_of_the_imposition_rules_runs_in_a_shipped_scenario(shipped_runs):
+    _, lines = shipped_runs
     missed = []
     for func in LINE_CHECKED:
         code = func.__code__

@@ -26,7 +26,6 @@ from .statements import (
     StatementSyntaxError,
     ValidityWindow,
     WindowOrderError,
-    normalize,
     parse,
     render,
 )
@@ -41,7 +40,6 @@ from .trust import (
 )
 from .appraisal import (
     ATTRIBUTE_CATALOG,
-    AttributeVector,
     ConsultantProfile,
     InstallVerdict,
     Route,

@@ -1,8 +1,9 @@
 """Credibility appraisal: consultant profiles, gating, attribute rules.
 
 Attribute values use the same five-level ordinal scale as trust: very low is
--2, low is -1, moderate is 0, high is +1, very high is +2.  Missing
-attributes read as 0.
+-2, low is -1, moderate is 0, high is +1, very high is +2.  The rules read
+a plain dict of attribute name to level, which ``load`` has checked; an
+attribute a scenario does not set reads as 0.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .trust import PTRUST, LEVELS
+from .trust import PTRUST
 
 __all__ = [
     "ATTRIBUTE_CATALOG",
-    "AttributeVector",
     "ConsultantProfile",
     "Route",
     "InstallVerdict",
@@ -60,27 +60,6 @@ ATTRIBUTE_CATALOG = (
 
 DEFAULT_GATE_FLOOR = Fraction(1, 2)
 DISCARD_FAST_MULTIPLIER = 4
-
-
-class AttributeVector(dict):
-    """Mapping attribute-name -> level in [-2,2]; missing names read as 0."""
-
-    def __init__(self, values=()):
-        super().__init__()
-        for name, value in dict(values).items():
-            self[name] = value
-
-    def __setitem__(self, name, value):
-        if name not in ATTRIBUTE_CATALOG:
-            raise KeyError(f"unknown attribute {name!r}")
-        if value not in LEVELS:
-            raise ValueError(f"attribute value {value} outside scale")
-        super().__setitem__(name, value)
-
-    def __missing__(self, name):
-        if name not in ATTRIBUTE_CATALOG:
-            raise KeyError(f"unknown attribute {name!r}")
-        return 0
 
 
 @dataclass(frozen=True)
@@ -209,11 +188,11 @@ INSTALL_RULES = (
 )
 
 
-def _matches(attrs: AttributeVector, rule: dict) -> bool:
-    return all(attrs[name] == value for name, value in rule.items())
+def _matches(attrs: dict, rule: dict) -> bool:
+    return all(attrs.get(name, 0) == value for name, value in rule.items())
 
 
-def attribute_install_decision(attrs: AttributeVector) -> InstallVerdict:
+def attribute_install_decision(attrs: dict) -> InstallVerdict:
     """First fully satisfied condition combination wins; refusal block is
     checked before the install block."""
     for rule in REFUSE_RULES:

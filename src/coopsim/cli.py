@@ -69,17 +69,23 @@ def _overrides(args) -> dict:
     return out
 
 
+def _read(path, read):
+    """``read(path)``, or None once stderr says why it failed: the file
+    cannot be read, is not UTF-8 or, for a scenario, does not load."""
+    try:
+        return read(path)
+    except OSError as exc:
+        print(f"coopsim: cannot read {path}: {exc}", file=sys.stderr)
+    except scenario.ScenarioError as exc:
+        print(f"coopsim: {path}: {exc}", file=sys.stderr)
+    return None
+
+
 def _run(args):
     """Load and run the scenario of ``args``: the result and its failed
     expectations.  A scenario that cannot be read or loaded exits 2."""
-    path = args.scenario
-    try:
-        loaded = scenario.load_path(path)
-    except OSError as exc:
-        print(f"coopsim: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    except scenario.ScenarioError as exc:
-        print(f"coopsim: {path}: {exc}", file=sys.stderr)
+    loaded = _read(args.scenario, scenario.load_path)
+    if loaded is None:
         raise SystemExit(EXIT_USAGE)
     result = engine.run(loaded, **_overrides(args))
     return result, [e for e in result.expects if not e.passed]
@@ -116,16 +122,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    try:
-        if args.file == "-":
-            source = scenario.decode_text(sys.stdin.buffer.read())
-        else:
-            source = scenario.read_text(args.file)
-    except OSError as exc:
-        print(f"coopsim: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except scenario.ScenarioError as exc:  # not UTF-8
-        print(f"coopsim: {args.file}: {exc}", file=sys.stderr)
+    if args.file == "-":
+        source = _read("-", lambda _: scenario.decode_text(sys.stdin.buffer.read()))
+    else:
+        source = _read(args.file, scenario.read_text)
+    if source is None:
         return EXIT_USAGE
     status = EXIT_OK
     for line_no, text in code_lines(source):  # comments as in a scenario

@@ -17,7 +17,9 @@ verdict per (program, task) in a run, (4) applies outcome assessments and
 trust updates, with one survey average and reinitialized level per (trust
 sum, group size) in a run, (5) fades the cohorts whose fade deadline has
 come, and (6) announces globally terminated statements.  ``load`` has
-validated the statement, so delivery validates nothing again.
+validated every statement and attribute, so delivery validates nothing
+again: it keys refreshes by a tuple of plain values (``equivalence_key``),
+and an attribute verdict reads a plain dict.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
@@ -66,7 +68,6 @@ from . import agents as agent_rules
 from .agents import Action, AgentState
 from .appraisal import (
     DISCARD_FAST_MULTIPLIER,
-    AttributeVector,
     Route,
     attribute_install_decision,
     credibility_gate,
@@ -196,13 +197,6 @@ class _Engine:
             f"t={tick} agent={agent_id} action={action.kind.value} "
             f"detail={action.detail()}"
         )
-
-    def merged_attrs(self, program, task) -> AttributeVector:
-        merged = AttributeVector()
-        for entity in (("program", program), ("task", task)):
-            for name, value in self.attrs.get(entity, {}).items():
-                merged[name] = value
-        return merged
 
     def route(self, stmt: Statement) -> Route:
         """The credibility route of ``stmt``, gated once per credibility level
@@ -372,9 +366,11 @@ class _Engine:
         pair = promise.adequacy
         verdict = self.verdicts.get(pair)
         if verdict is None:  # attrs are fixed once the initial block ran
-            verdict = self.verdicts[pair] = attribute_install_decision(
-                self.merged_attrs(*pair)
-            )
+            program, task = pair  # a task's level wins over its program's
+            verdict = self.verdicts[pair] = attribute_install_decision({
+                **self.attrs.get(("program", program), {}),
+                **self.attrs.get(("task", task), {}),
+            })
         for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
             self.emit_action(tick, state.id, action)
 
@@ -521,7 +517,7 @@ class _Engine:
             if filed:
                 self.agents[subject].release(cohort.statement, token)
                 self.to_prune.add(subject)
-        if not holders:  # only now hash the key: it holds a Body and an enum
+        if not holders:
             del self.refreshable[key]
         if cohorts.get(cohort.origin) is cohort:  # not a fragment split off it
             del cohorts[cohort.origin]

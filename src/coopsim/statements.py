@@ -57,7 +57,6 @@ __all__ = [
     "split_lines",
     "parse",
     "render",
-    "normalize",
     "equivalence_key",
 ]
 
@@ -156,12 +155,6 @@ class Body:
     def __post_init__(self):
         if not self.text:
             raise StatementError("body text must be non-empty")
-
-
-def normalize(body: Body) -> Body:
-    """Canonical body: lower-case, whitespace runs collapsed, trimmed."""
-    cond = _norm_text(body.condition) if body.condition is not None else None
-    return Body(text=_norm_text(body.text), condition=cond)
 
 
 @dataclass(frozen=True)
@@ -507,9 +500,16 @@ def render(s: Statement) -> str:
 
 def equivalence_key(s: Statement) -> tuple:
     """What two issuings must share to convey the same promise: keeping one
-    implies keeping the other.  Times, subject, identity, fade, and scope are
-    irrelevant."""
-    return (s.kind, s.promiser, s.promisee, s.type_tag, normalize(s.body), s.window)
+    implies keeping the other.  The body and condition count lower-cased,
+    with whitespace runs collapsed and trimmed; issue and observation times,
+    subject, identity, fade, and scope are irrelevant.  The key holds only
+    the kind, strings, ints and None, so it hashes and compares in C."""
+    body, window = s.body, s.window
+    return (
+        s.kind, s.promiser, s.promisee, s.type_tag, _norm_text(body.text),
+        None if body.condition is None else _norm_text(body.condition),
+        None if window is None else (window.start, window.end),
+    )
 
 
 class FragmentCounter:

@@ -6,7 +6,6 @@ from coopsim.appraisal import (
     DEFAULT_GATE_FLOOR,
     INSTALL_RULES,
     REFUSE_RULES,
-    AttributeVector,
     ConsultantProfile,
     InstallVerdict,
     Route,
@@ -21,18 +20,6 @@ def test_catalog_shape():
     assert len(ATTRIBUTE_CATALOG) == 28
     assert len(set(ATTRIBUTE_CATALOG)) == 28
     assert all("-" in name for name in ATTRIBUTE_CATALOG)
-
-
-def test_attribute_vector_validation():
-    v = AttributeVector({"program-quality": 1})
-    assert v["program-quality"] == 1
-    assert v["task-complexity"] == 0  # missing reads neutral
-    with pytest.raises(KeyError):
-        AttributeVector({"no-such-attribute": 0})
-    with pytest.raises(ValueError):
-        AttributeVector({"program-quality": 3})
-    with pytest.raises(KeyError):
-        v["also-not-an-attribute"]
 
 
 def profile(**kw):
@@ -92,25 +79,22 @@ def test_scores_follow_levels():
 
 
 def test_no_rule_on_neutral_attributes():
-    assert attribute_install_decision(AttributeVector()) is InstallVerdict.NO_RULE
+    assert attribute_install_decision({}) is InstallVerdict.NO_RULE
 
 
 @pytest.mark.parametrize("rule", REFUSE_RULES)
 def test_each_refuse_rule_fires(rule):
-    assert (
-        attribute_install_decision(AttributeVector(rule))
-        is InstallVerdict.REFUSE_INSTALL
-    )
+    assert attribute_install_decision(rule) is InstallVerdict.REFUSE_INSTALL
 
 
 @pytest.mark.parametrize("rule", INSTALL_RULES)
 def test_each_install_rule_fires(rule):
-    assert attribute_install_decision(AttributeVector(rule)) is InstallVerdict.INSTALL
+    assert attribute_install_decision(rule) is InstallVerdict.INSTALL
 
 
 def test_matching_is_exact_equality():
     rule = REFUSE_RULES[0]
-    attrs = AttributeVector(rule)
+    attrs = dict(rule)
     name = next(iter(rule))
     attrs[name] = rule[name] - 1 if rule[name] > -2 else rule[name] + 1
     assert attribute_install_decision(attrs) is not InstallVerdict.REFUSE_INSTALL
@@ -119,8 +103,6 @@ def test_matching_is_exact_equality():
 def test_refusal_block_checked_first():
     # REFUSE_RULES[0] and INSTALL_RULES[0] name disjoint attributes, so a
     # vector can satisfy both; the refusal block must win
-    merged = AttributeVector(INSTALL_RULES[0])
-    for name, value in REFUSE_RULES[0].items():
-        merged[name] = value
-    assert attribute_install_decision(AttributeVector(INSTALL_RULES[0])) is InstallVerdict.INSTALL
+    merged = {**INSTALL_RULES[0], **REFUSE_RULES[0]}
+    assert attribute_install_decision(INSTALL_RULES[0]) is InstallVerdict.INSTALL
     assert attribute_install_decision(merged) is InstallVerdict.REFUSE_INSTALL

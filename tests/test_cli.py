@@ -46,6 +46,18 @@ def test_run_missing_file_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_parse_missing_file_is_usage_error(tmp_path, capsys):
+    """``parse`` reports a file it cannot read as ``run`` and ``check`` do."""
+    missing = tmp_path / "no-such-file.txt"
+    assert cli.main(["parse", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"coopsim: cannot read {missing}: "
+        f"[Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
+
+
 def test_check_reports_each_expectation(capsys):
     assert cli.main(["check", str(SCENARIOS / "lor.coop"), "--quiet"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -196,6 +196,8 @@ LOAD_MESSAGES = [
     ("attr-usage", "attr program-quality program=P 1", 2,
      "usage: attr <name> <entity>=<id> = <level>"),
     ("attr-unknown", "attr bogus program=P = 1", 2, "unknown attribute 'bogus'"),
+    ("attr-level-out-of-range", "attr program-quality program=P = 3", 2,
+     "level 3 outside [-2,2]"),
     ("attr-entity-kind", "attr program-quality agent=P = 1", 2,
      "attr entity must be program= or task="),
     ("attr-empty-entity", "attr program-quality task= = 1", 2, "empty task= value"),
@@ -426,6 +428,17 @@ def test_reissue_refreshes_by_equivalence_key_alone(reissue, refreshed):
         line.startswith("t=4 lifecycle token=1-0 subject=q state=active fade=1 ")
         for line in result.trace
     ) is refreshed
+
+
+def test_whitespace_only_body_runs_and_its_reissue_refreshes():
+    """The grammar allows any non-empty quoted body, spaces alone too, and
+    delivery checks nothing again, so the run completes.  Bodies compare
+    lower-cased with whitespace runs collapsed and trimmed, so a tab-only
+    reissue is equivalent to a space-only issue and refreshes it."""
+    text = 'tick 1\nissue p[pi:"   "]q\ntick 2\nissue p[pi:"\t"]q\n'
+    result = run(load(text))
+    assert [rec.token for rec in result.agents["q"].fragments] == ["1-0"]
+    assert "t=2 lifecycle token=1-0 subject=q state=active fade=1 rate=1" in result.trace
 
 
 def test_incredible_promiser_is_fast_discarded():
@@ -957,6 +970,25 @@ def test_attr_applies_to_its_entity_kind_only():
         for kind in ("program", "task")
     }
     assert verdicts == {"program": ["prepare"], "task": ["refuse-install"]}
+
+
+def test_task_attribute_wins_over_the_programs():
+    """The verdict reads the program's and the task's attributes as one;
+    where both set an attribute, the task's level counts."""
+    text = (
+        "trust q a = -1\n"
+        "attr program-quality program=P = 1\n"
+        "attr program-dependability program=P = 1\n"
+        "attr program-user-base-size program=P = 1\n"
+        "{task}"
+        "tick 1\n"
+        'issue a[adequacy(P,U):"p is adequate for task u"]q\n'
+    )
+    verdicts = [
+        [a for _, a, _ in actions(run(load(text.format(task=task))))]
+        for task in ("", "attr program-quality task=U = -1\n")
+    ]
+    assert verdicts == [["prepare"], ["refuse-install"]]
 
 
 def test_issue_holds_one_shared_statement_per_recipient():

@@ -98,7 +98,7 @@ issue_line = line(
     p=agents,
     kind=st.sampled_from(["", "suggest!", "impose!"]),
     tag=st.sampled_from(["adequacy(P,U)", "adequacy(V,U)", "note", "adequacy(,U)"]),
-    body=st.sampled_from(["p is adequate", ""]),
+    body=st.sampled_from(["p is adequate", "", "  ", "P  IS\tadequate"]),
     scope=st.sampled_from(["", "/{r}", "/{r,s}", "/{}"]),
     q=agents,
 )

@@ -5,8 +5,9 @@ enters could change without a golden noticing.  This runs every
 ``scenarios/*.coop`` under both TRAM policies and both interleavings, and
 asserts that each function and method written in ``agents.py`` and
 ``reputation.py``, and each ``_Engine.on_*`` directive handler, is entered,
-and that every line of the imposition rules (``on_imposition`` and
-``resolve_reply``) runs.
+and that every line of ``LINE_CHECKED`` runs: the imposition rules
+(``on_imposition`` and ``resolve_reply``) and ``credibility_level``, whose
+every level ``scenarios/consultants.coop`` reaches.
 """
 
 import dis
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from coopsim import agents, engine, reputation
+from coopsim import agents, appraisal, engine, reputation
 from coopsim.engine import run
 from coopsim.scenario import InterleavingStrategy, load_path
 from coopsim.trust import TramPolicy
@@ -25,7 +26,7 @@ SCENARIOS = sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.coop")
 )
 # functions whose every line some shipped scenario must run
-LINE_CHECKED = (agents.on_imposition, agents.resolve_reply)
+LINE_CHECKED = (agents.on_imposition, agents.resolve_reply, appraisal.credibility_level)
 
 
 def _written_in(module) -> dict:

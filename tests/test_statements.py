@@ -20,7 +20,6 @@ from coopsim.statements import (
     check_agent_id,
     code_lines,
     equivalence_key,
-    normalize,
     parse,
     render,
 )
@@ -148,10 +147,18 @@ def test_fade_spec_validation():
 
 
 def test_normalize_and_equivalence():
+    """The key holds the body and condition lower-cased, with whitespace
+    runs collapsed and trimmed, and holds only plain values: the kind,
+    strings, ints and None."""
     a = parse('p[pi:"Keep  The   Promise"]q')
     b = parse('p[pi:"keep the promise"/{r}]q')
-    assert normalize(a.body) == normalize(b.body)
+    key = (DirectionalKind.PROMISE, "p", "q", "pi", "keep the promise", None, None)
+    assert equivalence_key(a) == key
     assert equivalence_key(a) == equivalence_key(b)  # scope is irrelevant
+    windowed = parse('p[u=2,pi:(5," Keep\tIt "if"  Rain  Falls",8)]q')
+    assert equivalence_key(windowed) == (
+        DirectionalKind.PROMISE, "p", "q", "pi", "keep it", "rain falls", (5, 8)
+    )
     c = parse('p[pi:"keep another promise"]q')
     assert equivalence_key(a) != equivalence_key(c)
     d = parse('q[pi:"keep the promise"]p')

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from coopsim.agents import AgentState
 from coopsim.engine import run
 from coopsim.scenario import ScenarioError, load, load_path
+from coopsim.statements import Body
 from coopsim.trust import (
     _KINDS,
     LEVELS,
@@ -115,6 +116,27 @@ def test_run_calls_no_enum_hash():
     names = {code.co_name for code in called}
     assert {"deliver", "retire", "lifecycle_text", "equivalence_key"} <= names
     assert Enum.__hash__.__code__ not in called
+
+
+def test_run_enters_no_body_method():
+    """``load`` has checked every statement, so a run and its trace build
+    no validated object again: the equivalence key is plain strings, and
+    the attribute verdict reads plain dicts.  Running and rendering a
+    scenario of attribute rules and equivalent reissues enters no method of
+    ``statements.Body``."""
+    scenario = load_path(SCENARIOS / "attr_rules.coop")
+    body_methods = {
+        getattr(Body, name).__code__
+        for name in ("__init__", "__post_init__", "__hash__", "__eq__")
+    }
+
+    def run_and_render():
+        run(scenario).trace_text()
+
+    called = python_calls(run_and_render)
+    assert called[0].co_name == "run_and_render"  # the hook was live
+    assert {"deliver", "attribute_install_decision"} <= {c.co_name for c in called}
+    assert body_methods.isdisjoint(called)
 
 
 def test_unwritten_keys_read_neutral():

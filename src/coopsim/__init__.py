@@ -12,61 +12,7 @@ Modules:
 * scenario    - the scenario directive table and its loader
 * engine      - tick-driven scenario runner with byte-stable traces
 * corpus      - worked statement corpus in canonical notation
+* cli         - the ``coopsim`` command line front end
+
+The package defines nothing itself: import each name from its module.
 """
-
-from .statements import (
-    Body,
-    DirectionalKind,
-    FadeSpec,
-    FragmentCounter,
-    FragmentIdentity,
-    ScopeMembershipError,
-    Statement,
-    StatementError,
-    StatementSyntaxError,
-    ValidityWindow,
-    WindowOrderError,
-    parse,
-    render,
-)
-from .trust import (
-    PTRUST,
-    AppreciationKind,
-    Outcome,
-    TramPolicy,
-    TrustStore,
-    clamp_level,
-    level_from_history,
-)
-from .appraisal import (
-    ATTRIBUTE_CATALOG,
-    ConsultantProfile,
-    InstallVerdict,
-    Route,
-    attribute_install_decision,
-    credibility_gate,
-    credibility_level,
-    credibility_score,
-)
-from .lifecycle import LifecycleState
-from .agents import (
-    Action,
-    ActionKind,
-    AgentState,
-    on_adequacy_promise,
-    on_imposition,
-    on_outcome,
-    on_task_request,
-)
-from .reputation import lor_update, survey_reinit
-from .scenario import (
-    InterleavingStrategy,
-    Scenario,
-    ScenarioError,
-    load,
-    load_path,
-)
-from .engine import RunResult, run
-from .corpus import CORPUS_TEXTS
-
-__version__ = "0.1.0"

@@ -1,25 +1,25 @@
 """Deterministic scenario engine.
 
-Runs a scenario that ``scenario.load`` read, a header block (policy, initial
-trust, attributes, profiles) followed by tick-ordered event directives, and
-produces a line-oriented trace; the same scenario always produces a
-byte-identical trace.
+Runs a scenario that ``scenario.load`` read, whose header it only reads,
+and produces a line-oriented trace; the same scenario always produces a
+byte-identical trace.  The run applies the header's ``trust`` and
+``expect-trust`` lines and then walks every tick the scenario names.
 
-Per tick the engine (1) injects the scripted directives, (2) delivers each
-issued statement under a fresh token to every agent in effective scope plus
-the promisee, as one cohort (``lifecycle.Cohort``) that holds the sorted
-list of its fresh recipients, works out once per delivery what depends only
-on the statement (route, rate, the reacting promisee and a discarded
-statement's lifecycle text), and files the cohort's fade deadline once, (3)
-gates once per credibility level in a run, and lets receiving agents react
-by their trust rules in lexicographic order, with one attribute install
-verdict per (program, task) in a run, (4) applies outcome assessments and
-trust updates, with one survey average and reinitialized level per (trust
-sum, group size) in a run, (5) fades the cohorts whose fade deadline has
-come, and (6) announces globally terminated statements.  ``load`` has
-validated every statement and attribute, so delivery validates nothing
-again: it keys refreshes by a tuple of plain values (``equivalence_key``),
-and an attribute verdict reads a plain dict.
+At every tick, with or without directives, the engine (1) injects the tick's
+directives, (2) delivers each issued statement under a fresh token to every
+agent in effective scope plus the promisee, as one cohort
+(``lifecycle.Cohort``) that holds the sorted list of its fresh recipients,
+works out once per delivery what depends only on the statement (route, rate,
+the reacting promisee and a discarded statement's lifecycle text), and files
+the cohort's fade deadline once, (3) gates once per credibility level in a
+run, and lets receiving agents react by their trust rules in lexicographic
+order, with one attribute install verdict per (program, task) in a run, (4)
+applies outcome assessments and trust updates, with one survey average and
+reinitialized level per (trust sum, group size) in a run, (5) fades the
+cohorts whose fade deadline has come, and (6) announces globally terminated
+statements.  ``load`` has validated every statement and attribute, so
+delivery validates nothing again: it keys refreshes by a tuple of plain
+values (``equivalence_key``), and an attribute verdict reads a plain dict.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
@@ -58,7 +58,7 @@ tick and joins its agent's ``fragments``, in delivery order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby, zip_longest
@@ -75,12 +75,11 @@ from .appraisal import (
     credibility_score,
 )
 from .lifecycle import Cohort, LifecycleState
-from .reputation import LorResponse, lor_update, survey_reinit
+from .reputation import lor_update, survey_reinit
 from .scenario import (  # load too: the benchmark calls ``engine.load``
     _ROWS,
     Directive,
     InterleavingStrategy,
-    PolicyHeader,
     Scenario,
     load,
 )
@@ -132,8 +131,6 @@ class _Engine:
         self.fade = self.header.default_fade
         self.trace: list = []
         self.expects: list = []
-        self.attrs: dict = {}  # (entity kind, entity id) -> {name: level}
-        self.profiles: dict = {}
         # fading, refresh and termination state; see the module docstring
         self.deadlines: list = []  # fade queue: heap of (deadline, origin, token)
         self.fade_tick = -1  # last tick fading ran at; ticks are not negative
@@ -147,10 +144,10 @@ class _Engine:
         self.verdicts: dict = {}  # (program, task) -> attribute install verdict
         self.routes: dict = {}  # credibility level or None -> Route
         self.surveyed: dict = {}  # (trust sum, group size) -> (average text, level)
-        # directive "x-y" goes to on_x_y; tick and policy lines make none
+        # directive "x-y" goes to on_x_y; tick and header-setting lines make none
         self.handlers = {
             name: getattr(self, "on_" + name.replace("-", "_"))
-            for name in _ROWS.keys() - {"tick", "policy"}
+            for name in _ROWS.keys() - {"tick", "policy", "attr", "profile"}
         }
 
     # -- helpers -----------------------------------------------------------
@@ -202,7 +199,7 @@ class _Engine:
         """The credibility route of ``stmt``, gated once per credibility level
         in a run (None: an unprofiled promiser, who scores 1/2)."""
         level = None
-        profile = self.profiles.get(stmt.promiser)
+        profile = self.header.profiles.get(stmt.promiser)
         if profile is not None:  # an adequacy tag's focus is its program
             pair = stmt.adequacy
             level = credibility_level(
@@ -219,10 +216,15 @@ class _Engine:
     def run(self) -> RunResult:
         for directive in self.scenario.initial:
             self.apply_event(directive)
-        # load keeps the events in tick order, each tick after the last
-        for tick, directives in groupby(self.scenario.events, attrgetter("tick")):
-            for directive in self.order_within_tick(list(directives)):
-                self.apply_event(directive)
+        # load keeps the events in tick order and every tick, each after the
+        # last, so one pass pairs each tick with its directives, if any
+        blocks = groupby(self.scenario.events, attrgetter("tick"))
+        at, directives = next(blocks, (None, ()))
+        for tick in self.scenario.ticks:
+            if tick == at:
+                for directive in self.order_within_tick(list(directives)):
+                    self.apply_event(directive)
+                at, directives = next(blocks, (None, ()))
             self.fade_step(tick)
             self.termination_step(tick)
         # a cohort of one per live fragment, each agent's in delivery order,
@@ -257,14 +259,6 @@ class _Engine:
 
     def apply_event(self, directive: Directive):
         self.handlers[directive.name](directive)
-
-    def on_attr(self, directive: Directive):
-        name, entity_kind, entity_id, level = directive.args
-        self.attrs.setdefault((entity_kind, entity_id), {})[name] = level
-
-    def on_profile(self, directive: Directive):
-        agent_id, profile = directive.args
-        self.profiles[agent_id] = profile
 
     def on_trust(self, directive: Directive):
         subject, target, program, task, level = directive.args
@@ -365,11 +359,12 @@ class _Engine:
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
         pair = promise.adequacy
         verdict = self.verdicts.get(pair)
-        if verdict is None:  # attrs are fixed once the initial block ran
+        if verdict is None:  # attrs are fixed once the scenario loaded
             program, task = pair  # a task's level wins over its program's
+            attrs = self.header.attrs
             verdict = self.verdicts[pair] = attribute_install_decision({
-                **self.attrs.get(("program", program), {}),
-                **self.attrs.get(("task", task), {}),
+                **attrs.get(("program", program), {}),
+                **attrs.get(("task", task), {}),
             })
         for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
             self.emit_action(tick, state.id, action)
@@ -432,12 +427,10 @@ class _Engine:
         peer_level = self.agent(peer).trust.general.get(about, 0)
         general = self.agent(asker).trust.general
         new_level = lor_update(general.get(about, 0), peer_level)
-        response = (
-            LorResponse.REFUSED if new_level is None else LorResponse.COMMUNICATED
-        )
+        response = "refused" if new_level is None else "communicated"
         self.emit(
             f"t={directive.tick} reputation kind=lor asker={asker} peer={peer} "
-            f"about={about} peer-level={peer_level} response={response.value}"
+            f"about={about} peer-level={peer_level} response={response}"
         )
         if new_level is not None:
             general[about] = new_level
@@ -466,14 +459,14 @@ class _Engine:
             f"t={directive.tick} reputation kind=survey surveyor={surveyor} "
             f"about={about} group={','.join(members)} average={average}"
         )
-        head = f"t={directive.tick} trust subject="
-        tail = f" target={about} kind=general-trust level={new_level} cause=survey"
         for member in members:
             trust = stores[member]
             recent = trust.recent.get(about)  # (last assessed tick, outcomes)
             if recent is None or directive.tick - recent[0] > window:
                 trust.general[about] = new_level
-                self.emit(head + member + tail)
+                self.emit_trust(
+                    directive.tick, member, about, "general-trust", new_level, "survey"
+                )
 
     def on_reply(self, directive: Directive):
         sender, receiver, decision = directive.args
@@ -564,9 +557,6 @@ def run(scenario: Scenario, **overrides) -> RunResult:
     editing the scenario, mirroring the CLI flags ``--tram`` and
     ``--interleave``.
     """
-    if overrides:
-        header = PolicyHeader(**{**scenario.header.__dict__, **overrides})
-        scenario = Scenario(
-            header=header, initial=scenario.initial, events=scenario.events
-        )
+    if overrides:  # the new header keeps the attributes and profiles
+        scenario = replace(scenario, header=replace(scenario.header, **overrides))
     return _Engine(scenario).run()

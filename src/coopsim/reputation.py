@@ -11,24 +11,17 @@ below.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Optional
 
 from .trust import LEVELS, TrustKeyError, clamp_level
 
 __all__ = [
-    "LorResponse",
     "DEFAULT_RECENT_WINDOW",
     "lor_update",
     "survey_reinit",
 ]
 
 DEFAULT_RECENT_WINDOW = 50
-
-
-class LorResponse(Enum):
-    COMMUNICATED = "communicated"
-    REFUSED = "refused"
 
 
 def lor_update(asker_level: int, peer_level: int) -> Optional[int]:

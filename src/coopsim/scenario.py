@@ -1,7 +1,10 @@
 """Scenario files: the directive table and ``load``.
 
 A scenario is a header block (policy, initial trust, attributes, profiles)
-followed by tick-ordered event directives, one per line.  A line's first
+followed by tick-ordered event directives, one per line.  ``policy``,
+``attr`` and ``profile`` lines set the ``PolicyHeader`` as the scenario
+loads and make no directive; every ``tick`` line is kept in
+``Scenario.ticks``, with or without directives after it.  A line's first
 word names its directive, which is declared once, as a row of ``_ROWS``
 (``_Row``): its fields, the kind of each (``_Kind``) and its usage text.
 ``load`` accepts a line only by a ``fullmatch`` of its row's pattern, the
@@ -18,7 +21,7 @@ own.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -76,6 +79,8 @@ class PolicyHeader:
     interleave: InterleavingStrategy = InterleavingStrategy.FILE_ORDER
     penalize_incredible: bool = False
     recent_window: int = DEFAULT_RECENT_WINDOW
+    attrs: dict = field(default_factory=dict)  # (entity kind, id) -> {name: level}
+    profiles: dict = field(default_factory=dict)  # agent -> ConsultantProfile
 
     @property
     def default_fade(self) -> FadeSpec:
@@ -97,9 +102,10 @@ class Directive(NamedTuple):
 
 @dataclass
 class Scenario:
-    header: PolicyHeader
-    initial: list
-    events: list
+    header: PolicyHeader  # policy, attributes and consultant profiles
+    initial: list  # the header's trust and expect-trust directives
+    events: list  # the directives after the first tick, in tick order
+    ticks: list  # every tick a line names, with or without directives
 
 
 def read_text(path) -> str:
@@ -322,18 +328,16 @@ def _settings(words: list, table: dict, what: str, given: set):
 
 class _Load:
     """The state of one ``load``: the header so far, the current tick, the
-    directives read, and what may be given only once.  A reader or check
-    returns a line's args and statement, or None for a line that only sets
-    the tick or the header."""
+    ticks and directives read, and the policy settings given so far.  A
+    reader or check returns a line's args and statement, or None for a line
+    that only sets the tick or the header."""
 
     def __init__(self):
         self.header = PolicyHeader()
         self.now: Optional[int] = None  # None before the first tick
-        self.initial, self.events = [], []
+        self.initial, self.events, self.ticks = [], [], []
         self.directives = self.initial  # the list the next directive joins
         self.settings: set = set()  # policy settings given so far
-        self.profiled: set = set()  # agents with a profile line so far
-        self.attrs: set = set()  # (name, entity kind, entity id) set so far
 
     def retry(self, row: _Row, words: list):
         """The match of ``words``, a line's words after its name, with one
@@ -370,9 +374,9 @@ class _Load:
     def policy(self, stripped: str):
         header = self.header
         settings = _settings(stripped.split()[1:], _POLICY, "policy", self.settings)
-        for key, value, field, read in settings:
+        for key, value, name, read in settings:
             try:
-                setattr(header, field, read(value))
+                setattr(header, name, read(value))
                 header.default_fade  # FadeSpec validates span and threshold
             except (ValueError, ZeroDivisionError) as exc:
                 # a boolean names what it expected; other values read alike
@@ -388,12 +392,12 @@ class _Load:
         if not words:
             raise ValueError("profile requires an agent")
         agent = check_agent_id(words[0])
-        if agent in self.profiled:
+        profiles = self.header.profiles
+        if agent in profiles:
             raise ValueError(f"repeated profile for agent {agent!r}")
-        self.profiled.add(agent)
         settings = _settings(words[1:], _PROFILE, "profile", set())
-        fields = {field: read(value, key) for key, value, field, read in settings}
-        return (agent, ConsultantProfile(**fields)), None
+        fields = {name: read(value, key) for key, value, name, read in settings}
+        profiles[agent] = ConsultantProfile(**fields)
 
     def issue(self, stripped: str):
         text = stripped[len("issue") :].strip()
@@ -417,15 +421,16 @@ class _Load:
         if self.now is not None and tick <= self.now:
             raise ValueError(f"tick {tick} not after previous tick {self.now}")
         self.now = tick
+        self.ticks.append(tick)
         self.directives = self.events
 
     def attr(self, args: tuple):
         name, entity, level = args
         kind, _, entity_id = entity.partition("=")
-        if (name, kind, entity_id) in self.attrs:
+        levels = self.header.attrs.setdefault((kind, entity_id), {})
+        if name in levels:
             raise ValueError(f"repeated attr {name!r} for {kind} {entity_id!r}")
-        self.attrs.add((name, kind, entity_id))
-        return (name, kind, entity_id, level), None
+        levels[name] = level
 
     def impose(self, args: tuple):
         imposer, target, task, strength = args
@@ -443,8 +448,8 @@ class _Load:
 
 _TRUST = "<subject> <target> [program=<P>] [task=<T>] = <level>"
 
-# The directives, in the README's order.  ``_Engine`` handles each but tick
-# and policy.
+# The directives, in the README's order.  ``_Engine`` handles each that
+# makes a directive: all but tick, policy, attr and profile.
 _ROWS = {row.name: row for row in (
     _Row("tick <n>", "both", {"tick": COUNT}, check=_Load.tick,
          misuse="tick takes one argument"),
@@ -509,10 +514,10 @@ def load(text: str) -> Scenario:
                             args[i] = convert(args[i])
                     args = tuple(args)
                 built = (args, None) if row.check is None else row.check(state, args)
-            if built is not None:  # None for a tick or header line
+            if built is not None:  # None for a tick, policy, attr or profile line
                 state.directives.append(
                     new(Directive, (state.now or 0, line_no, name) + built)
                 )
     except ValueError as exc:
         raise ScenarioError(str(exc), line_no) from None
-    return Scenario(header=state.header, initial=state.initial, events=state.events)
+    return Scenario(state.header, state.initial, state.events, state.ticks)

@@ -243,8 +243,9 @@ def test_criterion_08_lifecycle_small_model():
         for name in seq:
             now += LIFECYCLE_OPS[name][0]
             events.append(directives[name]._replace(tick=now))
+        ticks = sorted({directive.tick for directive in events})
         trace = engine.run(
-            scenario.Scenario(base.header, base.initial, tuple(events))
+            scenario.Scenario(base.header, base.initial, tuple(events), ticks)
         ).trace
         check_absorption(trace)
         states_seen.update(

@@ -12,6 +12,7 @@ from coopsim.scenario import (
     load,
     load_path,
 )
+from coopsim.appraisal import ConsultantProfile
 from coopsim.lifecycle import LifecycleState
 from coopsim.trust import PTRUST, TramPolicy
 
@@ -359,6 +360,29 @@ def test_policy_parsing():
         assert exc.value.line == 2
 
 
+def test_attr_and_profile_lines_set_the_header():
+    """``attr`` and ``profile`` lines set the header as the scenario loads
+    and make no directive; a run with overrides keeps both maps."""
+    scenario = load(
+        "attr provider-size program=R = -2\n"
+        "attr program-size program=R = 2\n"
+        "profile p independent=false\n"
+        "trust q b = 2\n"
+        "expect-trust q b = 2\n"
+        "tick 1\n"
+        'issue b[adequacy(R,U):"r is adequate for task u"]q\n'
+        'issue p[pi:"b"]q\n'
+    )
+    assert [d.name for d in scenario.initial] == ["trust", "expect-trust"]
+    assert scenario.header.attrs == {
+        ("program", "R"): {"provider-size": -2, "program-size": 2}
+    }
+    assert scenario.header.profiles == {"p": ConsultantProfile(independent=False)}
+    result = run(scenario, tram=TramPolicy.RECENCY)
+    assert actions(result) == [("q", "refuse-install", "program=R,task=U")]
+    assert "t=1 lifecycle token=1-1 subject=q state=active fade=1 rate=4" in result.trace
+
+
 def test_thread1_actions_and_trust():
     result = run_file("thread1.coop")
     assert [e.passed for e in result.expects] == [True, True]
@@ -470,6 +494,21 @@ def test_fading_terminates_and_announces_termination():
     faded = [line for line in result.trace if "state=faded" in line]
     assert len(faded) == 2  # one fragment each for p and q
     assert any(line.startswith("t=3 terminated") for line in result.trace)
+
+
+def test_bare_tick_fades_and_terminates():
+    """A tick with no directive after it still runs its closing steps: the
+    fragments of t=1, which live 2 ticks, fade at t=9 and the token ends."""
+    text = 'policy fade-span=2 fade-threshold=0.5\ntick 1\nissue p[pi:"b"]q\ntick 9\n'
+    scenario = load(text)
+    assert (scenario.ticks, [d.tick for d in scenario.events]) == ([1, 9], [1])
+    result = run(scenario)
+    assert result.trace[3:] == [
+        "t=9 lifecycle token=1-0 subject=p state=faded fade=0 rate=1",
+        "t=9 lifecycle token=1-0 subject=q state=faded fade=0 rate=1",
+        "t=9 terminated token=1-0",
+    ]
+    assert not any(state.fragments for state in result.agents.values())
 
 
 @pytest.mark.parametrize(

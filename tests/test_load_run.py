@@ -331,5 +331,5 @@ def test_live_records_are_active_and_deadlines_name_tokens(text):
     scenario = load(text)
     for interleave in InterleavingStrategy:
         header = replace(scenario.header, interleave=interleave)
-        ordered = Scenario(header, scenario.initial, scenario.events)
+        ordered = Scenario(header, scenario.initial, scenario.events, scenario.ticks)
         check_fragments(ordered, CheckedEngine(ordered).run())

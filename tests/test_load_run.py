@@ -265,7 +265,7 @@ def check_fragments(scenario, result):
     """Each agent's ``fragments`` are the live records of ``live_from_trace``,
     each a cohort of that agent alone, shown as of the last tick of the
     scenario."""
-    last = max((directive.tick for directive in scenario.events), default=-1)
+    last = max(scenario.ticks, default=-1)
     held = {
         agent_id: [rec.token for rec in state.fragments]
         for agent_id, state in result.agents.items()

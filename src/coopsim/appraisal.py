@@ -110,9 +110,8 @@ def credibility_gate(score, floor=DEFAULT_GATE_FLOOR) -> Route:
     """Directionals lacking credibility are not engaged with: their fragments
     fade at 4x rate and the promisee does not react.  The promisee still
     files a discarded adequacy promise, so a later outcome assesses it
-    (``scenarios/discarded.coop``)."""
-    if not (0 <= score <= 1 and 0 <= floor <= 1):
-        raise ValueError("score and floor must be in [0,1]")
+    (``scenarios/discarded.coop``).  ``score`` is a ``PTRUST`` weight and
+    ``load`` bounds the floor to [0,1], so neither is checked here."""
     return Route.ENGAGE if score >= floor else Route.DISCARD_FAST
 
 

@@ -60,15 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if args.tram is not None:  # the choices are the policies' values
-        out["tram"] = TramPolicy(args.tram)
-    if args.interleave is not None:
-        out["interleave"] = scenario.InterleavingStrategy(args.interleave)
-    return out
-
-
 def _read(path, read):
     """``read(path)``, or None once stderr says why it failed: the file
     cannot be read, is not UTF-8 or, for a scenario, does not load."""
@@ -87,7 +78,12 @@ def _run(args):
     loaded = _read(args.scenario, scenario.load_path)
     if loaded is None:
         raise SystemExit(EXIT_USAGE)
-    result = engine.run(loaded, **_overrides(args))
+    # the choices are the values of the enums; None keeps the header's
+    result = engine.run(
+        loaded,
+        tram=args.tram and TramPolicy(args.tram),
+        interleave=args.interleave and scenario.InterleavingStrategy(args.interleave),
+    )
     return result, [e for e in result.expects if not e.passed]
 
 

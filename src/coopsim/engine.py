@@ -550,13 +550,14 @@ class _Engine:
         self.terminated.clear()
 
 
-def run(scenario: Scenario, **overrides) -> RunResult:
-    """Run a scenario deterministically.
-
-    ``overrides`` may replace header fields (tram, interleave, ...) without
-    editing the scenario, mirroring the CLI flags ``--tram`` and
-    ``--interleave``.
-    """
-    if overrides:  # the new header keeps the attributes and profiles
-        scenario = replace(scenario, header=replace(scenario.header, **overrides))
+def run(scenario: Scenario, *, tram=None, interleave=None) -> RunResult:
+    """Run a scenario deterministically.  ``tram`` and ``interleave``, unless
+    None, replace the header's, as the CLI flags ``--tram`` and
+    ``--interleave`` do; no other header field can be set past ``load``."""
+    if tram or interleave:  # the new header keeps the attributes and profiles
+        header = scenario.header
+        header = replace(
+            header, tram=tram or header.tram, interleave=interleave or header.interleave
+        )
+        scenario = replace(scenario, header=header)
     return _Engine(scenario).run()

@@ -5,7 +5,8 @@ letter of recommendation (LOR) refuses when its own level is -1 or 0; other
 levels translate into a fixed adjustment of the asker's level.  A third
 party survey computes a group's average trust in an agent; members without
 recent own observations reinitialize by approximating the average from
-below.
+below.  The levels and averages they take are on the scale, as ``load``
+reads every level, so neither checks them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .trust import LEVELS, TrustKeyError, clamp_level
+from .trust import clamp_level
 
 __all__ = [
     "DEFAULT_RECENT_WINDOW",
@@ -30,8 +31,6 @@ def lor_update(asker_level: int, peer_level: int) -> Optional[int]:
     Peer -2 drags the asker to at most -1; peer 1 and 2 set the asker one
     step below the peer's level.
     """
-    if asker_level not in LEVELS or peer_level not in LEVELS:
-        raise TrustKeyError("levels must be on the five-level scale")
     if peer_level == -2:
         return min(-1, asker_level)
     if peer_level in (-1, 0):
@@ -45,7 +44,5 @@ def survey_reinit(average) -> int:
     """The level a surveyed average reinitializes members to, approximating
     it from below.  It is the same for every member; members with recent own
     observations are not reinitialized and keep their level."""
-    if not -2 <= average <= 2:
-        raise ValueError("average outside the trust scale")
     return clamp_level(math.floor(average))
 

@@ -248,7 +248,7 @@ def _enum(values, message: Optional[str] = None) -> _Kind:
     return _Kind("|".join(map(re.escape, values)), read=read)
 
 
-ID = _Kind(_TOKEN)  # an id that the row's check makes a statement of
+ID = _Kind(_TOKEN)  # an id that the row's check tests
 AGENT = _Kind(_TOKEN, read=lambda word, name: check_agent_id(word))
 TOKEN = _Kind(_TOKEN, read=_token)
 TASK = _Kind(_TOKEN, read=_nonempty)  # a task that the row's check tests
@@ -434,15 +434,18 @@ class _Load:
 
     def impose(self, args: tuple):
         imposer, target, task, strength = args
-        try:  # the task becomes a type argument, so it must be a token too
-            if not _TOKEN_RE.fullmatch(task):
-                raise StatementError(f"invalid task: {task!r}")
-            statement = Statement(
-                DirectionalKind.IMPOSITION, imposer, target, f"perform({task})",
-                Body(f"perform task {task}"), strength=strength,
-            )
-        except StatementError as exc:
+        try:  # checked here alone: the task (a type argument), ids, strength
+            _token(task, "task")
+            check_agent_id(imposer)
+            check_agent_id(target)
+            if strength is not None and not 1 <= strength <= 10:
+                raise ValueError("imposition strength must be in 1..10")
+        except ValueError as exc:
             raise ValueError(f"bad imposition: {exc}") from None
+        statement = Statement(
+            DirectionalKind.IMPOSITION, imposer, target, f"perform({task})",
+            Body(f"perform task {task}"), strength=strength,
+        )
         return (imposer, target, task), statement
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "DirectionalKind",
     "Body",
     "ValidityWindow",
-    "FragmentIdentity",
     "FadeSpec",
     "Statement",
     "StatementError",
@@ -118,7 +117,7 @@ _KEYWORD_KIND = {v: k for k, v in _KIND_KEYWORD.items()}
 
 
 def check_agent_id(name: str) -> str:
-    if not name or not _TOKEN_RE.fullmatch(name):
+    if not _TOKEN_RE.fullmatch(name):
         raise StatementError(f"invalid agent id: {name!r}")
     return name
 
@@ -152,10 +151,6 @@ class Body:
     text: str
     condition: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.text:
-            raise StatementError("body text must be non-empty")
-
 
 @dataclass(frozen=True)
 class ValidityWindow:
@@ -163,21 +158,10 @@ class ValidityWindow:
     end: int
 
     def __post_init__(self):
-        if self.start < 0:
-            raise StatementError("window start must be >= 0")
         if self.start > self.end:
             raise WindowOrderError(
                 f"window start {self.start} after end {self.end}"
             )
-
-
-@dataclass(frozen=True)
-class FragmentIdentity:
-    token: str
-
-    def __post_init__(self):
-        if not self.token:
-            raise StatementError("fragment identity token must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -218,26 +202,13 @@ class Statement:
     issue_time: Optional[int] = None
     observation_time: Optional[int] = None
     subject: Optional[str] = None
-    identity: Optional[FragmentIdentity] = None
+    identity: Optional[str] = None  # the fragment's token
     fade: Optional[FadeSpec] = None
     strength: Optional[int] = None
 
     def __post_init__(self):
-        # one match for all the ids; the loop names the first bad one.  A
-        # comma inside an id would join as a separator, so count them.
-        ids = (self.promiser, self.promisee, *self.scope)
-        try:
-            joined = ",".join(ids)
-        except TypeError:  # a non-str id: the loop raises what it raised
-            joined = ""
-        if not (_TOKENS_RE.fullmatch(joined) and joined.count(",") == len(ids) - 1):
-            for agent_id in ids:
-                check_agent_id(agent_id)
-        if self.strength is not None:
-            if self.kind is not DirectionalKind.IMPOSITION:
-                raise StatementError("strength applies to impositions only")
-            if not 1 <= self.strength <= 10:
-                raise StatementError("imposition strength must be in 1..10")
+        # ids and strength are checked where they are read: by the grammar
+        # and ``_clauses`` in ``parse``, by ``scenario._Load.impose``
         if (
             self.observation_time is not None
             and self.issue_time is not None
@@ -246,12 +217,10 @@ class Statement:
             raise WindowOrderError(
                 "observation time precedes issue time"
             )
-        if self.subject is not None:
-            check_agent_id(self.subject)
-            if self.subject not in self.effective_scope | {self.promisee}:
-                raise ScopeMembershipError(
-                    f"subject {self.subject!r} outside effective scope and promisee"
-                )
+        if self.subject is not None and self.subject not in self.recipients:
+            raise ScopeMembershipError(
+                f"subject {self.subject!r} outside effective scope and promisee"
+            )
 
     @cached_property
     def adequacy(self) -> Optional[tuple]:
@@ -411,7 +380,7 @@ def parse(text: str) -> Statement:
         issue_time=None if issued is None else int(issued),
         observation_time=None if observed is None else int(observed),
         subject=subject,
-        identity=None if identity is None else FragmentIdentity(token=identity),
+        identity=identity,
         fade=fade,
         strength=strength,
     )
@@ -466,7 +435,7 @@ def render(s: Statement) -> str:
             )
         parts.append(f"w={s.observation_time},{s.subject}")
         if s.identity is not None:
-            parts.append(f"({s.identity.token})")
+            parts.append(f"({s.identity})")
         if s.fade is not None:
             parts.append(f",fade({s.fade.span},{_fmt_fraction(s.fade.threshold)})")
         parts.append("/")

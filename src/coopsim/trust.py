@@ -13,7 +13,8 @@ An agent's store keeps general trust, the level the behaviour rules read and
 outcomes assess, by the target's name alone; a task, program or confidence
 level, which only ``trust`` and ``expect-trust`` lines address, is kept apart
 under ``(target, program, task)``.  The kind a level's qualifiers name
-(``_KINDS``) is looked up only where a trust line is written.
+(``_KINDS``) is looked up only where a trust line is written.  ``load`` reads
+every level on the scale and a run's ticks go forward, so neither is checked.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Outcome",
     "TramPolicy",
     "TrustStore",
-    "TrustKeyError",
     "clamp_level",
     "level_from_history",
 ]
@@ -48,10 +48,6 @@ PTRUST = {
     1: Fraction(3, 4),
     2: Fraction(19, 20),
 }
-
-
-class TrustKeyError(ValueError):
-    """A level off the scale, or an assessment older than the last one."""
 
 
 class AppreciationKind(Enum):
@@ -125,8 +121,6 @@ class TrustStore:
         return self.qualified.get((target, program, task), 0)
 
     def set(self, target: str, level: int, program=None, task=None):
-        if level not in LEVELS:
-            raise TrustKeyError(f"level {level} outside scale")
         if program is None and task is None:
             self.general[target] = level
         else:
@@ -139,11 +133,9 @@ class TrustStore:
         tick: int,
         policy: TramPolicy = TramPolicy.INCREMENTAL,
     ) -> int:
-        """Record an outcome of general trust in ``target`` and return the
-        updated level."""
-        last_tick, outcomes = self.recent.get(target, (None, ()))
-        if last_tick is not None and tick < last_tick:
-            raise TrustKeyError("experience ticks must be non-decreasing")
+        """Record an outcome of general trust in ``target`` at ``tick``, no
+        earlier than the last one, and return the updated level."""
+        _, outcomes = self.recent.get(target, (None, ()))
         outcomes = outcomes[-1:] + (outcome,)
         self.recent[target] = (tick, outcomes)
         if policy is TramPolicy.INCREMENTAL:

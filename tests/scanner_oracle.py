@@ -9,7 +9,6 @@ from coopsim.statements import (
     Body,
     DirectionalKind,
     FadeSpec,
-    FragmentIdentity,
     Statement,
     StatementSyntaxError,
     ValidityWindow,
@@ -105,7 +104,7 @@ def _scan(text: str) -> Statement:
         subject = sc.token("subject")
         if sc.peek() == "(":
             sc.expect("(")
-            identity = FragmentIdentity(token=sc.token("identity token"))
+            identity = sc.token("identity token")
             sc.expect(")")
         if sc.lookahead(",fade("):
             sc.expect(",fade(")

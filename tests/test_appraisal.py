@@ -67,8 +67,6 @@ def test_gate_boundary_inclusive():
     assert credibility_gate(Fraction(1, 2)) is Route.ENGAGE
     assert credibility_gate(Fraction(49, 100)) is Route.DISCARD_FAST
     assert credibility_gate(Fraction(1, 4), floor=Fraction(1, 4)) is Route.ENGAGE
-    with pytest.raises(ValueError):
-        credibility_gate(Fraction(3, 2))
 
 
 def test_scores_follow_levels():

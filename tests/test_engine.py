@@ -216,6 +216,15 @@ LOAD_MESSAGES = [
     ("impose-bad-id", "tick 1\nimpose s! q task=U", 3, "bad imposition: invalid agent id: 's!'"),
     ("impose-strength-range", "tick 1\nimpose s q task=U strength=11", 3,
      "bad imposition: imposition strength must be in 1..10"),
+    ("impose-bad-target", "tick 1\nimpose s q! task=U", 3,
+     "bad imposition: invalid agent id: 'q!'"),
+    # the task is named before the ids, and the ids before the strength
+    ("impose-task-before-ids", "tick 1\nimpose s! q task=U(x", 3,
+     "bad imposition: invalid task: 'U(x'"),
+    ("impose-ids-before-strength", "tick 1\nimpose s! q task=U strength=11", 3,
+     "bad imposition: invalid agent id: 's!'"),
+    ("impose-strength-zero", "tick 1\nimpose s q task=U strength=0", 3,
+     "bad imposition: imposition strength must be in 1..10"),
     ("outcome-usage", "tick 1\noutcome q program=P task=U", 3,
      "usage: outcome <agent> program=<P> task=<T> result=success|failure"),
     ("outcome-bad-result", "tick 1\noutcome q program=P task=U result=maybe", 3,
@@ -406,6 +415,16 @@ def test_overrides_replace_header_fields():
     result = run_file("thread1.coop", tram=TramPolicy.RECENCY)
     # recency: the single broken experience yields -1 instead of 0
     assert trust_levels(result, "q", "p") == [1, -1]
+
+
+def test_run_sets_no_header_field_but_tram_and_interleave():
+    """Every other header field is read by ``load``, which checks it; ``run``
+    has no way to set one past that check."""
+    scenario = load_path(SCENARIOS / "thread1.coop")
+    with pytest.raises(TypeError):
+        run(scenario, gate_floor=Fraction(3, 2))
+    with pytest.raises(TypeError):
+        run(scenario, TramPolicy.RECENCY)  # keyword-only
 
 
 def test_reissue_refreshes_instead_of_duplicating():

@@ -6,8 +6,9 @@ enters could change without a golden noticing.  This runs every
 each trace and reads each expectation, as the CLI does.  It asserts that
 each function and method written in ``agents.py`` and ``reputation.py``, and
 each ``_Engine.on_*`` directive handler, is entered, and that every line of
-every function and method written in ``LINE_CHECKED`` runs, but for the
-lines of ``UNREACHED``, which no valid run reaches.
+every function and method written in ``LINE_CHECKED``, and of every ``def``
+and lambda nested in one, runs, but for the lines of ``UNREACHED``, which no
+valid run reaches.
 """
 
 import dis
@@ -27,20 +28,10 @@ SCENARIOS = sorted(
 )
 # modules whose every function and method line some shipped scenario must run
 LINE_CHECKED = (engine, agents, appraisal, trust, reputation, lifecycle)
-# (module.function, the line's code) -> why no valid run reaches it
+# (module.function, the line's code) -> why no valid run reaches it; a
+# library behaviour read outside a run, never a guard that ``load`` makes
+# unreachable: such a guard is deleted instead
 UNREACHED = {
-    ("appraisal.credibility_gate", 'raise ValueError("score and floor must be in [0,1]")'):
-        "guard: the run scores on the PTRUST table and load bounds the floor",
-    ("trust.TrustStore.set", 'raise TrustKeyError(f"level {level} outside scale")'):
-        "guard: load reads every trust level on the scale",
-    ("trust.TrustStore.record_assessment",
-     'raise TrustKeyError("experience ticks must be non-decreasing")'):
-        "guard: the run's ticks never go back",
-    ("reputation.lor_update",
-     'raise TrustKeyError("levels must be on the five-level scale")'):
-        "guard: every stored level is on the scale",
-    ("reputation.survey_reinit", 'raise ValueError("average outside the trust scale")'):
-        "guard: an average of levels on the scale is on it",
     ("trust.level_from_history", "return 0"):
         "the run reads a history only after it records an outcome in it; "
         "tests/test_trust.py pins ([], 0)",
@@ -69,13 +60,34 @@ def _written_in(module) -> dict:
     return found
 
 
+def _nested(name: str, code) -> dict:
+    """Qualified name -> code object of every ``def`` and lambda nested in
+    ``code``, also inside its comprehensions (which are not listed: their
+    lines are lines of the function that holds them)."""
+    found = {}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            inner = name
+            if const.co_name == "<lambda>":
+                inner = f"{name}.<lambda>:{const.co_firstlineno}"
+            elif not const.co_name.startswith("<"):
+                inner = f"{name}.{const.co_name}"
+            if inner != name:
+                found[inner] = const
+            found.update(_nested(inner, const))
+    return found
+
+
 def _line_checked() -> dict:
-    """``module.qualified name`` -> code object over ``LINE_CHECKED``."""
-    return {
-        f"{module.__name__.rpartition('.')[2]}.{name}": code
-        for module in LINE_CHECKED
-        for name, code in _written_in(module).items()
-    }
+    """``module.qualified name`` -> code object over ``LINE_CHECKED``, nested
+    ``def``s and lambdas included."""
+    found = {}
+    for module in LINE_CHECKED:
+        for name, code in _written_in(module).items():
+            name = f"{module.__name__.rpartition('.')[2]}.{name}"
+            found[name] = code
+            found.update(_nested(name, code))
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -128,11 +140,14 @@ def test_every_line_runs_in_a_shipped_scenario(shipped_runs):
     _, lines = shipped_runs
     checked = _line_checked()
     assert "engine._Engine.split" in checked and "lifecycle.Cohort.fade_level" in checked
+    assert "agents.on_task_request.rank" in checked
     missed, unreached = [], set()
     for name, code in checked.items():
         source = inspect.getsourcelines(code)[0]
+        # a def's first line runs no code; a lambda's holds its body
+        first = None if code.co_name == "<lambda>" else code.co_firstlineno
         for _, line in dis.findlinestarts(code):
-            if line is None or line == code.co_firstlineno or (code, line) in lines:
+            if line is None or line == first or (code, line) in lines:
                 continue
             text = source[line - code.co_firstlineno].strip()
             if (name, text) in UNREACHED:

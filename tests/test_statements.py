@@ -10,14 +10,12 @@ from coopsim.statements import (
     Body,
     DirectionalKind,
     FadeSpec,
-    FragmentIdentity,
     ScopeMembershipError,
     Statement,
     StatementError,
     StatementSyntaxError,
     ValidityWindow,
     WindowOrderError,
-    check_agent_id,
     code_lines,
     equivalence_key,
     parse,
@@ -110,8 +108,6 @@ def test_syntax_error_reports_column():
 def test_empty_body_rejected():
     with pytest.raises(StatementSyntaxError):
         parse('p[pi:""]q')
-    with pytest.raises(StatementError):
-        Body("")
 
 
 def test_trailing_input_rejected():
@@ -195,7 +191,7 @@ def test_render_requires_observation_with_subject():
         ({"subject": "q"}, "subject clause requires an observation time"),
         ({"observation_time": 2}, "observation/fade/identity clauses require a subject"),
         ({"fade": FadeSpec(100, Fraction(1, 20))}, "clauses require a subject"),
-        ({"identity": FragmentIdentity("2-0")}, "clauses require a subject"),
+        ({"identity": "2-0"}, "clauses require a subject"),
         ({"body": Body("b", condition="c")}, "condition requires an episode window"),
     ],
     ids=["subject", "observation", "fade", "identity", "condition"],
@@ -245,9 +241,7 @@ def statements(draw):
         low = issue_time if issue_time is not None else 0
         observation_time = draw(st.integers(low, low + 100))
         if draw(st.booleans()):
-            from coopsim.statements import FragmentIdentity
-
-            identity = FragmentIdentity(token=draw(_agent))
+            identity = draw(_agent)
         if draw(st.booleans()):
             fade = FadeSpec(
                 span=draw(st.integers(1, 1000)),
@@ -332,46 +326,6 @@ def test_int_clauses_take_ascii_digits_only():
     with pytest.raises(StatementSyntaxError, match="column 5: expected observation time"):
         parse('p[w=\u0663,q/pi:"b"]q')
     assert render(parse('p[w=3,q/pi:"b"]q')) == 'p[w=3,q/pi:"b"]q'
-
-
-# valid, empty, comma-holding, non-ASCII and non-str agent ids
-_any_id = (
-    st.from_regex(r"[A-Za-z0-9_-]{1,3}", fullmatch=True)
-    | st.sampled_from(["", ",", "a,b", "a,", ",b", "q\n", "\u0663", "\u00e9", "a b"])
-    | st.text(max_size=3)
-    | st.sampled_from([None, 0, 7, b"p", 2.5])
-)
-
-
-def _checked_per_id(promiser, promisee, scope):
-    """What the per-id loop raised before the one-call check, or None."""
-    try:
-        for agent_id in (promiser, promisee, *scope):
-            check_agent_id(agent_id)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
-
-
-@settings(max_examples=400, deadline=None)
-@given(_any_id, _any_id, st.frozensets(_any_id, max_size=3))
-@example("a,b", "q", frozenset())  # joins like three valid ids
-@example("p", "q", frozenset({"r,s", "t"}))
-@example(None, "q", frozenset())
-def test_one_call_id_check_raises_what_the_loop_raises(promiser, promisee, scope):
-    try:
-        Statement(
-            kind=DirectionalKind.PROMISE,
-            promiser=promiser,
-            promisee=promisee,
-            type_tag="pi",
-            body=Body(text="b"),
-            scope=scope,
-        )
-        outcome = None
-    except Exception as exc:
-        outcome = type(exc), str(exc)
-    assert outcome == _checked_per_id(promiser, promisee, scope)
 
 
 def test_code_lines_break_at_newlines_only():

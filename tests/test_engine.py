@@ -891,6 +891,20 @@ def test_round_robin_interleaving_alternates_sources():
     assert issued == ["x1", "y1", "x2", "y2"]
 
 
+@pytest.mark.parametrize("order,registered", [
+    (InterleavingStrategy.FILE_ORDER,
+     ["k", "p", "m", "q", "n1", "n2", "n3", "n5", "n4", "n6", "n7"]),
+    (InterleavingStrategy.ROUND_ROBIN,
+     ["k", "p", "m", "q", "n3", "n2", "n5", "n4", "n1", "n6", "n7"]),
+])
+def test_newcomers_register_in_run_order(order, registered):
+    """``RunResult.agents`` lists agents as the run first meets them: a
+    ``trust`` line's subject, then its target; a survey's group in group
+    order; an LOR request's peer, then its asker."""
+    result = run_file("newcomers.coop", interleave=order)
+    assert list(result.agents) == registered
+
+
 def test_no_matching_fragment_outcome_warns():
     text = (
         "trust q p = 1\n"

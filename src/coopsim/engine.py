@@ -6,20 +6,23 @@ byte-identical trace.  The run applies the header's ``trust`` and
 ``expect-trust`` lines and then walks every tick the scenario names.
 
 At every tick, with or without directives, the engine (1) injects the tick's
-directives, (2) delivers each issued statement under a fresh token to every
-agent in effective scope plus the promisee, as one cohort
-(``lifecycle.Cohort``) that holds the sorted list of its fresh recipients,
-works out once per delivery what depends only on the statement (route, rate,
-the reacting promisee and a discarded statement's lifecycle text), and files
-the cohort's fade deadline once, (3) gates once per credibility level in a
-run, and lets receiving agents react by their trust rules in lexicographic
-order, with one attribute install verdict per (program, task) in a run, (4)
-applies outcome assessments and trust updates, with one survey average and
-reinitialized level per (trust sum, group size) in a run, (5) fades the
-cohorts whose fade deadline has come, and (6) announces globally terminated
-statements.  ``load`` has validated every statement and attribute, so
-delivery validates nothing again: it keys refreshes by a tuple of plain
-values (``equivalence_key``), and an attribute verdict reads a plain dict.
+directives, in file order or, under round-robin, one directive per source in
+turn with the sources in id order, which is (turn, source) order, (2)
+delivers each issued statement under a fresh token to every agent in
+effective scope plus the promisee, as one cohort (``lifecycle.Cohort``) that
+holds the sorted list of its fresh recipients, works out once per delivery
+what depends only on the statement (route, rate, the reacting promisee and a
+discarded statement's lifecycle text), and files the cohort's fade deadline
+once, (3) gates once per credibility level in a run, and lets receiving
+agents react by their trust rules in lexicographic order, with one attribute
+install verdict per (program, task) in a run, (4) applies outcome
+assessments and trust updates, with one survey average and reinitialized
+level per (trust sum, group size) in a run and one trust-line tail per
+survey, (5) fades the cohorts whose fade deadline has come, and (6)
+announces globally terminated statements.  ``load`` has validated every
+statement and attribute, so delivery validates nothing again: it keys
+refreshes by a tuple of plain values (``equivalence_key``), and an attribute
+verdict reads a plain dict.
 
 Fading is event-driven, so the cost of a run is linear in its ticks.  A
 fragment's fade deadline is an integer tick known when it is issued or
@@ -61,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import groupby, zip_longest
+from itertools import groupby
 from operator import attrgetter
 
 from . import agents as agent_rules
@@ -114,12 +117,19 @@ class RunResult:
         return "\n".join(self.trace) + "\n" if self.trace else ""
 
 
-_SOURCE_ARG = 0  # every event directive names its source agent first
-
-
 def _lifecycle_head(tick, token) -> str:
     """A lifecycle line up to its subject, which the caller appends."""
     return f"t={tick} lifecycle token={token} subject="
+
+
+def _trust_head(tick) -> str:
+    """A trust line up to its subject, which the caller appends."""
+    return f"t={tick} trust subject="
+
+
+def _trust_tail(target, kind, level, cause) -> str:
+    """A trust line after its subject: every trust line ends in this text."""
+    return f" target={target} kind={kind} level={level} cause={cause}"
 
 
 class _Engine:
@@ -153,17 +163,17 @@ class _Engine:
     # -- helpers -----------------------------------------------------------
 
     def agent(self, name: str) -> AgentState:
-        if name not in self.agents:
-            self.agents[name] = AgentState(id=name)
-        return self.agents[name]
+        state = self.agents.get(name)
+        if state is None:
+            state = self.agents[name] = AgentState(id=name)
+        return state
 
     def emit(self, line: str):
         self.trace.append(line)
 
     def emit_trust(self, tick, subject, target, kind, level, cause):
-        self.emit(
-            f"t={tick} trust subject={subject} target={target} "
-            f"kind={kind} level={level} cause={cause}"
+        self.trace.append(
+            f"{_trust_head(tick)}{subject}{_trust_tail(target, kind, level, cause)}"
         )
 
     def lifecycle_text(self, state: LifecycleState, rate: int, ticks: int) -> str:
@@ -241,19 +251,21 @@ class _Engine:
         return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
 
     def order_within_tick(self, directives):
+        """``directives`` in file order, or under round-robin in (turn,
+        source) order: a directive's turn is the number of directives of the
+        tick before it from its source, the promiser of an ``issue`` (or an
+        ``impose``, the imposer) and otherwise the first argument."""
         if self.header.interleave is InterleavingStrategy.FILE_ORDER:
             return directives
-        by_source: dict = {}
+        turns: dict = {}  # source -> the turn of its latest directive
+        keys = []
         for directive in directives:
-            by_source.setdefault(self.source_of(directive), []).append(directive)
-        queues = [by_source[src] for src in sorted(by_source)]
-        # one directive per source in turn; a Directive is never the fill
-        return [d for turn in zip_longest(*queues) for d in turn if d is not None]
-
-    def source_of(self, directive: Directive) -> str:
-        if directive.name == "issue":
-            return directive.statement.promiser
-        return directive.args[_SOURCE_ARG]
+            stmt = directive.statement
+            source = directive.args[0] if stmt is None else stmt.promiser
+            turn = turns[source] = turns.get(source, -1) + 1
+            keys.append((turn, source, directive))
+        keys.sort()  # (turn, source) is unique: directives never compare
+        return [directive for _, _, directive in keys]
 
     # -- directives --------------------------------------------------------
 
@@ -424,28 +436,38 @@ class _Engine:
 
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
-        peer_level = self.agent(peer).trust.general.get(about, 0)
-        general = self.agent(asker).trust.general
+        tick, agents = directive.tick, self.agents
+        state = agents.get(peer)  # the peer registers before the asker
+        if state is None:
+            state = agents[peer] = AgentState(id=peer)
+        peer_level = state.trust.general.get(about, 0)
+        state = agents.get(asker)
+        if state is None:
+            state = agents[asker] = AgentState(id=asker)
+        general = state.trust.general
         new_level = lor_update(general.get(about, 0), peer_level)
         response = "refused" if new_level is None else "communicated"
-        self.emit(
-            f"t={directive.tick} reputation kind=lor asker={asker} peer={peer} "
+        self.trace.append(
+            f"t={tick} reputation kind=lor asker={asker} peer={peer} "
             f"about={about} peer-level={peer_level} response={response}"
         )
         if new_level is not None:
             general[about] = new_level
-            self.emit_trust(
-                directive.tick, asker, about, "general-trust", new_level, "lor"
-            )
+            self.emit_trust(tick, asker, about, "general-trust", new_level, "lor")
 
     def on_survey(self, directive: Directive):
         surveyor, group, about, window = directive.args
-        window = window if window is not None else self.header.recent_window
+        tick, agents = directive.tick, self.agents
+        # a member assessed ``about`` recently, at ``since`` or later, keeps its level
+        since = tick - (window if window is not None else self.header.recent_window)
         # members register in group order; each one's store is looked up once
         stores = {}
         total = 0
         for member in group:
-            trust = stores[member] = self.agent(member).trust
+            state = agents.get(member)
+            if state is None:
+                state = agents[member] = AgentState(id=member)
+            trust = stores[member] = state.trust
             total += trust.general.get(about, 0)
         members = sorted(group)
         outcome = self.surveyed.get((total, len(members)))
@@ -455,18 +477,20 @@ class _Engine:
                 _fmt_fraction(average), survey_reinit(average)
             )
         average, new_level = outcome
-        self.emit(
-            f"t={directive.tick} reputation kind=survey surveyor={surveyor} "
+        emit = self.trace.append
+        emit(
+            f"t={tick} reputation kind=survey surveyor={surveyor} "
             f"about={about} group={','.join(members)} average={average}"
         )
+        # every member's trust line is the same but for its subject
+        head = _trust_head(tick)
+        tail = _trust_tail(about, "general-trust", new_level, "survey")
         for member in members:
             trust = stores[member]
             recent = trust.recent.get(about)  # (last assessed tick, outcomes)
-            if recent is None or directive.tick - recent[0] > window:
+            if recent is None or recent[0] < since:
                 trust.general[about] = new_level
-                self.emit_trust(
-                    directive.tick, member, about, "general-trust", new_level, "survey"
-                )
+                emit(head + member + tail)
 
     def on_reply(self, directive: Directive):
         sender, receiver, decision = directive.args

@@ -248,10 +248,10 @@ def _enum(values, message: Optional[str] = None) -> _Kind:
     return _Kind("|".join(map(re.escape, values)), read=read)
 
 
-ID = _Kind(_TOKEN)  # an id that the row's check tests
+ID = _Kind(_TOKEN)  # an id that the row's fault tests
 AGENT = _Kind(_TOKEN, read=lambda word, name: check_agent_id(word))
 TOKEN = _Kind(_TOKEN, read=_token)
-TASK = _Kind(_TOKEN, read=_nonempty)  # a task that the row's check tests
+TASK = _Kind(_TOKEN, read=_nonempty)  # a task that the row's fault tests
 GROUP = _Kind(_TOKENS, _members, _group)
 COUNT = _Kind("[0-9]+|-0+", int, _count)  # "-0" reads as 0
 INT = _Kind("-?[0-9]+", int, _int)
@@ -264,13 +264,16 @@ class _Row:
     "both"), its positional ``fields`` by name and its ``keys`` by key (in
     brackets if optional), each with its kind, whether ``= <level>`` ends it,
     and its ``check`` or ``read``.  ``misuse`` is the error of a line that
-    lacks a field and ``malformed`` that of a line with an extra word."""
+    lacks a field and ``malformed`` that of a line with an extra word.
+    ``fault``, which only ``_Load.retry`` runs, before ``check``, names a
+    fault that the row pattern states but the fields' readers do not name."""
 
     def __init__(self, usage, where, fields=None, keys=None, level=False,
-                 check=None, read=None, misuse=None, malformed=None):
+                 check=None, read=None, misuse=None, malformed=None, fault=None):
         self.usage, self.name = usage, usage.split(" ", 1)[0]
         self.before, self.after = where != "events", where != "header"
         self.check, self.read, self.level = check, read, level
+        self.fault = fault
         self.misuse = misuse or f"usage: {usage}"
         self.malformed = malformed or self.misuse
         fields, keys = fields or {}, keys or {}
@@ -344,7 +347,8 @@ class _Load:
         space between them and the keys in row order.  If they still do not
         match, raise the line's first fault: a missing field (``misuse``), an
         extra word (``malformed``), a word its kind cannot read, in field
-        order, or the row's check; a line with none of these is misused."""
+        order, or the row's fault or check; a line with none of these is
+        misused."""
         tail = words[-2:] if row.level else []  # "=" and the level
         if row.level and (len(tail) < 2 or tail[0] != "="):
             raise ValueError(row.misuse)
@@ -365,6 +369,8 @@ class _Load:
             None if word is None else kind.read(word, name)
             for (name, kind), word in zip(row.fields, found)
         )
+        if row.fault is not None:
+            row.fault(self, values)
         if row.check is not None:
             row.check(self, values)
         raise ValueError(row.misuse)  # e.g. a reply neither proceed nor withdraw
@@ -432,16 +438,22 @@ class _Load:
             raise ValueError(f"repeated attr {name!r} for {kind} {entity_id!r}")
         levels[name] = level
 
-    def impose(self, args: tuple):
-        imposer, target, task, strength = args
-        try:  # checked here alone: the task (a type argument), ids, strength
+    def imposition_fault(self, args: tuple):
+        """The first of an imposition's task (a type argument) and ids that
+        is not a token, named before its strength.  A line the row pattern
+        matched holds tokens there, so only ``retry`` tests them."""
+        imposer, target, task, _ = args
+        try:
             _token(task, "task")
             check_agent_id(imposer)
             check_agent_id(target)
-            if strength is not None and not 1 <= strength <= 10:
-                raise ValueError("imposition strength must be in 1..10")
         except ValueError as exc:
             raise ValueError(f"bad imposition: {exc}") from None
+
+    def impose(self, args: tuple):
+        imposer, target, task, strength = args
+        if strength is not None and not 1 <= strength <= 10:  # no pattern states it
+            raise ValueError("bad imposition: imposition strength must be in 1..10")
         statement = Statement(
             DirectionalKind.IMPOSITION, imposer, target, f"perform({task})",
             Body(f"perform task {task}"), strength=strength,
@@ -470,7 +482,8 @@ _ROWS = {row.name: row for row in (
     _Row("issue <statement>", "events", read=_Load.issue),
     _Row("impose <from> <to> task=<T> [strength=<1..10>]", "events",
          {"from": ID, "to": ID}, {"task": TASK, "[strength]": INT},
-         check=_Load.impose, malformed="malformed impose directive"),
+         check=_Load.impose, fault=_Load.imposition_fault,
+         malformed="malformed impose directive"),
     _Row("outcome <agent> program=<P> task=<T> result=success|failure", "events",
          {"agent": AGENT},
          {"program": TOKEN, "task": TOKEN,

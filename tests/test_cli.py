@@ -40,6 +40,22 @@ def test_run_trace_and_exit_codes(capsys):
     assert out.startswith("t=0 trust subject=q target=m2")
 
 
+def test_run_prints_its_summary_on_stderr(tmp_path, capsys):
+    """Without ``--quiet``, ``run`` ends with one summary line on stderr that
+    counts the trace lines, the expectations and those that failed."""
+    path = SCENARIOS / "newcomers.coop"
+    assert cli.main(["run", str(path), "--trace"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 14
+    assert err == f"ran {path}: 14 trace lines, 6 expectations, 0 failed\n"
+    bad = tmp_path / "bad.coop"
+    bad.write_text("trust q p = 1\ntick 1\nexpect-trust q p = 2\nexpect-trust q p = 1\n")
+    assert cli.main(["run", str(bad)]) == 1
+    assert capsys.readouterr() == (
+        "", f"ran {bad}: 1 trace lines, 2 expectations, 1 failed\n"
+    )
+
+
 def test_run_missing_file_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "no-such-file.coop"])

@@ -11,11 +11,14 @@ word names its directive, which is declared once, as a row of ``_ROWS``
 usual form of the line: one space between words and the keys in row order.
 A line in another form is put in that form and matched again; a line that
 still does not match is walked through its row to name its first fault
-(``_Load.retry``).  What no pattern states is a row's ``check`` (a tick
-after the last one, an attribute set once, an imposition that makes a valid
-statement) or a kind's ``convert`` (a survey group that names each member
-once).  ``policy``, ``profile`` and ``issue`` lines have readers of their
-own.
+(``_Load.retry``).  A kind states the words a field may hold once, as its
+``pattern``, and names the fault of a word the pattern refuses, unless the
+row names it: an impose line's ids by the row's ``fault``, a reply's
+decision by its usage.  What no pattern states is a row's ``check`` (a tick
+after the last one, an attribute set once, an imposition strength in range)
+or a kind's ``convert`` (a survey group that names each member once).
+``policy``, ``profile`` and ``issue`` lines have readers of their own; the
+settings of the first two are read by kinds too.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from .statements import (
     _TOKEN,
     _TOKEN_RE,
     _TOKENS,
-    _TOKENS_RE,
-    check_agent_id,
     code_lines,
     parse as parse_statement,
     split_lines,
@@ -131,71 +132,57 @@ def load_path(path) -> Scenario:
 
 
 # -- values ------------------------------------------------------------------
-# A reader or check raises ValueError with what is wrong, and ``load`` raises
-# that as a ScenarioError on the line's number.
-
-# Scenario numbers, as the statement grammar spells them: ``int`` and
-# ``Fraction`` also read "+3", "1_0", "1e-1" and any Unicode digit ("٣" is 3).
-# A policy decimal is the grammar's, or a fraction "n/d" as ``str(Fraction)``
-# writes one.
-_INT_RE = re.compile(f"-?{_INT}")
-_DECIMAL_RE = re.compile(rf"{_INT}(?:\.{_INT}|/{_INT})?")
+# A kind's fault, a convert or a check raises ValueError with what is wrong,
+# and ``load`` raises that as a ScenarioError on the line's number.
 
 
-def _int(word: str, name: str = "integer") -> int:
-    """``word`` if it is ``[0-9]+`` after an optional "-", which the range
-    checks then name."""
-    if not _INT_RE.fullmatch(word):
-        raise ValueError(f"expected {name}, got {word!r}")
-    return int(word)
+class _Kind(NamedTuple):
+    """What a field or setting holds: ``pattern``, the words it may hold;
+    ``convert``, which makes the value of a word the pattern matched, or
+    raises what the pattern cannot state (None: the word is the value); and
+    ``fault(word, name)``, what is wrong with a word the pattern refused, or
+    None where the row's fault or usage names it (no ``fault``: always)."""
+
+    pattern: str
+    convert: Optional[Callable] = None
+    fault: Optional[Callable] = None
+
+    def read(self, word: str, name: str):
+        """The value of ``word`` in the field or setting ``name``.  A word
+        the pattern refused raises its fault, or is kept if it has none."""
+        if re.fullmatch(self.pattern, word) is None:
+            fault = self.fault and self.fault(word, name)
+            if fault is not None:
+                raise ValueError(fault)
+            return word
+        return word if self.convert is None else self.convert(word)
 
 
-def _count(word: str, name: str) -> int:
-    value = _int(word, name)
-    if value < 0:
-        raise ValueError(f"negative {name} {value}")
-    return value
+def _says(message: str) -> Callable:
+    """The fault ``message``, with the refused ``word`` and the ``name`` of
+    its field or setting."""
+    return lambda word, name: message.format(word=word, name=name)
 
 
-def _level(word: str, name: str) -> int:
-    value = _int(word, name)
-    if not -2 <= value <= 2:
-        raise ValueError(f"level {value} outside [-2,2]")
-    return value
+def _enum(values, fault=None, convert=None) -> _Kind:
+    """One of ``values``; another word has ``fault`` or misuses the line."""
+    return _Kind("|".join(map(re.escape, values)), convert, fault)
 
 
-def _decimal(word: str) -> Fraction:
-    if not _DECIMAL_RE.fullmatch(word):
-        raise ValueError(f"not a decimal: {word!r}")
-    return Fraction(word)
+def _outside(message: str) -> Callable:
+    """The fault of a number out of its kind's range: ``message`` with its
+    ``name`` and ``value``; a word that is no number is ``INT``'s fault."""
+
+    def fault(word: str, name: str) -> str:
+        if re.fullmatch(INT.pattern, word) is None:
+            return INT.fault(word, name)
+        return message.format(name=name, value=int(word))
+
+    return fault
 
 
-def _bool(word: str, name: str = "") -> bool:
-    if word in ("true", "1", "yes"):
-        return True
-    if word in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected boolean, got {word!r}")
-
-
-def _tokens(word: str, name: str) -> frozenset:
-    if not _TOKENS_RE.fullmatch(word):
-        raise ValueError(f"invalid {name} list: {word!r}")
-    return frozenset(word.split(","))
-
-
-def _nonempty(word: str, name: str) -> str:
-    if not word:
-        raise ValueError(f"empty {name}= value")
-    return word
-
-
-def _token(word: str, name: str) -> str:
-    """A ``program=``, ``task=``, ``token=`` or entity value is a token: no
-    statement can name another."""
-    if not _TOKEN_RE.fullmatch(_nonempty(word, name)):
-        raise ValueError(f"invalid {name}: {word!r}")
-    return word
+def _empty(word: str, name: str) -> Optional[str]:
+    return None if word else f"empty {name}= value"
 
 
 def _members(word: str) -> tuple:
@@ -206,57 +193,50 @@ def _members(word: str) -> tuple:
     return members
 
 
-def _group(word: str, name: str) -> tuple:
+def _group_fault(word: str, name: str) -> Optional[str]:
+    """An empty member, then a repeated one, then the first that is no id."""
     if not all(word.split(",")):
-        raise ValueError(f"survey {name} has an empty member")
-    members = _members(word)
-    for member in members:
-        check_agent_id(member)
-    return members
+        return f"survey {name} has an empty member"
+    for member in _members(word):
+        if not _TOKEN_RE.fullmatch(member):
+            return AGENT.fault(member, name)
 
 
-def _entity(word: str, name: str) -> str:
+def _entity_fault(word: str, name: str) -> Optional[str]:
     kind, eq, value = word.partition("=")
-    if eq:  # else the entity is out of place: the line is misused
-        if kind not in ("program", "task"):
-            raise ValueError("attr entity must be program= or task=")
-        _token(value, kind)
-    return word
+    if not eq:  # the entity is out of place: the line is misused
+        return None
+    if kind not in ("program", "task"):
+        return "attr entity must be program= or task="
+    return TOKEN.fault(value, kind)
 
 
-class _Kind(NamedTuple):
-    """What a field holds: ``pattern``, its value in the usual form;
-    ``convert``, which makes the value of a word the pattern matched, or
-    raises what the pattern cannot state (None: the word is the value); and
-    ``read(word, field name)``, which makes the value of any word, or raises
-    what is wrong with it."""
-
-    pattern: str
-    convert: Optional[Callable] = None
-    read: Callable = lambda word, name: word
+def _bad_value(word: str, key: str) -> str:
+    return f"bad policy value {key + '=' + word!r}"
 
 
-def _enum(values, message: Optional[str] = None) -> _Kind:
-    """One of ``values``.  Another word is ``message`` with the word, or with
-    no message misuses the line."""
-
-    def read(word: str, name: str) -> str:
-        if word not in values and message:
-            raise ValueError(message.format(word))
-        return word
-
-    return _Kind("|".join(map(re.escape, values)), read=read)
-
-
-ID = _Kind(_TOKEN)  # an id that the row's fault tests
-AGENT = _Kind(_TOKEN, read=lambda word, name: check_agent_id(word))
-TOKEN = _Kind(_TOKEN, read=_token)
-TASK = _Kind(_TOKEN, read=_nonempty)  # a task that the row's fault tests
-GROUP = _Kind(_TOKENS, _members, _group)
-COUNT = _Kind("[0-9]+|-0+", int, _count)  # "-0" reads as 0
-INT = _Kind("-?[0-9]+", int, _int)
-LEVEL = _Kind("-?0*[0-2]", int, _level)
-ENTITY = _Kind(f"(?:program|task)={_TOKEN}", read=_entity)
+ID = _Kind(_TOKEN)  # an id that the row's fault names
+AGENT = _Kind(_TOKEN, fault=_says("invalid agent id: {word!r}"))
+# a ``program=``, ``task=``, ``token=`` or entity value: no statement can
+# name another
+TOKEN = _Kind(_TOKEN, fault=lambda word, name: (
+    _empty(word, name) or f"invalid {name}: {word!r}"
+))
+TASK = _Kind(_TOKEN, fault=_empty)  # a task that the row's fault names
+GROUP = _Kind(_TOKENS, _members, _group_fault)
+# Scenario numbers, as the statement grammar spells them: ``int`` and
+# ``Fraction`` also read "+3", "1_0", "1e-1" and any Unicode digit ("٣" is 3).
+INT = _Kind(f"-?{_INT}", int, _says("expected {name}, got {word!r}"))
+COUNT = _Kind("[0-9]+|-0+", int, _outside("negative {name} {value}"))  # "-0" is 0
+LEVEL = _Kind("-?0*[0-2]", int, _outside("level {value} outside [-2,2]"))
+ENTITY = _Kind(f"(?:program|task)={_TOKEN}", fault=_entity_fault)
+# policy and profile values; a policy decimal is the grammar's, or a
+# fraction "n/d" as ``str(Fraction)`` writes one, whose "d" is not 0
+DECIMAL = _Kind(rf"{_INT}(?:\.{_INT}|/[0-9]*[1-9][0-9]*)?", Fraction, _bad_value)
+BOOL = _enum(("true", "1", "yes", "false", "0", "no"),
+             _says("expected boolean, got {word!r}"), ("true", "1", "yes").__contains__)
+TOKENS = _Kind(_TOKENS, lambda word: frozenset(word.split(",")),
+               _says("invalid {name} list: {word!r}"))
 
 
 class _Row:
@@ -265,8 +245,8 @@ class _Row:
     brackets if optional), each with its kind, whether ``= <level>`` ends it,
     and its ``check`` or ``read``.  ``misuse`` is the error of a line that
     lacks a field and ``malformed`` that of a line with an extra word.
-    ``fault``, which only ``_Load.retry`` runs, before ``check``, names a
-    fault that the row pattern states but the fields' readers do not name."""
+    ``fault``, which only ``_Load.retry`` runs, names a fault that the row
+    pattern states but its fields' kinds do not name."""
 
     def __init__(self, usage, where, fields=None, keys=None, level=False,
                  check=None, read=None, misuse=None, malformed=None, fault=None):
@@ -294,22 +274,24 @@ class _Row:
 
 
 # setting -> the PolicyHeader or ConsultantProfile field it sets and the
-# reader of its value
+# kind of its value
 _POLICY = {
-    "tram": ("tram", TramPolicy),
-    "gate": ("gate_floor", _decimal),
-    "fade-span": ("fade_span", _int),
-    "fade-threshold": ("fade_threshold", _decimal),
-    "interleave": ("interleave", InterleavingStrategy),
-    "penalize-incredible": ("penalize_incredible", _bool),
-    "recent-window": ("recent_window", _int),
+    "tram": ("tram", _enum([p.value for p in TramPolicy], _bad_value, TramPolicy)),
+    "gate": ("gate_floor", DECIMAL),
+    "fade-span": ("fade_span", INT._replace(fault=_bad_value)),
+    "fade-threshold": ("fade_threshold", DECIMAL),
+    "interleave": ("interleave", _enum(
+        [s.value for s in InterleavingStrategy], _bad_value, InterleavingStrategy
+    )),
+    "penalize-incredible": ("penalize_incredible", BOOL),
+    "recent-window": ("recent_window", INT._replace(fault=_bad_value)),
 }
 _PROFILE = {
-    "independent": ("independent", _bool),
-    "experienced": ("experienced_with", _tokens),
-    "range": ("consulted_range", _tokens),
-    "reputation": ("recognized_reputation", _tokens),
-    "affiliated": ("producer_affiliation", _tokens),
+    "independent": ("independent", BOOL),
+    "experienced": ("experienced_with", TOKENS),
+    "range": ("consulted_range", TOKENS),
+    "reputation": ("recognized_reputation", TOKENS),
+    "affiliated": ("producer_affiliation", TOKENS),
 }
 
 
@@ -346,9 +328,9 @@ class _Load:
         """The match of ``words``, a line's words after its name, with one
         space between them and the keys in row order.  If they still do not
         match, raise the line's first fault: a missing field (``misuse``), an
-        extra word (``malformed``), a word its kind cannot read, in field
-        order, or the row's fault or check; a line with none of these is
-        misused."""
+        extra word (``malformed``), a word its kind refuses, in field order,
+        or the row's fault.  A line with none of these holds a word whose
+        fault the row names by its usage (``misuse``)."""
         tail = words[-2:] if row.level else []  # "=" and the level
         if row.level and (len(tail) < 2 or tail[0] != "="):
             raise ValueError(row.misuse)
@@ -365,14 +347,11 @@ class _Load:
         if match is not None:
             return match
         found = [*words[:width], *map(keyed.get, row.keys), *tail[1:]]
-        values = tuple(
-            None if word is None else kind.read(word, name)
-            for (name, kind), word in zip(row.fields, found)
-        )
+        for (name, kind), word in zip(row.fields, found):
+            if word is not None:  # else an optional field left out
+                kind.read(word, name)
         if row.fault is not None:
-            row.fault(self, values)
-        if row.check is not None:
-            row.check(self, values)
+            row.fault(self, found)
         raise ValueError(row.misuse)  # e.g. a reply neither proceed nor withdraw
 
     # -- readers ---------------------------------------------------------------
@@ -380,14 +359,12 @@ class _Load:
     def policy(self, stripped: str):
         header = self.header
         settings = _settings(stripped.split()[1:], _POLICY, "policy", self.settings)
-        for key, value, name, read in settings:
+        for key, value, name, kind in settings:
+            setattr(header, name, kind.read(value, key))
             try:
-                setattr(header, name, read(value))
                 header.default_fade  # FadeSpec validates span and threshold
-            except (ValueError, ZeroDivisionError) as exc:
-                # a boolean names what it expected; other values read alike
-                message = f"bad policy value {key + '=' + value!r}"
-                raise ValueError(str(exc) if read is _bool else message) from None
+            except ValueError:
+                raise ValueError(_bad_value(value, key)) from None
             if not 0 <= header.gate_floor <= 1:
                 raise ValueError(f"gate {value} outside [0,1]")
             if header.recent_window < 0:
@@ -397,12 +374,12 @@ class _Load:
         words = stripped.split()[1:]
         if not words:
             raise ValueError("profile requires an agent")
-        agent = check_agent_id(words[0])
+        agent = AGENT.read(words[0], "agent")
         profiles = self.header.profiles
         if agent in profiles:
             raise ValueError(f"repeated profile for agent {agent!r}")
         settings = _settings(words[1:], _PROFILE, "profile", set())
-        fields = {name: read(value, key) for key, value, name, read in settings}
+        fields = {name: kind.read(value, key) for key, value, name, kind in settings}
         profiles[agent] = ConsultantProfile(**fields)
 
     def issue(self, stripped: str):
@@ -418,7 +395,7 @@ class _Load:
             raise ValueError("issued statements may not carry u=")
         if statement.window is not None:
             raise ValueError("issued statements may not carry a validity window")
-        return (text,), statement
+        return (), statement
 
     # -- checks ----------------------------------------------------------------
 
@@ -438,15 +415,15 @@ class _Load:
             raise ValueError(f"repeated attr {name!r} for {kind} {entity_id!r}")
         levels[name] = level
 
-    def imposition_fault(self, args: tuple):
+    def imposition_fault(self, words: list):
         """The first of an imposition's task (a type argument) and ids that
         is not a token, named before its strength.  A line the row pattern
         matched holds tokens there, so only ``retry`` tests them."""
-        imposer, target, task, _ = args
+        imposer, target, task, _ = words
         try:
-            _token(task, "task")
-            check_agent_id(imposer)
-            check_agent_id(target)
+            TOKEN.read(task, "task")
+            AGENT.read(imposer, "from")
+            AGENT.read(target, "to")
         except ValueError as exc:
             raise ValueError(f"bad imposition: {exc}") from None
 
@@ -470,7 +447,8 @@ _ROWS = {row.name: row for row in (
          misuse="tick takes one argument"),
     _Row("policy <setting>=<value> ...", "header", read=_Load.policy),
     _Row("attr <name> <entity>=<id> = <level>", "header",
-         {"name": _enum(ATTRIBUTE_CATALOG, "unknown attribute {!r}"), "entity": ENTITY},
+         {"name": _enum(ATTRIBUTE_CATALOG, _says("unknown attribute {word!r}")),
+          "entity": ENTITY},
          level=True, check=_Load.attr),
     _Row("profile <agent> [<setting>=<value> ...]", "header", read=_Load.profile),
     *(
@@ -487,7 +465,7 @@ _ROWS = {row.name: row for row in (
     _Row("outcome <agent> program=<P> task=<T> result=success|failure", "events",
          {"agent": AGENT},
          {"program": TOKEN, "task": TOKEN,
-          "result": _enum(("success", "failure"), "bad result {!r}")}),
+          "result": _enum(("success", "failure"), _says("bad result {word!r}"))}),
     _Row("withdraw <promiser> token=<id>", "events", {"promiser": AGENT},
          {"token": TOKEN}),
     _Row("lor-request <asker> <peer> about=<target>", "events",

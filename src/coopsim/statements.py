@@ -51,7 +51,6 @@ __all__ = [
     "ScopeMembershipError",
     "WindowOrderError",
     "FragmentCounter",
-    "check_agent_id",
     "code_lines",
     "split_lines",
     "parse",
@@ -62,7 +61,6 @@ __all__ = [
 _TOKEN = r"[A-Za-z0-9_-]+"
 _TOKEN_RE = re.compile(_TOKEN)
 _TOKENS = rf"{_TOKEN}(?:,{_TOKEN})*"
-_TOKENS_RE = re.compile(_TOKENS)
 _INT = "[0-9]+"  # ASCII only: \d and int() take any Unicode digit
 _ADEQUACY_RE = re.compile(rf"adequacy\(({_TOKEN}),({_TOKEN})\)")
 
@@ -114,12 +112,6 @@ _KIND_KEYWORD = {
     DirectionalKind.PREDICTION: "predict",
 }
 _KEYWORD_KIND = {v: k for k, v in _KIND_KEYWORD.items()}
-
-
-def check_agent_id(name: str) -> str:
-    if not _TOKEN_RE.fullmatch(name):
-        raise StatementError(f"invalid agent id: {name!r}")
-    return name
 
 
 def split_lines(text: str) -> list:

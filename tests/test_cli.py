@@ -81,6 +81,15 @@ def test_check_reports_each_expectation(capsys):
     assert all(line.startswith("ok ") for line in out)
 
 
+def test_check_prints_its_summary_on_stderr(capsys):
+    """Without ``--quiet``, ``check`` ends with one line on stderr that
+    counts the expectations that hold."""
+    assert cli.main(["check", str(SCENARIOS / "lor.coop")]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 5
+    assert err == "5/5 expectations hold\n"
+
+
 def test_check_fails_on_unmet_expectation(tmp_path, capsys):
     bad = tmp_path / "bad.coop"
     bad.write_text("trust q p = 1\ntick 1\nexpect-trust q p = 2\n")

@@ -9,6 +9,7 @@ from coopsim.scenario import (
     InterleavingStrategy,
     PolicyHeader,
     ScenarioError,
+    _Kind,
     load,
     load_path,
 )
@@ -202,6 +203,8 @@ LOAD_MESSAGES = [
     ("attr-entity-kind", "attr program-quality agent=P = 1", 2,
      "attr entity must be program= or task="),
     ("attr-empty-entity", "attr program-quality task= = 1", 2, "empty task= value"),
+    ("attr-entity-no-kind", "attr program-quality P = 1", 2,
+     "usage: attr <name> <entity>=<id> = <level>"),
     ("profile-no-agent", "profile", 2, "profile requires an agent"),
     ("profile-malformed-setting", "profile p independent", 2,
      "malformed profile setting 'independent'"),
@@ -241,6 +244,8 @@ LOAD_MESSAGES = [
      "survey group has an empty member"),
     ("survey-repeated-member", "tick 1\nsurvey w group=a,a about=p", 3,
      "survey group repeats a member"),
+    ("survey-member-not-id", "tick 1\nsurvey w group=a,b! about=p", 3,
+     "invalid agent id: 'b!'"),
     ("survey-negative-window", "tick 1\nsurvey w group=a,b about=p window=-3", 3,
      "negative window -3"),
     ("reply-usage", "tick 1\nreply s q maybe", 3, "usage: reply <from> <to> proceed|withdraw"),
@@ -1083,19 +1088,18 @@ def test_issue_holds_one_shared_statement_per_recipient():
 
 def test_run_checks_no_agent_id(monkeypatch):
     """``load`` checks every agent id; delivery re-checks none, however
-    wide the scope."""
+    wide the scope: a run reads no word through a ``_Kind``."""
     scope = ",".join(f"a{i}" for i in range(16))
     scenarios = [load_path(path) for path in sorted(SCENARIOS.glob("*.coop"))]
     scenarios.append(load(f'tick 1\nissue p[pi:"b"/{{{scope}}}]q\n'))
     checked = []
-    real = statements.check_agent_id
+    real = _Kind.read
 
-    def counting(name):
-        checked.append(name)
-        return real(name)
+    def counting(kind, word, name):
+        checked.append(word)
+        return real(kind, word, name)
 
-    monkeypatch.setattr(statements, "check_agent_id", counting)
-    monkeypatch.setattr("coopsim.scenario.check_agent_id", counting)
+    monkeypatch.setattr(_Kind, "read", counting)
     for scenario in scenarios:
         run(scenario)
     assert checked == []

@@ -21,7 +21,7 @@ from coopsim.agents import files
 from coopsim.engine import _Engine, run
 from coopsim.scenario import InterleavingStrategy, Scenario, ScenarioError, load
 from coopsim.lifecycle import LifecycleState
-from coopsim.statements import check_agent_id
+from coopsim.statements import _TOKEN_RE
 from coopsim.trust import TramPolicy
 
 agents = st.sampled_from(["p", "q", "r", "s", "", "q!", "a-b"])
@@ -288,7 +288,7 @@ def test_load_rejects_or_run_completes(text):
         for interleave in InterleavingStrategy:
             result = run(scenario, tram=tram, interleave=interleave)
             for agent_id, state in result.agents.items():
-                check_agent_id(agent_id)
+                assert _TOKEN_RE.fullmatch(agent_id), agent_id
                 assert all(
                     rec.state is LifecycleState.ACTIVE for rec in state.fragments
                 )

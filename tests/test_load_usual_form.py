@@ -7,7 +7,8 @@ behind a tab after the name), non-ASCII, zero-padded and signed digits, and
 other directive names, each in the header and after a tick.  Each one either
 loads or raises ``ScenarioError`` with its line number, and never another
 exception.  A well-formed line loads to the same ``Directive`` whatever the
-whitespace between its words and the order of its ``key=`` words."""
+whitespace between its words and the order of its ``key=`` words.  Each
+``_Kind``, of a field or of a setting, reads a word or names its fault."""
 
 import importlib.util
 import re
@@ -206,6 +207,53 @@ def test_well_formed_line_loads_alike_respaced_and_reordered(line, data):
     respaced = gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
     prefix = "" if scenario._ROWS[words[0]].before else "tick 1\n"
     assert load(prefix + respaced) == load(prefix + line)
+
+
+# (directive, field or setting) -> (the name it reads under, its kind)
+KINDS = {
+    **{(row.name, name): (name, kind)
+       for row in scenario._ROWS.values() for name, kind in row.fields},
+    **{("policy", key): (key, kind) for key, (_, kind) in scenario._POLICY.items()},
+    **{("profile", key): (key, kind) for key, (_, kind) in scenario._PROFILE.items()},
+}
+# the kinds whose fault the row names (by ``imposition_fault`` or its
+# usage), and the refused words each keeps
+KEPT = {
+    scenario.ID: lambda word: True,
+    scenario.TASK: bool,  # an empty task is the kind's fault
+    scenario.ENTITY: lambda word: "=" not in word,
+    KINDS["reply", "decision"][1]: lambda word: True,
+}
+# a small alphabet, with each number kind's signs, a non-ASCII digit and a
+# decimal's "." and "/"; and some words that kinds accept
+ALPHABET = "0123456789-+\u0663abPx,=!(./"
+kind_words = st.one_of(
+    st.text(ALPHABET, max_size=5),
+    st.sampled_from(["program=P", "task=U", "agent=P", "true", "no", "proceed",
+                     "success", "program-quality", "incremental", "round-robin"]),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(field=st.sampled_from(sorted(KINDS)), word=kind_words)
+@example(field=("policy", "gate"), word="1/0")  # Fraction() divides by 0
+@example(field=("survey", "group"), word="a,b!")
+@example(field=("survey", "group"), word="a,a!,a")  # the repeat is named
+@example(field=("attr", "entity"), word="P")
+@example(field=("impose", "task"), word="")
+def test_each_kind_reads_a_word_or_names_its_fault(field, word):
+    """``read`` returns or raises ValueError, never another exception.  It
+    returns for a word that its pattern refused only for a kind whose fault
+    the row names, and then keeps the word."""
+    name, kind = KINDS[field]
+    try:
+        value = kind.read(word, name)
+    except ValueError as exc:
+        assert str(exc), (field, word)
+        return
+    if re.fullmatch(kind.pattern, word) is None:
+        assert kind in KEPT and KEPT[kind](word), (field, word)
+        assert value == word
 
 
 def test_usual_forms_read_the_bench_lines():

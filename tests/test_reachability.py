@@ -1,33 +1,46 @@
-"""Every rule is reached by a shipped scenario.
+"""Every rule is reached by a shipped scenario, every line of the loader
+by an input whose output is pinned.
 
 The goldens pin only what the scenarios run, so a rule that no scenario
 enters could change without a golden noticing.  This runs every
-``scenarios/*.coop`` under both TRAM policies and both interleavings, renders
-each trace and reads each expectation, as the CLI does.  It asserts that
-each function and method written in ``agents.py`` and ``reputation.py``, and
-each ``_Engine.on_*`` directive handler, is entered, and that every line of
-every function and method written in ``LINE_CHECKED``, and of every ``def``
-and lambda nested in one, runs, but for the lines of ``UNREACHED``, which no
-valid run reaches.
+``scenarios/*.coop`` through the CLI, as CI does: under both TRAM policies
+and both interleavings with its trace, and through ``check``.  It asserts
+that each function and method written in ``agents.py`` and
+``reputation.py``, and each ``_Engine.on_*`` directive handler, is entered,
+and that every line of every function and method written in
+``LINE_CHECKED``, and of every ``def`` and lambda nested in one, runs, but
+for the lines of ``UNREACHED``, which no valid run reaches.
+
+A line of ``READERS``, which read scenarios and statements, may also run on
+one of the other inputs that CI feeds the CLI and compares with a pinned
+output, on a row of the pinned load-message table, or as the module is
+imported: its patterns and its directive table are built there, once.
 """
 
 import dis
+import importlib.util
 import inspect
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from coopsim import agents, appraisal, engine, lifecycle, reputation, trust
-from coopsim.engine import run
-from coopsim.scenario import InterleavingStrategy, load_path
-from coopsim.trust import TramPolicy
+from coopsim import agents, appraisal, cli, engine, lifecycle, reputation, scenario
+from coopsim import statements, trust
+from coopsim.corpus import CORPUS_TEXTS
+from coopsim.scenario import ScenarioError, load
+from tests.test_engine import LOAD_MESSAGES
 
-SCENARIOS = sorted(
-    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.coop")
-)
-# modules whose every function and method line some shipped scenario must run
-LINE_CHECKED = (engine, agents, appraisal, trust, reputation, lifecycle)
+TESTS = Path(__file__).resolve().parent
+SHIPPED = TESTS.parent / "scenarios"
+SCENARIOS = sorted(SHIPPED.glob("*.coop"))
+# the modules that read scenarios and statements
+READERS = (scenario, statements, cli)
+# modules whose every function and method line some shipped scenario, or
+# for a reader a pinned input or the import, must run
+LINE_CHECKED = (engine, agents, appraisal, trust, reputation, lifecycle, *READERS)
 # (module.function, the line's code) -> why no valid run reaches it; a
 # library behaviour read outside a run, never a guard that ``load`` makes
 # unreachable: such a guard is deleted instead
@@ -38,6 +51,19 @@ UNREACHED = {
     ("lifecycle.Cohort.fade_level",
      "return self.fade.level(self.fade_rate_multiplier, self.fading_ticks)"):
         "read after a run, never by it",
+    # a Statement built in Python, not parsed, may couple clauses that its
+    # concrete syntax cannot; tests/test_statements.py pins each message
+    ("statements.render", "raise StatementError("):
+        "render is called only on a parsed statement, whose clauses couple",
+    ("statements.render",
+     '"subject clause requires an observation time in concrete syntax"'):
+        "as above: a subject with no observation time",
+    ("statements.render",
+     '"observation/fade/identity clauses require a subject in concrete syntax"'):
+        "as above: an observation, fade or identity with no subject",
+    ("statements.render",
+     '"body condition requires an episode window in concrete syntax"'):
+        "as above: a body condition with no window",
 }
 
 
@@ -90,11 +116,50 @@ def _line_checked() -> dict:
     return found
 
 
+def _key(code) -> tuple:
+    """A code object as its copy in a second import of its module has it."""
+    return code.co_filename, code.co_name, code.co_firstlineno
+
+
+def _cli(*args, stdin: bytes = b""):
+    """``coopsim *args`` in process, reading ``stdin``, printing nothing."""
+    previous, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.main(list(args))
+    except SystemExit:  # a scenario that does not load exits 2
+        pass
+    finally:
+        sys.stdin = previous
+
+
+def _pinned_inputs(tmp: Path):
+    """The arguments, besides the shipped scenarios' runs, with which CI
+    runs ``coopsim`` on a file or none, and those of the tests that pin what
+    ``coopsim`` prints for the others."""
+    bom = tmp / "bom.coop"
+    bom.write_bytes(b"\xef\xbb\xbf" + (SHIPPED / "parking.coop").read_bytes())
+    yield "run", str(bom), "--trace", "--quiet"
+    for name in ("whitespace_bodies.coop", "bare_ticks.coop"):
+        yield "run", str(TESTS / name), "--trace", "--quiet"
+    yield ("corpus",)
+    yield "parse", str(TESTS / "malformed_statements.txt")
+    for path in sorted((TESTS / "malformed_scenarios").glob("*.coop")):
+        yield "check", str(path)
+        yield "run", str(path), "--trace", "--quiet"
+    # tests/test_cli.py: the summaries and a file that cannot be read
+    yield "run", str(SHIPPED / "newcomers.coop"), "--trace"
+    yield "check", str(SHIPPED / "lor.coop")
+    yield "parse", str(tmp / "no-such-file.txt")
+
+
 @pytest.fixture(scope="module")
-def shipped_runs() -> tuple:
-    """(code objects entered, (code, line) pairs run in ``LINE_CHECKED``)
-    over every shipped scenario under 2 TRAM policies x 2 interleavings."""
+def shipped_runs(tmp_path_factory) -> tuple:
+    """(code objects entered, ``(_key(code), line)`` pairs run in
+    ``LINE_CHECKED``) over every shipped scenario through the CLI, and the
+    pairs run also over the pinned inputs and the imports of ``READERS``."""
     watched = set(_line_checked().values())
+    readers = {module.__file__ for module in READERS}
     entered, lines = set(), set()
 
     def on_line(frame, event, arg):
@@ -104,21 +169,45 @@ def shipped_runs() -> tuple:
 
     def tracer(frame, event, arg):  # called for "call" events only
         entered.add(frame.f_code)
-        return on_line if frame.f_code in watched else None
+        code = frame.f_code
+        return on_line if code in watched or code.co_filename in readers else None
 
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         for path in SCENARIOS:
-            scenario = load_path(path)
-            for tram in TramPolicy:
-                for order in InterleavingStrategy:
-                    result = run(scenario, tram=tram, interleave=order)
-                    result.trace_text()
-                    [expect.passed for expect in result.expects]
+            _cli("check", str(path), "--quiet")
+            for tram in ("incremental", "recency-history"):
+                for order in ("file-order", "round-robin"):
+                    _cli("run", str(path), "--trace", "--quiet", "--tram", tram,
+                         "--interleave", order)
+        shipped, shipped_lines = set(entered), set(lines)
+        for args in _pinned_inputs(tmp_path_factory.mktemp("inputs")):
+            _cli(*args)
+        # CI's stdin: coopsim corpus | coopsim parse, and a byte not UTF-8
+        corpus = "".join(f"{text}\n" for text in CORPUS_TEXTS).encode()
+        for stdin in (corpus, b'p[pi:"\xfe"]q\n'):
+            _cli("parse", stdin=stdin)
+        for _, text, _, _ in LOAD_MESSAGES:  # tests/test_engine.py
+            with pytest.raises(ScenarioError):
+                load(f"# pinned\n{text}\n")
+        # tests/test_load_usual_form.py: a line in another form loads
+        load("tick 1\n\timpose\ta00\ta01\tstrength=3\ttask=U0\t")
+        for module in READERS:  # a second import, which builds the tables
+            name = f"{module.__name__}_again"  # a dataclass looks its module up
+            spec = importlib.util.spec_from_file_location(name, module.__file__)
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            try:
+                spec.loader.exec_module(sys.modules[name])
+            finally:
+                del sys.modules[name]
     finally:
         sys.settrace(previous)
-    return entered, lines
+    return (
+        shipped,
+        {(_key(code), line) for code, line in shipped_lines},
+        {(_key(code), line) for code, line in lines},
+    )
 
 
 def test_every_rule_is_reached_by_a_shipped_scenario(shipped_runs):
@@ -131,23 +220,25 @@ def test_every_rule_is_reached_by_a_shipped_scenario(shipped_runs):
             if name.startswith("_Engine.on_")
         },
     }
-    entered, _ = shipped_runs
+    entered, _, _ = shipped_runs
     assert "on_task_request" in wanted and "_Engine.on_outcome" in wanted
     assert sorted(name for name, code in wanted.items() if code not in entered) == []
 
 
 def test_every_line_runs_in_a_shipped_scenario(shipped_runs):
-    _, lines = shipped_runs
+    _, shipped, pinned = shipped_runs
     checked = _line_checked()
     assert "engine._Engine.split" in checked and "lifecycle.Cohort.fade_level" in checked
-    assert "agents.on_task_request.rank" in checked
+    assert "agents.on_task_request.rank" in checked and "scenario._Kind.read" in checked
+    readers = {module.__file__ for module in READERS}
     missed, unreached = [], set()
     for name, code in checked.items():
         source = inspect.getsourcelines(code)[0]
+        lines = pinned if code.co_filename in readers else shipped
         # a def's first line runs no code; a lambda's holds its body
         first = None if code.co_name == "<lambda>" else code.co_firstlineno
         for _, line in dis.findlinestarts(code):
-            if line is None or line == first or (code, line) in lines:
+            if line is None or line == first or (_key(code), line) in lines:
                 continue
             text = source[line - code.co_firstlineno].strip()
             if (name, text) in UNREACHED:

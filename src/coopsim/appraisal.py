@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .trust import PTRUST
-
 __all__ = [
     "ATTRIBUTE_CATALOG",
     "ConsultantProfile",
@@ -22,7 +20,6 @@ __all__ = [
     "DISCARD_FAST_MULTIPLIER",
     "DEFAULT_GATE_FLOOR",
     "credibility_level",
-    "credibility_score",
     "credibility_gate",
     "attribute_install_decision",
 ]
@@ -76,15 +73,12 @@ class ConsultantProfile:
     recognized_reputation: frozenset = field(default_factory=frozenset)
     producer_affiliation: frozenset = field(default_factory=frozenset)
 
-    def independent_for(self, focus: str) -> bool:
-        return self.independent and focus not in self.producer_affiliation
-
 
 def credibility_level(profile: ConsultantProfile, focus: str) -> int:
     """Credibility of a consultant for a task or program, on the five-level
     scale.  Most specific positive clause wins."""
     experienced = focus in profile.experienced_with
-    independent = profile.independent_for(focus)
+    independent = profile.independent and focus not in profile.producer_affiliation
     if independent and experienced:
         if focus in profile.consulted_range:
             if focus in profile.recognized_reputation:
@@ -94,11 +88,6 @@ def credibility_level(profile: ConsultantProfile, focus: str) -> int:
     if not experienced and focus in profile.producer_affiliation:
         return -2
     return -1
-
-
-def credibility_score(level: int) -> Fraction:
-    """Map a credibility level to a rational score in [0,1]."""
-    return PTRUST[level]
 
 
 class Route(Enum):

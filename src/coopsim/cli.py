@@ -37,9 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p):
         p.add_argument("scenario", help="scenario file (.coop)")
-        p.add_argument("--tram", choices=["incremental", "recency-history"],
+        p.add_argument("--tram", choices=[t.value for t in TramPolicy],
                        help="override the trust assessment policy")
-        p.add_argument("--interleave", choices=["file-order", "round-robin"],
+        p.add_argument("--interleave",
+                       choices=[i.value for i in scenario.InterleavingStrategy],
                        help="override within-tick event ordering")
         p.add_argument("--quiet", action="store_true",
                        help="suppress non-essential output")

@@ -64,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import groupby
+from itertools import count, groupby
 from operator import attrgetter
 
 from . import agents as agent_rules
@@ -75,7 +75,6 @@ from .appraisal import (
     attribute_install_decision,
     credibility_gate,
     credibility_level,
-    credibility_score,
 )
 from .lifecycle import Cohort, LifecycleState
 from .reputation import lor_update, survey_reinit
@@ -86,9 +85,9 @@ from .scenario import (  # load too: the benchmark calls ``engine.load``
     Scenario,
     load,
 )
-from .statements import FragmentCounter, Statement, _fmt_fraction, equivalence_key
+from .statements import Statement, _fmt_fraction, equivalence_key
 from .statements import parse as parse_statement  # bench/test_bench.py traces it here
-from .trust import _KINDS, Outcome
+from .trust import _KINDS, PTRUST, Outcome
 
 __all__ = ["ExpectResult", "RunResult", "load", "run"]
 
@@ -132,12 +131,21 @@ def _trust_tail(target, kind, level, cause) -> str:
     return f" target={target} kind={kind} level={level} cause={cause}"
 
 
+class _Agents(dict):
+    """Agent id -> ``AgentState``: looking up an id that is missing
+    registers it, so an agent exists from the first handler that reads it."""
+
+    def __missing__(self, name):
+        state = self[name] = AgentState(id=name)
+        return state
+
+
 class _Engine:
     def __init__(self, scenario: Scenario):
         self.header = scenario.header
         self.scenario = scenario
-        self.agents: dict = {}
-        self.counter = FragmentCounter()
+        self.agents = _Agents()
+        self.sequence = count()  # a token's sequence number, global to the run
         self.fade = self.header.default_fade
         self.trace: list = []
         self.expects: list = []
@@ -161,12 +169,6 @@ class _Engine:
         }
 
     # -- helpers -----------------------------------------------------------
-
-    def agent(self, name: str) -> AgentState:
-        state = self.agents.get(name)
-        if state is None:
-            state = self.agents[name] = AgentState(id=name)
-        return state
 
     def emit(self, line: str):
         self.trace.append(line)
@@ -217,7 +219,7 @@ class _Engine:
             )
         route = self.routes.get(level)
         if route is None:
-            score = Fraction(1, 2) if level is None else credibility_score(level)
+            score = Fraction(1, 2) if level is None else PTRUST[level]
             route = self.routes[level] = credibility_gate(score, self.header.gate_floor)
         return route
 
@@ -248,7 +250,7 @@ class _Engine:
                     frag = Cohort(stmt, [subject], token, fade, origin, rate)
                     frag.shown_at = shown
                     agents[subject].fragments.append(frag)
-        return RunResult(trace=self.trace, expects=self.expects, agents=self.agents)
+        return RunResult(trace=self.trace, expects=self.expects, agents=dict(agents))
 
     def order_within_tick(self, directives):
         """``directives`` in file order, or under round-robin in (turn,
@@ -274,8 +276,8 @@ class _Engine:
 
     def on_trust(self, directive: Directive):
         subject, target, program, task, level = directive.args
-        self.agent(subject).trust.set(target, level, program, task)
-        self.agent(target)
+        self.agents[subject].trust.set(target, level, program, task)
+        self.agents[target]  # registers the target
         kind = _KINDS[program is not None, task is not None]
         self.emit_trust(directive.tick, subject, target, kind.value, level, "init")
 
@@ -283,7 +285,7 @@ class _Engine:
         self.deliver(directive.statement, directive.tick)
 
     def deliver(self, stmt: Statement, tick: int):
-        token = self.counter.fresh(tick)
+        token = f"{tick}-{next(self.sequence)}"
         key = equivalence_key(stmt)
         discard = self.route(stmt) is Route.DISCARD_FAST
         rate = DISCARD_FAST_MULTIPLIER if discard else 1
@@ -304,9 +306,7 @@ class _Engine:
         subjects = fresh.subjects  # sorted, as the loop visits them
         for subject in sorted(stmt.recipients):
             emit(head + subject)
-            state = agents.get(subject)
-            if state is None:
-                state = agents[subject] = AgentState(id=subject)
+            state = agents[subject]
             held = holders.get(subject)
             if held is not None:  # an equivalent reissue: refresh it, trust unaffected
                 self.refresh(held, subject, tick)
@@ -384,14 +384,14 @@ class _Engine:
     def on_impose(self, directive: Directive):
         imposer, target, task = directive.args
         self.deliver(directive.statement, directive.tick)
-        state = self.agent(target)
+        state = self.agents[target]
         for action in agent_rules.on_imposition(state, imposer, task):
             self.emit_action(directive.tick, target, action)
 
     def on_outcome(self, directive: Directive):
         agent_id, program, task, result = directive.args
         tick = directive.tick
-        state = self.agent(agent_id)
+        state = self.agents[agent_id]
         outcome = Outcome.KEPT if result == "success" else Outcome.BROKEN
         assessed = agent_rules.on_outcome(
             state, program, task, outcome, tick, self.header.tram
@@ -412,7 +412,6 @@ class _Engine:
             )
         # pruned now, not at the fade step: the unload rule reads the index
         state.prune_adequacy_index()
-        self.to_prune.discard(agent_id)
         for action in agent_rules.apply_unload_rule(state):
             self.emit_action(directive.tick, agent_id, action)
 
@@ -437,14 +436,9 @@ class _Engine:
     def on_lor_request(self, directive: Directive):
         asker, peer, about = directive.args
         tick, agents = directive.tick, self.agents
-        state = agents.get(peer)  # the peer registers before the asker
-        if state is None:
-            state = agents[peer] = AgentState(id=peer)
-        peer_level = state.trust.general.get(about, 0)
-        state = agents.get(asker)
-        if state is None:
-            state = agents[asker] = AgentState(id=asker)
-        general = state.trust.general
+        # the peer registers before the asker
+        peer_level = agents[peer].trust.general.get(about, 0)
+        general = agents[asker].trust.general
         new_level = lor_update(general.get(about, 0), peer_level)
         response = "refused" if new_level is None else "communicated"
         self.trace.append(
@@ -464,10 +458,7 @@ class _Engine:
         stores = {}
         total = 0
         for member in group:
-            state = agents.get(member)
-            if state is None:
-                state = agents[member] = AgentState(id=member)
-            trust = stores[member] = state.trust
+            trust = stores[member] = agents[member].trust
             total += trust.general.get(about, 0)
         members = sorted(group)
         outcome = self.surveyed.get((total, len(members)))
@@ -495,14 +486,14 @@ class _Engine:
     def on_reply(self, directive: Directive):
         sender, receiver, decision = directive.args
         action = agent_rules.resolve_reply(
-            self.agent(receiver), sender, proceed=(decision == "proceed")
+            self.agents[receiver], sender, proceed=(decision == "proceed")
         )
         if action is not None:
             self.emit_action(directive.tick, receiver, action)
 
     def on_expect_trust(self, directive: Directive):
         subject, target, program, task, expected = directive.args
-        actual = self.agent(subject).trust.get(target, program, task)
+        actual = self.agents[subject].trust.get(target, program, task)
         self.expects.append(
             ExpectResult(
                 tick=directive.tick,

@@ -50,7 +50,6 @@ __all__ = [
     "StatementSyntaxError",
     "ScopeMembershipError",
     "WindowOrderError",
-    "FragmentCounter",
     "code_lines",
     "split_lines",
     "parse",
@@ -222,14 +221,11 @@ class Statement:
         return None if m is None else m.groups()
 
     @property
-    def effective_scope(self) -> frozenset:
-        return self.scope | {self.promiser}
-
-    @property
     def recipients(self) -> frozenset:
-        """Agents holding a fragment after issuing.  The promisee holds one
+        """Agents holding a fragment after issuing: the effective scope (the
+        declared scope and the promiser) and the promisee, which holds one
         even outside the declared scope, so that it can react."""
-        return self.effective_scope | {self.promisee}
+        return self.scope | {self.promiser, self.promisee}
 
 
 class _List(tuple):
@@ -471,19 +467,3 @@ def equivalence_key(s: Statement) -> tuple:
         None if body.condition is None else _norm_text(body.condition),
         None if window is None else (window.start, window.end),
     )
-
-
-class FragmentCounter:
-    """Deterministic allocator of fragment identity tokens.
-
-    Tokens are ``<issue_tick>-<sequence>``; the sequence is global to the
-    counter so two batches never collide.
-    """
-
-    def __init__(self):
-        self._seq = 0
-
-    def fresh(self, now: int) -> str:
-        token = f"{now}-{self._seq}"
-        self._seq += 1
-        return token

@@ -20,7 +20,6 @@ from coopsim.lifecycle import Cohort
 from coopsim.statements import (
     Body,
     DirectionalKind,
-    FragmentCounter,
     Statement,
     parse,
 )
@@ -42,7 +41,7 @@ def adequacy(promiser, program, task):
 
 def give_promise(state, promiser, program, task, counter, now=0):
     promise = adequacy(promiser, program, task)
-    state.hold(promise, counter.fresh(now))
+    state.hold(promise, f"{now}-{next(counter)}")
     return on_adequacy_promise(state, promise, now)
 
 
@@ -59,7 +58,7 @@ def test_adequacy_tag_parsing():
 
 def test_positive_trust_prepares():
     state = make_agent(p=1)
-    actions = give_promise(state, "p", "P", "U", FragmentCounter())
+    actions = give_promise(state, "p", "P", "U", itertools.count())
     assert actions == [Action(ActionKind.PREPARE, program="P", task="U")]
     assert ("P", "U") in state.prepared
 
@@ -67,21 +66,21 @@ def test_positive_trust_prepares():
 def test_nonpositive_trust_refuses():
     for level in (0, -1):
         state = make_agent(p=level)
-        actions = give_promise(state, "p", "P", "U", FragmentCounter())
+        actions = give_promise(state, "p", "P", "U", itertools.count())
         assert actions == [Action(ActionKind.REFUSE_INSTALL, program="P", task="U")]
         assert ("P", "U") not in state.prepared
 
 
 def test_repeat_promise_is_idempotent_on_prepare():
     state = make_agent(p=1)
-    counter = FragmentCounter()
+    counter = itertools.count()
     give_promise(state, "p", "P", "U", counter)
     assert give_promise(state, "p", "P", "U", counter, now=1) == []
 
 
 def test_distrusted_sole_promiser_unloads():
     state = make_agent(p=1)
-    counter = FragmentCounter()
+    counter = itertools.count()
     give_promise(state, "p", "P", "U", counter)
     state.trust.set("p", -2)
     actions = give_promise(state, "p", "P", "U", counter, now=1)
@@ -91,7 +90,7 @@ def test_distrusted_sole_promiser_unloads():
 
 def test_unload_spared_when_other_promiser_remains():
     state = make_agent(p=1, p2=1)
-    counter = FragmentCounter()
+    counter = itertools.count()
     give_promise(state, "p", "P", "U", counter)
     give_promise(state, "p2", "P", "U", counter)
     state.trust.set("p", -2)
@@ -101,7 +100,7 @@ def test_unload_spared_when_other_promiser_remains():
 
 def test_unload_sweep_after_trust_change():
     state = make_agent(p=1)
-    give_promise(state, "p", "P", "U", FragmentCounter())
+    give_promise(state, "p", "P", "U", itertools.count())
     state.trust.set("p", -2)
     assert apply_unload_rule(state) == [
         Action(ActionKind.UNLOAD, program="P", task="U")
@@ -127,7 +126,7 @@ def test_task_request_no_candidate_fails():
 )
 def test_single_candidate_trust_rules(level, used_before, expected):
     state = make_agent(p=1)
-    give_promise(state, "p", "P", "U", FragmentCounter())
+    give_promise(state, "p", "P", "U", itertools.count())
     state.prepared[("P", "U")] = used_before
     state.trust.set("p", level)
     assert on_task_request(state, "U").kind is expected
@@ -135,7 +134,7 @@ def test_single_candidate_trust_rules(level, used_before, expected):
 
 def test_argmax_prefers_highest_promiser_trust():
     state = make_agent(p1=2, p2=1)
-    counter = FragmentCounter()
+    counter = itertools.count()
     give_promise(state, "p1", "A", "U", counter)
     give_promise(state, "p2", "B", "U", counter)
     assert on_task_request(state, "U") == Action(ActionKind.USE, program="A", task="U")
@@ -143,7 +142,7 @@ def test_argmax_prefers_highest_promiser_trust():
 
 def test_argmax_tie_breaks_on_trust_sum():
     state = make_agent(p1=1, p2=1, p3=1)
-    counter = FragmentCounter()
+    counter = itertools.count()
     give_promise(state, "p1", "A", "U", counter)
     give_promise(state, "p2", "B", "U", counter)
     give_promise(state, "p3", "B", "U", counter)
@@ -152,13 +151,13 @@ def test_argmax_tie_breaks_on_trust_sum():
 
 def test_argmax_tie_breaks_on_recency_then_name():
     state = make_agent(p1=1, p2=1)
-    counter = FragmentCounter()
+    counter = itertools.count()
     give_promise(state, "p1", "A", "U", counter, now=1)
     give_promise(state, "p2", "B", "U", counter, now=3)
     assert on_task_request(state, "U").program == "B"
 
     state2 = make_agent(p1=1, p2=1)
-    counter2 = FragmentCounter()
+    counter2 = itertools.count()
     give_promise(state2, "p1", "A", "U", counter2, now=2)
     give_promise(state2, "p2", "B", "U", counter2, now=2)
     assert on_task_request(state2, "U").program == "A"
@@ -166,7 +165,7 @@ def test_argmax_tie_breaks_on_recency_then_name():
 
 def balancing_case(trust_s, trust_p):
     state = make_agent(p=1, s=trust_s)
-    give_promise(state, "p", "P", "U", FragmentCounter())
+    give_promise(state, "p", "P", "U", itertools.count())
     state.trust.set("p", trust_p)
     return state, on_imposition(state, "s", "U")
 
@@ -216,7 +215,7 @@ def test_reply_resolution():
 
 def test_outcome_updates_trust_and_leaves_records_active():
     state = make_agent(p=1)
-    give_promise(state, "p", "P", "U", FragmentCounter())
+    give_promise(state, "p", "P", "U", itertools.count())
     (token,) = state.promises[("P", "U")]
     assessed = on_outcome(state, "P", "U", Outcome.BROKEN, 5, TramPolicy.INCREMENTAL)
     assert assessed == [(token, "p")]
@@ -274,13 +273,13 @@ def test_incremental_prune_equals_full_rescan(script):
     states = {name: AgentState(id=name) for name in ("q", "r")}
     reference = {name: {} for name in states}
     held = {name: [] for name in states}  # each agent's live records, every kind
-    counter = FragmentCounter()
+    counter = itertools.count()
     for tick, (op, name, *args) in enumerate(script):
         state = states[name]
         if op == "hold":
             promiser, kind_tag, type_tag, indexed = args
             stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
-            rec = Cohort(stmt, [name], counter.fresh(tick), FADE, tick)
+            rec = Cohort(stmt, [name], f"{tick}-{next(counter)}", FADE, tick)
             held[name].append(rec)
             if files(stmt):
                 state.hold(stmt, rec.token)

@@ -12,8 +12,8 @@ from coopsim.appraisal import (
     attribute_install_decision,
     credibility_gate,
     credibility_level,
-    credibility_score,
 )
+from coopsim.trust import PTRUST
 
 
 def test_catalog_shape():
@@ -70,10 +70,10 @@ def test_gate_boundary_inclusive():
 
 
 def test_scores_follow_levels():
-    assert credibility_score(2) == Fraction(19, 20)
-    assert credibility_score(-2) == Fraction(1, 20)
-    assert credibility_gate(credibility_score(0), DEFAULT_GATE_FLOOR) is Route.ENGAGE
-    assert credibility_gate(credibility_score(-1), DEFAULT_GATE_FLOOR) is Route.DISCARD_FAST
+    assert PTRUST[2] == Fraction(19, 20)
+    assert PTRUST[-2] == Fraction(1, 20)
+    assert credibility_gate(PTRUST[0], DEFAULT_GATE_FLOOR) is Route.ENGAGE
+    assert credibility_gate(PTRUST[-1], DEFAULT_GATE_FLOOR) is Route.DISCARD_FAST
 
 
 def test_no_rule_on_neutral_attributes():

@@ -115,6 +115,24 @@ def test_tram_override_changes_result(tmp_path):
     )
 
 
+@pytest.mark.parametrize("flag,values", [
+    ("--tram", ("incremental", "recency-history")),
+    ("--interleave", ("file-order", "round-robin")),
+])
+def test_policy_flags_name_their_choices(flag, values, capsys):
+    """``--help`` and an invalid choice list a policy flag's values, in the
+    order its enum declares them."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "x.coop", flag, "bad"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    listed = err.partition("invalid choice: 'bad' (choose from ")[2]
+    assert listed.replace("'", "") == ", ".join(values) + ")\n"
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    assert f"[{flag} {{{','.join(values)}}}]" in capsys.readouterr().out
+
+
 def test_parse_errors_match_the_pinned_stderr(capsys):
     """Line, column and message of every statement error, as ``coopsim
     parse`` prints them (CI compares the console script's stderr too)."""

@@ -910,6 +910,15 @@ def test_newcomers_register_in_run_order(order, registered):
     assert list(result.agents) == registered
 
 
+def test_run_result_agents_register_no_one():
+    """A lookup registers an agent only during a run: ``RunResult.agents``
+    is a plain dict, so an id that no line named raises ``KeyError``."""
+    agents = run_file("newcomers.coop").agents
+    assert type(agents) is dict
+    with pytest.raises(KeyError):
+        agents["nobody"]
+
+
 def test_no_matching_fragment_outcome_warns():
     text = (
         "trust q p = 1\n"

@@ -1,5 +1,6 @@
-"""Every rule is reached by a shipped scenario, every line of the loader
-by an input whose output is pinned.
+"""Every rule is reached by a shipped scenario, every branch of a rule
+taken both ways, every line of the loader run by an input whose output is
+pinned.
 
 The goldens pin only what the scenarios run, so a rule that no scenario
 enters could change without a golden noticing.  This runs every
@@ -9,7 +10,12 @@ that each function and method written in ``agents.py`` and
 ``reputation.py``, and each ``_Engine.on_*`` directive handler, is entered,
 and that every line of every function and method written in
 ``LINE_CHECKED``, and of every ``def`` and lambda nested in one, runs, but
-for the lines of ``UNREACHED``, which no valid run reaches.
+for the lines of ``UNREACHED``, which no valid run reaches.  Lines alone
+miss a condition that is never false, so the runs also record which line
+follows which: every ``if``, ``elif`` and ``while`` in a function of the
+six engine modules (``LINE_CHECKED`` but ``READERS``) must go on from its
+condition both into its body and past it, unless its body holds a line of
+``UNREACHED`` or the condition is in ``ONE_WAY``.
 
 A line of ``READERS``, which read scenarios and statements, may also run on
 one of the other inputs that CI feeds the CLI and compares with a pinned
@@ -17,6 +23,7 @@ output, on a row of the pinned load-message table, or as the module is
 imported: its patterns and its directive table are built there, once.
 """
 
+import ast
 import dis
 import importlib.util
 import inspect
@@ -64,6 +71,13 @@ UNREACHED = {
     ("statements.render",
      '"body condition requires an episode window in concrete syntax"'):
         "as above: a body condition with no window",
+}
+
+# (module.function, the condition's first line) -> why the shipped runs take
+# only its body
+ONE_WAY = {
+    ("agents.Action.detail", "if self.task is not None:"):
+        "every rule's action names a task",
 }
 
 
@@ -156,21 +170,32 @@ def _pinned_inputs(tmp: Path):
 @pytest.fixture(scope="module")
 def shipped_runs(tmp_path_factory) -> tuple:
     """(code objects entered, ``(_key(code), line)`` pairs run in
-    ``LINE_CHECKED``) over every shipped scenario through the CLI, and the
-    pairs run also over the pinned inputs and the imports of ``READERS``."""
+    ``LINE_CHECKED``) over every shipped scenario through the CLI, the pairs
+    run also over the pinned inputs and the imports of ``READERS``, and the
+    ``(file, line, next line)`` arcs of the shipped runs, where the next
+    line is None when the frame returns or yields."""
     watched = set(_line_checked().values())
     readers = {module.__file__ for module in READERS}
-    entered, lines = set(), set()
-
-    def on_line(frame, event, arg):
-        if event == "line":
-            lines.add((frame.f_code, frame.f_lineno))
-        return on_line
+    entered, lines, arcs = set(), set(), set()
 
     def tracer(frame, event, arg):  # called for "call" events only
         entered.add(frame.f_code)
         code = frame.f_code
-        return on_line if code in watched or code.co_filename in readers else None
+        if code not in watched and code.co_filename not in readers:
+            return None
+        last = None  # the line this frame ran last
+
+        def on_line(frame, event, arg):
+            nonlocal last
+            if event == "line":
+                lines.add((code, frame.f_lineno))
+                arcs.add((code.co_filename, last, frame.f_lineno))
+                last = frame.f_lineno
+            elif event == "return":
+                arcs.add((code.co_filename, last, None))
+            return on_line
+
+        return on_line
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -181,7 +206,7 @@ def shipped_runs(tmp_path_factory) -> tuple:
                 for order in ("file-order", "round-robin"):
                     _cli("run", str(path), "--trace", "--quiet", "--tram", tram,
                          "--interleave", order)
-        shipped, shipped_lines = set(entered), set(lines)
+        shipped, shipped_lines, shipped_arcs = set(entered), set(lines), set(arcs)
         for args in _pinned_inputs(tmp_path_factory.mktemp("inputs")):
             _cli(*args)
         # CI's stdin: coopsim corpus | coopsim parse, and a byte not UTF-8
@@ -207,6 +232,7 @@ def shipped_runs(tmp_path_factory) -> tuple:
         shipped,
         {(_key(code), line) for code, line in shipped_lines},
         {(_key(code), line) for code, line in lines},
+        shipped_arcs,
     )
 
 
@@ -220,13 +246,13 @@ def test_every_rule_is_reached_by_a_shipped_scenario(shipped_runs):
             if name.startswith("_Engine.on_")
         },
     }
-    entered, _, _ = shipped_runs
+    entered, _, _, _ = shipped_runs
     assert "on_task_request" in wanted and "_Engine.on_outcome" in wanted
     assert sorted(name for name, code in wanted.items() if code not in entered) == []
 
 
 def test_every_line_runs_in_a_shipped_scenario(shipped_runs):
-    _, shipped, pinned = shipped_runs
+    _, shipped, pinned, _ = shipped_runs
     checked = _line_checked()
     assert "engine._Engine.split" in checked and "lifecycle.Cohort.fade_level" in checked
     assert "agents.on_task_request.rank" in checked and "scenario._Kind.read" in checked
@@ -247,3 +273,52 @@ def test_every_line_runs_in_a_shipped_scenario(shipped_runs):
                 missed.append(f"{name}:{line} {text}")
     assert sorted(missed) == []
     assert unreached == UNREACHED.keys()  # each allowed line is still unreached
+
+
+def _conditions(module):
+    """(qualified name, node) of every ``if``, ``elif`` and ``while`` in a
+    function or method of ``module``, nested ``def``s included."""
+
+    def walk(node, name, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.If, ast.While)) and in_function:
+                yield name, child
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = isinstance(child, ast.FunctionDef)
+                yield from walk(child, f"{name}.{child.name}", in_function or inner)
+            else:
+                yield from walk(child, name, in_function)
+
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return walk(tree, module.__name__.rpartition(".")[2], False)
+
+
+def test_every_branch_goes_both_ways_in_a_shipped_scenario(shipped_runs):
+    *_, arcs = shipped_runs
+    names, missed, one_way = set(), [], set()
+    for module in (m for m in LINE_CHECKED if m not in READERS):
+        source = Path(module.__file__).read_text(encoding="utf-8").splitlines()
+        after = {}  # line -> the lines run next from it
+        for path, line, following in arcs:
+            if path == module.__file__:
+                after.setdefault(line, set()).add(following)
+        for name, node in _conditions(module):
+            names.add(name)
+            # the condition's lines, up to its body's first line
+            test = range(node.lineno, node.body[0].lineno)
+            body = range(node.body[0].lineno, node.body[-1].end_lineno + 1)
+            nexts = set().union(*(after.get(line, ()) for line in test))
+            taken = {to in body for to in nexts if to not in test}
+            text = source[node.lineno - 1].strip()
+            if taken == {True, False}:
+                continue
+            if (name, text) in ONE_WAY and taken == {True}:
+                one_way.add((name, text))
+            elif not any(
+                (name, source[line - 1].strip()) in UNREACHED for line in body
+            ):
+                into = "body" if True in taken else "past" if taken else "nowhere"
+                missed.append(f"{name}:{node.lineno} {text} (only {into})")
+    assert "engine._Engine.fade_step" in names and "agents.Action.detail" in names
+    assert sorted(missed) == []
+    assert one_way == ONE_WAY.keys()  # each allowed condition still goes one way

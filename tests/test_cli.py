@@ -90,6 +90,23 @@ def test_check_prints_its_summary_on_stderr(capsys):
     assert err == "5/5 expectations hold\n"
 
 
+def test_check_stdout_matches_the_pin(capsys):
+    """``check --quiet`` of every shipped scenario under both TRAM policies
+    and both interleavings, each block after a ``# <scenario> <tram>
+    <interleave> exit=<code>`` header (CI compares the console script's
+    stdout too)."""
+    blocks = []
+    for path in sorted(SCENARIOS.glob("*.coop")):
+        for tram in ("incremental", "recency-history"):
+            for order in ("file-order", "round-robin"):
+                code = cli.main(["check", str(path), "--quiet", "--tram", tram,
+                                 "--interleave", order])
+                out, err = capsys.readouterr()
+                assert err == ""
+                blocks.append(f"# {path.stem} {tram} {order} exit={code}\n{out}")
+    assert "".join(blocks) == (FIXTURES / "check.stdout").read_text()
+
+
 def test_check_fails_on_unmet_expectation(tmp_path, capsys):
     bad = tmp_path / "bad.coop"
     bad.write_text("trust q p = 1\ntick 1\nexpect-trust q p = 2\n")

@@ -35,7 +35,6 @@ from .trust import Outcome, TramPolicy, TrustStore
 __all__ = [
     "ActionKind",
     "Action",
-    "PendingWarning",
     "AgentState",
     "files",
     "on_adequacy_promise",
@@ -66,25 +65,18 @@ class ActionKind(Enum):
 @dataclass(frozen=True)
 class Action:
     kind: ActionKind
+    task: str
     program: Optional[str] = None
-    task: Optional[str] = None
     target: Optional[str] = None
 
     def detail(self) -> str:
         parts = []
         if self.program is not None:
             parts.append(f"program={self.program}")
-        if self.task is not None:
-            parts.append(f"task={self.task}")
+        parts.append(f"task={self.task}")
         if self.target is not None:
             parts.append(f"target={self.target}")
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class PendingWarning:
-    imposer: str
-    program: str
 
 
 @dataclass
@@ -97,6 +89,7 @@ class AgentState:
     prepared: dict = field(default_factory=dict)  # (program, task) -> used before
     # (program, task) -> {promiser: tick of its last engaged adequacy promise}
     adequacy_index: dict = field(default_factory=dict)
+    # task -> (imposer, program) of a warning that awaits the imposer's reply
     pending: dict = field(default_factory=dict)
     # (pair, promiser) of the adequacy promises released since the last prune
     lapsed: set = field(default_factory=set, init=False, repr=False, compare=False)
@@ -254,7 +247,7 @@ def on_imposition(state: AgentState, imposer: str, task: str) -> list:
     if trust_promiser == 2 or trust_promiser == trust_imposer == 1:
         return [Action(ActionKind.USE, program=program, task=task)]
     if trust_promiser == 1:
-        state.pending[task] = PendingWarning(imposer=imposer, program=program)
+        state.pending[task] = (imposer, program)
         return [Action(ActionKind.WARN, task=task, target=imposer)]
     return [Action(ActionKind.PROPOSE_WITHDRAW, task=task, target=imposer)]
 
@@ -262,11 +255,11 @@ def on_imposition(state: AgentState, imposer: str, task: str) -> list:
 def resolve_reply(state: AgentState, imposer: str, proceed: bool) -> Optional[Action]:
     """Resolve a pending warning reply: proceed uses the held program,
     a withdrawal drops the imposition."""
-    for task, pend in sorted(state.pending.items()):
-        if pend.imposer == imposer:
+    for task, (warned, program) in sorted(state.pending.items()):
+        if warned == imposer:
             del state.pending[task]
             if proceed:
-                return Action(ActionKind.USE, program=pend.program, task=task)
+                return Action(ActionKind.USE, program=program, task=task)
             return None
     return None
 

@@ -49,15 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(p_run)
     p_run.add_argument("--trace", action="store_true",
                        help="print the event trace to stdout")
+    p_run.set_defaults(handler=cmd_run)
 
     p_check = sub.add_parser("check", help="run and verify expectations")
     add_run_flags(p_check)
+    p_check.set_defaults(handler=cmd_check)
 
     p_parse = sub.add_parser("parse", help="canonicalize statements")
     p_parse.add_argument("file", nargs="?", default="-",
                          help="statement file, one per line (default stdin)")
+    p_parse.set_defaults(handler=cmd_parse)
 
-    sub.add_parser("corpus", help="print the built-in corpus")
+    p_corpus = sub.add_parser("corpus", help="print the built-in corpus")
+    p_corpus.set_defaults(handler=cmd_corpus)
     return parser
 
 
@@ -142,15 +146,8 @@ def cmd_corpus(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "run": cmd_run,
-        "check": cmd_check,
-        "parse": cmd_parse,
-        "corpus": cmd_corpus,
-    }[args.command]
-    return handler(args)
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from itertools import count, groupby
 from operator import attrgetter
@@ -95,7 +96,6 @@ __all__ = ["ExpectResult", "RunResult", "load", "run"]
 @dataclass(frozen=True)
 class ExpectResult:
     tick: int
-    line: int
     subject: str
     target: str
     expected: int
@@ -157,11 +157,12 @@ class _Engine:
         self.refreshable: dict = {}  # equivalence key -> {agent: its live cohort}
         self.to_prune: set = set()  # agents that released a promise this tick
         self.terminated: set = set()  # tokens whose last fragment ended this tick
-        # (state, rate, fading ticks) -> " state=... fade=... rate=..."
-        self.lifecycle_texts: dict = {}
-        self.verdicts: dict = {}  # (program, task) -> attribute install verdict
-        self.routes: dict = {}  # credibility level or None -> Route
-        self.surveyed: dict = {}  # (trust sum, group size) -> (average text, level)
+        # the header is fixed for the run: each result depends on its arguments
+        # alone, so it is worked out once per run (a cache per engine)
+        self.lifecycle_text = cache(self.lifecycle_text)
+        self.gate = cache(self.gate)
+        self.verdict = cache(self.verdict)
+        self.surveyed = cache(self.surveyed)
         # directive "x-y" goes to on_x_y; tick and header-setting lines make none
         self.handlers = {
             name: getattr(self, "on_" + name.replace("-", "_"))
@@ -180,17 +181,13 @@ class _Engine:
 
     def lifecycle_text(self, state: LifecycleState, rate: int, ticks: int) -> str:
         """A lifecycle line's `` state=... fade=... rate=...`` tail for
-        ``ticks`` ticks faded, formatted once per triple in a run: the run
-        has one fade spec, so the tail depends on these three only."""
-        key = (state, rate, ticks)
-        text = self.lifecycle_texts.get(key)
-        if text is None:
-            level = self.fade.level(rate, ticks)
-            text = self.lifecycle_texts[key] = (
-                f" state={state.value} fade={_fmt_fraction(level)} "
-                f"rate={_fmt_fraction(rate)}"
-            )
-        return text
+        ``ticks`` ticks faded: the run has one fade spec, so the tail
+        depends on these three only."""
+        level = self.fade.level(rate, ticks)
+        return (
+            f" state={state.value} fade={_fmt_fraction(level)} "
+            f"rate={_fmt_fraction(rate)}"
+        )
 
     def emit_lifecycle(self, tick, cohort: Cohort, subject: str):
         """The lifecycle line of ``subject``'s fragment in ``cohort``."""
@@ -207,9 +204,14 @@ class _Engine:
             f"detail={action.detail()}"
         )
 
+    def gate(self, level) -> Route:
+        """The credibility route of a promiser at credibility ``level`` (None:
+        an unprofiled promiser, who scores 1/2)."""
+        score = Fraction(1, 2) if level is None else PTRUST[level]
+        return credibility_gate(score, self.header.gate_floor)
+
     def route(self, stmt: Statement) -> Route:
-        """The credibility route of ``stmt``, gated once per credibility level
-        in a run (None: an unprofiled promiser, who scores 1/2)."""
+        """The credibility route of ``stmt``, by its promiser's level."""
         level = None
         profile = self.header.profiles.get(stmt.promiser)
         if profile is not None:  # an adequacy tag's focus is its program
@@ -217,11 +219,23 @@ class _Engine:
             level = credibility_level(
                 profile, stmt.type_tag if pair is None else pair[0]
             )
-        route = self.routes.get(level)
-        if route is None:
-            score = Fraction(1, 2) if level is None else PTRUST[level]
-            route = self.routes[level] = credibility_gate(score, self.header.gate_floor)
-        return route
+        return self.gate(level)
+
+    def verdict(self, pair):
+        """The attribute install verdict for an adequacy (program, task): a
+        task's level wins over its program's."""
+        program, task = pair
+        attrs = self.header.attrs
+        return attribute_install_decision({
+            **attrs.get(("program", program), {}),
+            **attrs.get(("task", task), {}),
+        })
+
+    def surveyed(self, total: int, size: int):
+        """The average text and reinitialized level of a survey whose group
+        of ``size`` members holds trust levels summing to ``total``."""
+        average = Fraction(total, size)
+        return _fmt_fraction(average), survey_reinit(average)
 
     # -- run loop ----------------------------------------------------------
 
@@ -369,15 +383,7 @@ class _Engine:
         heappush(self.deadlines, (cohort.fade_deadline(), cohort.origin, cohort.token))
 
     def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
-        pair = promise.adequacy
-        verdict = self.verdicts.get(pair)
-        if verdict is None:  # attrs are fixed once the scenario loaded
-            program, task = pair  # a task's level wins over its program's
-            attrs = self.header.attrs
-            verdict = self.verdicts[pair] = attribute_install_decision({
-                **attrs.get(("program", program), {}),
-                **attrs.get(("task", task), {}),
-            })
+        verdict = self.verdict(promise.adequacy)
         for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
             self.emit_action(tick, state.id, action)
 
@@ -461,13 +467,7 @@ class _Engine:
             trust = stores[member] = agents[member].trust
             total += trust.general.get(about, 0)
         members = sorted(group)
-        outcome = self.surveyed.get((total, len(members)))
-        if outcome is None:
-            average = Fraction(total, len(members))
-            outcome = self.surveyed[total, len(members)] = (
-                _fmt_fraction(average), survey_reinit(average)
-            )
-        average, new_level = outcome
+        average, new_level = self.surveyed(total, len(members))
         emit = self.trace.append
         emit(
             f"t={tick} reputation kind=survey surveyor={surveyor} "
@@ -497,7 +497,6 @@ class _Engine:
         self.expects.append(
             ExpectResult(
                 tick=directive.tick,
-                line=directive.line,
                 subject=subject,
                 target=target,
                 expected=expected,

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .trust import clamp_level
-
 __all__ = [
     "DEFAULT_RECENT_WINDOW",
     "lor_update",
@@ -44,5 +42,5 @@ def survey_reinit(average) -> int:
     """The level a surveyed average reinitializes members to, approximating
     it from below.  It is the same for every member; members with recent own
     observations are not reinitialized and keep their level."""
-    return clamp_level(math.floor(average))
+    return math.floor(average)
 

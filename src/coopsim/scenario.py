@@ -95,7 +95,6 @@ class Directive(NamedTuple):
     ``__new__``."""
 
     tick: int
-    line: int
     name: str
     args: tuple
     statement: Optional[Statement] = None
@@ -510,7 +509,7 @@ def load(text: str) -> Scenario:
                 built = (args, None) if row.check is None else row.check(state, args)
             if built is not None:  # None for a tick, policy, attr or profile line
                 state.directives.append(
-                    new(Directive, (state.now or 0, line_no, name) + built)
+                    new(Directive, (state.now or 0, name) + built)
                 )
     except ValueError as exc:
         raise ScenarioError(str(exc), line_no) from None

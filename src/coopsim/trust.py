@@ -23,8 +23,6 @@ from enum import Enum
 from fractions import Fraction
 
 __all__ = [
-    "SCALE_MIN",
-    "SCALE_MAX",
     "LEVELS",
     "PTRUST",
     "AppreciationKind",
@@ -35,8 +33,6 @@ __all__ = [
     "level_from_history",
 ]
 
-SCALE_MIN = -2
-SCALE_MAX = 2
 LEVELS = (-2, -1, 0, 1, 2)
 
 # Probability-like weight per trust level, symmetric around 0.5 and never
@@ -77,7 +73,7 @@ class TramPolicy(Enum):
 
 
 def clamp_level(value: int) -> int:
-    return max(SCALE_MIN, min(SCALE_MAX, value))
+    return max(LEVELS[0], min(LEVELS[-1], value))
 
 
 def level_from_history(outcomes) -> int:

@@ -15,7 +15,7 @@ miss a condition that is never false, so the runs also record which line
 follows which: every ``if``, ``elif`` and ``while`` in a function of the
 six engine modules (``LINE_CHECKED`` but ``READERS``) must go on from its
 condition both into its body and past it, unless its body holds a line of
-``UNREACHED`` or the condition is in ``ONE_WAY``.
+``UNREACHED``.
 
 A line of ``READERS``, which read scenarios and statements, may also run on
 one of the other inputs that CI feeds the CLI and compares with a pinned
@@ -72,14 +72,6 @@ UNREACHED = {
      '"body condition requires an episode window in concrete syntax"'):
         "as above: a body condition with no window",
 }
-
-# (module.function, the condition's first line) -> why the shipped runs take
-# only its body
-ONE_WAY = {
-    ("agents.Action.detail", "if self.task is not None:"):
-        "every rule's action names a task",
-}
-
 
 def _written_in(module) -> dict:
     """Qualified name -> code object of every function and method whose
@@ -295,7 +287,7 @@ def _conditions(module):
 
 def test_every_branch_goes_both_ways_in_a_shipped_scenario(shipped_runs):
     *_, arcs = shipped_runs
-    names, missed, one_way = set(), [], set()
+    names, missed = set(), []
     for module in (m for m in LINE_CHECKED if m not in READERS):
         source = Path(module.__file__).read_text(encoding="utf-8").splitlines()
         after = {}  # line -> the lines run next from it
@@ -310,15 +302,10 @@ def test_every_branch_goes_both_ways_in_a_shipped_scenario(shipped_runs):
             nexts = set().union(*(after.get(line, ()) for line in test))
             taken = {to in body for to in nexts if to not in test}
             text = source[node.lineno - 1].strip()
-            if taken == {True, False}:
-                continue
-            if (name, text) in ONE_WAY and taken == {True}:
-                one_way.add((name, text))
-            elif not any(
+            if taken != {True, False} and not any(
                 (name, source[line - 1].strip()) in UNREACHED for line in body
             ):
                 into = "body" if True in taken else "past" if taken else "nowhere"
                 missed.append(f"{name}:{node.lineno} {text} (only {into})")
     assert "engine._Engine.fade_step" in names and "agents.Action.detail" in names
     assert sorted(missed) == []
-    assert one_way == ONE_WAY.keys()  # each allowed condition still goes one way

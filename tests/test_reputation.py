@@ -1,3 +1,4 @@
+import math
 import pytest
 from fractions import Fraction
 
@@ -32,6 +33,16 @@ def test_survey_reinit_floors_average():
     assert survey_reinit(Fraction(5, 3)) == 1
     assert survey_reinit(Fraction(-1, 2)) == -1
     assert survey_reinit(Fraction(2)) == 2
+
+
+def test_survey_reinit_of_every_group_average_is_on_the_scale():
+    """A group of n members at levels on the scale sums to -2n..2n, so the
+    floor of its average is on the scale: ``survey_reinit`` clamps nothing."""
+    for n in range(1, 17):
+        for total in range(-2 * n, 2 * n + 1):
+            average = Fraction(total, n)
+            level = survey_reinit(average)
+            assert level == math.floor(average) and level in LEVELS, (total, n)
 
 
 SURVEY_AFTER_OBSERVATION = """\

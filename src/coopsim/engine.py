@@ -293,7 +293,7 @@ class _Engine:
         self.agents[subject].trust.set(target, level, program, task)
         self.agents[target]  # registers the target
         kind = _KINDS[program is not None, task is not None]
-        self.emit_trust(directive.tick, subject, target, kind.value, level, "init")
+        self.emit_trust(directive.tick, subject, target, kind, level, "init")
 
     def on_issue(self, directive: Directive):
         self.deliver(directive.statement, directive.tick)
@@ -305,7 +305,6 @@ class _Engine:
         rate = DISCARD_FAST_MULTIPLIER if discard else 1
         penalize = discard and self.header.penalize_incredible
         filed = agent_rules.files(stmt)  # an adequacy promise: its promisee reacts
-        reactor = stmt.promisee if filed else None
         holders = self.refreshable.setdefault(key, {})
         emit, agents = self.trace.append, self.agents
         emit(
@@ -338,8 +337,10 @@ class _Engine:
                     self.emit_trust(
                         tick, subject, stmt.promiser, "general-trust", level, "broken"
                     )
-            elif subject == reactor:
-                self.react_to_promise(state, stmt, tick)
+            elif filed and subject == stmt.promisee:
+                verdict = self.verdict(stmt.adequacy)
+                for action in agent_rules.on_adequacy_promise(state, stmt, tick, verdict):
+                    self.emit_action(tick, subject, action)
         if subjects:
             self.live[token] = (key, holders, {tick: fresh})
             self.file_deadline(fresh)
@@ -381,11 +382,6 @@ class _Engine:
     def file_deadline(self, cohort: Cohort):
         """File the fade deadline of ``cohort`` under its token and origin."""
         heappush(self.deadlines, (cohort.fade_deadline(), cohort.origin, cohort.token))
-
-    def react_to_promise(self, state: AgentState, promise: Statement, tick: int):
-        verdict = self.verdict(promise.adequacy)
-        for action in agent_rules.on_adequacy_promise(state, promise, tick, verdict):
-            self.emit_action(tick, state.id, action)
 
     def on_impose(self, directive: Directive):
         imposer, target, task = directive.args
@@ -550,9 +546,8 @@ class _Engine:
                     cohort.state, cohort.fade_rate_multiplier, cohort.fading_ticks
                 )
                 lines += [(s, token, head + s + tail) for s in cohort.subjects]
-        if lines:  # on most ticks of a long-lived workload nothing fades
-            lines.sort()
-            self.trace.extend([line for _, _, line in lines])
+        lines.sort()
+        self.trace.extend([line for _, _, line in lines])
         # Pruned only now: later directives of the tick saw the full index.
         for agent_id in self.to_prune:
             self.agents[agent_id].prune_adequacy_index()

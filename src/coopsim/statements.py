@@ -165,15 +165,13 @@ class FadeSpec:
             raise StatementError("fade span must be >= 1")
         if not (0 < self.threshold < 1):
             raise StatementError("fade threshold must be in (0,1)")
-        object.__setattr__(self, "_lives", {})  # rate -> life, filled on use
 
     def life(self, rate: int) -> int:
         """Ticks a fragment fading at ``rate`` stays active: its level
-        ``1 - rate*k/span`` stays at or above the threshold for ``k < life``."""
-        life = self._lives.get(rate)
-        if life is None:
-            life = self._lives[rate] = (1 - self.threshold) * self.span // rate + 1
-        return life
+        ``1 - rate*k/span`` stays at or above the threshold ``n/d`` for
+        ``k < life``, which is ``(1 - n/d) * span // rate + 1`` in integers."""
+        n, d = self.threshold.numerator, self.threshold.denominator
+        return (d - n) * self.span // (d * rate) + 1
 
     def level(self, rate: int, ticks: int) -> Fraction:
         """The level after ``ticks`` ticks of fading at ``rate``: 1 less
@@ -409,8 +407,18 @@ def _fmt_fraction(x: Fraction) -> str:
     """Shortest decimal text of ``x`` to ten places; integers stay exact."""
     if x.denominator == 1:
         return str(x.numerator)
-    s = f"{float(x):.10f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+    return f"{float(x):.10f}".rstrip("0").rstrip(".")
+
+
+def _decimal(x: Fraction) -> str:
+    """Exact decimal text of ``x`` in (0,1), as a fade threshold is written:
+    as many places as the least power of 10 that its denominator divides,
+    so that the last digit is never 0."""
+    n, d = x.numerator, x.denominator
+    for places in range(1, d.bit_length()):  # d = 2**a * 5**b: max(a, b) places
+        if 10**places % d == 0:
+            return f"0.{n * 10**places // d:0{places}d}"
+    raise StatementError("fade threshold needs a finite decimal in concrete syntax")
 
 
 def render(s: Statement) -> str:
@@ -425,7 +433,7 @@ def render(s: Statement) -> str:
         if s.identity is not None:
             parts.append(f"({s.identity})")
         if s.fade is not None:
-            parts.append(f",fade({s.fade.span},{_fmt_fraction(s.fade.threshold)})")
+            parts.append(f",fade({s.fade.span},{_decimal(s.fade.threshold)})")
         parts.append("/")
     elif s.observation_time is not None or s.fade is not None or s.identity is not None:
         raise StatementError(

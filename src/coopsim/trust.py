@@ -12,9 +12,9 @@ that were never written.  Two update policies are supported:
 An agent's store keeps general trust, the level the behaviour rules read and
 outcomes assess, by the target's name alone; a task, program or confidence
 level, which only ``trust`` and ``expect-trust`` lines address, is kept apart
-under ``(target, program, task)``.  The kind a level's qualifiers name
-(``_KINDS``) is looked up only where a trust line is written.  ``load`` reads
-every level on the scale and a run's ticks go forward, so neither is checked.
+under ``(target, program, task)``.  A level's kind is only printed, so
+``_KINDS`` names it by its text.  ``load`` reads every level on the scale and
+a run's ticks go forward, so neither is checked.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 __all__ = [
     "LEVELS",
     "PTRUST",
-    "AppreciationKind",
     "Outcome",
     "TramPolicy",
     "TrustStore",
@@ -46,19 +45,12 @@ PTRUST = {
 }
 
 
-class AppreciationKind(Enum):
-    GENERAL_TRUST = "general-trust"
-    TASK_TRUST = "task-trust"
-    PROGRAM_TRUST = "program-trust"
-    CONFIDENCE = "confidence"
-
-
-# (program given, task given) -> the kind a level's qualifiers name
+# (program given, task given) -> the kind a level's qualifiers name, as printed
 _KINDS = {
-    (False, False): AppreciationKind.GENERAL_TRUST,
-    (False, True): AppreciationKind.TASK_TRUST,
-    (True, False): AppreciationKind.PROGRAM_TRUST,
-    (True, True): AppreciationKind.CONFIDENCE,
+    (False, False): "general-trust",
+    (False, True): "task-trust",
+    (True, False): "program-trust",
+    (True, True): "confidence",
 }
 
 

@@ -84,6 +84,18 @@ def test_fade_never_negative():
     assert rec.state is FADED
 
 
+def test_integer_fade_life_equals_the_fraction_form():
+    """``life`` works in the threshold's numerator and denominator; it is
+    the ticks ``(1 - threshold) * span // rate + 1`` of the fraction form."""
+    thresholds = {Fraction(n, d) for d in range(2, 41) for n in range(1, d)}
+    for threshold in sorted(thresholds):
+        rest = 1 - threshold
+        for span in range(1, 201):
+            fade = FadeSpec(span, threshold)
+            for rate in (1, 4):
+                assert fade.life(rate) == rest * span // rate + 1, (fade, rate)
+
+
 def test_fast_discard_multiplier():
     rec = fresh()
     rec.fade_rate_multiplier = Fraction(4)

@@ -12,15 +12,15 @@ and that every line of every function and method written in
 ``LINE_CHECKED``, and of every ``def`` and lambda nested in one, runs, but
 for the lines of ``UNREACHED``, which no valid run reaches.  Lines alone
 miss a condition that is never false, so the runs also record which line
-follows which: every ``if``, ``elif`` and ``while`` in a function of the
-six engine modules (``LINE_CHECKED`` but ``READERS``) must go on from its
-condition both into its body and past it, unless its body holds a line of
-``UNREACHED``.
+follows which: every ``if``, ``elif`` and ``while`` in a function of
+``LINE_CHECKED`` must go on from its condition both into its body and past
+it, unless its body holds a line of ``UNREACHED``.
 
 A line of ``READERS``, which read scenarios and statements, may also run on
 one of the other inputs that CI feeds the CLI and compares with a pinned
 output, on a row of the pinned load-message table, or as the module is
-imported: its patterns and its directive table are built there, once.
+imported: its patterns and its directive table are built there, once.  A
+condition of ``READERS`` may go each way on those inputs too.
 """
 
 import ast
@@ -71,6 +71,9 @@ UNREACHED = {
     ("statements.render",
      '"body condition requires an episode window in concrete syntax"'):
         "as above: a body condition with no window",
+    ("statements._decimal",
+     'raise StatementError("fade threshold needs a finite decimal in concrete syntax")'):
+        "as above: a threshold such as 1/3, which no decimal that parse reads gives",
 }
 
 def _written_in(module) -> dict:
@@ -155,6 +158,7 @@ def _pinned_inputs(tmp: Path):
         yield "run", str(path), "--trace", "--quiet"
     # tests/test_cli.py: the summaries and a file that cannot be read
     yield "run", str(SHIPPED / "newcomers.coop"), "--trace"
+    yield "run", str(SHIPPED / "lor.coop")  # no --trace, as for the file it writes
     yield "check", str(SHIPPED / "lor.coop")
     yield "parse", str(tmp / "no-such-file.txt")
 
@@ -164,8 +168,8 @@ def shipped_runs(tmp_path_factory) -> tuple:
     """(code objects entered, ``(_key(code), line)`` pairs run in
     ``LINE_CHECKED``) over every shipped scenario through the CLI, the pairs
     run also over the pinned inputs and the imports of ``READERS``, and the
-    ``(file, line, next line)`` arcs of the shipped runs, where the next
-    line is None when the frame returns or yields."""
+    ``(file, line, next line)`` arcs of the shipped runs and of all of
+    these, where the next line is None when the frame returns or yields."""
     watched = set(_line_checked().values())
     readers = {module.__file__ for module in READERS}
     entered, lines, arcs = set(), set(), set()
@@ -225,6 +229,7 @@ def shipped_runs(tmp_path_factory) -> tuple:
         {(_key(code), line) for code, line in shipped_lines},
         {(_key(code), line) for code, line in lines},
         shipped_arcs,
+        arcs,
     )
 
 
@@ -238,13 +243,13 @@ def test_every_rule_is_reached_by_a_shipped_scenario(shipped_runs):
             if name.startswith("_Engine.on_")
         },
     }
-    entered, _, _, _ = shipped_runs
+    entered, *_ = shipped_runs
     assert "on_task_request" in wanted and "_Engine.on_outcome" in wanted
     assert sorted(name for name, code in wanted.items() if code not in entered) == []
 
 
 def test_every_line_runs_in_a_shipped_scenario(shipped_runs):
-    _, shipped, pinned, _ = shipped_runs
+    _, shipped, pinned, *_ = shipped_runs
     checked = _line_checked()
     assert "engine._Engine.split" in checked and "lifecycle.Cohort.fade_level" in checked
     assert "agents.on_task_request.rank" in checked and "scenario._Kind.read" in checked
@@ -286,12 +291,12 @@ def _conditions(module):
 
 
 def test_every_branch_goes_both_ways_in_a_shipped_scenario(shipped_runs):
-    *_, arcs = shipped_runs
+    *_, shipped, pinned = shipped_runs
     names, missed = set(), []
-    for module in (m for m in LINE_CHECKED if m not in READERS):
+    for module in LINE_CHECKED:
         source = Path(module.__file__).read_text(encoding="utf-8").splitlines()
         after = {}  # line -> the lines run next from it
-        for path, line, following in arcs:
+        for path, line, following in pinned if module in READERS else shipped:
             if path == module.__file__:
                 after.setdefault(line, set()).add(following)
         for name, node in _conditions(module):
@@ -308,4 +313,5 @@ def test_every_branch_goes_both_ways_in_a_shipped_scenario(shipped_runs):
                 into = "body" if True in taken else "past" if taken else "nowhere"
                 missed.append(f"{name}:{node.lineno} {text} (only {into})")
     assert "engine._Engine.fade_step" in names and "agents.Action.detail" in names
+    assert "cli.cmd_run" in names and "scenario._Load.retry" in names
     assert sorted(missed) == []

@@ -193,12 +193,32 @@ def test_render_requires_observation_with_subject():
         ({"fade": FadeSpec(100, Fraction(1, 20))}, "clauses require a subject"),
         ({"identity": "2-0"}, "clauses require a subject"),
         ({"body": Body("b", condition="c")}, "condition requires an episode window"),
+        (
+            {"subject": "q", "observation_time": 2, "fade": FadeSpec(9, Fraction(1, 3))},
+            "fade threshold needs a finite decimal",
+        ),
     ],
-    ids=["subject", "observation", "fade", "identity", "condition"],
+    ids=["subject", "observation", "fade", "identity", "condition", "threshold"],
 )
 def test_render_rejects_what_the_concrete_syntax_cannot_write(fields, message):
     with pytest.raises(StatementError, match=message):
         render(replace(parse('p[pi:"b"]q'), **fields))
+
+
+@pytest.mark.parametrize(
+    "threshold,canonical",
+    [
+        ("0.00000000004", "0.00000000004"),
+        ("0.99999999999", "0.99999999999"),
+        ("0.12345678901", "0.12345678901"),
+        ("0.50", "0.5"),
+    ],
+)
+def test_render_writes_a_fade_threshold_exactly(threshold, canonical):
+    """Past the trace's ten places too: a threshold renders as the shortest
+    decimal that parses back to it."""
+    text = f'p[w=1,q,fade(100,{threshold})/pi:"b"]q'
+    assert render(parse(text)) == f'p[w=1,q,fade(100,{canonical})/pi:"b"]q'
 
 
 _agent = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
@@ -242,10 +262,11 @@ def statements(draw):
         observation_time = draw(st.integers(low, low + 100))
         if draw(st.booleans()):
             identity = draw(_agent)
-        if draw(st.booleans()):
+        if draw(st.booleans()):  # a threshold of 1 to 20 decimal places
+            places = 10 ** draw(st.integers(1, 20))
             fade = FadeSpec(
                 span=draw(st.integers(1, 1000)),
-                threshold=Fraction(draw(st.integers(1, 99)), 100),
+                threshold=Fraction(draw(st.integers(1, places - 1)), places),
             )
     return Statement(
         kind=kind,

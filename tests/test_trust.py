@@ -15,7 +15,6 @@ from coopsim.trust import (
     _KINDS,
     LEVELS,
     PTRUST,
-    AppreciationKind,
     Outcome,
     TramPolicy,
     TrustStore,
@@ -39,14 +38,14 @@ def test_key_field_requirements():
     own level; an empty qualifier is rejected by ``load`` with its line;
     general trust records assessments."""
     table = [
-        ({}, AppreciationKind.GENERAL_TRUST),
-        ({"task": "U"}, AppreciationKind.TASK_TRUST),
-        ({"program": "P"}, AppreciationKind.PROGRAM_TRUST),
-        ({"program": "P", "task": "U"}, AppreciationKind.CONFIDENCE),
+        ({}, "general-trust"),
+        ({"task": "U"}, "task-trust"),
+        ({"program": "P"}, "program-trust"),
+        ({"program": "P", "task": "U"}, "confidence"),
     ]
     store = TrustStore()
     for level, (qualifiers, kind) in zip((-2, -1, 1, 2), table):
-        assert _KINDS["program" in qualifiers, "task" in qualifiers] is kind
+        assert _KINDS["program" in qualifiers, "task" in qualifiers] == kind
         store.set("p", level, **qualifiers)
     for level, (qualifiers, _) in zip((-2, -1, 1, 2), table):
         assert store.get("p", **qualifiers) == level
@@ -158,7 +157,7 @@ def test_incremental_steps_and_saturation():
 def test_assessment_rejects_non_trust_kinds():
     """Only general trust is assessed: an assessment names a target and no
     qualifier, and leaves the qualified levels of that target alone."""
-    assert _KINDS[True, True] is AppreciationKind.CONFIDENCE
+    assert _KINDS[True, True] == "confidence"
     assert list(inspect.signature(TrustStore.record_assessment).parameters) == [
         "self", "target", "outcome", "tick", "policy"
     ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .appraisal import InstallVerdict
 from .statements import DirectionalKind, Statement
@@ -62,8 +62,7 @@ class ActionKind(Enum):
     PROPOSE_WITHDRAW = "propose-withdraw"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: ActionKind
     task: str
     program: Optional[str] = None

@@ -70,7 +70,7 @@ class Cohort:
         token: str,
         fade: FadeSpec,
         origin: int,
-        fade_rate_multiplier: int = 1,
+        fade_rate_multiplier: int,
     ):
         self.statement = statement
         self.subjects = subjects

@@ -89,10 +89,10 @@ class PolicyHeader:
 
 
 class Directive(NamedTuple):
-    """One scenario line.  A named tuple: ``load`` builds one per line, and a
-    frozen dataclass costs about twice as much to build.  ``load`` builds it
-    with ``tuple.__new__``, skipping the named tuple's Python-level
-    ``__new__``."""
+    """One scenario line.  A named tuple that ``load`` builds with
+    ``tuple.__new__``, as ``parse`` builds ``Statement`` and ``Body``: no
+    record made per line is a frozen dataclass, whose ``__init__`` sets each
+    field through ``object.__setattr__`` (README, "Performance")."""
 
     tick: int
     name: str
@@ -430,10 +430,11 @@ class _Load:
         imposer, target, task, strength = args
         if strength is not None and not 1 <= strength <= 10:  # no pattern states it
             raise ValueError("bad imposition: imposition strength must be in 1..10")
-        statement = Statement(
+        statement = tuple.__new__(Statement, (  # no subject: nothing to check
             DirectionalKind.IMPOSITION, imposer, target, f"perform({task})",
-            Body(f"perform task {task}"), strength=strength,
-        )
+            tuple.__new__(Body, (f"perform task {task}", None)),
+            None, frozenset(), None, None, None, None, None, strength,
+        ))
         return (imposer, target, task), statement
 
 

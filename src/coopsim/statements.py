@@ -28,16 +28,16 @@ clause is chosen by its first characters (``w=``, ``u=``, ``<keyword>!``,
 ``(``, ``@``, ``/``), so the walk and the pattern accept the same text.
 
 ``Statement.adequacy``, the ``(program, task)`` of an ``adequacy(P,U)`` type
-tag, is matched on first use with the grammar's token; nothing else spells it.
+tag, is read on use by the cached ``_adequacy``; nothing else spells it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -137,8 +137,7 @@ def _norm_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(NamedTuple):
     text: str
     condition: Optional[str] = None
 
@@ -179,15 +178,15 @@ class FadeSpec:
         return Fraction(max(0, self.span - rate * ticks), self.span)
 
 
-@dataclass(frozen=True)
-class Statement:
+class _StatementFields(NamedTuple):
+    # a NamedTuple may not define __new__, so Statement subclasses this
     kind: DirectionalKind
     promiser: str
     promisee: str
     type_tag: str
     body: Body
     window: Optional[ValidityWindow] = None
-    scope: frozenset = field(default_factory=frozenset)
+    scope: frozenset = frozenset()
     issue_time: Optional[int] = None
     observation_time: Optional[int] = None
     subject: Optional[str] = None
@@ -195,28 +194,23 @@ class Statement:
     fade: Optional[FadeSpec] = None
     strength: Optional[int] = None
 
-    def __post_init__(self):
-        # ids and strength are checked where they are read: by the grammar
-        # and ``_clauses`` in ``parse``, by ``scenario._Load.impose``
-        if (
-            self.observation_time is not None
-            and self.issue_time is not None
-            and self.observation_time < self.issue_time
-        ):
-            raise WindowOrderError(
-                "observation time precedes issue time"
-            )
-        if self.subject is not None and self.subject not in self.recipients:
-            raise ScopeMembershipError(
-                f"subject {self.subject!r} outside effective scope and promisee"
-            )
 
-    @cached_property
+class Statement(_StatementFields):
+    """An issued directional, an immutable named tuple.  Built directly, it
+    is checked by ``_checked``; ``parse`` and ``scenario._Load.impose`` build
+    it with ``tuple.__new__`` and check only what no earlier step has, and
+    ``_replace`` and ``_make`` check nothing."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return _checked(super().__new__(cls, *args, **kwargs))
+
+    @property
     def adequacy(self) -> Optional[tuple]:
         """The ``(program, task)`` of an ``adequacy(P,U)`` type tag of any kind,
-        else None; worked out on first use, so that ``load`` does not pay."""
-        m = _ADEQUACY_RE.fullmatch(self.type_tag)
-        return None if m is None else m.groups()
+        else None."""
+        return _adequacy(self.type_tag)
 
     @property
     def recipients(self) -> frozenset:
@@ -224,6 +218,26 @@ class Statement:
         declared scope and the promiser) and the promisee, which holds one
         even outside the declared scope, so that it can react."""
         return self.scope | {self.promiser, self.promisee}
+
+
+def _checked(s: Statement) -> Statement:
+    """``s``, unless its observation precedes its issue or its subject is
+    outside its recipients.  Ids and strength are checked where they are
+    read: by the grammar and ``_clauses`` in ``parse``, by ``_Load.impose``."""
+    observed, issued = s.observation_time, s.issue_time
+    if observed is not None and issued is not None and observed < issued:
+        raise WindowOrderError("observation time precedes issue time")
+    if s.subject is not None and s.subject not in s.recipients:
+        raise ScopeMembershipError(
+            f"subject {s.subject!r} outside effective scope and promisee"
+        )
+    return s
+
+
+@lru_cache(maxsize=1024)  # few distinct tags; bounded for a long-lived process
+def _adequacy(type_tag: str) -> Optional[tuple]:
+    m = _ADEQUACY_RE.fullmatch(type_tag)
+    return None if m is None else m.groups()
 
 
 class _List(tuple):
@@ -355,21 +369,17 @@ def parse(text: str) -> Statement:
     fade, kind, window, strength = _clauses(
         span, threshold, keyword, start, end, strength, m.end("strength")
     )
-    return Statement(
-        kind=kind,
-        promiser=promiser,
-        promisee=promisee,
-        type_tag=type_tag if arguments is None else f"{type_tag}({arguments})",
-        body=Body(text=body_text or episode, condition=condition),
-        window=window,
-        scope=frozenset() if scope is None else frozenset(scope.split(",")),
-        issue_time=None if issued is None else int(issued),
-        observation_time=None if observed is None else int(observed),
-        subject=subject,
-        identity=identity,
-        fade=fade,
-        strength=strength,
-    )
+    stmt = tuple.__new__(Statement, (
+        kind, promiser, promisee,
+        type_tag if arguments is None else f"{type_tag}({arguments})",
+        tuple.__new__(Body, (body_text or episode, condition)),
+        window,
+        frozenset() if scope is None else frozenset(scope.split(",")),
+        None if issued is None else int(issued),
+        None if observed is None else int(observed),
+        subject, identity, fade, strength,
+    ))
+    return stmt if observed is None else _checked(stmt)  # only "w=" needs a check
 
 
 def _walk(text: str, pos: int, steps, found: dict, own: dict) -> int:

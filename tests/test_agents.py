@@ -279,7 +279,7 @@ def test_incremental_prune_equals_full_rescan(script):
         if op == "hold":
             promiser, kind_tag, type_tag, indexed = args
             stmt = parse(f'{promiser}[{kind_tag}{type_tag}:"x"]q')
-            rec = Cohort(stmt, [name], f"{tick}-{next(counter)}", FADE, tick)
+            rec = Cohort(stmt, [name], f"{tick}-{next(counter)}", FADE, tick, 1)
             held[name].append(rec)
             if files(stmt):
                 state.hold(stmt, rec.token)

@@ -1199,6 +1199,25 @@ def test_surveys_with_one_sum_and_size_share_their_outcome(monkeypatch):
     assert [trust_levels(result, m, "p")[-1] for m in "abcd"] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("gap,level", [(50, 1), (51, -1)], ids=["kept", "reinitialized"])
+def test_default_survey_window_is_fifty_ticks(gap, level):
+    """With no ``recent-window`` setting, a survey ``gap`` ticks after a
+    member assessed its subject keeps that member's level up to a gap of 50
+    ticks, and reinitializes it from a gap of 51."""
+    text = (
+        "trust b p = -2\n"
+        "tick 1\n"
+        'issue p[adequacy(P,U):"p is adequate for task u"]a\n'
+        "tick 2\n"
+        "outcome a program=P task=U result=success\n"
+        f"tick {2 + gap}\n"
+        "survey w group=a,b about=p\n"
+    )
+    result = run(load(text))
+    assert trust_levels(result, "a", "p") == [1] + ([] if level == 1 else [level])
+    assert trust_levels(result, "b", "p")[-1] == -1  # the floor of (1 - 2) / 2
+
+
 def test_round_robin_queues_expect_trust_under_its_subject():
     """Under round-robin an ``expect-trust`` queues under its subject, not
     after the statements listed above it: with the check in the tick of Z's

@@ -1,9 +1,9 @@
 import pytest
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from coopsim.agents import Action, ActionKind
 from coopsim.engine import run
 from coopsim.scenario import PolicyHeader, load
 from coopsim.statements import (
@@ -43,6 +43,7 @@ FORM_FIXTURES = {
 def test_form_fixture_roundtrip(name):
     text = FORM_FIXTURES[name]
     assert render(parse(text)) == text
+    assert parse(render(parse(text))) == parse(text)
 
 
 def test_ground_form_fields():
@@ -135,6 +136,48 @@ def test_subject_may_be_promiser_or_promisee():
     assert parse('p[w=9,q/pi:"b"]q').subject == "q"
 
 
+def test_statement_built_directly_is_checked():
+    """``Statement(...)`` runs the two checks ``parse`` runs on a ``w=``
+    clause, with the same errors in the same order."""
+    head = (DirectionalKind.PROMISE, "p", "q", "pi", Body("b"))
+    with pytest.raises(WindowOrderError, match="^observation time precedes issue time$"):
+        Statement(*head, issue_time=5, observation_time=2, subject="z")
+    with pytest.raises(ScopeMembershipError, match="^subject 'z' outside effective"):
+        Statement(*head, None, frozenset({"r"}), None, 9, "z")
+    with pytest.raises(WindowOrderError):
+        parse('p[w=2,z/u=5,pi:"b"]q')
+    assert Statement(*head, observation_time=9, subject="q") == parse('p[w=9,q/pi:"b"]q')
+
+
+_FULL = parse(FORM_FIXTURES["full"])
+
+
+@pytest.mark.parametrize(
+    "record,name",
+    [
+        (_FULL, "subject"),
+        (_FULL, "adequacy"),
+        (_FULL, "other"),
+        (_FULL.body, "text"),
+        (_FULL.body, "other"),
+        (Action(ActionKind.USE, task="U", program="P"), "program"),
+        (Action(ActionKind.USE, task="U", program="P"), "other"),
+    ],
+)
+def test_statement_body_and_action_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, "x")
+
+
+def test_equal_statements_hash_equal():
+    built = Statement(**_FULL._asdict())
+    again = parse(FORM_FIXTURES["full"])
+    assert built is not _FULL and again is not _FULL
+    assert built == _FULL == again
+    assert hash(built) == hash(_FULL) == hash(again)
+    assert len({built, _FULL, again}) == 1
+
+
 def test_fade_spec_validation():
     with pytest.raises(StatementError):
         FadeSpec(span=0, threshold=Fraction(1, 20))
@@ -202,7 +245,7 @@ def test_render_requires_observation_with_subject():
 )
 def test_render_rejects_what_the_concrete_syntax_cannot_write(fields, message):
     with pytest.raises(StatementError, match=message):
-        render(replace(parse('p[pi:"b"]q'), **fields))
+        render(parse('p[pi:"b"]q')._replace(**fields))
 
 
 @pytest.mark.parametrize(
@@ -288,7 +331,11 @@ def statements(draw):
 @settings(max_examples=300, deadline=None)
 @given(statements())
 def test_parse_inverts_render(s):
-    assert parse(render(s)) == s
+    """For a statement built by keyword and for the one ``parse`` builds
+    from its text alike."""
+    parsed = parse(render(s))
+    assert parsed == s and hash(parsed) == hash(s)
+    assert parse(render(parsed)) == parsed
 
 
 # Edits that reach every clause: punctuation of the grammar, digits and the

@@ -119,14 +119,18 @@ def test_run_calls_no_enum_hash():
 def test_run_enters_no_body_method():
     """``load`` has checked every statement, so a run and its trace build
     no validated object again: the equivalence key is plain strings, and
-    the attribute verdict reads plain dicts.  Running and rendering a
-    scenario of attribute rules and equivalent reissues enters no method of
-    ``statements.Body``."""
+    the attribute verdict reads plain dicts.  ``statements.Body`` defines no
+    Python-level ``__init__``, ``__hash__`` or ``__eq__`` (a named tuple's
+    are ``tuple``'s, in C), and running and rendering a scenario of
+    attribute rules and equivalent reissues enters none of the Python-level
+    methods it does define, ``__new__`` included: the run builds no
+    ``Body``."""
     scenario = load_path(SCENARIOS / "attr_rules.coop")
-    body_methods = {
-        getattr(Body, name).__code__
-        for name in ("__init__", "__hash__", "__eq__")
-    }
+    for name in ("__init__", "__hash__", "__eq__"):
+        assert not hasattr(getattr(Body, name), "__code__"), name
+    methods = [getattr(Body, name) for name in vars(Body)]
+    body_methods = {m.__code__ for m in methods if hasattr(m, "__code__")}
+    assert Body.__new__.__code__ in body_methods
 
     def run_and_render():
         run(scenario).trace_text()
